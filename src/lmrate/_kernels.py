@@ -1,17 +1,8 @@
 """Streaming reductions over the factored coupling q_ij = exp(lphi_i + lpsi_j - lam*d_ij).
 
-Every hot loop of the solver lives here, in two interchangeable families:
-
-* a numba family (``*_nb``): jit-compiled row-major loops that never
-  materialize the M x N coupling,
-* a numpy family (``*_np``): vectorized fallback working on row blocks so
-  memory stays bounded for large grids.
-
-The active family is bound to the plain names (``scale_rows``, ...).
-Selection: setting the environment variable ``LMRATE_DISABLE_NUMBA=1``
-forces the numpy path; otherwise numba is used whenever it imports.
-Both families remain importable so benchmarks and tests can compare them
-(see ``benchmarks/bench_kernels.py``).
+Every hot loop of the solver lives here.  The kernels are vectorized numpy
+working on row blocks, so the M x N coupling is never materialized whole
+and memory stays bounded for large grids.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
 the double underflow threshold contribute exactly zero to every sum,
@@ -19,29 +10,14 @@ which realizes the 0*log(0) = 0 convention without branches: exp()
 underflows to 0.0 and 0.0 * finite = 0.0.
 """
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+# Read by perfbench/run.py's environment block; there is no numba family.
+USING_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-_DISABLE = os.environ.get("LMRATE_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-USING_NUMBA = HAS_NUMBA and not _DISABLE
-
-# Block budget for the numpy family: at most this many matrix entries are
-# expanded into temporaries at a time.
+# Block budget: at most this many matrix entries are expanded into
+# temporaries at a time.
 BLOCK_ENTRIES = 1 << 22
-
-
-# --------------------------------------------------------------------------
-# numpy family
-# --------------------------------------------------------------------------
 
 
 def _row_blocks(m, n):
@@ -50,7 +26,7 @@ def _row_blocks(m, n):
         yield lo, min(m, lo + step)
 
 
-def scale_rows_np(lpsi, lam, d, log_px):
+def scale_rows(lpsi, lam, d, log_px):
     """Row scaling update: lphi_i = log_px_i - log sum_j exp(lpsi_j - lam*d_ij).
 
     Returns (lphi, ok); ok is False when any row denominator underflowed
@@ -65,8 +41,8 @@ def scale_rows_np(lpsi, lam, d, log_px):
     return out, bool(np.isfinite(out).all())
 
 
-def scale_rows_lse_np(lpsi, lam, d, log_px):
-    """Shifted (log-sum-exp) variant of scale_rows_np; immune to underflow."""
+def scale_rows_lse(lpsi, lam, d, log_px):
+    """Shifted (log-sum-exp) variant of scale_rows; immune to underflow."""
     m, n = d.shape
     out = np.empty(m)
     for lo, hi in _row_blocks(m, n):
@@ -77,7 +53,7 @@ def scale_rows_lse_np(lpsi, lam, d, log_px):
     return out
 
 
-def scale_cols_np(lphi, lam, d, log_py):
+def scale_cols(lphi, lam, d, log_py):
     m, n = d.shape
     s = np.zeros(n)
     with np.errstate(over="ignore"):
@@ -88,7 +64,7 @@ def scale_cols_np(lphi, lam, d, log_py):
     return out, bool(np.isfinite(out).all())
 
 
-def scale_cols_lse_np(lphi, lam, d, log_py):
+def scale_cols_lse(lphi, lam, d, log_py):
     m, n = d.shape
     mx = np.full(n, -np.inf)
     for lo, hi in _row_blocks(m, n):
@@ -99,7 +75,7 @@ def scale_cols_lse_np(lphi, lam, d, log_py):
     return log_py - (mx + np.log(s))
 
 
-def coupling_stats_np(lphi, lpsi, lam, d):
+def coupling_stats(lphi, lpsi, lam, d):
     """One sweep over the coupling.
 
     Returns (row_marg, col_marg, mass, metric_mass, neg_entropy) where
@@ -122,7 +98,7 @@ def coupling_stats_np(lphi, lpsi, lam, d):
     return row_marg, col_marg, mass, metric_mass, neg_entropy
 
 
-def metric_moments_np(lphi, lpsi, lam, d):
+def metric_moments(lphi, lpsi, lam, d):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 
     Returns (sum_ij d q, sum_ij d^2 q); used by the multiplier root solve.
@@ -138,7 +114,7 @@ def metric_moments_np(lphi, lpsi, lam, d):
     return s1, s2
 
 
-def mismatch_dual_value_np(w_t, a, log_px, zeta, d_t):
+def mismatch_dual_value(w_t, a, log_px, zeta, d_t):
     """Mismatched-decoding dual objective.
 
     w_t and d_t are the N x M transposes of the joint weight matrix
@@ -156,224 +132,3 @@ def mismatch_dual_value_np(w_t, a, log_px, zeta, d_t):
         inner = (w_t[lo:hi] * (a[None, :] - zeta * d_t[lo:hi])).sum(axis=1)
         total += float((inner - w_t[lo:hi].sum(axis=1) * lse).sum())
     return total
-
-
-# --------------------------------------------------------------------------
-# numba family: identical semantics, loop form
-# --------------------------------------------------------------------------
-
-
-def _scale_rows_loop(lpsi, lam, d, log_px):
-    m, n = d.shape
-    out = np.empty(m)
-    ok = True
-    for i in range(m):
-        s = 0.0
-        for j in range(n):
-            s += math.exp(lpsi[j] - lam * d[i, j])
-        if s > 0.0 and math.isfinite(s):
-            out[i] = log_px[i] - math.log(s)
-        else:
-            out[i] = np.nan
-            ok = False
-    return out, ok
-
-
-def _scale_rows_lse_loop(lpsi, lam, d, log_px):
-    m, n = d.shape
-    out = np.empty(m)
-    buf = np.empty(n)
-    for i in range(m):
-        mx = -np.inf
-        for j in range(n):
-            v = lpsi[j] - lam * d[i, j]
-            buf[j] = v
-            if v > mx:
-                mx = v
-        s = 0.0
-        for j in range(n):
-            s += math.exp(buf[j] - mx)
-        out[i] = log_px[i] - (mx + math.log(s))
-    return out
-
-
-def _scale_cols_loop(lphi, lam, d, log_py):
-    m, n = d.shape
-    s = np.zeros(n)
-    for i in range(m):
-        li = lphi[i]
-        for j in range(n):
-            s[j] += math.exp(li - lam * d[i, j])
-    out = np.empty(n)
-    ok = True
-    for j in range(n):
-        if s[j] > 0.0 and math.isfinite(s[j]):
-            out[j] = log_py[j] - math.log(s[j])
-        else:
-            out[j] = np.nan
-            ok = False
-    return out, ok
-
-
-def _scale_cols_lse_loop(lphi, lam, d, log_py):
-    m, n = d.shape
-    mx = np.full(n, -np.inf)
-    for i in range(m):
-        li = lphi[i]
-        for j in range(n):
-            v = li - lam * d[i, j]
-            if v > mx[j]:
-                mx[j] = v
-    s = np.zeros(n)
-    for i in range(m):
-        li = lphi[i]
-        for j in range(n):
-            s[j] += math.exp(li - lam * d[i, j] - mx[j])
-    out = np.empty(n)
-    for j in range(n):
-        out[j] = log_py[j] - (mx[j] + math.log(s[j]))
-    return out
-
-
-def _coupling_stats_loop(lphi, lpsi, lam, d):
-    m, n = d.shape
-    row_marg = np.empty(m)
-    col_marg = np.zeros(n)
-    # compensated (Kahan) accumulators keep the big reductions accurate
-    mass = 0.0
-    mass_c = 0.0
-    met = 0.0
-    met_c = 0.0
-    ent = 0.0
-    ent_c = 0.0
-    for i in range(m):
-        li = lphi[i]
-        rs = 0.0
-        rs_c = 0.0
-        for j in range(n):
-            e = li + lpsi[j] - lam * d[i, j]
-            q = math.exp(e)
-            y = q - rs_c
-            t = rs + y
-            rs_c = (t - rs) - y
-            rs = t
-            col_marg[j] += q
-            y = q - mass_c
-            t = mass + y
-            mass_c = (t - mass) - y
-            mass = t
-            v = d[i, j] * q
-            y = v - met_c
-            t = met + y
-            met_c = (t - met) - y
-            met = t
-            v = e * q
-            y = v - ent_c
-            t = ent + y
-            ent_c = (t - ent) - y
-            ent = t
-        row_marg[i] = rs
-    return row_marg, col_marg, mass, met, ent
-
-
-def _metric_moments_loop(lphi, lpsi, lam, d):
-    m, n = d.shape
-    s1 = 0.0
-    s1_c = 0.0
-    s2 = 0.0
-    s2_c = 0.0
-    for i in range(m):
-        li = lphi[i]
-        for j in range(n):
-            dij = d[i, j]
-            v = dij * math.exp(li + lpsi[j] - lam * dij)
-            y = v - s1_c
-            t = s1 + y
-            s1_c = (t - s1) - y
-            s1 = t
-            v *= dij
-            y = v - s2_c
-            t = s2 + y
-            s2_c = (t - s2) - y
-            s2 = t
-    return s1, s2
-
-
-def _mismatch_dual_value_loop(w_t, a, log_px, zeta, d_t):
-    n, m = d_t.shape
-    total = 0.0
-    total_c = 0.0
-    for j in range(n):
-        mx = -np.inf
-        for i in range(m):
-            v = log_px[i] + a[i] - zeta * d_t[j, i]
-            if v > mx:
-                mx = v
-        s = 0.0
-        for i in range(m):
-            s += math.exp(log_px[i] + a[i] - zeta * d_t[j, i] - mx)
-        lse = mx + math.log(s)
-        for i in range(m):
-            v = w_t[j, i] * ((a[i] - zeta * d_t[j, i]) - lse)
-            y = v - total_c
-            t = total + y
-            total_c = (t - total) - y
-            total = t
-    return total
-
-
-if HAS_NUMBA:
-    _jit = njit(cache=True)
-    scale_rows_nb = _jit(_scale_rows_loop)
-    scale_rows_lse_nb = _jit(_scale_rows_lse_loop)
-    scale_cols_nb = _jit(_scale_cols_loop)
-    scale_cols_lse_nb = _jit(_scale_cols_lse_loop)
-    coupling_stats_nb = _jit(_coupling_stats_loop)
-    metric_moments_nb = _jit(_metric_moments_loop)
-    mismatch_dual_value_nb = _jit(_mismatch_dual_value_loop)
-else:  # pragma: no cover
-    scale_rows_nb = None
-    scale_rows_lse_nb = None
-    scale_cols_nb = None
-    scale_cols_lse_nb = None
-    coupling_stats_nb = None
-    metric_moments_nb = None
-    mismatch_dual_value_nb = None
-
-
-_NAMES = (
-    "scale_rows",
-    "scale_rows_lse",
-    "scale_cols",
-    "scale_cols_lse",
-    "coupling_stats",
-    "metric_moments",
-    "mismatch_dual_value",
-)
-
-if USING_NUMBA:
-    scale_rows = scale_rows_nb
-    scale_rows_lse = scale_rows_lse_nb
-    scale_cols = scale_cols_nb
-    scale_cols_lse = scale_cols_lse_nb
-    coupling_stats = coupling_stats_nb
-    metric_moments = metric_moments_nb
-    mismatch_dual_value = mismatch_dual_value_nb
-else:
-    scale_rows = scale_rows_np
-    scale_rows_lse = scale_rows_lse_np
-    scale_cols = scale_cols_np
-    scale_cols_lse = scale_cols_lse_np
-    coupling_stats = coupling_stats_np
-    metric_moments = metric_moments_np
-    mismatch_dual_value = mismatch_dual_value_np
-
-
-def kernel_families():
-    """Families keyed by name, for benchmarks and agreement tests."""
-    numpy_family = {name: globals()[name + "_np"] for name in _NAMES}
-    if HAS_NUMBA:
-        numba_family = {name: globals()[name + "_nb"] for name in _NAMES}
-    else:  # pragma: no cover
-        numba_family = None
-    return {"numpy": numpy_family, "numba": numba_family}

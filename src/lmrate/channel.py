@@ -18,10 +18,12 @@ by the scaling-kernel rank checks hold exactly, not approximately.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateGridError, UnsupportedConfigurationError
+from .problem import shannon_entropy
 
 _IDENTITY = np.eye(2)
 
@@ -128,6 +130,19 @@ class DiscreteProblem:
     @property
     def n(self) -> int:
         return self.d.shape[1]
+
+    # per-instance constants of the solver loops, computed once
+    @cached_property
+    def d_max(self) -> float:
+        return float(self.d.max()) if self.d.size else 0.0
+
+    @cached_property
+    def h_x(self) -> float:
+        return shannon_entropy(self.p_x)
+
+    @cached_property
+    def h_y(self) -> float:
+        return shannon_entropy(self.p_y)
 
     def with_threshold(self, t: float) -> "DiscreteProblem":
         """Copy with an overridden constraint threshold.

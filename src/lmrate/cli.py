@@ -118,8 +118,8 @@ def _positive(field, value, kind=float):
         value = kind(value)
     except (ValueError, TypeError):
         raise ConfigError(field, f"expected {kind.__name__}, got {value!r}")
-    if not value > 0:
-        raise ConfigError(field, f"must be positive, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(field, f"must be positive and finite, got {value!r}")
     return value
 
 
@@ -472,10 +472,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         cfg["out"] = getattr(args, "out", None)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except LmrateError as err:
+    except (ConfigError, LmrateError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

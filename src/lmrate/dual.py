@@ -16,6 +16,7 @@ non-constant centrally symmetric metrics, which is what makes the
 projected Newton oracle well posed.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ from . import _kernels
 from .channel import DiscreteProblem
 from .errors import (EvaluationError, InconsistentOracleError,
                      NumericalFailureError, UnsupportedConfigurationError)
-from .problem import DENSE_CAP, Coupling, shannon_entropy
-from .sinkhorn import SolveReport, SolveStatus, TraceRow
+from .problem import DENSE_CAP, Coupling, balance_gauge, evaluate
+from .sinkhorn import SolveReport, SolveStatus
 
 HESSIAN_CAP = 2048
 
@@ -55,29 +56,25 @@ def coupling_from_dual(dp: DualPoint, d: np.ndarray) -> Coupling:
 
 def gauge_normalize(dp: DualPoint) -> DualPoint:
     """Shift along the gauge so sum(alpha) == sum(beta); idempotent."""
-    m = dp.alpha.shape[0]
-    n = dp.beta.shape[0]
-    s = (float(dp.beta.sum()) - float(dp.alpha.sum())) / (m + n)
-    return DualPoint(alpha=dp.alpha + s, beta=dp.beta - s, lam=dp.lam)
+    lphi, lpsi = balance_gauge(-dp.alpha - 0.5, -dp.beta - 0.5)
+    return DualPoint(alpha=-lphi - 0.5, beta=-lpsi - 0.5, lam=dp.lam)
 
 
-def _stats(dp: DualPoint, p: DiscreteProblem):
-    lphi = -dp.alpha - 0.5
-    lpsi = -dp.beta - 0.5
-    return _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
+def _evaluate(alpha, beta, lam, p: DiscreteProblem, it=0):
+    return evaluate(-alpha - 0.5, -beta - 0.5, lam, p, it)
 
 
 def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
-    _, _, mass, _, _ = _stats(dp, p)
-    if not math.isfinite(mass):
+    g = _evaluate(dp.alpha, dp.beta, dp.lam, p).dual_objective
+    if not math.isfinite(g):
         raise EvaluationError("dual objective overflowed; dual point too far out")
-    return (mass + float(np.dot(dp.alpha, p.p_x)) + float(np.dot(dp.beta, p.p_y))
-            + dp.lam * p.t)
+    return g
 
 
 def dual_gradient(dp: DualPoint, p: DiscreteProblem):
     """(d/dalpha, d/dbeta, d/dlam) of the dual objective."""
-    row, col, mass, metric_mass, _ = _stats(dp, p)
+    row, col, mass, metric_mass, _ = _kernels.coupling_stats(
+        -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam, p.d)
     if not math.isfinite(mass):
         raise EvaluationError("dual gradient overflowed; dual point too far out")
     return p.p_x - row, p.p_y - col, p.t - metric_mass
@@ -140,7 +137,9 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
     constant metric being the canonical case).
     """
     a = scaling_constraint_matrix(d)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    # a thin SVD has all M+N+1 rows of vt whenever MN >= M+N+1, and never
+    # builds the MN x MN left factor
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cutoff = rel_tol * s[0]
     rank = int((s > cutoff).sum())
     cols = a.shape[1]
@@ -160,13 +159,8 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 
 
 def _g_raw(alpha, beta, lam, p):
-    lphi = -alpha - 0.5
-    lpsi = -beta - 0.5
-    _, _, mass, _, _ = _kernels.coupling_stats(lphi, lpsi, lam, p.d)
-    if not math.isfinite(mass):
-        return math.inf
-    return (mass + float(np.dot(alpha, p.p_x)) + float(np.dot(beta, p.p_y))
-            + lam * p.t)
+    g = _evaluate(alpha, beta, lam, p).dual_objective
+    return g if math.isfinite(g) else math.inf
 
 
 def _solve_newton_step(h, grad, k_hat):
@@ -201,8 +195,6 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
     if m + n + 1 > hessian_cap:
         raise UnsupportedConfigurationError(
             f"oracle needs the dense Hessian; size {m + n + 1} exceeds {hessian_cap}")
-    h_x = shannon_entropy(p.p_x)
-    h_y = shannon_entropy(p.p_y)
     if start is None:
         alpha = np.zeros(m)
         beta = np.zeros(n)
@@ -219,33 +211,21 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
     failed_iteration = None
 
     def record(alpha, beta, lam):
-        dp = DualPoint(alpha, beta, lam)
-        row, col, mass, metric_mass, neg_entropy = _stats(dp, p)
-        r_phi = float(np.abs(row - p.p_x).sum())
-        r_psi = float(np.abs(col - p.p_y).sum())
-        excess = metric_mass - p.t
-        r_lambda = 0.0 if (lam == 0.0 and excess < 0.0) else abs(excess)
-        g = (mass + float(np.dot(alpha, p.p_x)) + float(np.dot(beta, p.p_y))
-             + lam * p.t)
-        trace.append(TraceRow(iter=len(trace) + 1, r_phi=r_phi, r_psi=r_psi,
-                              r_lambda=r_lambda, dual_objective=g,
-                              lm_rate_nats=neg_entropy + h_x + h_y, lam=lam))
+        trace.append(_evaluate(alpha, beta, lam, p, len(trace) + 1))
 
     def minimize(alpha, beta, lam, lam_free, budget):
-        k_hat = (gauge_vector(m, n) if lam_free
-                 else np.concatenate([np.ones(m), -np.ones(n)]) / math.sqrt(m + n))
+        # with lam frozen, the lam row and column of the system drop out
+        size = m + n + 1 if lam_free else m + n
+        k_hat = gauge_vector(m, n)[:size]
         g_cur = _g_raw(alpha, beta, lam, p)
         for _ in range(budget):
             dp = DualPoint(alpha, beta, lam)
             ga, gb, gl = dual_gradient(dp, p)
-            grad = (np.concatenate([ga, gb, [gl]]) if lam_free
-                    else np.concatenate([ga, gb]))
+            grad = np.concatenate([ga, gb, [gl]])[:size]
             grad_proj = grad - np.dot(grad, k_hat) * k_hat
             if float(np.abs(grad_proj).max()) <= tol:
                 return alpha, beta, lam, True
-            h = dual_hessian(dp, p, cap=hessian_cap)
-            if not lam_free:
-                h = h[:m + n, :m + n]
+            h = dual_hessian(dp, p, cap=hessian_cap)[:size, :size]
             step = _solve_newton_step(h, grad, k_hat)
             slope = float(np.dot(grad, step))
             if slope >= 0.0:
@@ -256,14 +236,9 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
                 t_step = min(1.0, 0.95 * lam / -step[-1])
             accepted = False
             while t_step > 1e-20:
-                if lam_free:
-                    a_try = alpha + t_step * step[:m]
-                    b_try = beta + t_step * step[m:m + n]
-                    l_try = lam + t_step * step[-1]
-                else:
-                    a_try = alpha + t_step * step[:m]
-                    b_try = beta + t_step * step[m:]
-                    l_try = lam
+                a_try = alpha + t_step * step[:m]
+                b_try = beta + t_step * step[m:m + n]
+                l_try = lam + t_step * step[-1] if lam_free else lam
                 g_try = _g_raw(a_try, b_try, l_try, p)
                 if g_try <= g_cur + 1e-4 * t_step * slope:
                     alpha, beta, lam, g_cur = a_try, b_try, l_try, g_try
@@ -295,18 +270,15 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
         failed_iteration = err.iteration
 
     dp = gauge_normalize(DualPoint(alpha, beta, lam))
-    solution = coupling_from_dual(dp, p.d)
-    _, _, mass, _, neg_entropy = _stats(dp, p)
-    g_final = (mass + float(np.dot(dp.alpha, p.p_x)) + float(np.dot(dp.beta, p.p_y))
-               + dp.lam * p.t)
+    final = _evaluate(dp.alpha, dp.beta, lam, p)
     return SolveReport(
-        solution=solution,
-        lm_rate_nats=neg_entropy + h_x + h_y,
-        lambda_final=dp.lam,
+        solution=coupling_from_dual(dp, p.d),
+        lm_rate_nats=final.lm_rate_nats,
+        lambda_final=lam,
         iterations=len(trace),
         residual_trace=trace,
         status=status,
-        dual_objective=g_final,
+        dual_objective=final.dual_objective,
         dual_objective_init=g_init,
         tau=None,
         strategy="newton",
@@ -386,20 +358,7 @@ class ConvergenceCertificate:
     g_star_source: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_d": self.m_d,
-            "delta": self.delta,
-            "l_lambda": self.l_lambda,
-            "m_lambda": self.m_lambda,
-            "m0": self.m0,
-            "s0": self.s0,
-            "e0": self.e0,
-            "bound_satisfied": self.bound_satisfied,
-            "worst_margin": self.worst_margin,
-            "c_d": self.c_d,
-            "g_star": self.g_star,
-            "g_star_source": self.g_star_source,
-        }
+        return dataclasses.asdict(self)
 
 
 _GAP_FLOOR = 1e-300
@@ -423,7 +382,7 @@ def certificate(report: SolveReport, p: DiscreteProblem, g_star: float,
     lams = [report.lambda_init] + [r.lam for r in report.residual_trace]
     deltas = [abs(b - a) for a, b in zip(lams, lams[1:])]
     delta = max(deltas) if deltas else 0.0
-    m_d = float(p.d.max())
+    m_d = p.d_max
     l_lambda = m_d * m_d * math.exp(delta * m_d)
     m_lambda = max(lams) / 2.0
     log_c_d = -2.0 * m_d * m_lambda

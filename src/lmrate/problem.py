@@ -10,7 +10,8 @@ over the metric via the kernels module.  The rate objective in nats is
     lm_rate = sum_ij q_ij log q_ij + H(p_x) + H(p_y)
 
 which equals the KL divergence of the coupling from the product of its
-target marginals when the coupling is feasible.
+target marginals when the coupling is feasible.  ``evaluate`` turns one
+sweep over a coupling into every number the solvers report about it.
 """
 
 from dataclasses import dataclass
@@ -80,6 +81,53 @@ class Coupling:
         return np.exp(self.log_phi[:, None] + self.log_psi[None, :] - self.lam * self.d)
 
 
+@dataclass
+class TraceRow:
+    iter: int
+    r_phi: float
+    r_psi: float
+    r_lambda: float
+    dual_objective: float
+    lm_rate_nats: float
+    lam: float
+
+
+def evaluate(log_phi, log_psi, lam, p, it=0) -> TraceRow:
+    """Residuals, dual value and rate of a factored coupling, from one sweep.
+
+    r_phi / r_psi are the L1 marginal gaps and r_lambda the multiplier
+    residual |sum d q - t|, taken as zero at lam = 0 with negative excess
+    (the constraint is simply inactive there).  The dual value is
+
+        g = mass - <p_x, log_phi> - <p_y, log_psi> - 1 + lam * t
+
+    and the rate sum q log q + H(p_x) + H(p_y).  Non-finite sums are
+    passed through for the caller to judge.
+    """
+    row, col, mass, metric_mass, neg_entropy = _kernels.coupling_stats(
+        log_phi, log_psi, lam, p.d)
+    excess = metric_mass - p.t
+    return TraceRow(
+        iter=it,
+        r_phi=float(np.abs(row - p.p_x).sum()),
+        r_psi=float(np.abs(col - p.p_y).sum()),
+        r_lambda=0.0 if (lam == 0.0 and excess < 0.0) else abs(excess),
+        dual_objective=(mass - float(np.dot(p.p_x, log_phi))
+                        - float(np.dot(p.p_y, log_psi)) - 1.0 + lam * p.t),
+        lm_rate_nats=neg_entropy + p.h_x + p.h_y,
+        lam=lam)
+
+
+def balance_gauge(log_phi, log_psi):
+    """Shift along the scaling gauge (+s, -s), which leaves the coupling
+    unchanged, so that the dual shifts alpha = -log_phi - 1/2 and
+    beta = -log_psi - 1/2 have equal sums; idempotent."""
+    m = log_phi.shape[0]
+    n = log_psi.shape[0]
+    s = (log_psi.sum() - log_phi.sum() + 0.5 * (n - m)) / (m + n)
+    return log_phi + s, log_psi - s
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """H(p) = -sum p log p in nats; requires strictly positive entries."""
     p = np.asarray(p, dtype=np.float64)
@@ -102,17 +150,14 @@ def lm_rate(q: Coupling, p, feasibility_tol: float | None = None) -> float:
     With feasibility_tol set, first verifies that both L1 marginal gaps
     are below it and raises EvaluationError otherwise.
     """
-    row, col, _, _, neg_entropy = q.stats()
-    if feasibility_tol is not None:
-        gap_row = float(np.abs(row - p.p_x).sum())
-        gap_col = float(np.abs(col - p.p_y).sum())
-        if max(gap_row, gap_col) > feasibility_tol:
-            raise EvaluationError(
-                f"coupling infeasible: marginal gaps ({gap_row:.3e}, {gap_col:.3e}) "
-                f"exceed {feasibility_tol:.3e}")
-    if not np.isfinite(neg_entropy):
+    row = evaluate(q.log_phi, q.log_psi, q.lam, p)
+    if feasibility_tol is not None and max(row.r_phi, row.r_psi) > feasibility_tol:
+        raise EvaluationError(
+            f"coupling infeasible: marginal gaps ({row.r_phi:.3e}, {row.r_psi:.3e}) "
+            f"exceed {feasibility_tol:.3e}")
+    if not np.isfinite(row.lm_rate_nats):
         raise EvaluationError("coupling evaluation overflowed")
-    return neg_entropy + shannon_entropy(p.p_x) + shannon_entropy(p.p_y)
+    return row.lm_rate_nats
 
 
 def constraint_gap(q: Coupling, p) -> float:

@@ -19,7 +19,7 @@ that the multiplier residual is zero at lam = 0 with negative excess
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .channel import DiscreteProblem
 from .errors import NumericalFailureError
-from .problem import Coupling, shannon_entropy
+from .problem import Coupling, TraceRow, balance_gauge, evaluate
 
 # switch the marginal updates to shifted log-sum-exp reductions once the
 # smallest kernel exponent -lam*max(d) drops below this
@@ -58,16 +58,15 @@ class SolverConfig:
     lambda_strategy: LambdaStrategy = LambdaStrategy.AUTO
     tau: float | None = None          # None -> 1 / max(d)^2
     lambda_init: float = 1.0
-    log_domain: bool = True           # allow the LSE fallback path
 
     def __post_init__(self):
         self.lambda_strategy = LambdaStrategy(self.lambda_strategy)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if self.tau is not None and not (self.tau > 0):
-            raise ValueError("tau must be positive when given")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
+        if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
+            raise ValueError("tau must be positive and finite when given")
         if not (self.lambda_init >= 0):
             raise ValueError("lambda_init must be nonnegative")
 
@@ -80,18 +79,6 @@ class SinkhornState:
     psi: np.ndarray
     lam: float
     iter: int = 0
-    residuals: tuple | None = None
-
-
-@dataclass
-class TraceRow:
-    iter: int
-    r_phi: float
-    r_psi: float
-    r_lambda: float
-    dual_objective: float
-    lm_rate_nats: float
-    lam: float
 
 
 @dataclass
@@ -121,43 +108,28 @@ def _resolve_strategy(cfg: SolverConfig, p: DiscreteProblem) -> LambdaStrategy:
     return LambdaStrategy.ROOT if p.rootfind_safe else LambdaStrategy.PROJECT
 
 
-def _update_rows(lpsi, lam, d, log_px, log_domain):
+def _update_rows(lpsi, lam, p, log_px):
     # jump straight to the shifted reduction once the kernel exponents can
     # underflow; otherwise try the plain sum and fall back on failure
-    prefer_lse = log_domain and lam * _max_metric(d) >= -_LSE_EXPONENT
-    if not prefer_lse:
-        lphi, ok = _kernels.scale_rows(lpsi, lam, d, log_px)
+    if lam * p.d_max < -_LSE_EXPONENT:
+        lphi, ok = _kernels.scale_rows(lpsi, lam, p.d, log_px)
         if ok:
             return lphi
-        if not log_domain:
-            raise NumericalFailureError("row scaling denominator underflowed")
-    return _kernels.scale_rows_lse(lpsi, lam, d, log_px)
+    return _kernels.scale_rows_lse(lpsi, lam, p.d, log_px)
 
 
-def _update_cols(lphi, lam, d, log_py, log_domain):
-    prefer_lse = log_domain and lam * _max_metric(d) >= -_LSE_EXPONENT
-    if not prefer_lse:
-        lpsi, ok = _kernels.scale_cols(lphi, lam, d, log_py)
+def _update_cols(lphi, lam, p, log_py):
+    if lam * p.d_max < -_LSE_EXPONENT:
+        lpsi, ok = _kernels.scale_cols(lphi, lam, p.d, log_py)
         if ok:
             return lpsi
-        if not log_domain:
-            raise NumericalFailureError("column scaling denominator underflowed")
-    return _kernels.scale_cols_lse(lphi, lam, d, log_py)
+    return _kernels.scale_cols_lse(lphi, lam, p.d, log_py)
 
 
-_METRIC_MAX_CACHE: dict = {}
-
-
-def _max_metric(d: np.ndarray) -> float:
-    key = id(d)
-    hit = _METRIC_MAX_CACHE.get(key)
-    if hit is not None and hit[0] is d:
-        return hit[1]
-    value = float(d.max()) if d.size else 0.0
-    if len(_METRIC_MAX_CACHE) > 64:
-        _METRIC_MAX_CACHE.clear()
-    _METRIC_MAX_CACHE[key] = (d, value)
-    return value
+def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
+    if strategy is LambdaStrategy.ROOT:
+        return solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=max(lam, 1.0))
+    return max(0.0, lam + tau * multiplier_excess(lphi, lpsi, lam, p.d, p.t))
 
 
 def multiplier_excess(lphi, lpsi, lam, d, t) -> float:
@@ -166,14 +138,24 @@ def multiplier_excess(lphi, lpsi, lam, d, t) -> float:
     return s1 - t
 
 
+def _moments(lphi, lpsi, lam, d):
+    s1, s2 = _kernels.metric_moments(lphi, lpsi, lam, d)
+    if math.isnan(s1) or math.isnan(s2):
+        raise NumericalFailureError(
+            f"non-finite metric moments ({s1!r}, {s2!r}) at lam={lam!r}")
+    return s1, s2
+
+
 def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
     """Unique nonnegative root of the excess, or 0 when excess(0) <= 0.
 
     Bracketing by doubling from lam_hint, then bisection with guarded
     Newton steps (the excess derivative is -sum d^2 q, available in the
-    same sweep).  Tolerance |excess| <= ROOT_RTOL * t.
+    same sweep).  Tolerance |excess| <= ROOT_RTOL * t.  NaN moments (an
+    exact zero of d times an overflowed coupling entry) raise
+    NumericalFailureError at the multiplier where they occur.
     """
-    s1, _ = _kernels.metric_moments(lphi, lpsi, 0.0, d)
+    s1, _ = _moments(lphi, lpsi, 0.0, d)
     f_lo = s1 - t
     if f_lo <= 0.0:
         return 0.0
@@ -181,7 +163,7 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
     lo = 0.0
     hi = max(1.0, 2.0 * lam_hint)
     while True:
-        s1, _ = _kernels.metric_moments(lphi, lpsi, hi, d)
+        s1, _ = _moments(lphi, lpsi, hi, d)
         f_hi = s1 - t
         if f_hi <= 0.0:
             break
@@ -193,7 +175,7 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
                 "threshold t may be inconsistent with the metric")
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        s1, s2 = _kernels.metric_moments(lphi, lpsi, x, d)
+        s1, s2 = _moments(lphi, lpsi, x, d)
         fx = s1 - t
         if abs(fx) <= f_tol:
             return x
@@ -209,15 +191,10 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
         x = 0.5 * (lo + hi)
         if hi - lo <= 1e-18 * max(1.0, hi):
             break
-    s1, _ = _kernels.metric_moments(lphi, lpsi, x, d)
+    s1, _ = _moments(lphi, lpsi, x, d)
     if abs(s1 - t) <= f_tol:
         return x
     raise NumericalFailureError("multiplier root solve stalled before tolerance")
-
-
-def _dual_value(lphi, lpsi, lam, p, mass) -> float:
-    # g = mass + <alpha, p_x> + <beta, p_y> + lam*t with alpha = -lphi - 1/2
-    return mass - float(np.dot(p.p_x, lphi)) - float(np.dot(p.p_y, lpsi)) - 1.0 + lam * p.t
 
 
 def _log_state(state: SinkhornState):
@@ -228,52 +205,37 @@ def _log_state(state: SinkhornState):
     return np.log(phi), np.log(psi)
 
 
-def sinkhorn_step(state: SinkhornState, p: DiscreteProblem,
-                  log_domain: bool = True) -> SinkhornState:
+def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
     """One full row-then-column rescale at fixed multiplier."""
     lphi, lpsi = _log_state(state)
-    log_px = np.log(p.p_x)
-    log_py = np.log(p.p_y)
-    lphi = _update_rows(lpsi, state.lam, p.d, log_px, log_domain)
-    lpsi = _update_cols(lphi, state.lam, p.d, log_py, log_domain)
+    lphi = _update_rows(lpsi, state.lam, p, np.log(p.p_x))
+    lpsi = _update_cols(lphi, state.lam, p, np.log(p.p_y))
     return SinkhornState(phi=np.exp(lphi), psi=np.exp(lpsi), lam=state.lam,
                          iter=state.iter + 1)
+
+
+def _lambda_step(state, p, strategy, tau=None) -> SinkhornState:
+    lphi, lpsi = _log_state(state)
+    lam = _update_lambda(strategy, lphi, lpsi, state.lam, p, tau)
+    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
 
 
 def update_lambda_projection(state: SinkhornState, p: DiscreteProblem,
                              tau: float) -> SinkhornState:
     """Projected multiplier step lam <- max(0, lam + tau * excess)."""
-    lphi, lpsi = _log_state(state)
-    excess = multiplier_excess(lphi, lpsi, state.lam, p.d, p.t)
-    lam = max(0.0, state.lam + tau * excess)
-    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
+    return _lambda_step(state, p, LambdaStrategy.PROJECT, tau)
 
 
 def update_lambda_rootfind(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
     """Multiplier jump to the root of the excess at the current scalings."""
-    lphi, lpsi = _log_state(state)
-    lam = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=max(state.lam, 1.0))
-    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
+    return _lambda_step(state, p, LambdaStrategy.ROOT)
 
 
 def residuals(state: SinkhornState, p: DiscreteProblem) -> tuple:
     """(r_phi, r_psi, r_lambda) at the current state."""
     lphi, lpsi = _log_state(state)
-    row, col, _, metric_mass, _ = _kernels.coupling_stats(lphi, lpsi, state.lam, p.d)
-    r_phi = float(np.abs(row - p.p_x).sum())
-    r_psi = float(np.abs(col - p.p_y).sum())
-    excess = metric_mass - p.t
-    r_lambda = 0.0 if (state.lam == 0.0 and excess < 0.0) else abs(excess)
-    return r_phi, r_psi, r_lambda
-
-
-def _balance_gauge(lphi, lpsi):
-    # shift along the scaling gauge so the dual shifts alpha/beta balance:
-    # sum(alpha) == sum(beta) with alpha = -lphi - 1/2, beta = -lpsi - 1/2
-    m = lphi.shape[0]
-    n = lpsi.shape[0]
-    s = (lpsi.sum() - lphi.sum() + 0.5 * (n - m)) / (m + n)
-    return lphi + s, lpsi - s
+    row = evaluate(lphi, lpsi, state.lam, p)
+    return row.r_phi, row.r_psi, row.r_lambda
 
 
 def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
@@ -285,19 +247,15 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """
     cfg = cfg if cfg is not None else SolverConfig()
     strategy = _resolve_strategy(cfg, p)
-    m_d = _max_metric(p.d)
+    m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
 
     log_px = np.log(p.p_x)
     log_py = np.log(p.p_y)
-    h_x = shannon_entropy(p.p_x)
-    h_y = shannon_entropy(p.p_y)
     lphi = np.zeros(p.m)
     lpsi = np.zeros(p.n)
     lam = float(cfg.lambda_init)
-
-    _, _, mass, _, _ = _kernels.coupling_stats(lphi, lpsi, lam, p.d)
-    g_init = _dual_value(lphi, lpsi, lam, p, mass)
+    g_init = evaluate(lphi, lpsi, lam, p).dual_objective
 
     trace: list = []
     status = SolveStatus.MAX_ITERS
@@ -306,56 +264,32 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
 
     for it in range(1, cfg.max_iters + 1):
         try:
-            lphi = _update_rows(lpsi, lam, p.d, log_px, cfg.log_domain)
-            lpsi = _update_cols(lphi, lam, p.d, log_py, cfg.log_domain)
-            if strategy is LambdaStrategy.ROOT:
-                lam = solve_multiplier_root(lphi, lpsi, p.d, p.t,
-                                            lam_hint=max(lam, 1.0))
-            else:
-                excess_now = multiplier_excess(lphi, lpsi, lam, p.d, p.t)
-                lam = max(0.0, lam + tau * excess_now)
+            lphi = _update_rows(lpsi, lam, p, log_px)
+            lpsi = _update_cols(lphi, lam, p, log_py)
+            lam = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
+            row = evaluate(lphi, lpsi, lam, p, it)
+            if not (math.isfinite(row.dual_objective) and math.isfinite(row.lm_rate_nats)):
+                raise NumericalFailureError("coupling evaluation became non-finite")
         except NumericalFailureError as err:
             status = SolveStatus.NUMERICAL_FAILURE
             failed_iteration = it
             failure_reason = str(err)
             break
-
-        row, col, mass, metric_mass, neg_entropy = _kernels.coupling_stats(
-            lphi, lpsi, lam, p.d)
-        if not (math.isfinite(mass) and math.isfinite(neg_entropy)):
-            status = SolveStatus.NUMERICAL_FAILURE
-            failed_iteration = it
-            failure_reason = "coupling evaluation became non-finite"
-            break
-        r_phi = float(np.abs(row - p.p_x).sum())
-        r_psi = float(np.abs(col - p.p_y).sum())
-        excess = metric_mass - p.t
-        r_lambda = 0.0 if (lam == 0.0 and excess < 0.0) else abs(excess)
-        g = _dual_value(lphi, lpsi, lam, p, mass)
-        lm = neg_entropy + h_x + h_y
-        trace.append(TraceRow(iter=it, r_phi=r_phi, r_psi=r_psi, r_lambda=r_lambda,
-                              dual_objective=g, lm_rate_nats=lm, lam=lam))
-        if max(r_phi, r_psi, r_lambda) <= cfg.tol:
+        trace.append(row)
+        if max(row.r_phi, row.r_psi, row.r_lambda) <= cfg.tol:
             status = SolveStatus.CONVERGED
             break
 
-    lphi_b, lpsi_b = _balance_gauge(lphi, lpsi)
-    solution = Coupling(lphi_b, lpsi_b, lam, p.d)
-    if trace:
-        lm_final = trace[-1].lm_rate_nats
-        g_final = trace[-1].dual_objective
-    else:
-        _, _, mass, _, neg_entropy = _kernels.coupling_stats(lphi, lpsi, lam, p.d)
-        lm_final = neg_entropy + h_x + h_y
-        g_final = _dual_value(lphi, lpsi, lam, p, mass)
+    final = trace[-1] if trace else evaluate(lphi, lpsi, lam, p)
+    solution = Coupling(*balance_gauge(lphi, lpsi), lam, p.d)
     return SolveReport(
         solution=solution,
-        lm_rate_nats=lm_final,
+        lm_rate_nats=final.lm_rate_nats,
         lambda_final=lam,
         iterations=len(trace),
         residual_trace=trace,
         status=status,
-        dual_objective=g_final,
+        dual_objective=final.dual_objective,
         dual_objective_init=g_init,
         tau=tau if strategy is LambdaStrategy.PROJECT else cfg.tau,
         strategy=strategy.value,

@@ -141,6 +141,9 @@ def test_exit_code_table_is_total():
     (["solve", "--tol", "-1"], "tol"),
     (["solve", "--modulation", "qam32"], "modulation"),
     (["solve", "--eta", ","], "eta"),
+    (["solve", "--eta", "inf"], "eta"),
+    (["solve", "--tau", "inf"], "tau"),
+    (["solve", "--tol", "inf"], "tol"),
 ])
 def test_invalid_flags_exit_one(capsys, argv, needle):
     rc = main(argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lmrate import (
 )
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
-from conftest import random_problem
+from conftest import make_problem, random_problem
 
 
 def _random_point(rng, p, lam=None):
@@ -318,6 +319,22 @@ def test_null_space_grid_metric(qpsk_4x9):
     out = scaling_null_space(qpsk_4x9.d)
     assert out["null_dim"] == 1 and not out["degenerate"]
     assert out["rank"] == qpsk_4x9.m + qpsk_4x9.n
+
+
+def test_null_space_memory_is_bounded():
+    # qam16 on a 20 x 20 grid: the constraint matrix is 6400 x 417, and a
+    # full SVD would also build a 6400 x 6400 left factor (about 330 MiB)
+    p = make_problem("qam16", n_side=20)[3]
+    assert p.d.shape == (16, 400)
+    tracemalloc.start()
+    try:
+        out = scaling_null_space(p.d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert out["rank"] == 416 and out["null_dim"] == 1
+    assert not out["degenerate"]
 
 
 def test_null_space_degenerate_metrics():

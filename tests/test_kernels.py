@@ -1,12 +1,8 @@
-"""Agreement and stability checks for the two kernel families."""
+"""Kernel reductions checked against dense evaluation, plus stability checks."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 import lmrate._kernels as K
 
@@ -18,37 +14,6 @@ def _random_inputs(rng, m=6, n=13):
     log_px = np.log(rng.dirichlet(np.ones(m)))
     log_py = np.log(rng.dirichlet(np.ones(n)))
     return d, lphi, lpsi, log_px, log_py
-
-
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="compiled family unavailable")
-def test_families_agree(rng):
-    fams = K.kernel_families()
-    for trial in range(5):
-        d, lphi, lpsi, log_px, log_py = _random_inputs(rng, 4 + trial, 9 + 2 * trial)
-        lam = rng.uniform(0.0, 3.0)
-        cases = {
-            "scale_rows": (lpsi, lam, d, log_px),
-            "scale_rows_lse": (lpsi, lam, d, log_px),
-            "scale_cols": (lphi, lam, d, log_py),
-            "scale_cols_lse": (lphi, lam, d, log_py),
-            "coupling_stats": (lphi, lpsi, lam, d),
-            "metric_moments": (lphi, lpsi, lam, d),
-        }
-        for name, args in cases.items():
-            got_np = fams["numpy"][name](*args)
-            got_nb = fams["numba"][name](*args)
-            if not isinstance(got_np, tuple):
-                got_np, got_nb = (got_np,), (got_nb,)
-            for a, b in zip(got_np, got_nb):
-                np.testing.assert_allclose(np.asarray(a, dtype=float),
-                                           np.asarray(b, dtype=float),
-                                           rtol=1e-12, atol=1e-14)
-        w_t = np.ascontiguousarray(rng.dirichlet(np.ones(d.shape[1]), d.shape[0]).T)
-        d_t = np.ascontiguousarray(d.T)
-        a = np.zeros(d.shape[0])
-        v_np = fams["numpy"]["mismatch_dual_value"](w_t, a, log_px, 1.3, d_t)
-        v_nb = fams["numba"]["mismatch_dual_value"](w_t, a, log_px, 1.3, d_t)
-        assert abs(v_np - v_nb) <= 1e-12 * max(1.0, abs(v_np))
 
 
 def test_scale_rows_flags_underflow(rng):
@@ -111,25 +76,3 @@ def test_mismatch_dual_value_against_dense(rng):
     got = K.mismatch_dual_value(np.ascontiguousarray(joint_t), a, log_px, zeta,
                                 np.ascontiguousarray(d.T))
     assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
-
-
-def test_numpy_fallback_path_solves():
-    env = dict(os.environ, LMRATE_DISABLE_NUMBA="1")
-    code = (
-        "import lmrate._kernels as K; assert not K.USING_NUMBA\n"
-        "import numpy as np\n"
-        "from lmrate import build_channel, build_constellation, discretize, solve\n"
-        "chan = build_channel(1.0, 0.9, np.pi/18, 0.0)\n"
-        "_, prob = discretize(chan, build_constellation('qpsk'), 8)\n"
-        "rep = solve(prob)\n"
-        "assert rep.converged, rep.status\n"
-        "print(f'{rep.lm_rate_nats:.12f}')\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    from lmrate import solve
-    from conftest import make_problem
-
-    rep = solve(make_problem(n_side=8)[3])
-    assert abs(float(out.stdout.strip()) - rep.lm_rate_nats) <= 1e-9

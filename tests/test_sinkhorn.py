@@ -151,6 +151,16 @@ def test_root_solve_unbracketable_raises():
         solve_multiplier_root(np.zeros(1), np.zeros(1), d, -1.0)
 
 
+def test_root_solve_nan_moments_raise():
+    # exp(800) overflows, and the zero diagonal of d turns 0 * inf into NaN
+    # moments at lam = 0; that is a numerical failure, not a missing bracket
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    big = np.full(2, 400.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match=r"non-finite metric moments.*lam=0\.0"):
+            solve_multiplier_root(big, big, d, 0.5)
+
+
 def test_solve_qpsk_root_default(qpsk_n10):
     report = solve(qpsk_n10)
     assert report.converged
@@ -241,20 +251,12 @@ def test_random_instances_converge_and_stay_feasible(rng):
 
 
 def test_numerical_failure_reported_without_lse(qpsk_n10):
-    cfg = SolverConfig(max_iters=20, log_domain=False, lambda_init=1e5)
-    report = solve(qpsk_n10, cfg)
-    assert report.status is SolveStatus.NUMERICAL_FAILURE
-    assert not report.converged
-    assert report.failed_iteration == 1
-    assert report.failure_reason
-    assert report.iterations == 0
-
-    # same start in the log domain fails too, but for an honest reason:
     # at multipliers this large the excess moves by more than the root
     # tolerance between adjacent floats, and the solver says so instead
     # of silently returning a bad multiplier
     logged = solve(qpsk_n10, SolverConfig(max_iters=20, lambda_init=1e5))
     assert logged.status is SolveStatus.NUMERICAL_FAILURE
+    assert not logged.converged
     assert "stalled" in logged.failure_reason
 
 
@@ -275,7 +277,11 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(tol=math.inf)
+    with pytest.raises(ValueError):
         SolverConfig(tau=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(tau=math.inf)
     with pytest.raises(ValueError):
         SolverConfig(lambda_init=-0.1)
     with pytest.raises(ValueError):
