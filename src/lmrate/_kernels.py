@@ -78,8 +78,10 @@ def scale_cols_lse(lphi, lam, d, log_py):
 def coupling_stats(lphi, lpsi, lam, d):
     """One sweep over the coupling.
 
-    Returns (row_marg, col_marg, mass, metric_mass, neg_entropy) where
-    metric_mass = sum_ij d_ij q_ij and neg_entropy = sum_ij q_ij log q_ij.
+    Returns (row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2)
+    where metric_mass = sum_ij d_ij q_ij, neg_entropy = sum_ij q_ij log q_ij
+    and metric_moment2 = sum_ij d_ij^2 q_ij (the multiplier root solve's
+    Newton slope, so its last candidate sweep is also the evaluation sweep).
     """
     m, n = d.shape
     row_marg = np.empty(m)
@@ -87,21 +89,25 @@ def coupling_stats(lphi, lpsi, lam, d):
     mass = 0.0
     metric_mass = 0.0
     neg_entropy = 0.0
+    metric_moment2 = 0.0
     for lo, hi in _row_blocks(m, n):
         e = lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]
         q = np.exp(e)
+        dq = d[lo:hi] * q
         row_marg[lo:hi] = q.sum(axis=1)
         col_marg += q.sum(axis=0)
         mass += float(q.sum())
-        metric_mass += float((d[lo:hi] * q).sum())
+        metric_mass += float(dq.sum())
         neg_entropy += float((q * e).sum())
-    return row_marg, col_marg, mass, metric_mass, neg_entropy
+        metric_moment2 += float((d[lo:hi] * dq).sum())
+    return row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2
 
 
 def metric_moments(lphi, lpsi, lam, d):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 
-    Returns (sum_ij d q, sum_ij d^2 q); used by the multiplier root solve.
+    Returns (sum_ij d q, sum_ij d^2 q); the multiplier root solve's first
+    evaluation, at its warm-start hint.
     """
     s1 = 0.0
     s2 = 0.0

@@ -73,7 +73,7 @@ def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
 
 def dual_gradient(dp: DualPoint, p: DiscreteProblem):
     """(d/dalpha, d/dbeta, d/dlam) of the dual objective."""
-    row, col, mass, metric_mass, _ = _kernels.coupling_stats(
+    row, col, mass, metric_mass, _, _ = _kernels.coupling_stats(
         -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam, p.d)
     if not math.isfinite(mass):
         raise EvaluationError("dual gradient overflowed; dual point too far out")

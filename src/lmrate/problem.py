@@ -67,7 +67,7 @@ class Coupling:
 
     def stats(self):
         """(row_marginal, col_marginal, mass, metric_mass, neg_entropy)."""
-        return _kernels.coupling_stats(self.log_phi, self.log_psi, self.lam, self.d)
+        return _kernels.coupling_stats(self.log_phi, self.log_psi, self.lam, self.d)[:5]
 
     def marginals(self):
         row, col, _, _, _ = self.stats()
@@ -92,7 +92,7 @@ class TraceRow:
     lam: float
 
 
-def evaluate(log_phi, log_psi, lam, p, it=0) -> TraceRow:
+def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
     """Residuals, dual value and rate of a factored coupling, from one sweep.
 
     r_phi / r_psi are the L1 marginal gaps and r_lambda the multiplier
@@ -102,10 +102,13 @@ def evaluate(log_phi, log_psi, lam, p, it=0) -> TraceRow:
         g = mass - <p_x, log_phi> - <p_y, log_psi> - 1 + lam * t
 
     and the rate sum q log q + H(p_x) + H(p_y).  Non-finite sums are
-    passed through for the caller to judge.
+    passed through for the caller to judge.  ``stats`` is a coupling_stats
+    result already taken at (log_phi, log_psi, lam); without it the sweep
+    is made here.
     """
-    row, col, mass, metric_mass, neg_entropy = _kernels.coupling_stats(
-        log_phi, log_psi, lam, p.d)
+    if stats is None:
+        stats = _kernels.coupling_stats(log_phi, log_psi, lam, p.d)
+    row, col, mass, metric_mass, neg_entropy, _ = stats
     excess = metric_mass - p.t
     return TraceRow(
         iter=it,

@@ -37,6 +37,7 @@ _LSE_EXPONENT = -700.0
 ROOT_RTOL = 1e-13
 
 _ROOT_LAMBDA_CAP = 1e6
+_ROOT_MAX_EVALS = 200
 
 
 class LambdaStrategy(str, Enum):
@@ -96,6 +97,7 @@ class SolveReport:
     lambda_init: float = 1.0
     failed_iteration: int | None = None
     failure_reason: str | None = None
+    root_evals: int = 0               # excess evaluations of the multiplier root solves
 
     @property
     def converged(self) -> bool:
@@ -127,9 +129,11 @@ def _update_cols(lphi, lam, p, log_py):
 
 
 def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
+    """(new multiplier, coupling_stats taken at it or None, root-solve evaluations)."""
     if strategy is LambdaStrategy.ROOT:
-        return solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=max(lam, 1.0))
-    return max(0.0, lam + tau * multiplier_excess(lphi, lpsi, lam, p.d, p.t))
+        root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam)
+        return float(root), root.stats, root.evals
+    return max(0.0, lam + tau * multiplier_excess(lphi, lpsi, lam, p.d, p.t)), None, 0
 
 
 def multiplier_excess(lphi, lpsi, lam, d, t) -> float:
@@ -138,62 +142,71 @@ def multiplier_excess(lphi, lpsi, lam, d, t) -> float:
     return s1 - t
 
 
-def _moments(lphi, lpsi, lam, d):
-    s1, s2 = _kernels.metric_moments(lphi, lpsi, lam, d)
-    if math.isnan(s1) or math.isnan(s2):
-        raise NumericalFailureError(
-            f"non-finite metric moments ({s1!r}, {s2!r}) at lam={lam!r}")
-    return s1, s2
+class _Root(float):
+    """A multiplier that also carries the coupling_stats sweep taken at it
+    (``stats``, None when the warm-start hint was accepted as it stood) and
+    the number of excess evaluations that found it (``evals``), so the
+    solver's one multiplier call per iteration stays solve_multiplier_root."""
+
+    def __new__(cls, lam, stats, evals):
+        root = super().__new__(cls, lam)
+        root.stats = stats
+        root.evals = evals
+        return root
 
 
 def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
     """Unique nonnegative root of the excess, or 0 when excess(0) <= 0.
 
-    Bracketing by doubling from lam_hint, then bisection with guarded
-    Newton steps (the excess derivative is -sum d^2 q, available in the
-    same sweep).  Tolerance |excess| <= ROOT_RTOL * t.  NaN moments (an
-    exact zero of d times an overflowed coupling entry) raise
-    NumericalFailureError at the multiplier where they occur.
+    Safeguarded Newton warm-started at lam_hint, taken on
+    log(s1) - log(t) with s1 = sum d q and slope -s2/s1, s2 = sum d^2 q.
+    Like the excess s1 - t it is decreasing and convex with the same root,
+    and it is linear for a single metric value.  So a step from the left of
+    the root never overshoots, one from the right lands at or left of it,
+    and after at most one step the iterates climb to the root.  lam = 0 is
+    evaluated only when a step reaches it.  Overflowed moments step right
+    by doubling; underflowed moments, and steps that leave the bracket of
+    evaluated points, bisect it.  Tolerance |excess| <= ROOT_RTOL * t.
+
+    The first evaluation is a metric_moments sweep and every later one a
+    coupling_stats sweep, which the returned float carries as ``.stats``
+    (with the evaluation count as ``.evals``) so the solver evaluates the
+    new multiplier without another sweep.  NaN moments (an exact zero of d
+    times an overflowed coupling entry) raise NumericalFailureError at the
+    multiplier where they occur, as do a bracket too narrow to split
+    ("stalled") and an excess still positive past _ROOT_LAMBDA_CAP.
     """
-    s1, _ = _moments(lphi, lpsi, 0.0, d)
-    f_lo = s1 - t
-    if f_lo <= 0.0:
-        return 0.0
     f_tol = ROOT_RTOL * abs(t)
-    lo = 0.0
-    hi = max(1.0, 2.0 * lam_hint)
-    while True:
-        s1, _ = _moments(lphi, lpsi, hi, d)
-        f_hi = s1 - t
-        if f_hi <= 0.0:
-            break
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > _ROOT_LAMBDA_CAP:
+    lo, hi = -math.inf, math.inf     # evaluated points with excess > 0 / <= 0
+    x = float(lam_hint)
+    s1, s2 = _kernels.metric_moments(lphi, lpsi, x, d)
+    stats = None
+    for evals in range(1, _ROOT_MAX_EVALS + 1):
+        if math.isnan(s1) or math.isnan(s2):
             raise NumericalFailureError(
-                f"no multiplier bracket below {_ROOT_LAMBDA_CAP:g}; "
-                "threshold t may be inconsistent with the metric")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        s1, s2 = _moments(lphi, lpsi, x, d)
+                f"non-finite metric moments ({s1!r}, {s2!r}) at lam={x!r}")
         fx = s1 - t
-        if abs(fx) <= f_tol:
-            return x
+        if abs(fx) <= f_tol or (x == 0.0 and fx <= 0.0):
+            return _Root(x, stats, evals)
         if fx > 0.0:
             lo = x
         else:
             hi = x
-        if s2 > 0.0:
-            x_newton = x + fx / s2   # Newton step, derivative is -s2
-            if lo < x_newton < hi:
-                x = x_newton
-                continue
-        x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-18 * max(1.0, hi):
+        x_new = math.nan
+        if t > 0.0 and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf:
+            x_new = x + math.log(s1 / t) * s1 / s2
+        if not lo < x_new < hi:
+            x_new = 0.5 * (max(lo, 0.0) + hi) if hi < math.inf else max(2.0 * x, 1.0)
+        x_new = max(x_new, 0.0)
+        if not lo < x_new < hi:
             break
-    s1, _ = _moments(lphi, lpsi, x, d)
-    if abs(s1 - t) <= f_tol:
-        return x
+        if x_new > _ROOT_LAMBDA_CAP and hi == math.inf:
+            raise NumericalFailureError(
+                f"no multiplier bracket below {_ROOT_LAMBDA_CAP:g}; "
+                "threshold t may be inconsistent with the metric")
+        x = x_new
+        stats = _kernels.coupling_stats(lphi, lpsi, x, d)
+        s1, s2 = stats[3], stats[5]
     raise NumericalFailureError("multiplier root solve stalled before tolerance")
 
 
@@ -216,7 +229,7 @@ def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
 
 def _lambda_step(state, p, strategy, tau=None) -> SinkhornState:
     lphi, lpsi = _log_state(state)
-    lam = _update_lambda(strategy, lphi, lpsi, state.lam, p, tau)
+    lam, _, _ = _update_lambda(strategy, lphi, lpsi, state.lam, p, tau)
     return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
 
 
@@ -261,13 +274,15 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     status = SolveStatus.MAX_ITERS
     failed_iteration = None
     failure_reason = None
+    root_evals = 0
 
     for it in range(1, cfg.max_iters + 1):
         try:
             lphi = _update_rows(lpsi, lam, p, log_px)
             lpsi = _update_cols(lphi, lam, p, log_py)
-            lam = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
-            row = evaluate(lphi, lpsi, lam, p, it)
+            lam, stats, evals = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
+            root_evals += evals
+            row = evaluate(lphi, lpsi, lam, p, it, stats)
             if not (math.isfinite(row.dual_objective) and math.isfinite(row.lm_rate_nats)):
                 raise NumericalFailureError("coupling evaluation became non-finite")
         except NumericalFailureError as err:
@@ -296,4 +311,5 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         lambda_init=float(cfg.lambda_init),
         failed_iteration=failed_iteration,
         failure_reason=failure_reason,
+        root_evals=root_evals,
     )

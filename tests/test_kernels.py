@@ -43,12 +43,14 @@ def test_coupling_stats_against_dense(rng):
     lam = 1.1
     e = lphi[:, None] + lpsi[None, :] - lam * d
     q = np.exp(e)
-    row, col, mass, metric_mass, neg_entropy = K.coupling_stats(lphi, lpsi, lam, d)
+    row, col, mass, metric_mass, neg_entropy, moment2 = K.coupling_stats(
+        lphi, lpsi, lam, d)
     np.testing.assert_allclose(row, q.sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(col, q.sum(axis=0), rtol=1e-12)
     assert abs(mass - q.sum()) <= 1e-12 * q.sum()
     assert abs(metric_mass - (d * q).sum()) <= 1e-12 * max(1.0, (d * q).sum())
     assert abs(neg_entropy - (q * e).sum()) <= 1e-10
+    assert abs(moment2 - (d * d * q).sum()) <= 1e-12 * max(1.0, (d * d * q).sum())
 
 
 def test_underflowed_entries_contribute_zero():
@@ -56,7 +58,7 @@ def test_underflowed_entries_contribute_zero():
     lphi = np.array([0.0])
     lpsi = np.array([0.0, -800.0])
     d = np.array([[0.0, 0.0]])
-    row, col, mass, metric_mass, neg_entropy = K.coupling_stats(lphi, lpsi, 0.0, d)
+    row, col, mass, metric_mass, neg_entropy, _ = K.coupling_stats(lphi, lpsi, 0.0, d)
     assert col[1] == 0.0
     assert mass == 1.0
     assert math.isfinite(neg_entropy)

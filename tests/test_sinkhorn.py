@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+
+import lmrate._kernels as K
 
 from lmrate import (
     LambdaStrategy,
@@ -145,20 +148,86 @@ def test_root_solve_matches_bisection_oracle(qpsk_n10):
 
 
 def test_root_solve_unbracketable_raises():
-    # t < 0 can never be hit by a nonnegative metric mass
+    # t < 0 can never be hit by a nonnegative metric mass, from any hint
     d = np.array([[1.0]])
-    with pytest.raises(NumericalFailureError):
-        solve_multiplier_root(np.zeros(1), np.zeros(1), d, -1.0)
+    for hint in (0.0, 1.0, 1e3):
+        with pytest.raises(NumericalFailureError, match="no multiplier bracket"):
+            solve_multiplier_root(np.zeros(1), np.zeros(1), d, -1.0, lam_hint=hint)
 
 
 def test_root_solve_nan_moments_raise():
-    # exp(800) overflows, and the zero diagonal of d turns 0 * inf into NaN
-    # moments at lam = 0; that is a numerical failure, not a missing bracket
+    # exp(800 - lam) overflows at the default hint lam = 1, and the zero
+    # diagonal of d turns 0 * inf into NaN moments; that is a numerical
+    # failure, not a missing bracket
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     big = np.full(2, 400.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalFailureError, match=r"non-finite metric moments.*lam=0\.0"):
+        with pytest.raises(NumericalFailureError, match=r"non-finite metric moments.*lam=1\.0"):
             solve_multiplier_root(big, big, d, 0.5)
+
+
+def _rooted_state(p):
+    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    for _ in range(3):
+        state = sinkhorn_step(state, p)
+    return np.log(state.phi), np.log(state.psi)
+
+
+def test_root_solve_warm_start_hints(qpsk_n10):
+    # hints left of, at, and right of the root, and far right, all reach
+    # the bisection oracle's root
+    p = qpsk_n10
+    lphi, lpsi = _rooted_state(p)
+    oracle = _root_bisect(lphi, lpsi, p.d, p.t)
+    for hint in (0.0, 0.1 * oracle, oracle, 10.0 * oracle, 1e3):
+        root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=hint)
+        assert abs(root - oracle) <= 1e-9, hint
+        assert abs(multiplier_excess(lphi, lpsi, root, p.d, p.t)) <= 1e-13 * p.t
+
+
+def test_root_solve_hint_with_underflowed_moments(qpsk_n10):
+    # at this hint every coupling entry underflows, so there is no Newton
+    # slope; the solve bisects back towards zero and still converges
+    p = qpsk_n10
+    lphi, lpsi = _rooted_state(p)
+    hint = 1e5
+    assert K.metric_moments(lphi, lpsi, hint, p.d) == (0.0, 0.0)
+    root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=hint)
+    assert abs(root - _root_bisect(lphi, lpsi, p.d, p.t)) <= 1e-9
+
+
+def test_root_solve_recovers_from_overflow_at_hint():
+    # q(lam) = exp(800 - lam) overflows at the default hint lam = 1; the
+    # solve steps right until the moments are finite.  Root: 800 + log 2
+    big = np.full(1, 400.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = solve_multiplier_root(big, big, np.array([[1.0]]), 0.5)
+    assert abs(root - (800.0 + math.log(2.0))) <= 1e-9
+
+
+def test_sweep_budget_per_iteration(qpsk_n10, monkeypatch):
+    # the solver reaches every kernel through the lmrate._kernels module
+    # attributes, so counting there sees every sweep it makes; the warm
+    # root solve plus the reuse of its last sweep keeps an iteration within
+    # six sweeps (a cold bracket-and-bisect solve makes about eleven)
+    calls = Counter()
+    for name in ("scale_rows", "scale_rows_lse", "scale_cols", "scale_cols_lse",
+                 "coupling_stats", "metric_moments"):
+        def counted(*args, _name=name, _kernel=getattr(K, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(K, name, counted)
+    report = solve(qpsk_n10)
+    assert report.converged
+    assert calls["metric_moments"] > 0 and calls["coupling_stats"] > 0
+    assert sum(calls.values()) <= 6 * report.iterations
+    assert report.iterations <= report.root_evals
+    assert report.root_evals <= calls["metric_moments"] + calls["coupling_stats"]
+
+
+def test_projected_solve_makes_no_root_evaluations(qpsk_n10):
+    report = solve(qpsk_n10, SolverConfig(max_iters=5, lambda_strategy="project"))
+    assert report.root_evals == 0
 
 
 def test_solve_qpsk_root_default(qpsk_n10):
