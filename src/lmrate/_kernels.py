@@ -99,7 +99,7 @@ def coupling_stats(lphi, lpsi, lam, d):
         mass += float(q.sum())
         metric_mass += float(dq.sum())
         neg_entropy += float((q * e).sum())
-        metric_moment2 += float((d[lo:hi] * dq).sum())
+        metric_moment2 += float(np.multiply(d[lo:hi], dq, out=dq).sum())
     return row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2
 
 

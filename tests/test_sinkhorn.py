@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import lmrate._kernels as K
-
 from lmrate import (
     LambdaStrategy,
     NumericalFailureError,
