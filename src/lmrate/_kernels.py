@@ -103,6 +103,12 @@ def coupling_stats(lphi, lpsi, lam, d):
     return row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2
 
 
+def max_exponent(lphi, lpsi, lam, d):
+    """max_ij (lphi_i + lpsi_j - lam*d_ij): the log of the largest coupling entry."""
+    return max(float((lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]).max())
+               for lo, hi in _row_blocks(*d.shape))
+
+
 def metric_moments(lphi, lpsi, lam, d):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 

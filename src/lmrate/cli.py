@@ -202,13 +202,24 @@ def _solver_config(cfg) -> SolverConfig:
     )
 
 
-def _build_problem(modulation, eta, theta, snr_db, grid, threshold=None):
-    cons = build_constellation(modulation)
-    chan = build_channel(1.0, eta, theta, snr_db)
-    grid_obj, prob = discretize(chan, cons, grid)
-    if threshold is not None:
-        prob = prob.with_threshold(float(threshold))
-    return cons, chan, grid_obj, prob
+def _build_problem(view):
+    """(constellation, grid, problem) named by a scalar config view."""
+    cons = build_constellation(view["modulation"])
+    chan = build_channel(1.0, view["eta"], view["theta"], view["snr_db"])
+    grid_obj, prob = discretize(chan, cons, view["grid"])
+    if view["threshold"] is not None:
+        prob = prob.with_threshold(float(view["threshold"]))
+    return cons, grid_obj, prob
+
+
+def _mean_seconds(trials, run):
+    """(mean wall time over trials calls of run(), the last call's result)."""
+    times = []
+    for _ in range(trials):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return sum(times) / len(times), result
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +273,7 @@ def _rate_value(cfg, nats: float) -> float:
 def cmd_solve(cfg) -> int:
     sc = _scalar_view(cfg)
     start = time.perf_counter()
-    _, _, _, prob = _build_problem(sc["modulation"], sc["eta"], sc["theta"],
-                                   sc["snr_db"], sc["grid"], sc["threshold"])
+    _, _, prob = _build_problem(sc)
     report = solve(prob, _solver_config(sc))
     runtime_ms = (time.perf_counter() - start) * 1e3
     if report.residual_trace:
@@ -299,8 +309,7 @@ def cmd_solve(cfg) -> int:
 
 def cmd_residuals(cfg) -> int:
     sc = _scalar_view(cfg)
-    _, _, _, prob = _build_problem(sc["modulation"], sc["eta"], sc["theta"],
-                                   sc["snr_db"], sc["grid"], sc["threshold"])
+    _, _, prob = _build_problem(sc)
     report = solve(prob, _solver_config(sc))
     header = ["iter", "r_phi", "r_psi", "r_lambda", "dual_objective", "lm_rate_nats"]
     rows = [(r.iter, r.r_phi, r.r_psi, r.r_lambda, r.dual_objective, r.lm_rate_nats)
@@ -315,8 +324,8 @@ def _sweep_cell(payload) -> list:
     cfg = payload["cfg"]
     row = [modulation, eta, theta, snr_db, None, None, None, None, 0]
     try:
-        _, _, _, prob = _build_problem(modulation, eta, theta, snr_db,
-                                       cfg["grid"], cfg["threshold"])
+        _, _, prob = _build_problem(dict(cfg, modulation=modulation, eta=eta,
+                                         theta=theta, snr_db=snr_db))
         report = solve(prob, _solver_config(cfg))
         row[4] = _rate_value(cfg, report.lm_rate_nats)
         row[6] = report.lambda_final
@@ -351,22 +360,12 @@ def cmd_compare(cfg) -> int:
     rows = []
     for modulation in cfg["modulation"]:
         for grid in cfg["grid"]:
-            _, _, _, prob = _build_problem(modulation, sc["eta"], sc["theta"],
-                                           sc["snr_db"], grid, sc["threshold"])
+            _, _, prob = _build_problem(dict(sc, modulation=modulation, grid=grid))
             solver_cfg = _solver_config(sc)
-            times = []
-            for _ in range(sc["trials"]):
-                start = time.perf_counter()
-                report = solve(prob, solver_cfg)
-                times.append(time.perf_counter() - start)
-            t_sink = sum(times) / len(times)
+            t_sink, report = _mean_seconds(sc["trials"], lambda: solve(prob, solver_cfg))
             if prob.m + prob.n + 1 <= HESSIAN_CAP:
-                times = []
-                for _ in range(sc["trials"]):
-                    start = time.perf_counter()
-                    oracle = newton_oracle(prob, tol=sc["tol"])
-                    times.append(time.perf_counter() - start)
-                t_oracle = sum(times) / len(times)
+                t_oracle, oracle = _mean_seconds(
+                    sc["trials"], lambda: newton_oracle(prob, tol=sc["tol"]))
                 diff = abs(_rate_value(sc, report.lm_rate_nats)
                            - _rate_value(sc, oracle.lm_rate_nats))
                 rows.append([modulation, prob.n, t_sink, t_oracle,
@@ -381,8 +380,7 @@ def cmd_compare(cfg) -> int:
 
 def cmd_gmi(cfg) -> int:
     sc = _scalar_view(cfg)
-    _, _, _, prob = _build_problem(sc["modulation"], sc["eta"], sc["theta"],
-                                   sc["snr_db"], sc["grid"], sc["threshold"])
+    _, _, prob = _build_problem(sc)
     try:
         result = gmi(prob)
     except BracketError as err:
@@ -406,8 +404,7 @@ def cmd_gmi(cfg) -> int:
 
 def cmd_dump_problem(cfg) -> int:
     sc = _scalar_view(cfg)
-    cons, _, grid_obj, prob = _build_problem(sc["modulation"], sc["eta"], sc["theta"],
-                                             sc["snr_db"], sc["grid"], sc["threshold"])
+    cons, grid_obj, prob = _build_problem(sc)
     _emit_json({
         "config": _echo(sc),
         "constellation": json.loads(cons.to_json()),

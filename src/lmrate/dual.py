@@ -14,6 +14,11 @@ Shifting (alpha, beta) by (+s, -s) leaves q unchanged; this gauge
 direction (1_M, -1_N, 0) is the only flat direction of g for
 non-constant centrally symmetric metrics, which is what makes the
 projected Newton oracle well posed.
+
+At lam = 0 the minimizer of g is the product coupling p_x (x) p_y in
+closed form; the Newton oracle starts there and runs one damped Newton
+phase over (alpha, beta, lam) only when that coupling breaks the metric
+constraint.
 """
 
 import dataclasses
@@ -26,7 +31,7 @@ from . import _kernels
 from .channel import DiscreteProblem
 from .errors import (EvaluationError, InconsistentOracleError,
                      NumericalFailureError, UnsupportedConfigurationError)
-from .problem import DENSE_CAP, Coupling, balance_gauge, evaluate
+from .problem import DENSE_CAP, Coupling, balance_gauge, evaluate, product_coupling
 from .sinkhorn import SolveReport, SolveStatus
 
 HESSIAN_CAP = 2048
@@ -60,24 +65,29 @@ def gauge_normalize(dp: DualPoint) -> DualPoint:
     return DualPoint(alpha=-lphi - 0.5, beta=-lpsi - 0.5, lam=dp.lam)
 
 
-def _evaluate(alpha, beta, lam, p: DiscreteProblem, it=0):
-    return evaluate(-alpha - 0.5, -beta - 0.5, lam, p, it)
+def _sweep(dp: DualPoint, p: DiscreteProblem, it=0):
+    """One coupling_stats sweep at a dual point: the full gradient
+    (d/dalpha, d/dbeta, d/dlam) as one vector, and the point's TraceRow.
+    Raises EvaluationError, before any exp, if a sum of the sweep could overflow."""
+    lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
+    # each sum is at most MN * max(d_max^2, log q, 1) times the largest entry q
+    log_cap = 709.0 - math.log(p.d.size * 710.0 * max(p.d_max, 1.0) ** 2)
+    if _kernels.max_exponent(lphi, lpsi, dp.lam, p.d) > log_cap:
+        raise EvaluationError("dual point too far out: its coupling sums would overflow")
+    stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
+    row, col, _, metric_mass, _, _ = stats
+    grad = np.concatenate([p.p_x - row, p.p_y - col, [p.t - metric_mass]])
+    return grad, evaluate(lphi, lpsi, dp.lam, p, it, stats)
 
 
 def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
-    g = _evaluate(dp.alpha, dp.beta, dp.lam, p).dual_objective
-    if not math.isfinite(g):
-        raise EvaluationError("dual objective overflowed; dual point too far out")
-    return g
+    return _sweep(dp, p)[1].dual_objective
 
 
 def dual_gradient(dp: DualPoint, p: DiscreteProblem):
     """(d/dalpha, d/dbeta, d/dlam) of the dual objective."""
-    row, col, mass, metric_mass, _, _ = _kernels.coupling_stats(
-        -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam, p.d)
-    if not math.isfinite(mass):
-        raise EvaluationError("dual gradient overflowed; dual point too far out")
-    return p.p_x - row, p.p_y - col, p.t - metric_mass
+    grad = _sweep(dp, p)[0]
+    return grad[:p.m], grad[p.m:-1], float(grad[-1])
 
 
 def dual_hessian(dp: DualPoint, p: DiscreteProblem, cap: int = HESSIAN_CAP) -> np.ndarray:
@@ -158,11 +168,6 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _g_raw(alpha, beta, lam, p):
-    g = _evaluate(alpha, beta, lam, p).dual_objective
-    return g if math.isfinite(g) else math.inf
-
-
 def _solve_newton_step(h, grad, k_hat):
     """Solve (H + k k^T + damping) s = -grad; the gradient is orthogonal to
     the gauge vector, so the rank-one term pins the flat direction without
@@ -180,106 +185,95 @@ def _solve_newton_step(h, grad, k_hat):
     raise NumericalFailureError("Newton system could not be factorized")
 
 
+def _line_search(dp, step, slope, g_cur, p, it):
+    """Armijo backtracking from the full step, or from 0.95 of the way to
+    lam = 0 when the step lowers lam; the accepted (point, gradient, row)."""
+    m = dp.alpha.size
+    t_step = 1.0
+    if step[-1] < 0.0:
+        t_step = min(1.0, 0.95 * dp.lam / -step[-1])
+    while t_step > 1e-20:
+        trial = DualPoint(dp.alpha + t_step * step[:m], dp.beta + t_step * step[m:-1],
+                          dp.lam + t_step * step[-1])
+        try:
+            grad, row = _sweep(trial, p, it)
+        except EvaluationError:
+            pass                # far out: its objective is beyond every bound here
+        else:
+            if row.dual_objective <= g_cur + 1e-4 * t_step * slope:
+                return trial, grad, row
+        t_step *= 0.5
+    raise NumericalFailureError("Newton line search failed to decrease", iteration=it)
+
+
+def _project(grad, k_hat):
+    """The part of a gradient orthogonal to the gauge direction."""
+    return grad - np.dot(grad, k_hat) * k_hat
+
+
 def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
                   start: DualPoint | None = None,
                   hessian_cap: int = HESSIAN_CAP) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
-    Active-set treatment of lam >= 0: first minimize with lam frozen at
-    zero; if the multiplier gradient is negative there the capacity
-    constraint binds, and the oracle re-solves with lam free (kept
-    positive by the line search).  Steps solve the gauge-pinned Newton
-    system with backtracking on the dual objective.
+    Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
+    is nonnegative at the product coupling (the lam = 0 optimum, rate 0 and
+    dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
+    Otherwise damped Newton on (alpha, beta, lam) runs from the product point
+    at lam = 1, or from ``start`` (lam 0 restarts at 1): gauge-pinned Newton
+    steps, Armijo backtracking with lam kept positive, and one sweep per
+    trial point, whose accepted one gives the trace row and next gradient.
     """
     m, n = p.m, p.n
     if m + n + 1 > hessian_cap:
         raise UnsupportedConfigurationError(
             f"oracle needs the dense Hessian; size {m + n + 1} exceeds {hessian_cap}")
-    if start is None:
-        alpha = np.zeros(m)
-        beta = np.zeros(n)
-        lam_restart = 1.0
-    else:
-        alpha = start.alpha.copy()
-        beta = start.beta.copy()
-        lam_restart = start.lam if start.lam > 0 else 1.0
-
-    g_init = _g_raw(alpha, beta, 0.0, p)
+    k_hat = gauge_vector(m, n)
+    zero = from_coupling(product_coupling(p))
+    ga, gb, gl = dual_gradient(zero, p)
     trace: list = []
-    status = SolveStatus.MAX_ITERS
     failure_reason = None
     failed_iteration = None
-
-    def record(alpha, beta, lam):
-        trace.append(_evaluate(alpha, beta, lam, p, len(trace) + 1))
-
-    def minimize(alpha, beta, lam, lam_free, budget):
-        # with lam frozen, the lam row and column of the system drop out
-        size = m + n + 1 if lam_free else m + n
-        k_hat = gauge_vector(m, n)[:size]
-        g_cur = _g_raw(alpha, beta, lam, p)
-        for _ in range(budget):
-            dp = DualPoint(alpha, beta, lam)
-            ga, gb, gl = dual_gradient(dp, p)
-            grad = np.concatenate([ga, gb, [gl]])[:size]
-            grad_proj = grad - np.dot(grad, k_hat) * k_hat
-            if float(np.abs(grad_proj).max()) <= tol:
-                return alpha, beta, lam, True
-            h = dual_hessian(dp, p, cap=hessian_cap)[:size, :size]
-            step = _solve_newton_step(h, grad, k_hat)
-            slope = float(np.dot(grad, step))
-            if slope >= 0.0:
-                step = -grad_proj
-                slope = float(np.dot(grad, step))
-            t_step = 1.0
-            if lam_free and step[-1] < 0.0:
-                t_step = min(1.0, 0.95 * lam / -step[-1])
-            accepted = False
-            while t_step > 1e-20:
-                a_try = alpha + t_step * step[:m]
-                b_try = beta + t_step * step[m:m + n]
-                l_try = lam + t_step * step[-1] if lam_free else lam
-                g_try = _g_raw(a_try, b_try, l_try, p)
-                if g_try <= g_cur + 1e-4 * t_step * slope:
-                    alpha, beta, lam, g_cur = a_try, b_try, l_try, g_try
-                    accepted = True
+    if gl >= 0.0:
+        # slack constraint: the product coupling is optimal
+        dp, rate, g = zero, 0.0, p.h_x + p.h_y
+        grad = np.concatenate([ga, gb, [0.0]])
+    else:
+        base = zero if start is None else start
+        dp = DualPoint(base.alpha, base.beta, base.lam or 1.0)
+        grad, row = _sweep(dp, p)
+        try:
+            for it in range(1, max_iters + 1):
+                grad_proj = _project(grad, k_hat)
+                if float(np.abs(grad_proj).max()) <= tol:
                     break
-                t_step *= 0.5
-            if not accepted:
-                raise NumericalFailureError("Newton line search failed to decrease",
-                                            iteration=len(trace) + 1)
-            record(alpha, beta, lam)
-        return alpha, beta, lam, False
+                step = _solve_newton_step(dual_hessian(dp, p, cap=hessian_cap), grad, k_hat)
+                slope = float(np.dot(grad, step))
+                if slope >= 0.0:
+                    step = -grad_proj
+                    slope = float(np.dot(grad, step))
+                dp, grad, row = _line_search(dp, step, slope, row.dual_objective, p, it)
+                trace.append(row)
+        except NumericalFailureError as err:
+            failure_reason = str(err)
+            failed_iteration = err.iteration
+        rate, g = row.lm_rate_nats, row.dual_objective
 
-    try:
-        alpha, beta, lam, done_eq = minimize(alpha, beta, 0.0, lam_free=False,
-                                             budget=max_iters)
-        _, _, gl = dual_gradient(DualPoint(alpha, beta, 0.0), p)
-        lam = 0.0
-        done = done_eq
-        if gl < 0.0:
-            # constraint binds: re-solve with the multiplier free
-            budget_left = max(max_iters - len(trace), 10)
-            alpha, beta, lam, done = minimize(alpha, beta, lam_restart,
-                                              lam_free=True, budget=budget_left)
-        if done:
-            status = SolveStatus.CONVERGED
-    except NumericalFailureError as err:
+    if failure_reason is not None:
         status = SolveStatus.NUMERICAL_FAILURE
-        failure_reason = str(err)
-        failed_iteration = err.iteration
-
-    dp = gauge_normalize(DualPoint(alpha, beta, lam))
-    final = _evaluate(dp.alpha, dp.beta, lam, p)
+    elif float(np.abs(_project(grad, k_hat)).max()) <= tol:
+        status = SolveStatus.CONVERGED
+    else:
+        status = SolveStatus.MAX_ITERS
     return SolveReport(
-        solution=coupling_from_dual(dp, p.d),
-        lm_rate_nats=final.lm_rate_nats,
-        lambda_final=lam,
+        solution=coupling_from_dual(gauge_normalize(dp), p.d),
+        lm_rate_nats=rate,
+        lambda_final=dp.lam,
         iterations=len(trace),
         residual_trace=trace,
         status=status,
-        dual_objective=final.dual_objective,
-        dual_objective_init=g_init,
+        dual_objective=g,
+        dual_objective_init=p.h_x + p.h_y,
         tau=None,
         strategy="newton",
         lambda_init=0.0,

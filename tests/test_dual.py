@@ -24,6 +24,7 @@ from lmrate import (
     scarlett_point_from_coupling,
     solve,
 )
+from lmrate import _kernels
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
 from conftest import make_problem, random_problem
@@ -130,11 +131,13 @@ def test_objective_is_gauge_invariant(rng, qpsk_4x9):
 
 
 def test_objective_overflow_raises(qpsk_4x9):
+    # the point is refused before any exp, so overflow never happens
     dp = DualPoint(np.full(qpsk_4x9.m, -800.0), np.zeros(qpsk_4x9.n), 0.0)
-    with pytest.raises(EvaluationError):
-        dual_objective(dp, qpsk_4x9)
-    with pytest.raises(EvaluationError):
-        dual_gradient(dp, qpsk_4x9)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(EvaluationError):
+            dual_objective(dp, qpsk_4x9)
+        with pytest.raises(EvaluationError):
+            dual_gradient(dp, qpsk_4x9)
 
 
 def test_dual_point_rejects_negative_multiplier():
@@ -218,7 +221,9 @@ def test_newton_agrees_with_scaling_solver(qpsk_n10):
 def test_newton_inactive_constraint(qpsk_n6):
     inflated = qpsk_n6.with_threshold(float(qpsk_n6.d.max()) + 1.0)
     report = newton_oracle(inflated, tol=1e-12)
+    # the product coupling is the closed-form answer: no Newton step is taken
     assert report.converged
+    assert report.iterations == 0
     assert report.lambda_final == 0.0
     assert abs(report.lm_rate_nats) <= 1e-9
 
@@ -230,8 +235,10 @@ def test_newton_multiplier_unique_across_starts(rng, qpsk_n6):
     p = qpsk_n6
     finals = []
     rates = []
-    for _ in range(10):
-        start = _random_point(rng, p, lam=float(rng.uniform(0.0, 3.0)))
+    # a start at lam = 0 restarts the multiplier at 1.0
+    starts = [_random_point(rng, p, lam=0.0)]
+    starts += [_random_point(rng, p, lam=float(rng.uniform(0.0, 3.0))) for _ in range(10)]
+    for start in starts:
         report = newton_oracle(p, start=start)
         assert report.converged
         finals.append(report.lambda_final)
@@ -240,20 +247,37 @@ def test_newton_multiplier_unique_across_starts(rng, qpsk_n6):
     assert max(rates) - min(rates) <= 1e-9
 
 
+def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
+    # the first full Newton steps from the product point land where exp
+    # overflows; the line search must reject such trial points before any exp
+    exponents = []
+
+    def spy(*args):
+        exponents.append(max_exponent(*args))
+        return exponents[-1]
+
+    max_exponent = _kernels.max_exponent
+    monkeypatch.setattr(_kernels, "max_exponent", spy)
+    with np.errstate(over="raise", invalid="raise"):
+        report = newton_oracle(qpsk_n10, tol=1e-12)
+    assert report.converged
+    assert max(exponents) > 710.0
+
+
 def test_newton_size_cap(qpsk_4x9):
     with pytest.raises(UnsupportedConfigurationError):
         newton_oracle(qpsk_4x9, hessian_cap=5)
 
 
-def test_newton_trace_descends(qpsk_4x9):
-    # the objective descends within each active-set phase (the jump from
-    # the frozen to the free multiplier restarts it higher by design)
-    report = newton_oracle(qpsk_4x9)
-    frozen = [r.dual_objective for r in report.residual_trace if r.lam == 0.0]
-    free = [r.dual_objective for r in report.residual_trace if r.lam > 0.0]
-    for seq in (frozen, free):
-        assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
-    assert report.iterations == len(report.residual_trace)
+def test_newton_trace_descends(qpsk_n6):
+    # the constraint binds here, so every step keeps the multiplier positive
+    # and the one Newton phase descends from its first row to its last
+    report = newton_oracle(qpsk_n6)
+    assert report.converged and report.lambda_final > 0.0
+    assert report.iterations == len(report.residual_trace) >= 1
+    assert all(r.lam > 0.0 for r in report.residual_trace)
+    values = [r.dual_objective for r in report.residual_trace]
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_reference_value_source(qpsk_4x9):

@@ -53,6 +53,15 @@ def test_coupling_stats_against_dense(rng):
     assert abs(moment2 - (d * d * q).sum()) <= 1e-12 * max(1.0, (d * d * q).sum())
 
 
+def test_max_exponent_against_dense(rng, monkeypatch):
+    d, lphi, lpsi, _, _ = _random_inputs(rng)
+    lphi[2] = 900.0   # an entry far past the exp overflow threshold
+    expected = float((lphi[:, None] + lpsi[None, :] - 1.1 * d).max())
+    assert K.max_exponent(lphi, lpsi, 1.1, d) == expected
+    monkeypatch.setattr(K, "BLOCK_ENTRIES", 2 * d.shape[1])   # three row blocks
+    assert K.max_exponent(lphi, lpsi, 1.1, d) == expected
+
+
 def test_underflowed_entries_contribute_zero():
     # exponent below the double underflow threshold: exact zero contribution
     lphi = np.array([0.0])

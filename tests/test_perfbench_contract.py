@@ -1,30 +1,36 @@
-"""The names the benchmark in perfbench/ wraps and reads must exist.
+"""The names the benchmark in perfbench/ wraps and reads must exist, and
+the layers it expects a workload to reach must still be reached.
 
 perfbench/tracer.py wraps every (module, attribute) in its TARGETS table
 and perfbench/run.py records lmrate._kernels.USING_NUMBA in its
-environment block.  A refactor that drops one of them fails here, not
-halfway through a benchmark run.  The tracer is loaded by path and only
-read.
+environment block; perfbench/workloads.py lists the traced layers each
+workload must reach.  A refactor that drops a name, or stops calling a
+layer, fails here, not halfway through a benchmark run.  The perfbench
+modules are loaded by path and only read.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import lmrate
 import lmrate._kernels
+import lmrate.cli  # noqa: F401  (the tracer wraps cli.main)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve():
-    targets = _load_tracer().TARGETS
+    targets = _load("tracer").TARGETS
     assert targets
     missing = [f"{module}.{attr}" for module, attr in targets.values()
                if not callable(getattr(importlib.import_module(module), attr, None))]
@@ -33,3 +39,21 @@ def test_tracer_targets_resolve():
 
 def test_environment_block_flag_exists():
     assert isinstance(lmrate._kernels.USING_NUMBA, bool)
+
+
+def test_oracle_cert_layers_reached():
+    # one small oracle-cert cell (qpsk, grid 10): a tight solve, the Newton
+    # oracle and the scalar dual, then the projected run and its certificate
+    tracer_mod = _load("tracer")
+    workloads = _load("workloads")
+    workload = workloads.OracleCert(math.pi / 18)
+    workload.cells = [("qpsk", 10)]
+    with tracer_mod.Tracer() as tracer:
+        instances = workload.setup(lmrate)
+        answers = workload.run_pass(lmrate, instances, tracer)
+    # every dual.* layer and sinkhorn.multiplier_excess among them
+    missing = workloads.EXPECTED_LAYERS["oracle-cert"] - {span[0] for span in tracer.spans}
+    assert not missing, f"oracle-cert layers never reached: {sorted(missing)}"
+    outcomes = workload.check(answers)
+    assert [o.cell for o in outcomes] == ["qpsk/grid10", "qpsk/grid10/project"]
+    assert all(o.ok for o in outcomes), [(o.cell, o.errors) for o in outcomes]
