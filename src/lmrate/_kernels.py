@@ -127,20 +127,41 @@ def metric_moments(lphi, lpsi, lam, d):
 
 
 def mismatch_dual_value(w_t, a, log_px, zeta, d_t):
-    """Mismatched-decoding dual objective.
+    """Mismatched-decoding dual objective and its first two zeta-derivatives.
 
     w_t and d_t are the N x M transposes of the joint weight matrix
-    p_x[i]*w[i][j] and the metric.  Value (nats):
+    p_x[i]*w[i][j] and the metric.  Returns (value, first, second) in nats:
 
-        sum_ij w_ij * [ (a_i - zeta*d_ij) - log sum_k exp(log_px_k + a_k - zeta*d_kj) ]
+        value  = sum_ij w_ij * [ (a_i - zeta*d_ij) - log sum_k exp(log_px_k + a_k - zeta*d_kj) ]
+        first  = sum_j W_j E_post[d] - sum_ij w_ij d_ij
+        second = -sum_j W_j Var_post[d]
+
+    with W_j = sum_i w_ij and the posterior at output j the softmax over
+    inputs k of log_px_k + a_k - zeta*d_kj.  One exp pass gives all three;
+    the variance is taken about the posterior mean, so it stays accurate
+    when the posterior concentrates at large zeta.
     """
     n, m = d_t.shape
     base = log_px + a
-    total = 0.0
+    value = first = second = 0.0
     for lo, hi in _row_blocks(n, m):
-        scores = base[None, :] - zeta * d_t[lo:hi]
-        mx = scores.max(axis=1)
-        lse = mx + np.log(np.exp(scores - mx[:, None]).sum(axis=1))
-        inner = (w_t[lo:hi] * (a[None, :] - zeta * d_t[lo:hi])).sum(axis=1)
-        total += float((inner - w_t[lo:hi].sum(axis=1) * lse).sum())
-    return total
+        d = d_t[lo:hi]
+        w = w_t[lo:hi]
+        e = d * -zeta
+        e += base[None, :]
+        mx = e.max(axis=1)
+        e -= mx[:, None]
+        np.exp(e, out=e)
+        mass = e.sum(axis=1)
+        dev = d * e
+        mean = dev.sum(axis=1) / mass
+        np.subtract(d, mean[:, None], out=dev)
+        np.square(dev, out=dev)
+        dev *= e
+        var = dev.sum(axis=1) / mass
+        weight = w.sum(axis=1)
+        wd = float(np.vdot(w, d))
+        value += float((w @ a - weight * (mx + np.log(mass))).sum()) - zeta * wd
+        first += float(weight @ mean) - wd
+        second -= float(weight @ var)
+    return value, first, second

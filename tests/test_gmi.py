@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import lmrate._kernels as K
 from lmrate import BracketError, ScarlettDualPoint, gmi, scarlett_dual_value
 from lmrate.channel import DiscreteProblem
-from conftest import random_problem
+from conftest import make_problem, random_problem
 
 
 def _matched_metric_problem(rng, m=4, n=6):
@@ -33,6 +34,18 @@ def test_matched_metric_attains_mutual_information(rng):
     # the location is rounding-limited near the flat top, unlike the value
     assert abs(result.s_star - 1.0) <= 1e-6
     assert result.evaluations > 0
+
+
+def test_metric_against_the_channel_gives_zero(rng):
+    # d = log w (shifted to be nonnegative) ranks the likeliest input last,
+    # so gmi'(0) < 0 and the maximum is gmi(0) = 0, attained at s = 0
+    p = _matched_metric_problem(rng)
+    d = -p.d + p.d.max()
+    reversed_metric = DiscreteProblem(d=d, p_x=p.p_x, p_y=p.p_y, w=p.w,
+                                      t=float(np.sum(p.p_x[:, None] * p.w * d)))
+    result = gmi(reversed_metric)
+    assert result.value_nats == 0.0
+    assert result.s_star == 0.0
 
 
 def test_value_is_nonnegative(rng, qpsk_n6):
@@ -84,8 +97,36 @@ def test_pinned_maximizer_raises(qpsk_n6):
 def test_bad_arguments_rejected(qpsk_n6):
     with pytest.raises(ValueError):
         gmi(qpsk_n6, s_max=0.0)
-    with pytest.raises(ValueError):
-        gmi(qpsk_n6, interval_tol=-1.0)
+
+
+def test_maximizer_beyond_initial_cap_is_followed():
+    # qam16 at 30 dB: the tilt maximizer lies past the default cap of 50,
+    # so a search that stops at the cap undershoots the GMI by 8e-5 nats
+    p = make_problem("qam16", snr_db=30.0, n_side=50)[3]
+    result = gmi(p)
+    shifts = np.zeros(p.m)
+    for s in (50.0, 100.0, 200.0, 400.0):
+        value = scarlett_dual_value(ScarlettDualPoint(zeta=s, a=shifts), p)
+        assert result.value_nats >= value - 1e-13
+    assert result.s_star > 50.0
+
+
+def test_evaluation_budget(qpsk_n10, monkeypatch):
+    # gmi reaches the kernel through the lmrate._kernels module attribute,
+    # so counting there sees every evaluation; Newton on the tilt resolves
+    # a 0 dB instance in a handful of them
+    calls = 0
+    kernel = K.mismatch_dual_value
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(K, "mismatch_dual_value", counted)
+    result = gmi(qpsk_n10)
+    assert 0 < calls <= 12
+    assert result.evaluations == calls
 
 
 def test_gmi_never_exceeds_full_rate(qpsk_n6):

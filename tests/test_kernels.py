@@ -84,6 +84,24 @@ def test_mismatch_dual_value_against_dense(rng):
     lse = np.log(np.exp(scores).sum(axis=1))
     joint_t = (p_x[:, None] * w).T
     expected = float((joint_t * ((a[None, :] - zeta * d.T) - lse[:, None])).sum())
-    got = K.mismatch_dual_value(np.ascontiguousarray(joint_t), a, log_px, zeta,
-                                np.ascontiguousarray(d.T))
-    assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+    # derivatives in zeta: posterior mean and variance of d at each output
+    post = np.exp(scores - lse[:, None])
+    mean = (post * d.T).sum(axis=1)
+    var = (post * (d.T - mean[:, None]) ** 2).sum(axis=1)
+    weight = joint_t.sum(axis=1)
+    expected_first = float(weight @ mean - (joint_t * d.T).sum())
+    expected_second = float(-(weight @ var))
+
+    def kernel(z):
+        return K.mismatch_dual_value(np.ascontiguousarray(joint_t), a, log_px, z,
+                                     np.ascontiguousarray(d.T))
+
+    value, first, second = kernel(zeta)
+    assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected))
+    assert abs(first - expected_first) <= 1e-11 * max(1.0, abs(expected_first))
+    assert abs(second - expected_second) <= 1e-11 * max(1.0, abs(expected_second))
+    h = 1e-4
+    lower, upper = kernel(zeta - h), kernel(zeta + h)
+    assert abs((upper[0] - lower[0]) / (2 * h) - first) <= 1e-8
+    assert abs((upper[1] - lower[1]) / (2 * h) - second) <= 1e-8
+    assert abs((upper[0] - 2 * value + lower[0]) / h**2 - second) <= 1e-6

@@ -57,3 +57,20 @@ def test_oracle_cert_layers_reached():
     outcomes = workload.check(answers)
     assert [o.cell for o in outcomes] == ["qpsk/grid10", "qpsk/grid10/project"]
     assert all(o.ok for o in outcomes), [(o.cell, o.errors) for o in outcomes]
+
+
+def test_case_matrix_layers_reached():
+    # one small case-matrix cell (qpsk, grid 10): a solve to 1e-10, then the
+    # GMI, which must reach the classical-dual kernel
+    tracer_mod = _load("tracer")
+    workloads = _load("workloads")
+    workload = workloads.CaseMatrix(math.pi / 18)
+    workload.cells = [("qpsk", 10)]
+    with tracer_mod.Tracer() as tracer:
+        instances = workload.setup(lmrate)
+        answers = workload.run_pass(lmrate, instances, tracer)
+    missing = workloads.EXPECTED_LAYERS["case-matrix"] - {span[0] for span in tracer.spans}
+    assert not missing, f"case-matrix layers never reached: {sorted(missing)}"
+    outcomes = workload.check(answers)
+    assert [o.cell for o in outcomes] == ["qpsk/grid10"]
+    assert all(o.ok for o in outcomes), [(o.cell, o.errors) for o in outcomes]
