@@ -1,8 +1,8 @@
 """Achievable-rate toolbox for mismatched decoding over discretized AWGN channels.
 
 Computes the LM rate by alternating scaling under a metric budget, with an
-independent damped-Newton dual oracle, a GMI baseline, and convergence
-certificates built from solver traces.
+independent Newton dual oracle (Schur-complement steps, no size cap), a GMI
+baseline, and convergence certificates built from solver traces.
 """
 
 from .channel import (ChannelSpec, DiscreteProblem, OutputGrid, analytic_threshold,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .channel import build_channel, discretize
 from .constellation import Scheme, build_constellation
-from .dual import HESSIAN_CAP, newton_oracle
+from .dual import newton_oracle
 from .errors import BracketError, LmrateError
 from .gmi import gmi
 from .sinkhorn import SolverConfig, SolveStatus, solve
@@ -363,16 +363,11 @@ def cmd_compare(cfg) -> int:
             _, _, prob = _build_problem(dict(sc, modulation=modulation, grid=grid))
             solver_cfg = _solver_config(sc)
             t_sink, report = _mean_seconds(sc["trials"], lambda: solve(prob, solver_cfg))
-            if prob.m + prob.n + 1 <= HESSIAN_CAP:
-                t_oracle, oracle = _mean_seconds(
-                    sc["trials"], lambda: newton_oracle(prob, tol=sc["tol"]))
-                diff = abs(_rate_value(sc, report.lm_rate_nats)
-                           - _rate_value(sc, oracle.lm_rate_nats))
-                rows.append([modulation, prob.n, t_sink, t_oracle,
-                             t_oracle / t_sink, diff])
-            else:
-                # mirror of the oracle-unavailable cells: solver columns stay
-                rows.append([modulation, prob.n, t_sink, None, None, None])
+            t_oracle, oracle = _mean_seconds(
+                sc["trials"], lambda: newton_oracle(prob, tol=sc["tol"]))
+            diff = abs(_rate_value(sc, report.lm_rate_nats)
+                       - _rate_value(sc, oracle.lm_rate_nats))
+            rows.append([modulation, prob.n, t_sink, t_oracle, t_oracle / t_sink, diff])
     header = ["scheme", "N", "t_sinkhorn_s", "t_oracle_s", "speedup", "abs_diff"]
     _emit_csv(header, rows, _echo(cfg), cfg["out"])
     return 0

@@ -18,23 +18,21 @@ projected Newton oracle well posed.
 At lam = 0 the minimizer of g is the product coupling p_x (x) p_y in
 closed form; the Newton oracle starts there and runs one damped Newton
 phase over (alpha, beta, lam) only when that coupling breaks the metric
-constraint.
+constraint, each step eliminating the arrowhead Hessian's column block.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .channel import DiscreteProblem
-from .errors import (EvaluationError, InconsistentOracleError,
-                     NumericalFailureError, UnsupportedConfigurationError)
-from .problem import DENSE_CAP, Coupling, balance_gauge, evaluate, product_coupling
+from .errors import EvaluationError, InconsistentOracleError, NumericalFailureError
+from .problem import Coupling, balance_gauge, evaluate, product_coupling
 from .sinkhorn import SolveReport, SolveStatus
-
-HESSIAN_CAP = 2048
 
 
 @dataclass
@@ -90,27 +88,27 @@ def dual_gradient(dp: DualPoint, p: DiscreteProblem):
     return grad[:p.m], grad[p.m:-1], float(grad[-1])
 
 
-def dual_hessian(dp: DualPoint, p: DiscreteProblem, cap: int = HESSIAN_CAP) -> np.ndarray:
-    """Dense (M+N+1)^2 Hessian; refuses above the size cap."""
-    m, n = p.m, p.n
-    if m + n + 1 > cap:
-        raise UnsupportedConfigurationError(
-            f"Hessian size {m + n + 1} exceeds the cap {cap}")
+class DualHessian(NamedTuple):
+    """Arrowhead dual Hessian in (alpha, beta, lam) order: the coupling q, whose
+    sums fill the diagonal blocks, u = (d q) 1, v = (d q)^T 1, w = sum d^2 q."""
+
+    q: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: float
+
+    def dense(self) -> np.ndarray:
+        q, u, v, w = self
+        return np.block([[np.diag(q.sum(axis=1)), q, u[:, None]],
+                         [q.T, np.diag(q.sum(axis=0)), v[:, None]],
+                         [u[None, :], v[None, :], np.array([[w]])]])
+
+
+def dual_hessian(dp: DualPoint, p: DiscreteProblem) -> DualHessian:
+    """The Hessian at a dual point, as its arrowhead blocks."""
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
-    h = np.zeros((m + n + 1, m + n + 1))
-    h[:m, :m] = np.diag(q.sum(axis=1))
-    h[:m, m:m + n] = q
-    h[m:m + n, :m] = q.T
-    h[m:m + n, m:m + n] = np.diag(q.sum(axis=0))
-    v_row = dq.sum(axis=1)
-    v_col = dq.sum(axis=0)
-    h[:m, -1] = v_row
-    h[-1, :m] = v_row
-    h[m:m + n, -1] = v_col
-    h[-1, m:m + n] = v_col
-    h[-1, -1] = float((p.d * dq).sum())
-    return h
+    return DualHessian(q, dq.sum(axis=1), dq.sum(axis=0), float((p.d * dq).sum()))
 
 
 # --------------------------------------------------------------------------
@@ -168,21 +166,32 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _solve_newton_step(h, grad, k_hat):
-    """Solve (H + k k^T + damping) s = -grad; the gradient is orthogonal to
-    the gauge vector, so the rank-one term pins the flat direction without
-    touching the solution component that matters."""
-    reg = np.outer(k_hat, k_hat)
-    damping = 0.0
-    scale = max(float(np.trace(h)) / h.shape[0], 1e-30)
-    for _ in range(12):
-        try:
-            c = np.linalg.cholesky(h + reg + damping * scale * np.eye(h.shape[0]))
-            step = -np.linalg.solve(c.T, np.linalg.solve(c, grad))
-            return step
-        except np.linalg.LinAlgError:
-            damping = max(damping * 10.0, 1e-12)
-    raise NumericalFailureError("Newton system could not be factorized")
+def _newton_step(h: DualHessian, grad):
+    """Solve (H + delta I) s = -grad, delta = 1e-12 trace(H) / (M+N+1), by
+    eliminating s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta): the
+    (M+1)-square Schur complement is built from Q / sqrt(c + delta) in
+    O(M^2 N).  The gradient is orthogonal to the gauge vector, an eigenvector
+    of H + delta I, so no gauge pin is needed."""
+    q, u, v, w = h
+    m, r, c = q.shape[0], q.sum(axis=1), q.sum(axis=0)
+    delta = 1e-12 * (r.sum() + c.sum() + w) / (m + c.size + 1)
+    inv_c = 1.0 / (c + delta)
+    g = q * np.sqrt(inv_c)
+    schur = np.empty((m + 1, m + 1))
+    schur[:m, :m] = np.diag(r + delta) - g @ g.T
+    schur[:m, m] = schur[m, :m] = u - q @ (v * inv_c)
+    schur[m, m] = w + delta - v @ (v * inv_c)
+    gb_c = grad[m:-1] * inv_c
+    rhs = np.append(q @ gb_c - grad[:m], v @ gb_c - grad[-1])
+    try:
+        x = np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
+    s_beta = -(gb_c + (x[:m] @ q + v * x[m]) * inv_c)
+    step = np.concatenate([x[:m], s_beta, x[m:]])
+    if not np.isfinite(step).all():
+        raise NumericalFailureError("Newton step is not finite")
+    return step
 
 
 def _line_search(dp, step, slope, g_cur, p, it):
@@ -212,23 +221,18 @@ def _project(grad, k_hat):
 
 
 def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
-                  start: DualPoint | None = None,
-                  hessian_cap: int = HESSIAN_CAP) -> SolveReport:
+                  start: DualPoint | None = None) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
     Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
     is nonnegative at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
     Otherwise damped Newton on (alpha, beta, lam) runs from the product point
-    at lam = 1, or from ``start`` (lam 0 restarts at 1): gauge-pinned Newton
-    steps, Armijo backtracking with lam kept positive, and one sweep per
+    at lam = 1, or from ``start`` (lam 0 restarts at 1): Schur-complement
+    Newton steps, Armijo backtracking with lam kept positive, and one sweep per
     trial point, whose accepted one gives the trace row and next gradient.
     """
-    m, n = p.m, p.n
-    if m + n + 1 > hessian_cap:
-        raise UnsupportedConfigurationError(
-            f"oracle needs the dense Hessian; size {m + n + 1} exceeds {hessian_cap}")
-    k_hat = gauge_vector(m, n)
+    k_hat = gauge_vector(p.m, p.n)
     zero = from_coupling(product_coupling(p))
     ga, gb, gl = dual_gradient(zero, p)
     trace: list = []
@@ -247,7 +251,7 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
                 grad_proj = _project(grad, k_hat)
                 if float(np.abs(grad_proj).max()) <= tol:
                     break
-                step = _solve_newton_step(dual_hessian(dp, p, cap=hessian_cap), grad, k_hat)
+                step = _newton_step(dual_hessian(dp, p), grad)
                 slope = float(np.dot(grad, step))
                 if slope >= 0.0:
                     step = -grad_proj
@@ -282,15 +286,15 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
     )
 
 
-def reference_dual_value(p: DiscreteProblem, hessian_cap: int = HESSIAN_CAP):
-    """Best available reference optimum (g_star, source_string)."""
-    if p.m + p.n + 1 <= hessian_cap and p.d.size <= DENSE_CAP:
-        report = newton_oracle(p, tol=1e-12)
-        return report.dual_objective, "newton_oracle(tol=1e-12)"
-    from .sinkhorn import SolverConfig, solve
-
-    report = solve(p, SolverConfig(max_iters=5000, tol=1e-14))
-    return report.dual_objective, "extended_scaling(max_iters=5000)"
+def reference_dual_value(p: DiscreteProblem):
+    """Reference optimum (g_star, source_string) from a converged oracle run;
+    raises NumericalFailureError when the oracle does not converge."""
+    report = newton_oracle(p, tol=1e-12)
+    if not report.converged:
+        raise NumericalFailureError(
+            f"reference oracle did not converge: status {report.status.value}, "
+            f"failure_reason {report.failure_reason!r}")
+    return report.dual_objective, "newton_oracle(tol=1e-12)"
 
 
 # --------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_criterion_04_gmi_ordering_and_trends():
                     else:
                         # saturated high-SNR cells scale slowly; the dual
                         # oracle closes them out instead
-                        oracle = newton_oracle(prob, tol=1e-10, hessian_cap=4096)
+                        oracle = newton_oracle(prob, tol=1e-10)
                         assert oracle.converged, (scheme, eta, denom, snr)
                         lm = oracle.lm_rate_nats
                         fallbacks += 1

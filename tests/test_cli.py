@@ -308,7 +308,7 @@ def test_compare_solver_against_oracle(tmp_path):
         assert float(r[5]) <= 1e-5
 
 
-def test_compare_skips_oracle_above_cap(tmp_path):
+def test_compare_oracle_at_grid_50(tmp_path):
     path = tmp_path / "cmp.csv"
     rc = main(["compare", "--grid", "50", "--trials", "1", "--out", str(path)])
     assert rc == 0
@@ -316,8 +316,9 @@ def test_compare_skips_oracle_above_cap(tmp_path):
     assert len(rows) == 1
     row = rows[0]
     assert int(row[1]) == 2500
-    assert float(row[2]) > 0.0
-    assert row[3] == "" and row[4] == "" and row[5] == ""
+    assert float(row[2]) > 0.0 and float(row[3]) > 0.0
+    assert float(row[4]) > 0.0
+    assert float(row[5]) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from lmrate import (
     InconsistentOracleError,
     ScarlettDualPoint,
     SolverConfig,
-    UnsupportedConfigurationError,
+    NumericalFailureError,
     certificate,
     dual_gradient,
     dual_hessian,
@@ -24,7 +24,7 @@ from lmrate import (
     scarlett_point_from_coupling,
     solve,
 )
-from lmrate import _kernels
+from lmrate import _kernels, dual
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
 from conftest import make_problem, random_problem
@@ -72,7 +72,7 @@ def test_gradient_matches_central_differences(rng, qpsk_4x9):
 def test_hessian_equals_weighted_square_form(rng, qpsk_4x9):
     p = qpsk_4x9
     dp = _random_point(rng, p)
-    h = dual_hessian(dp, p)
+    h = dual_hessian(dp, p).dense()
     q = coupling_from_dual(dp, p.d).dense()
     for _ in range(10):
         v = rng.normal(0.0, 1.0, p.m + p.n + 1)
@@ -85,7 +85,7 @@ def test_hessian_equals_weighted_square_form(rng, qpsk_4x9):
 def test_hessian_directional_fd(rng, qpsk_4x9):
     p = qpsk_4x9
     dp = _random_point(rng, p)
-    h_mat = dual_hessian(dp, p)
+    h_mat = dual_hessian(dp, p).dense()
     step = 1e-6
     v = rng.normal(0.0, 1.0, p.m + p.n + 1)
     v /= np.linalg.norm(v)
@@ -104,17 +104,27 @@ def test_hessian_directional_fd(rng, qpsk_4x9):
 def test_hessian_annihilates_gauge_and_is_psd(rng, qpsk_4x9):
     p = qpsk_4x9
     dp = _random_point(rng, p)
-    h = dual_hessian(dp, p)
+    h = dual_hessian(dp, p).dense()
     np.testing.assert_allclose(h, h.T, rtol=0, atol=0)
     k = gauge_vector(p.m, p.n)
     assert float(np.abs(h @ k).max()) <= 1e-12
     assert float(np.linalg.eigvalsh(h).min()) >= -1e-12
 
 
-def test_hessian_cap_enforced(qpsk_4x9):
-    dp = DualPoint(np.zeros(qpsk_4x9.m), np.zeros(qpsk_4x9.n), 0.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        dual_hessian(dp, qpsk_4x9, cap=5)
+@pytest.mark.parametrize("name", ["qpsk_4x9", "qpsk_n10"])
+def test_newton_step_solves_damped_system(request, rng, name):
+    # the Schur-complement step against the dense damped system it stands for
+    p = request.getfixturevalue(name)
+    for _ in range(5):
+        dp = _random_point(rng, p)
+        h = dual_hessian(dp, p)
+        ga, gb, gl = dual_gradient(dp, p)
+        grad = np.concatenate([ga, gb, [gl]])
+        step = dual._newton_step(h, grad)
+        dense = h.dense()
+        delta = 1e-12 * np.trace(dense) / dense.shape[0]
+        resid = dense @ step + delta * step + grad
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(grad)
 
 
 def test_objective_is_gauge_invariant(rng, qpsk_4x9):
@@ -264,9 +274,15 @@ def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
     assert max(exponents) > 710.0
 
 
-def test_newton_size_cap(qpsk_4x9):
-    with pytest.raises(UnsupportedConfigurationError):
-        newton_oracle(qpsk_4x9, hessian_cap=5)
+def test_newton_oracle_beyond_old_cap():
+    # 4 x 2501 outputs: 2505 unknowns, above the old dense-Hessian limit
+    p = make_problem(n_side=50)[3]
+    assert p.m + p.n + 1 > 2048
+    report = newton_oracle(p, tol=1e-10)
+    assert report.converged
+    scaled = solve(p, SolverConfig(max_iters=2000, tol=1e-10))
+    assert scaled.converged
+    assert abs(report.lm_rate_nats - scaled.lm_rate_nats) <= 1e-9
 
 
 def test_newton_trace_descends(qpsk_n6):
@@ -281,11 +297,16 @@ def test_newton_trace_descends(qpsk_n6):
 
 
 def test_reference_value_source(qpsk_4x9):
-    g_small, src_small = reference_dual_value(qpsk_4x9)
-    assert "newton" in src_small
-    g_big, src_big = reference_dual_value(qpsk_4x9, hessian_cap=5)
-    assert "scaling" in src_big
-    assert abs(g_small - g_big) <= 1e-8
+    _, src = reference_dual_value(qpsk_4x9)
+    assert "newton" in src
+
+
+def test_reference_value_needs_converged_oracle(monkeypatch, qpsk_n10):
+    oracle = dual.newton_oracle
+    monkeypatch.setattr(dual, "newton_oracle",
+                        lambda p, **kw: oracle(p, **dict(kw, max_iters=1)))
+    with pytest.raises(NumericalFailureError, match="max_iters"):
+        reference_dual_value(qpsk_n10)
 
 
 # --------------------------------------------------------------------------
