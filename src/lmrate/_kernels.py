@@ -1,8 +1,11 @@
 """Streaming reductions over the factored coupling q_ij = exp(lphi_i + lpsi_j - lam*d_ij).
 
 Every hot loop of the solver lives here.  The kernels are vectorized numpy
-working on row blocks, so the M x N coupling is never materialized whole
-and memory stays bounded for large grids.
+taking the M x N metric as stored and working on blocks of it, so the
+coupling is never materialized whole and memory stays bounded for large
+grids.  A shifted (max-subtracted) reduction over the inputs takes column
+blocks, so each column's maximum and sum finish in one pass; every other
+kernel takes row blocks, and its sums over the inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
 the double underflow threshold contribute exactly zero to every sum,
@@ -20,10 +23,11 @@ USING_NUMBA = False
 BLOCK_ENTRIES = 1 << 22
 
 
-def _row_blocks(m, n):
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    for lo in range(0, m, step):
-        yield lo, min(m, lo + step)
+def _blocks(count, width):
+    """Index ranges of at most BLOCK_ENTRIES // width rows (or columns) each."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, count, step):
+        yield lo, min(count, lo + step)
 
 
 def scale_rows(lpsi, lam, d, log_px):
@@ -35,7 +39,7 @@ def scale_rows(lpsi, lam, d, log_px):
     m, n = d.shape
     out = np.empty(m)
     with np.errstate(over="ignore", divide="ignore"):
-        for lo, hi in _row_blocks(m, n):
+        for lo, hi in _blocks(m, n):
             s = np.exp(lpsi[None, :] - lam * d[lo:hi]).sum(axis=1)
             out[lo:hi] = log_px[lo:hi] - np.log(s)
     return out, bool(np.isfinite(out).all())
@@ -45,7 +49,7 @@ def scale_rows_lse(lpsi, lam, d, log_px):
     """Shifted (log-sum-exp) variant of scale_rows; immune to underflow."""
     m, n = d.shape
     out = np.empty(m)
-    for lo, hi in _row_blocks(m, n):
+    for lo, hi in _blocks(m, n):
         e = lpsi[None, :] - lam * d[lo:hi]
         mx = e.max(axis=1)
         s = np.exp(e - mx[:, None]).sum(axis=1)
@@ -57,7 +61,7 @@ def scale_cols(lphi, lam, d, log_py):
     m, n = d.shape
     s = np.zeros(n)
     with np.errstate(over="ignore"):
-        for lo, hi in _row_blocks(m, n):
+        for lo, hi in _blocks(m, n):
             s += np.exp(lphi[lo:hi, None] - lam * d[lo:hi]).sum(axis=0)
     with np.errstate(divide="ignore"):
         out = log_py - np.log(s)
@@ -65,14 +69,15 @@ def scale_cols(lphi, lam, d, log_py):
 
 
 def scale_cols_lse(lphi, lam, d, log_py):
+    """Shifted (log-sum-exp) variant of scale_cols, one pass over column blocks."""
     m, n = d.shape
-    mx = np.full(n, -np.inf)
-    for lo, hi in _row_blocks(m, n):
-        np.maximum(mx, (lphi[lo:hi, None] - lam * d[lo:hi]).max(axis=0), out=mx)
-    s = np.zeros(n)
-    for lo, hi in _row_blocks(m, n):
-        s += np.exp(lphi[lo:hi, None] - lam * d[lo:hi] - mx[None, :]).sum(axis=0)
-    return log_py - (mx + np.log(s))
+    out = np.empty(n)
+    for lo, hi in _blocks(n, m):
+        e = lphi[:, None] - lam * d[:, lo:hi]
+        mx = e.max(axis=0)
+        s = np.exp(e - mx).sum(axis=0)
+        out[lo:hi] = log_py[lo:hi] - (mx + np.log(s))
+    return out
 
 
 def coupling_stats(lphi, lpsi, lam, d):
@@ -90,7 +95,7 @@ def coupling_stats(lphi, lpsi, lam, d):
     metric_mass = 0.0
     neg_entropy = 0.0
     metric_moment2 = 0.0
-    for lo, hi in _row_blocks(m, n):
+    for lo, hi in _blocks(m, n):
         e = lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]
         q = np.exp(e)
         dq = d[lo:hi] * q
@@ -106,7 +111,7 @@ def coupling_stats(lphi, lpsi, lam, d):
 def max_exponent(lphi, lpsi, lam, d):
     """max_ij (lphi_i + lpsi_j - lam*d_ij): the log of the largest coupling entry."""
     return max(float((lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]).max())
-               for lo, hi in _row_blocks(*d.shape))
+               for lo, hi in _blocks(*d.shape))
 
 
 def metric_moments(lphi, lpsi, lam, d):
@@ -118,7 +123,7 @@ def metric_moments(lphi, lpsi, lam, d):
     s1 = 0.0
     s2 = 0.0
     m, n = d.shape
-    for lo, hi in _row_blocks(m, n):
+    for lo, hi in _blocks(m, n):
         q = np.exp(lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi])
         dq = d[lo:hi] * q
         s1 += float(dq.sum())
@@ -126,42 +131,42 @@ def metric_moments(lphi, lpsi, lam, d):
     return s1, s2
 
 
-def mismatch_dual_value(w_t, a, log_px, zeta, d_t):
+def mismatch_dual_value(w, a, log_px, zeta, d):
     """Mismatched-decoding dual objective and its first two zeta-derivatives.
 
-    w_t and d_t are the N x M transposes of the joint weight matrix
-    p_x[i]*w[i][j] and the metric.  Returns (value, first, second) in nats:
+    w is the M x N joint weight matrix p_x[i]*w[i][j] and d the M x N
+    metric, both as stored.  Returns (value, first, second) in nats:
 
         value  = sum_ij w_ij * [ (a_i - zeta*d_ij) - log sum_k exp(log_px_k + a_k - zeta*d_kj) ]
         first  = sum_j W_j E_post[d] - sum_ij w_ij d_ij
         second = -sum_j W_j Var_post[d]
 
     with W_j = sum_i w_ij and the posterior at output j the softmax over
-    inputs k of log_px_k + a_k - zeta*d_kj.  One exp pass gives all three;
-    the variance is taken about the posterior mean, so it stays accurate
-    when the posterior concentrates at large zeta.
+    inputs k of log_px_k + a_k - zeta*d_kj.  One exp pass over column blocks
+    gives all three; the variance is taken about the posterior mean, so it
+    stays accurate when the posterior concentrates at large zeta.
     """
-    n, m = d_t.shape
-    base = log_px + a
-    value = first = second = 0.0
-    for lo, hi in _row_blocks(n, m):
-        d = d_t[lo:hi]
-        w = w_t[lo:hi]
-        e = d * -zeta
-        e += base[None, :]
-        mx = e.max(axis=1)
-        e -= mx[:, None]
+    m, n = d.shape
+    base = (log_px + a)[:, None]
+    wd = float(np.vdot(w, d))
+    value = float(a @ w.sum(axis=1)) - zeta * wd
+    first, second = -wd, 0.0
+    for lo, hi in _blocks(n, m):
+        dc = d[:, lo:hi]
+        e = dc * -zeta
+        e += base
+        mx = e.max(axis=0)
+        e -= mx
         np.exp(e, out=e)
-        mass = e.sum(axis=1)
-        dev = d * e
-        mean = dev.sum(axis=1) / mass
-        np.subtract(d, mean[:, None], out=dev)
+        mass = e.sum(axis=0)
+        dev = dc * e
+        mean = dev.sum(axis=0) / mass
+        np.subtract(dc, mean, out=dev)
         np.square(dev, out=dev)
         dev *= e
-        var = dev.sum(axis=1) / mass
-        weight = w.sum(axis=1)
-        wd = float(np.vdot(w, d))
-        value += float((w @ a - weight * (mx + np.log(mass))).sum()) - zeta * wd
-        first += float(weight @ mean) - wd
+        var = dev.sum(axis=0) / mass
+        weight = w[:, lo:hi].sum(axis=0)
+        value -= float(weight @ (mx + np.log(mass)))
+        first += float(weight @ mean)
         second -= float(weight @ var)
     return value, first, second

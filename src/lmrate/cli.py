@@ -98,7 +98,7 @@ def _norm_list(field, value, parse, item_name):
     for part in parts:
         try:
             out.append(parse(part))
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ConfigError(field, f"bad {item_name} {part!r}: {err}")
     return out
 
@@ -113,13 +113,15 @@ def _one(field, values):
     return values[0]
 
 
-def _positive(field, value, kind=float):
+def _positive(field, value, kind=float, zero_ok=False):
+    """value as a finite kind, above zero (or at it, when zero_ok)."""
     try:
         value = kind(value)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ConfigError(field, f"expected {kind.__name__}, got {value!r}")
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(field, f"must be positive and finite, got {value!r}")
+    if not ((value > 0 or zero_ok and value == 0) and math.isfinite(value)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ConfigError(field, f"must be {sign} and finite, got {value!r}")
     return value
 
 
@@ -172,15 +174,14 @@ def _resolve_config(args) -> dict:
                               f"must be 'project' or 'root', got {cfg['lambda_strategy']!r}")
     if cfg["tau"] is not None:
         cfg["tau"] = _positive("tau", cfg["tau"])
-    cfg["lambda_init"] = float(cfg["lambda_init"])
-    if not (cfg["lambda_init"] >= 0 and math.isfinite(cfg["lambda_init"])):
-        raise ConfigError("lambda_init", f"must be nonnegative, got {cfg['lambda_init']!r}")
+    cfg["lambda_init"] = _positive("lambda_init", cfg["lambda_init"], zero_ok=True)
     if cfg["threshold"] is not None:
         cfg["threshold"] = _positive("threshold", cfg["threshold"])
     cfg["trials"] = _positive("trials", cfg["trials"], int)
     cfg["workers"] = _positive("workers", cfg["workers"], int)
-    cfg["with_gmi"] = bool(cfg["with_gmi"])
-    cfg["nats"] = bool(cfg["nats"])
+    for field in ("with_gmi", "nats"):
+        if not isinstance(cfg[field], bool):
+            raise ConfigError(field, f"must be true or false, got {cfg[field]!r}")
     return cfg
 
 
@@ -426,8 +427,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like a bad config value: exit code 1."""
+
+    def error(self, message):
+        raise ConfigError("command line", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmrate",
         description="Achievable-rate solver for mismatched decoding on AWGN grids.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,8 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         cfg["out"] = getattr(args, "out", None)
         return _COMMANDS[args.command](cfg)

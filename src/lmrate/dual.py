@@ -315,22 +315,10 @@ class ScarlettDualPoint:
             raise ValueError(f"zeta must be nonnegative, got {self.zeta!r}")
 
 
-def classical_tables(p: DiscreteProblem):
-    """(w_t, d_t, log_px): the N x M transposes of the joint p_x_i w_ij and of
-    the metric, and log p_x, as the classical-dual kernel takes them.
-
-    Built per call, not cached on the instance: two more M x N arrays per
-    live instance would outweigh the copy.
-    """
-    w_t = np.ascontiguousarray((p.p_x[:, None] * p.w).T)
-    d_t = np.ascontiguousarray(p.d.T)
-    return w_t, d_t, np.log(p.p_x)
-
-
 def scarlett_dual_value(sp: ScarlettDualPoint, p: DiscreteProblem) -> float:
     """Classical dual objective (nats); every point lower-bounds the rate."""
-    w_t, d_t, log_px = classical_tables(p)
-    return _kernels.mismatch_dual_value(w_t, sp.a, log_px, sp.zeta, d_t)[0]
+    return _kernels.mismatch_dual_value(p.p_x[:, None] * p.w, sp.a, np.log(p.p_x),
+                                        sp.zeta, p.d)[0]
 
 
 def scarlett_point_from_coupling(q: Coupling, p: DiscreteProblem) -> ScarlettDualPoint:

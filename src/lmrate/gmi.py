@@ -21,7 +21,6 @@ import numpy as np
 
 from . import _kernels
 from .channel import DiscreteProblem
-from .dual import classical_tables
 from .errors import BracketError, NumericalFailureError
 
 # Newton stops once its predicted gain first^2/|second| is below this
@@ -53,17 +52,17 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
     """
     if not s_max > 0.0:
         raise ValueError("s_max must be positive")
-    w_t, d_t, log_px = classical_tables(p)
+    joint, log_px = p.p_x[:, None] * p.w, np.log(p.p_x)
     shifts = np.zeros(p.m)
     lo, hi = -math.inf, math.inf     # evaluated tilts with gmi' > 0 / gmi' <= 0
     cap = float(s_max)
     growth = 0
     # 1 / E[d] under the joint: the matched tilt of a Gaussian metric, and a
     # start that scales with the metric
-    mean_metric = float(np.vdot(w_t, d_t))
+    mean_metric = float(np.vdot(joint, p.d))
     x = min(1.0 / mean_metric, cap) if mean_metric > 0.0 else cap
     for evaluations in range(1, _MAX_EVALS + 1):
-        value, first, second = _kernels.mismatch_dual_value(w_t, shifts, log_px, x, d_t)
+        value, first, second = _kernels.mismatch_dual_value(joint, shifts, log_px, x, p.d)
         if first > 0.0:
             lo = x
         else:

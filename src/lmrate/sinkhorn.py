@@ -68,8 +68,8 @@ class SolverConfig:
             raise ValueError("tol must be positive and finite")
         if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite when given")
-        if not (self.lambda_init >= 0):
-            raise ValueError("lambda_init must be nonnegative")
+        if not (self.lambda_init >= 0 and math.isfinite(self.lambda_init)):
+            raise ValueError("lambda_init must be nonnegative and finite")
 
 
 @dataclass
@@ -92,7 +92,7 @@ class SolveReport:
     status: SolveStatus
     dual_objective: float
     dual_objective_init: float
-    tau: float | None
+    tau: float | None                 # the projected step size; None for other strategies
     strategy: str
     lambda_init: float = 1.0
     failed_iteration: int | None = None
@@ -306,7 +306,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         status=status,
         dual_objective=final.dual_objective,
         dual_objective_init=g_init,
-        tau=tau if strategy is LambdaStrategy.PROJECT else cfg.tau,
+        tau=tau if strategy is LambdaStrategy.PROJECT else None,
         strategy=strategy.value,
         lambda_init=float(cfg.lambda_init),
         failed_iteration=failed_iteration,

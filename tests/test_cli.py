@@ -144,6 +144,10 @@ def test_exit_code_table_is_total():
     (["solve", "--eta", "inf"], "eta"),
     (["solve", "--tau", "inf"], "tau"),
     (["solve", "--tol", "inf"], "tol"),
+    # argparse's own errors: exit 2 is reserved for an exhausted iteration budget
+    (["solve", "--max-iters", "abc"], "--max-iters"),
+    (["solve", "--lambda-strategy", "auto"], "--lambda-strategy"),
+    (["solve", "--bogus"], "--bogus"),
 ])
 def test_invalid_flags_exit_one(capsys, argv, needle):
     rc = main(argv)
@@ -152,6 +156,31 @@ def test_invalid_flags_exit_one(capsys, argv, needle):
     assert captured.out == ""
     assert "error:" in captured.err
     assert needle in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--lambda-strategy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data,field", [
+    ({"lambda_init": "abc"}, "lambda_init"),
+    ({"lambda_init": None}, "lambda_init"),
+    ({"nats": "no"}, "nats"),
+    ({"with_gmi": 1}, "with_gmi"),
+    ({"max_iters": math.inf}, "max_iters"),   # JSON Infinity
+    ({"grid": math.inf}, "grid"),
+])
+def test_config_values_checked_like_flags(tmp_path, capsys, data, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    rc = main(["solve", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
 
 
 def test_malformed_config_file(tmp_path, capsys):

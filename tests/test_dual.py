@@ -450,3 +450,12 @@ def test_certificate_requires_projected_trace(project_run_with_reference):
     empty = dataclasses.replace(report, residual_trace=[])
     with pytest.raises(ValueError):
         certificate(empty, p, g_star, src)
+
+
+def test_certificate_rejects_root_trace_with_explicit_tau(project_run_with_reference):
+    # an explicit tau is a projected step size; a root-find run never takes one
+    p, _, g_star, src = project_run_with_reference
+    root = solve(p, SolverConfig(max_iters=50, lambda_strategy="root", tau=0.5))
+    assert root.tau is None
+    with pytest.raises(ValueError):
+        certificate(root, p, g_star, src)

@@ -62,6 +62,22 @@ def test_max_exponent_against_dense(rng, monkeypatch):
     assert K.max_exponent(lphi, lpsi, 1.1, d) == expected
 
 
+def test_column_blocks_match_one_block(rng, monkeypatch):
+    # the shifted kernels reduce over the inputs in column blocks; splitting
+    # the columns must not change a column's reduction
+    d, lphi, _, log_px, log_py = _random_inputs(rng)
+    m, n = d.shape
+    a = rng.normal(0.0, 0.5, m)
+    joint = np.exp(log_px)[:, None] * rng.dirichlet(np.ones(n), m)
+    lse = K.scale_cols_lse(lphi, 0.9, d, log_py)
+    dual = K.mismatch_dual_value(joint, a, log_px, 0.8, d)
+    monkeypatch.setattr(K, "BLOCK_ENTRIES", 5 * m)   # column blocks of 5, 5 and 3
+    assert len(list(K._blocks(n, m))) == 3
+    np.testing.assert_array_equal(K.scale_cols_lse(lphi, 0.9, d, log_py), lse)
+    np.testing.assert_allclose(K.mismatch_dual_value(joint, a, log_px, 0.8, d), dual,
+                               rtol=1e-13, atol=0.0)
+
+
 def test_underflowed_entries_contribute_zero():
     # exponent below the double underflow threshold: exact zero contribution
     lphi = np.array([0.0])
@@ -93,8 +109,7 @@ def test_mismatch_dual_value_against_dense(rng):
     expected_second = float(-(weight @ var))
 
     def kernel(z):
-        return K.mismatch_dual_value(np.ascontiguousarray(joint_t), a, log_px, z,
-                                     np.ascontiguousarray(d.T))
+        return K.mismatch_dual_value(p_x[:, None] * w, a, log_px, z, d)
 
     value, first, second = kernel(zeta)
     assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected))

@@ -59,6 +59,24 @@ def test_oracle_cert_layers_reached():
     assert all(o.ok for o in outcomes), [(o.cell, o.errors) for o in outcomes]
 
 
+def test_sweep_snr_layers_reached(tmp_path):
+    # one sweep-snr cell (qam16, eta 0.8, 20 dB) through cli.main: the only
+    # workload that takes the shifted scaling kernels.  It stops at
+    # max_iters, so only the layers and the absence of errors are checked.
+    tracer_mod = _load("tracer")
+    workloads = _load("workloads")
+    workload = workloads.SweepSnr(math.pi / 18, str(tmp_path / "sweep.csv"))
+    workload.modulations, workload.etas, workload.snrs = ("qam16",), (0.8,), (20,)
+    with tracer_mod.Tracer() as tracer:
+        instances = workload.setup(lmrate)
+        answers = workload.run_pass(lmrate, instances, tracer)
+    missing = workloads.EXPECTED_LAYERS["sweep-snr"] - {span[0] for span in tracer.spans}
+    assert not missing, f"sweep-snr layers never reached: {sorted(missing)}"
+    outcomes = workload.check(answers)
+    assert [o.cell for o in outcomes] == ["qam16/eta0.8/snr20/grid50"]
+    assert not outcomes[0].errors
+
+
 def test_case_matrix_layers_reached():
     # one small case-matrix cell (qpsk, grid 10): a solve to 1e-10, then the
     # GMI, which must reach the classical-dual kernel

@@ -353,6 +353,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lambda_init=-0.1)
     with pytest.raises(ValueError):
+        SolverConfig(lambda_init=math.inf)
+    with pytest.raises(ValueError):
         SolverConfig(lambda_strategy="bogus")
     assert SolverConfig(lambda_strategy="root").lambda_strategy is LambdaStrategy.ROOT
 
