@@ -8,9 +8,10 @@ blocks, so each column's maximum and sum finish in one pass; every other
 kernel takes row blocks, and its sums over the inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
-the double underflow threshold contribute exactly zero to every sum,
-which realizes the 0*log(0) = 0 convention without branches: exp()
-underflows to 0.0 and 0.0 * finite = 0.0.
+the double underflow threshold contribute exactly zero to every sum, as
+exp() underflows to 0.0.  A coupling sweep returns only what no identity
+gives, the marginals and two metric moments; sum q log q is derived from
+them, so 0*log(0) = 0 holds through the marginals without a per-entry product.
 """
 
 import numpy as np
@@ -80,38 +81,34 @@ def scale_cols_lse(lphi, lam, d, log_py):
     return out
 
 
+def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
+    """(sum_ij d q, sum_ij d^2 q) of the coupling, each block exponentiated and
+    weighted in place; fills row_marg and adds into col_marg when given."""
+    s1 = s2 = 0.0
+    for lo, hi in _blocks(*d.shape):
+        q = np.add.outer(lphi[lo:hi], lpsi)
+        q -= lam * d[lo:hi]
+        np.exp(q, out=q)
+        if row_marg is not None:
+            row_marg[lo:hi] = q.sum(axis=1)
+            col_marg += q.sum(axis=0)
+        q *= d[lo:hi]
+        s1 += float(q.sum())
+        q *= d[lo:hi]
+        s2 += float(q.sum())
+    return s1, s2
+
+
 def coupling_stats(lphi, lpsi, lam, d):
-    """One sweep over the coupling.
+    """One sweep over the coupling: the sums that only a sweep can give.
 
-    Returns (row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2)
-    where metric_mass = sum_ij d_ij q_ij, neg_entropy = sum_ij q_ij log q_ij
-    and metric_moment2 = sum_ij d_ij^2 q_ij (the multiplier root solve's
-    Newton slope, so its last candidate sweep is also the evaluation sweep).
+    Returns (row_marg, col_marg, metric_mass, metric_moment2) with
+    metric_mass = sum_ij d_ij q_ij and metric_moment2 = sum_ij d_ij^2 q_ij
+    (the multiplier root solve's Newton slope, so its last candidate sweep is
+    also the evaluation sweep).  problem.evaluate derives the rest.
     """
-    m, n = d.shape
-    row_marg = np.empty(m)
-    col_marg = np.zeros(n)
-    mass = 0.0
-    metric_mass = 0.0
-    neg_entropy = 0.0
-    metric_moment2 = 0.0
-    for lo, hi in _blocks(m, n):
-        e = lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]
-        q = np.exp(e)
-        dq = d[lo:hi] * q
-        row_marg[lo:hi] = q.sum(axis=1)
-        col_marg += q.sum(axis=0)
-        mass += float(q.sum())
-        metric_mass += float(dq.sum())
-        neg_entropy += float((q * e).sum())
-        metric_moment2 += float(np.multiply(d[lo:hi], dq, out=dq).sum())
-    return row_marg, col_marg, mass, metric_mass, neg_entropy, metric_moment2
-
-
-def max_exponent(lphi, lpsi, lam, d):
-    """max_ij (lphi_i + lpsi_j - lam*d_ij): the log of the largest coupling entry."""
-    return max(float((lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi]).max())
-               for lo, hi in _blocks(*d.shape))
+    row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
+    return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
 
 
 def metric_moments(lphi, lpsi, lam, d):
@@ -120,15 +117,7 @@ def metric_moments(lphi, lpsi, lam, d):
     Returns (sum_ij d q, sum_ij d^2 q); the multiplier root solve's first
     evaluation, at its warm-start hint.
     """
-    s1 = 0.0
-    s2 = 0.0
-    m, n = d.shape
-    for lo, hi in _blocks(m, n):
-        q = np.exp(lphi[lo:hi, None] + lpsi[None, :] - lam * d[lo:hi])
-        dq = d[lo:hi] * q
-        s1 += float(dq.sum())
-        s2 += float((d[lo:hi] * dq).sum())
-    return s1, s2
+    return _moment_sweep(lphi, lpsi, lam, d)
 
 
 def mismatch_dual_value(w, a, log_px, zeta, d):

@@ -47,6 +47,8 @@ class ChannelSpec:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
     @property
     def h(self) -> np.ndarray:

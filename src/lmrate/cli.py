@@ -113,10 +113,17 @@ def _one(field, values):
     return values[0]
 
 
+def _number(value, kind=float):
+    """value as kind; a JSON boolean is no number, and an int takes only integral values."""
+    if isinstance(value, bool) or (kind is int and int(value) != float(value)):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _positive(field, value, kind=float, zero_ok=False):
     """value as a finite kind, above zero (or at it, when zero_ok)."""
     try:
-        value = kind(value)
+        value = _number(value, kind)
     except (ValueError, TypeError, OverflowError):
         raise ConfigError(field, f"expected {kind.__name__}, got {value!r}")
     if not ((value > 0 or zero_ok and value == 0) and math.isfinite(value)):
@@ -153,16 +160,15 @@ def _resolve_config(args) -> dict:
 
     cfg["modulation"] = _norm_list("modulation", cfg["modulation"],
                                    _norm_modulation, "modulation")
-    cfg["eta"] = [_positive("eta", v) for v in
-                  _norm_list("eta", cfg["eta"], float, "number")]
+    cfg["eta"] = _norm_list("eta", cfg["eta"], lambda v: _positive("eta", v), "number")
     cfg["theta"] = _norm_list("theta", cfg["theta"], parse_angle, "angle")
-    cfg["snr_db"] = _norm_list("snr_db", cfg["snr_db"], float, "number")
+    cfg["snr_db"] = _norm_list("snr_db", cfg["snr_db"], _number, "number")
     for field in ("theta", "snr_db"):
         for v in cfg[field]:
             if not math.isfinite(v):
                 raise ConfigError(field, f"must be finite, got {v!r}")
-    cfg["grid"] = [_positive("grid", v, int) for v in
-                   _norm_list("grid", cfg["grid"], int, "integer")]
+    cfg["grid"] = _norm_list("grid", cfg["grid"], lambda v: _positive("grid", v, int),
+                             "integer")
     for v in cfg["grid"]:
         if v < 2:
             raise ConfigError("grid", f"n_side must be at least 2, got {v}")

@@ -44,8 +44,8 @@ class DualPoint:
     def __post_init__(self):
         self.alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
         self.beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        if not (self.lam >= 0.0):
-            raise ValueError(f"lam must be nonnegative, got {self.lam!r}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
 
 
 def from_coupling(q: Coupling) -> DualPoint:
@@ -66,16 +66,16 @@ def gauge_normalize(dp: DualPoint) -> DualPoint:
 def _sweep(dp: DualPoint, p: DiscreteProblem, it=0):
     """One coupling_stats sweep at a dual point: the full gradient
     (d/dalpha, d/dbeta, d/dlam) as one vector, and the point's TraceRow.
-    Raises EvaluationError, before any exp, if a sum of the sweep could overflow."""
+    The sweep is its own overflow guard: raises EvaluationError when an exp,
+    a sum of the sweep or the evaluation overflows."""
     lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
-    # each sum is at most MN * max(d_max^2, log q, 1) times the largest entry q
-    log_cap = 709.0 - math.log(p.d.size * 710.0 * max(p.d_max, 1.0) ** 2)
-    if _kernels.max_exponent(lphi, lpsi, dp.lam, p.d) > log_cap:
-        raise EvaluationError("dual point too far out: its coupling sums would overflow")
-    stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
-    row, col, _, metric_mass, _, _ = stats
-    grad = np.concatenate([p.p_x - row, p.p_y - col, [p.t - metric_mass]])
-    return grad, evaluate(lphi, lpsi, dp.lam, p, it, stats)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
+            row = evaluate(lphi, lpsi, dp.lam, p, it, stats)
+    except FloatingPointError:
+        raise EvaluationError("dual point too far out: its coupling sums overflow") from None
+    return np.concatenate([p.p_x - stats[0], p.p_y - stats[1], [p.t - stats[2]]]), row
 
 
 def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:

@@ -11,7 +11,8 @@ over the metric via the kernels module.  The rate objective in nats is
 
 which equals the KL divergence of the coupling from the product of its
 target marginals when the coupling is feasible.  ``evaluate`` turns one
-sweep over a coupling into every number the solvers report about it.
+sweep over a coupling (marginals and metric moments, ``_stats``) into
+every number the solvers report about it.
 """
 
 from dataclasses import dataclass
@@ -67,11 +68,10 @@ class Coupling:
 
     def stats(self):
         """(row_marginal, col_marginal, mass, metric_mass, neg_entropy)."""
-        return _kernels.coupling_stats(self.log_phi, self.log_psi, self.lam, self.d)[:5]
+        return _stats(self.log_phi, self.log_psi, self.lam, self.d)
 
     def marginals(self):
-        row, col, _, _, _ = self.stats()
-        return row, col
+        return self.stats()[:2]
 
     def dense(self, max_entries: int = DENSE_CAP) -> np.ndarray:
         """Materialize q as an (M, N) array; refuses above max_entries."""
@@ -79,6 +79,18 @@ class Coupling:
             raise UnsupportedConfigurationError(
                 f"coupling has {self.d.size} entries, above the dense cap {max_entries}")
         return np.exp(self.log_phi[:, None] + self.log_psi[None, :] - self.lam * self.d)
+
+
+def _stats(log_phi, log_psi, lam, d, stats=None):
+    """(row, col, mass, metric_mass, neg_entropy) from a coupling_stats sweep
+    at (log_phi, log_psi, lam), made here when ``stats`` is None: log q_ij
+    summed against q gives sum q log q = <row, log_phi> + <col, log_psi>
+    - lam * metric_mass, and the mass is the row marginal's sum."""
+    if stats is None:
+        stats = _kernels.coupling_stats(log_phi, log_psi, lam, d)
+    row, col, metric_mass, _ = stats
+    return (row, col, float(row.sum()), metric_mass,
+            float(np.dot(row, log_phi)) + float(np.dot(col, log_psi)) - lam * metric_mass)
 
 
 @dataclass
@@ -101,14 +113,12 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
 
         g = mass - <p_x, log_phi> - <p_y, log_psi> - 1 + lam * t
 
-    and the rate sum q log q + H(p_x) + H(p_y).  Non-finite sums are
-    passed through for the caller to judge.  ``stats`` is a coupling_stats
-    result already taken at (log_phi, log_psi, lam); without it the sweep
-    is made here.
+    and the rate sum q log q + H(p_x) + H(p_y), with the mass and sum q log q
+    derived from the sweep by ``_stats``.  Non-finite sums are passed
+    through for the caller to judge.  ``stats`` is a coupling_stats result
+    already taken at (log_phi, log_psi, lam); without it the sweep is made.
     """
-    if stats is None:
-        stats = _kernels.coupling_stats(log_phi, log_psi, lam, p.d)
-    row, col, mass, metric_mass, neg_entropy, _ = stats
+    row, col, mass, metric_mass, neg_entropy = _stats(log_phi, log_psi, lam, p.d, stats)
     excess = metric_mass - p.t
     return TraceRow(
         iter=it,

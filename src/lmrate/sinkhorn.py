@@ -21,6 +21,7 @@ that the multiplier residual is zero at lam = 0 with negative excess
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -62,8 +63,9 @@ class SolverConfig:
 
     def __post_init__(self):
         self.lambda_strategy = LambdaStrategy(self.lambda_strategy)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if isinstance(self.max_iters, bool) or not (isinstance(self.max_iters, Integral)
+                                                    and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
@@ -206,7 +208,7 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
                 "threshold t may be inconsistent with the metric")
         x = x_new
         stats = _kernels.coupling_stats(lphi, lpsi, x, d)
-        s1, s2 = stats[3], stats[5]
+        _, _, s1, s2 = stats
     raise NumericalFailureError("multiplier root solve stalled before tolerance")
 
 

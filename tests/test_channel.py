@@ -45,6 +45,10 @@ def test_channel_spec_rejects_bad_params():
     with pytest.raises(ValueError):
         ChannelSpec(eta1=1.0, eta2=1.0, theta=0.0, sigma2=0.5,
                     h_hat=np.eye(3))
+    with pytest.raises(ValueError):
+        ChannelSpec(1.0, 0.9, math.nan, 0.5)
+    with pytest.raises(ValueError):
+        build_channel(1.0, 0.9, math.inf, 0.0)
 
 
 def test_quadratic_form_positivity():

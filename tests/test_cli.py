@@ -172,6 +172,14 @@ def test_help_exits_zero(capsys):
     ({"with_gmi": 1}, "with_gmi"),
     ({"max_iters": math.inf}, "max_iters"),   # JSON Infinity
     ({"grid": math.inf}, "grid"),
+    # a JSON boolean is never a number, and integer fields take integral values
+    ({"max_iters": 2.7}, "max_iters"),
+    ({"grid": 6.5}, "grid"),
+    ({"trials": 2.5}, "trials"),
+    ({"tol": True}, "tol"),
+    ({"eta": True}, "eta"),
+    ({"snr_db": True}, "snr_db"),
+    ({"lambda_init": False}, "lambda_init"),
 ])
 def test_config_values_checked_like_flags(tmp_path, capsys, data, field):
     cfg = tmp_path / "cfg.json"

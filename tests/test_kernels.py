@@ -1,10 +1,11 @@
 """Kernel reductions checked against dense evaluation, plus stability checks."""
 
-import math
+import tracemalloc
 
 import numpy as np
 
 import lmrate._kernels as K
+from lmrate import Coupling
 
 
 def _random_inputs(rng, m=6, n=13):
@@ -43,23 +44,51 @@ def test_coupling_stats_against_dense(rng):
     lam = 1.1
     e = lphi[:, None] + lpsi[None, :] - lam * d
     q = np.exp(e)
-    row, col, mass, metric_mass, neg_entropy, moment2 = K.coupling_stats(
-        lphi, lpsi, lam, d)
+    # mass and sum q log q are derived from these four (test_problem.py
+    # checks them against dense q)
+    row, col, metric_mass, moment2 = K.coupling_stats(lphi, lpsi, lam, d)
     np.testing.assert_allclose(row, q.sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(col, q.sum(axis=0), rtol=1e-12)
-    assert abs(mass - q.sum()) <= 1e-12 * q.sum()
     assert abs(metric_mass - (d * q).sum()) <= 1e-12 * max(1.0, (d * q).sum())
-    assert abs(neg_entropy - (q * e).sum()) <= 1e-10
     assert abs(moment2 - (d * d * q).sum()) <= 1e-12 * max(1.0, (d * d * q).sum())
+    s1, s2 = K.metric_moments(lphi, lpsi, lam, d)
+    assert (s1, s2) == (metric_mass, moment2)
 
 
-def test_max_exponent_against_dense(rng, monkeypatch):
+def test_row_blocks_match_one_block(rng, monkeypatch):
+    # the coupling sweeps accumulate over row blocks: a row's marginal
+    # finishes in its block, while the column marginal and the moments are
+    # sums over the inputs carried across blocks
     d, lphi, lpsi, _, _ = _random_inputs(rng)
-    lphi[2] = 900.0   # an entry far past the exp overflow threshold
-    expected = float((lphi[:, None] + lpsi[None, :] - 1.1 * d).max())
-    assert K.max_exponent(lphi, lpsi, 1.1, d) == expected
-    monkeypatch.setattr(K, "BLOCK_ENTRIES", 2 * d.shape[1])   # three row blocks
-    assert K.max_exponent(lphi, lpsi, 1.1, d) == expected
+    m, n = d.shape
+    stats = K.coupling_stats(lphi, lpsi, 1.1, d)
+    moments = K.metric_moments(lphi, lpsi, 1.1, d)
+    monkeypatch.setattr(K, "BLOCK_ENTRIES", 2 * n)   # row blocks of 2, 2 and 2
+    assert len(list(K._blocks(m, n))) == 3
+    split = K.coupling_stats(lphi, lpsi, 1.1, d)
+    np.testing.assert_array_equal(split[0], stats[0])
+    np.testing.assert_allclose(split[1], stats[1], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(split[2:], stats[2:], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(K.metric_moments(lphi, lpsi, 1.1, d), moments,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_sweep_temporaries_bounded(rng):
+    # each coupling sweep exponentiates and weights its block in place: at
+    # most one metric-sized temporary beside the block itself
+    m, n = 64, 1000
+    d = rng.uniform(0.0, 4.0, (m, n))
+    lphi = rng.normal(0.0, 1.0, m)
+    lpsi = rng.normal(0.0, 1.0, n)
+    assert len(list(K._blocks(m, n))) == 1
+    for kernel in (K.coupling_stats, K.metric_moments):
+        tracemalloc.start()
+        try:
+            kernel(lphi, lpsi, 0.9, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * d.nbytes, (kernel.__name__, peak / d.nbytes)
 
 
 def test_column_blocks_match_one_block(rng, monkeypatch):
@@ -83,10 +112,10 @@ def test_underflowed_entries_contribute_zero():
     lphi = np.array([0.0])
     lpsi = np.array([0.0, -800.0])
     d = np.array([[0.0, 0.0]])
-    row, col, mass, metric_mass, neg_entropy, _ = K.coupling_stats(lphi, lpsi, 0.0, d)
+    _, col, mass, _, neg_entropy = Coupling(lphi, lpsi, 0.0, d).stats()
     assert col[1] == 0.0
     assert mass == 1.0
-    assert math.isfinite(neg_entropy)
+    assert neg_entropy == 0.0
 
 
 def test_mismatch_dual_value_against_dense(rng):

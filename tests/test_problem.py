@@ -115,6 +115,17 @@ def test_stats_against_dense_oracle(rng):
     assert abs(constraint_gap(q, p) - (p.t - (dense * p.d).sum())) <= 1e-13
 
 
+def test_stats_far_off_gauge_balance(rng):
+    # the entropy comes from <row, log_phi> + <col, log_psi> - lam sum d q;
+    # a large gauge shift makes the two inner products cancel to the answer
+    p = random_problem(rng, 6, 8)
+    q = Coupling(np.log(p.p_x) + 300.0, np.log(p.p_y) - 300.0, 0.9, p.d)
+    dense = q.dense()
+    _, _, mass, _, neg_entropy = q.stats()
+    assert abs(mass - dense.sum()) <= 1e-13
+    assert abs(neg_entropy - (dense * np.log(dense)).sum()) <= 1e-10
+
+
 def test_solved_rates_are_nonnegative(rng):
     # the rate is a KL divergence at feasible couplings, so once the
     # solver hits its marginal tolerance the value cannot dip below

@@ -343,6 +343,11 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
+        SolverConfig(max_iters=2.5)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iters=True)
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
+    with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=math.inf)
