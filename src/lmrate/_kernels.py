@@ -12,7 +12,31 @@ the double underflow threshold contribute exactly zero to every sum, as
 exp() underflows to 0.0.  A coupling sweep returns only what no identity
 gives, the marginals and two metric moments; sum q log q is derived from
 them, so 0*log(0) = 0 holds through the marginals without a per-entry product.
+
+A channel-built metric splits by axis: column j is grid node (a, b) and
+d_ij = d1[i, a] + d2[i, b] (GridAxes), so exp(-lam d_ij) = F_i(a) G_i(b).
+Given the tables, scale_rows, scale_cols, coupling_stats and
+metric_moments take their sums as small GEMMs over the n_side x n_side
+grid (the separable kernel of Solomon et al., Convolutional Wasserstein
+Distances, 2015): 2 M n_side + n_side^2 exps a sweep in place of M N,
+about 28k against 640k for qam256 at grid 50.  Scalings are shifted by
+their maximum before exp and each result is exp of its log, so overflow,
+underflow and the ok flag follow the plain sums.  The factored path runs
+only while lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G
+product a normal double, and only on metrics of at least
+FACTORED_MIN_ENTRIES entries.  That crossover is where qpsk, whose
+M = 4 gains least from the factoring, starts to win.  Solve time to tol
+1e-10 at 0 dB, factored over block loop, best of 7 to 11 runs on a
+2-core Xeon with numpy 2.4 and OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10),
+1.09-1.10 at 4 x 2500 (qpsk grid 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096,
+0.71-0.83 at 16 x 900 and 64 x 225, and 0.34 at 16 x 2500 (qam16 grid
+50).  The shifted kernels, mismatch_dual_value and all of dual.py keep
+the block loop, so the Newton oracle stays a dense cross-check of the
+factored path.
 """
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +47,59 @@ USING_NUMBA = False
 # temporaries at a time.
 BLOCK_ENTRIES = 1 << 22
 
+# Metrics with fewer entries than this keep the block loop even when they
+# have axis tables: below it the factored sweep's fixed per-call cost loses
+# (measured crossover in the module docstring).
+FACTORED_MIN_ENTRIES = 1 << 14
+
+# Largest matrix product (in multiply-adds) handed to BLAS in one call.
+# OpenBLAS runs products up to this size on one thread; threaded, the
+# factored sweeps' small products gained nothing on an idle 2-core machine
+# and slowed a qam256 solve 3-8x while another process held a core.
+GEMM_CHUNK = 1 << 18
+
+# Plain sums are trusted while every kernel exponent -lam*d stays above
+# -LSE_SWITCH; past it the solver takes the shifted reductions, and the
+# factored sweeps keep the block loop.
+LSE_SWITCH = 700.0
+
+
+@dataclass(frozen=True)
+class GridAxes:
+    """Axis tables of a metric that splits over a square output grid.
+
+    Column j of the M x N metric is grid node kept[j] = a * n_side + b, and
+    d[i, j] = d1[i, a] + d2[i, b] with d1, d2 of shape (M, n_side).  So the
+    Gibbs kernel factors, exp(-lam d[i, j]) = F[i, a] G[i, b] with
+    F = exp(-lam d1) and G = exp(-lam d2).
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    kept: np.ndarray
+
+    @cached_property
+    def span(self) -> float:
+        """max d1 + max d2, a bound on the metric's largest entry."""
+        return float(self.d1.max() + self.d2.max())
+
+    @cached_property
+    def d1_powers(self) -> np.ndarray:
+        """(3, M, n_side) stack of d1^0, d1^1, d1^2."""
+        return np.stack([np.ones_like(self.d1), self.d1, self.d1 * self.d1])
+
+    @cached_property
+    def d2_powers(self) -> np.ndarray:
+        """(3, M, n_side) stack of d2^0, d2^1, d2^2."""
+        return np.stack([np.ones_like(self.d2), self.d2, self.d2 * self.d2])
+
+    def grid(self, values):
+        """Node values laid out on the n_side x n_side grid, pruned nodes zero."""
+        n = self.d1.shape[1]
+        out = np.zeros(n * n)
+        out[self.kept] = values
+        return out.reshape(n, n)
+
 
 def _blocks(count, width):
     """Index ranges of at most BLOCK_ENTRIES // width rows (or columns) each."""
@@ -31,12 +108,50 @@ def _blocks(count, width):
         yield lo, min(count, lo + step)
 
 
-def scale_rows(lpsi, lam, d, log_px):
+def _factored(axes, lam, d):
+    """True when the sweep over d at multiplier lam goes through its axis tables."""
+    return (axes is not None and d.size >= FACTORED_MIN_ENTRIES
+            and lam * axes.span < LSE_SWITCH)
+
+
+def _matmul(a, b):
+    """a @ b in row blocks of at most GEMM_CHUNK multiply-adds each."""
+    rows = max(1, GEMM_CHUNK // (a.shape[1] * b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[0], rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    return out
+
+
+def _gibbs_factors(axes, lam):
+    return np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
+
+
+def _row_dot(x, y):
+    return np.einsum("ia,ia->i", x, y)
+
+
+def _log_ratio(log_p, log_s):
+    """(log_p - log_s, ok) with ok False, as for a plain sum, where the sum
+    exp(log_s) itself overflows or underflows to zero."""
+    with np.errstate(over="ignore"):
+        s = np.exp(log_s)
+    return log_p - log_s, bool(np.all((s > 0.0) & (s < np.inf)))
+
+
+def scale_rows(lpsi, lam, d, log_px, axes=None):
     """Row scaling update: lphi_i = log_px_i - log sum_j exp(lpsi_j - lam*d_ij).
 
     Returns (lphi, ok); ok is False when any row denominator underflowed
     to zero or overflowed, in which case the LSE variant must be used.
+    With ``axes`` (the GridAxes of d) the sums are ((F @ Psi) * G) summed
+    over each row, Psi the grid of exp(lpsi - max lpsi).
     """
+    if _factored(axes, lam, d):
+        f, g = _gibbs_factors(axes, lam)
+        shift = lpsi.max()
+        s = _row_dot(_matmul(f, axes.grid(np.exp(lpsi - shift))), g)
+        return _log_ratio(log_px, shift + np.log(s))
     m, n = d.shape
     out = np.empty(m)
     with np.errstate(over="ignore", divide="ignore"):
@@ -58,7 +173,17 @@ def scale_rows_lse(lpsi, lam, d, log_px):
     return out
 
 
-def scale_cols(lphi, lam, d, log_py):
+def scale_cols(lphi, lam, d, log_py, axes=None):
+    """Column scaling update, scale_rows' counterpart over the inputs.
+
+    With ``axes`` the sums are (F^T diag(phi)) @ G read at the kept nodes,
+    phi = exp(lphi - max lphi).
+    """
+    if _factored(axes, lam, d):
+        f, g = _gibbs_factors(axes, lam)
+        shift = lphi.max()
+        s = _matmul((f * np.exp(lphi - shift)[:, None]).T, g).ravel()[axes.kept]
+        return _log_ratio(log_py, shift + np.log(s))
     m, n = d.shape
     s = np.zeros(n)
     with np.errstate(over="ignore"):
@@ -99,24 +224,58 @@ def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
     return s1, s2
 
 
-def coupling_stats(lphi, lpsi, lam, d):
+def _factored_sweep(lphi, lpsi, lam, axes, marginals):
+    """_moment_sweep's sums through the axis tables.  With d = d1 + d2 the
+    sum of q d^k splits into grid sums of phi F d1^p Psi G d2^q over
+    p + q = k: one stacked GEMM a = [F; F d1; F d1^2] @ Psi, then inner
+    products of a[p] with b[q] = phi G d2^q.  The column marginal takes a
+    second GEMM.  Both scalings are shifted by their maximum, and every
+    result is exp of its log, so it overflows or underflows where the plain
+    sum would; an overflow is +inf here even where the block loop's
+    0 * inf at an exact zero of d makes it NaN."""
+    f, g = _gibbs_factors(axes, lam)
+    m = lphi.shape[0]
+    lphi_max, lpsi_max = lphi.max(), lpsi.max()
+    phi = np.exp(lphi - lphi_max)[:, None]
+    a = _matmul((axes.d1_powers * f).reshape(3 * m, -1), axes.grid(np.exp(lpsi - lpsi_max)))
+    a = a.reshape(3, m, -1)
+    b = axes.d2_powers * (g * phi)
+    # einsum, not vdot: OpenBLAS threads dot products this long (GEMM_CHUNK)
+    t = np.einsum("pia,qia->pq", a, b)
+    moments = (t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2])
+    with np.errstate(divide="ignore"):
+        s1, s2 = np.exp(lphi_max + lpsi_max + np.log(moments)).tolist()
+        if not marginals:
+            return s1, s2
+        row = np.exp(lphi + lpsi_max + np.log(_row_dot(a[0], g)))
+        col = _matmul((f * phi).T, g).ravel()[axes.kept]
+        col = np.exp(lpsi + lphi_max + np.log(col))
+    return row, col, s1, s2
+
+
+def coupling_stats(lphi, lpsi, lam, d, axes=None):
     """One sweep over the coupling: the sums that only a sweep can give.
 
     Returns (row_marg, col_marg, metric_mass, metric_moment2) with
     metric_mass = sum_ij d_ij q_ij and metric_moment2 = sum_ij d_ij^2 q_ij
     (the multiplier root solve's Newton slope, so its last candidate sweep is
-    also the evaluation sweep).  problem.evaluate derives the rest.
+    also the evaluation sweep).  problem.evaluate derives the rest.  With
+    ``axes`` (the GridAxes of d) the sums go through the axis tables.
     """
+    if _factored(axes, lam, d):
+        return _factored_sweep(lphi, lpsi, lam, axes, marginals=True)
     row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
 
 
-def metric_moments(lphi, lpsi, lam, d):
+def metric_moments(lphi, lpsi, lam, d, axes=None):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 
     Returns (sum_ij d q, sum_ij d^2 q); the multiplier root solve's first
-    evaluation, at its warm-start hint.
+    evaluation, at its warm-start hint.  ``axes`` as for coupling_stats.
     """
+    if _factored(axes, lam, d):
+        return _factored_sweep(lphi, lpsi, lam, axes, marginals=False)
     return _moment_sweep(lphi, lpsi, lam, d)
 
 

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import GridAxes
 from .errors import DegenerateGridError, UnsupportedConfigurationError
 from .problem import shannon_entropy
 
@@ -104,6 +105,8 @@ class DiscreteProblem:
        a unique nonnegative root (symmetric constellation, matched decoder,
        positive-definite quadratic form of H), enabling the root-find
        multiplier update as the default.
+    axes: the metric's GridAxes for channel-built instances, which the
+       scaling sweeps factor through; None otherwise.  Not serialized.
     """
 
     d: np.ndarray
@@ -114,6 +117,7 @@ class DiscreteProblem:
     neg_x: np.ndarray | None = None
     neg_y: np.ndarray | None = None
     rootfind_safe: bool = False
+    axes: GridAxes | None = None
 
     def __post_init__(self):
         self.d = np.ascontiguousarray(self.d, dtype=np.float64)
@@ -154,7 +158,7 @@ class DiscreteProblem:
         above max(d) to force the zero-multiplier optimum).
         """
         return DiscreteProblem(self.d, self.p_x, self.p_y, self.w, float(t),
-                               self.neg_x, self.neg_y, self.rootfind_safe)
+                               self.neg_x, self.neg_y, self.rootfind_safe, self.axes)
 
     def validate(self) -> list:
         """Contract check mirroring validate_constellation: returns violations."""
@@ -183,6 +187,10 @@ class DiscreteProblem:
             sym_w = self.w[np.ix_(self.neg_x, self.neg_y)]
             if not np.array_equal(sym_w, self.w):
                 issues.append("transition matrix is not exactly centrally symmetric")
+        if self.axes is not None:
+            a, b = np.divmod(self.axes.kept, self.axes.d1.shape[1])
+            if not np.array_equal(self.axes.d1[:, a] + self.axes.d2[:, b], self.d):
+                issues.append("axis tables do not reproduce the metric")
         return issues
 
     def to_json(self) -> str:
@@ -219,6 +227,19 @@ def _symmetric_axis(n_side: int, half_width: float) -> np.ndarray:
     if n_side % 2:
         coords[n_side // 2] = 0.0
     return coords
+
+
+def _axis_squares(coords, centers):
+    """Per-axis squared offsets (coords[a] - centers[i, 0])^2 and
+    (coords[b] - centers[i, 1])^2, each (M, n_side)."""
+    u = coords[None, :] - centers[:, :1]
+    v = coords[None, :] - centers[:, 1:]
+    return u * u, v * v
+
+
+def _grid_sum(t1, t2):
+    """The (M, n_side^2) table t1[i, a] + t2[i, b] at node a * n_side + b."""
+    return (t1[:, :, None] + t2[:, None, :]).reshape(t1.shape[0], -1)
 
 
 def quadratic_form_positive(channel: ChannelSpec) -> bool:
@@ -270,10 +291,9 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     images = x @ channel.h.T          # H x_i, exact negation pairs when x has them
     scores = x @ channel.h_hat.T      # h_hat x_i for the decoding metric
 
-    diff = points[None, :, :] - images[:, None, :]
-    dens = np.exp(-(diff * diff).sum(axis=2) / (2.0 * channel.sigma2))
-    diff = points[None, :, :] - scores[:, None, :]
-    d = (diff * diff).sum(axis=2)
+    dens = np.exp(-_grid_sum(*_axis_squares(coords, images)) / (2.0 * channel.sigma2))
+    d1, d2 = _axis_squares(coords, scores)
+    d = _grid_sum(d1, d2)
 
     def _mirror_rows(vec):
         # copy the representative value onto its negation partner so that
@@ -311,6 +331,7 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     pruned = np.nonzero(~keep)[0]
     if symmetric and not np.array_equal(keep, keep[::-1]):
         raise RuntimeError("internal error: pruning set is not negation-closed")
+    axes = GridAxes(d1, d2, np.nonzero(keep)[0])
     if pruned.size:
         w = np.ascontiguousarray(w[:, keep])
         d = np.ascontiguousarray(d[:, keep])
@@ -327,7 +348,7 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
                       n_side=n_side, pruned=pruned)
     problem = DiscreteProblem(d=d, p_x=c.probs.copy(), p_y=p_y, w=w, t=t,
                               neg_x=neg_x if symmetric else None, neg_y=neg_y,
-                              rootfind_safe=safe)
+                              rootfind_safe=safe, axes=axes)
     return grid, problem
 
 

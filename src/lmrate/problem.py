@@ -81,13 +81,14 @@ class Coupling:
         return np.exp(self.log_phi[:, None] + self.log_psi[None, :] - self.lam * self.d)
 
 
-def _stats(log_phi, log_psi, lam, d, stats=None):
+def _stats(log_phi, log_psi, lam, d, stats=None, axes=None):
     """(row, col, mass, metric_mass, neg_entropy) from a coupling_stats sweep
-    at (log_phi, log_psi, lam), made here when ``stats`` is None: log q_ij
+    at (log_phi, log_psi, lam), made here (with the metric's GridAxes
+    ``axes``, if any) when ``stats`` is None: log q_ij
     summed against q gives sum q log q = <row, log_phi> + <col, log_psi>
     - lam * metric_mass, and the mass is the row marginal's sum."""
     if stats is None:
-        stats = _kernels.coupling_stats(log_phi, log_psi, lam, d)
+        stats = _kernels.coupling_stats(log_phi, log_psi, lam, d, axes)
     row, col, metric_mass, _ = stats
     return (row, col, float(row.sum()), metric_mass,
             float(np.dot(row, log_phi)) + float(np.dot(col, log_psi)) - lam * metric_mass)
@@ -116,9 +117,10 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
     and the rate sum q log q + H(p_x) + H(p_y), with the mass and sum q log q
     derived from the sweep by ``_stats``.  Non-finite sums are passed
     through for the caller to judge.  ``stats`` is a coupling_stats result
-    already taken at (log_phi, log_psi, lam); without it the sweep is made.
+    already taken at (log_phi, log_psi, lam); without it the sweep is made,
+    through p.axes when the instance has them.
     """
-    row, col, mass, metric_mass, neg_entropy = _stats(log_phi, log_psi, lam, p.d, stats)
+    row, col, mass, metric_mass, neg_entropy = _stats(log_phi, log_psi, lam, p.d, stats, p.axes)
     excess = metric_mass - p.t
     return TraceRow(
         iter=it,

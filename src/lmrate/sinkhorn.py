@@ -30,10 +30,6 @@ from .channel import DiscreteProblem
 from .errors import NumericalFailureError
 from .problem import Coupling, TraceRow, balance_gauge, evaluate
 
-# switch the marginal updates to shifted log-sum-exp reductions once the
-# smallest kernel exponent -lam*max(d) drops below this
-_LSE_EXPONENT = -700.0
-
 # relative tolerance of the multiplier root solve: |excess| <= ROOT_RTOL * t
 ROOT_RTOL = 1e-13
 
@@ -115,16 +111,16 @@ def _resolve_strategy(cfg: SolverConfig, p: DiscreteProblem) -> LambdaStrategy:
 def _update_rows(lpsi, lam, p, log_px):
     # jump straight to the shifted reduction once the kernel exponents can
     # underflow; otherwise try the plain sum and fall back on failure
-    if lam * p.d_max < -_LSE_EXPONENT:
-        lphi, ok = _kernels.scale_rows(lpsi, lam, p.d, log_px)
+    if lam * p.d_max < _kernels.LSE_SWITCH:
+        lphi, ok = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
         if ok:
             return lphi
     return _kernels.scale_rows_lse(lpsi, lam, p.d, log_px)
 
 
 def _update_cols(lphi, lam, p, log_py):
-    if lam * p.d_max < -_LSE_EXPONENT:
-        lpsi, ok = _kernels.scale_cols(lphi, lam, p.d, log_py)
+    if lam * p.d_max < _kernels.LSE_SWITCH:
+        lpsi, ok = _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
         if ok:
             return lpsi
     return _kernels.scale_cols_lse(lphi, lam, p.d, log_py)
@@ -133,14 +129,16 @@ def _update_cols(lphi, lam, p, log_py):
 def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
     """(new multiplier, coupling_stats taken at it or None, root-solve evaluations)."""
     if strategy is LambdaStrategy.ROOT:
-        root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam)
+        root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam, axes=p.axes)
         return float(root), root.stats, root.evals
-    return max(0.0, lam + tau * multiplier_excess(lphi, lpsi, lam, p.d, p.t)), None, 0
+    excess = multiplier_excess(lphi, lpsi, lam, p.d, p.t, p.axes)
+    return max(0.0, lam + tau * excess), None, 0
 
 
-def multiplier_excess(lphi, lpsi, lam, d, t) -> float:
-    """excess(lam) = sum_ij d_ij q_ij(lam) - t at fixed scalings."""
-    s1, _ = _kernels.metric_moments(lphi, lpsi, lam, d)
+def multiplier_excess(lphi, lpsi, lam, d, t, axes=None) -> float:
+    """excess(lam) = sum_ij d_ij q_ij(lam) - t at fixed scalings; ``axes``
+    is the metric's GridAxes or None, as for the kernels."""
+    s1, _ = _kernels.metric_moments(lphi, lpsi, lam, d, axes)
     return s1 - t
 
 
@@ -157,7 +155,7 @@ class _Root(float):
         return root
 
 
-def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
+def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) -> float:
     """Unique nonnegative root of the excess, or 0 when excess(0) <= 0.
 
     Safeguarded Newton warm-started at lam_hint, taken on
@@ -176,12 +174,13 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
     new multiplier without another sweep.  NaN moments (an exact zero of d
     times an overflowed coupling entry) raise NumericalFailureError at the
     multiplier where they occur, as do a bracket too narrow to split
-    ("stalled") and an excess still positive past _ROOT_LAMBDA_CAP.
+    ("stalled") and an excess still positive past _ROOT_LAMBDA_CAP.  Every
+    sweep is given ``axes``, the metric's GridAxes or None.
     """
     f_tol = ROOT_RTOL * abs(t)
     lo, hi = -math.inf, math.inf     # evaluated points with excess > 0 / <= 0
     x = float(lam_hint)
-    s1, s2 = _kernels.metric_moments(lphi, lpsi, x, d)
+    s1, s2 = _kernels.metric_moments(lphi, lpsi, x, d, axes)
     stats = None
     for evals in range(1, _ROOT_MAX_EVALS + 1):
         if math.isnan(s1) or math.isnan(s2):
@@ -207,7 +206,7 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0) -> float:
                 f"no multiplier bracket below {_ROOT_LAMBDA_CAP:g}; "
                 "threshold t may be inconsistent with the metric")
         x = x_new
-        stats = _kernels.coupling_stats(lphi, lpsi, x, d)
+        stats = _kernels.coupling_stats(lphi, lpsi, x, d, axes)
         _, _, s1, s2 = stats
     raise NumericalFailureError("multiplier root solve stalled before tolerance")
 

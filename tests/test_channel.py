@@ -14,6 +14,7 @@ from lmrate import (
     discretize,
     quadratic_form_positive,
 )
+from lmrate._kernels import GridAxes
 from conftest import make_problem
 
 
@@ -80,6 +81,25 @@ def test_discrete_problem_is_normalized_and_symmetric():
     assert np.array_equal(prob.w[np.ix_(prob.neg_x, prob.neg_y)], prob.w)
     assert np.array_equal(prob.p_y[prob.neg_y], prob.p_y)
     assert prob.rootfind_safe
+
+
+def test_axis_tables_rebuild_the_metric():
+    # qam16 at 10 dB prunes 1480 of the 2500 nodes; the metric is the
+    # pointwise ||y_j - h_hat x_i||^2 and the sum of its axis tables, bit
+    # for bit
+    cons, chan, grid, prob = make_problem("qam16", snr_db=10.0, n_side=50)
+    diff = grid.points[None, :, :] - (cons.points @ chan.h_hat.T)[:, None, :]
+    assert np.array_equal((diff * diff).sum(axis=2), prob.d)
+    axes = prob.axes
+    assert axes.kept.size == prob.n == 1020
+    a, b = np.divmod(axes.kept, grid.n_side)
+    assert np.array_equal(axes.d1[:, a] + axes.d2[:, b], prob.d)
+    assert prob.validate() == []
+    assert prob.with_threshold(prob.t).axes is axes
+    assert DiscreteProblem.from_json(prob.to_json()).axes is None
+    swapped = DiscreteProblem(prob.d, prob.p_x, prob.p_y, prob.w, prob.t,
+                              axes=GridAxes(axes.d2, axes.d1, axes.kept))
+    assert swapped.validate() == ["axis tables do not reproduce the metric"]
 
 
 def test_odd_grid_has_exact_center():

@@ -3,9 +3,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import lmrate._kernels as K
 from lmrate import Coupling
+from conftest import make_problem
 
 
 def _random_inputs(rng, m=6, n=13):
@@ -149,3 +151,80 @@ def test_mismatch_dual_value_against_dense(rng):
     assert abs((upper[0] - lower[0]) / (2 * h) - first) <= 1e-8
     assert abs((upper[1] - lower[1]) / (2 * h) - second) <= 1e-8
     assert abs((upper[0] - 2 * value + lower[0]) / h**2 - second) <= 1e-6
+
+
+def _kernel_calls(p, lphi, lpsi, lam):
+    """Each axis-table kernel as a function of the tables (None: block loop)."""
+    log_px, log_py = np.log(p.p_x), np.log(p.p_y)
+    return {
+        "scale_rows": lambda axes: K.scale_rows(lpsi, lam, p.d, log_px, axes),
+        "scale_cols": lambda axes: K.scale_cols(lphi, lam, p.d, log_py, axes),
+        "coupling_stats": lambda axes: K.coupling_stats(lphi, lpsi, lam, p.d, axes),
+        "metric_moments": lambda axes: K.metric_moments(lphi, lpsi, lam, p.d, axes),
+    }
+
+
+def _scalings(rng, p):
+    return (np.log(p.p_x) + rng.normal(0.0, 1.0, p.m),
+            np.log(p.p_y) + rng.normal(0.0, 1.0, p.n))
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0])
+def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
+    # channel-built qam16 at grid 50; at 10 dB pruning leaves 1020 of the
+    # 2500 nodes, so the grid sums see zero-filled nodes.  The crossover is
+    # lowered so that both instances take the factored path.
+    p = make_problem("qam16", snr_db=snr_db, n_side=50)[3]
+    assert p.n == (2500 if snr_db == 0.0 else 1020)
+    monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
+    lphi, lpsi = _scalings(rng, p)
+    for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / p.axes.span):
+        assert K._factored(p.axes, lam, p.d)
+        for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
+            factored, dense = kernel(p.axes), kernel(None)
+            if name.startswith("scale_"):
+                assert factored[1] is dense[1] is True, (name, lam)
+                factored, dense = factored[:1], dense[:1]
+            for got, want in zip(factored, dense):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{name} at lam={lam}")
+
+
+def test_factored_path_guard_and_crossover(rng, monkeypatch):
+    # at or past lam * (max d1 + max d2) = LSE_SWITCH, and below the size
+    # crossover, the tables are ignored: the results are the block loop's
+    p = make_problem("qam16", snr_db=10.0, n_side=50)[3]
+    lphi, lpsi = _scalings(rng, p)
+    guard = K.LSE_SWITCH / p.axes.span
+    if guard * p.axes.span < K.LSE_SWITCH:
+        guard = np.nextafter(guard, np.inf)
+    cases = [(0, guard), (0, 2.0 * guard), (p.d.size + 1, 1.0)]
+    for min_entries, lam in cases:
+        monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", min_entries)
+        assert not K._factored(p.axes, lam, p.d)
+        for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
+            for got, want in zip(kernel(p.axes), kernel(None)):
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} at lam={lam}")
+
+
+def test_factored_sums_overflow_and_underflow_like_plain_sums(rng, monkeypatch):
+    # the factored sums are assembled from their logs: a scaling sum that
+    # overflows or underflows clears the ok flag on both paths, coupling
+    # entries that all overflow give infinite sums on both, and scalings far
+    # off the gauge balance (each factor alone overflows) give finite ones
+    p = make_problem("qam16", n_side=50)[3]
+    monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
+    lphi, lpsi = _scalings(rng, p)
+    for shift in (800.0, -800.0):
+        calls = _kernel_calls(p, lphi + shift, lpsi + shift, 1.0)
+        for name in ("scale_rows", "scale_cols"):
+            assert calls[name](p.axes)[1] is calls[name](None)[1] is False, (name, shift)
+    calls = _kernel_calls(p, lphi + 1000.0, lpsi + 1000.0, 0.0)
+    with np.errstate(over="ignore"):
+        for name in ("coupling_stats", "metric_moments"):
+            for got, want in zip(calls[name](p.axes), calls[name](None)):
+                assert np.all(np.isposinf(got)) and np.all(np.isposinf(want)), name
+    calls = _kernel_calls(p, lphi + 720.0, lpsi - 720.0, 1.0)
+    for name in ("coupling_stats", "metric_moments"):
+        for got, want in zip(calls[name](p.axes), calls[name](None)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)

@@ -21,7 +21,8 @@ from lmrate import (
     update_lambda_rootfind,
 )
 from lmrate.channel import DiscreteProblem
-from conftest import random_problem
+from lmrate.dual import newton_oracle
+from conftest import make_problem, random_problem
 
 
 def _uniform_2x2(d_value=1.0, t=1.0):
@@ -222,6 +223,35 @@ def test_sweep_budget_per_iteration(qpsk_n10, monkeypatch):
     assert sum(calls.values()) <= 6 * report.iterations
     assert report.iterations <= report.root_evals
     assert report.root_evals <= calls["metric_moments"] + calls["coupling_stats"]
+
+
+def test_factored_solve_matches_dense_twin_and_oracle(monkeypatch):
+    # qam16 at grid 50 (16 x 2500) is above the crossover, so its solve
+    # sweeps through the axis tables; its JSON twin carries no tables and
+    # runs the block loop on the same numbers
+    p = make_problem("qam16", n_side=50)[3]
+    twin = DiscreteProblem.from_json(p.to_json())
+    assert p.axes is not None and twin.axes is None
+    factored = []
+    sweep = K._factored_sweep
+
+    def counted(*args, **kwargs):
+        factored.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(K, "_factored_sweep", counted)
+    cfg = SolverConfig(max_iters=2000, tol=1e-10)
+    report = solve(p, cfg)
+    assert report.converged and factored
+    factored.clear()
+    dense = solve(twin, cfg)
+    assert not factored
+    assert ((report.status, report.iterations, report.root_evals)
+            == (dense.status, dense.iterations, dense.root_evals))
+    assert abs(report.lm_rate_nats - dense.lm_rate_nats) <= 1e-12
+    oracle = newton_oracle(p)
+    assert oracle.converged
+    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9
 
 
 def test_projected_solve_makes_no_root_evaluations(qpsk_n10):
