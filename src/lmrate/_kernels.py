@@ -20,8 +20,8 @@ metric_moments take their sums as small GEMMs over the n_side x n_side
 grid (the separable kernel of Solomon et al., Convolutional Wasserstein
 Distances, 2015): 2 M n_side + n_side^2 exps a sweep in place of M N,
 about 28k against 640k for qam256 at grid 50.  Scalings are shifted by
-their maximum before exp and each result is exp of its log, so overflow,
-underflow and the ok flag follow the plain sums.  The factored path runs
+their maximum before exp, and each coupling sum is exp of its log, so it
+overflows or underflows where the plain sum would.  The factored path runs
 only while lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G
 product a normal double, and only on metrics of at least
 FACTORED_MIN_ENTRIES entries.  That crossover is where qpsk, whose
@@ -30,9 +30,10 @@ M = 4 gains least from the factoring, starts to win.  Solve time to tol
 2-core Xeon with numpy 2.4 and OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10),
 1.09-1.10 at 4 x 2500 (qpsk grid 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096,
 0.71-0.83 at 16 x 900 and 64 x 225, and 0.34 at 16 x 2500 (qam16 grid
-50).  The shifted kernels, mismatch_dual_value and all of dual.py keep
-the block loop, so the Newton oracle stays a dense cross-check of the
-factored path.
+50).  Off the factored path, scale_rows and scale_cols hand the call to
+the shifted block loop.  mismatch_dual_value and all of dual.py keep the
+block loop, so the Newton oracle stays a dense cross-check of the factored
+path.
 """
 
 from dataclasses import dataclass
@@ -58,9 +59,8 @@ FACTORED_MIN_ENTRIES = 1 << 14
 # and slowed a qam256 solve 3-8x while another process held a core.
 GEMM_CHUNK = 1 << 18
 
-# Plain sums are trusted while every kernel exponent -lam*d stays above
-# -LSE_SWITCH; past it the solver takes the shifted reductions, and the
-# factored sweeps keep the block loop.
+# The factored sweeps run while every kernel exponent -lam*d stays above
+# -LSE_SWITCH; past it they keep the block loop.
 LSE_SWITCH = 700.0
 
 
@@ -131,45 +131,34 @@ def _row_dot(x, y):
     return np.einsum("ia,ia->i", x, y)
 
 
-def _log_ratio(log_p, log_s):
-    """(log_p - log_s, ok) with ok False, as for a plain sum, where the sum
-    exp(log_s) itself overflows or underflows to zero."""
-    with np.errstate(over="ignore"):
-        s = np.exp(log_s)
-    return log_p - log_s, bool(np.all((s > 0.0) & (s < np.inf)))
-
-
 def scale_rows(lpsi, lam, d, log_px, axes=None):
     """Row scaling update: lphi_i = log_px_i - log sum_j exp(lpsi_j - lam*d_ij).
 
-    Returns (lphi, ok); ok is False when any row denominator underflowed
-    to zero or overflowed, in which case the LSE variant must be used.
     With ``axes`` (the GridAxes of d) the sums are ((F @ Psi) * G) summed
-    over each row, Psi the grid of exp(lpsi - max lpsi).
+    over each row, Psi the grid of exp(lpsi - max lpsi).  Under the
+    LSE_SWITCH guard each sum lies in [exp(-LSE_SWITCH), N], so the result
+    is finite; outside it the call goes to scale_rows_lse.
     """
     if _factored(axes, lam, d):
         f, g = _gibbs_factors(axes, lam)
         shift = lpsi.max()
         s = _row_dot(_matmul(f, axes.grid(np.exp(lpsi - shift))), g)
-        return _log_ratio(log_px, shift + np.log(s))
-    m, n = d.shape
-    out = np.empty(m)
-    with np.errstate(over="ignore", divide="ignore"):
-        for lo, hi in _blocks(m, n):
-            s = np.exp(lpsi[None, :] - lam * d[lo:hi]).sum(axis=1)
-            out[lo:hi] = log_px[lo:hi] - np.log(s)
-    return out, bool(np.isfinite(out).all())
+        return log_px - (shift + np.log(s))
+    return scale_rows_lse(lpsi, lam, d, log_px)
 
 
 def scale_rows_lse(lpsi, lam, d, log_px):
-    """Shifted (log-sum-exp) variant of scale_rows; immune to underflow."""
+    """scale_rows as the shifted (max-subtracted) block loop: a row's largest
+    term is 1, so its sum lies in [1, N].  perfbench traces it by this name."""
     m, n = d.shape
     out = np.empty(m)
     for lo, hi in _blocks(m, n):
-        e = lpsi[None, :] - lam * d[lo:hi]
+        e = d[lo:hi] * -lam
+        e += lpsi
         mx = e.max(axis=1)
-        s = np.exp(e - mx[:, None]).sum(axis=1)
-        out[lo:hi] = log_px[lo:hi] - (mx + np.log(s))
+        e -= mx[:, None]
+        np.exp(e, out=e)
+        out[lo:hi] = log_px[lo:hi] - (mx + np.log(e.sum(axis=1)))
     return out
 
 
@@ -177,32 +166,28 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
     """Column scaling update, scale_rows' counterpart over the inputs.
 
     With ``axes`` the sums are (F^T diag(phi)) @ G read at the kept nodes,
-    phi = exp(lphi - max lphi).
+    phi = exp(lphi - max lphi); outside the guard the call goes to
+    scale_cols_lse.
     """
     if _factored(axes, lam, d):
         f, g = _gibbs_factors(axes, lam)
         shift = lphi.max()
         s = _matmul((f * np.exp(lphi - shift)[:, None]).T, g).ravel()[axes.kept]
-        return _log_ratio(log_py, shift + np.log(s))
-    m, n = d.shape
-    s = np.zeros(n)
-    with np.errstate(over="ignore"):
-        for lo, hi in _blocks(m, n):
-            s += np.exp(lphi[lo:hi, None] - lam * d[lo:hi]).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        out = log_py - np.log(s)
-    return out, bool(np.isfinite(out).all())
+        return log_py - (shift + np.log(s))
+    return scale_cols_lse(lphi, lam, d, log_py)
 
 
 def scale_cols_lse(lphi, lam, d, log_py):
-    """Shifted (log-sum-exp) variant of scale_cols, one pass over column blocks."""
+    """scale_cols as the shifted block loop, one pass over column blocks."""
     m, n = d.shape
     out = np.empty(n)
     for lo, hi in _blocks(n, m):
-        e = lphi[:, None] - lam * d[:, lo:hi]
+        e = d[:, lo:hi] * -lam
+        e += lphi[:, None]
         mx = e.max(axis=0)
-        s = np.exp(e - mx).sum(axis=0)
-        out[lo:hi] = log_py[lo:hi] - (mx + np.log(s))
+        e -= mx
+        np.exp(e, out=e)
+        out[lo:hi] = log_py[lo:hi] - (mx + np.log(e.sum(axis=0)))
     return out
 
 

@@ -108,24 +108,6 @@ def _resolve_strategy(cfg: SolverConfig, p: DiscreteProblem) -> LambdaStrategy:
     return LambdaStrategy.ROOT if p.rootfind_safe else LambdaStrategy.PROJECT
 
 
-def _update_rows(lpsi, lam, p, log_px):
-    # jump straight to the shifted reduction once the kernel exponents can
-    # underflow; otherwise try the plain sum and fall back on failure
-    if lam * p.d_max < _kernels.LSE_SWITCH:
-        lphi, ok = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
-        if ok:
-            return lphi
-    return _kernels.scale_rows_lse(lpsi, lam, p.d, log_px)
-
-
-def _update_cols(lphi, lam, p, log_py):
-    if lam * p.d_max < _kernels.LSE_SWITCH:
-        lpsi, ok = _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
-        if ok:
-            return lpsi
-    return _kernels.scale_cols_lse(lphi, lam, p.d, log_py)
-
-
 def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
     """(new multiplier, coupling_stats taken at it or None, root-solve evaluations)."""
     if strategy is LambdaStrategy.ROOT:
@@ -222,8 +204,8 @@ def _log_state(state: SinkhornState):
 def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
     """One full row-then-column rescale at fixed multiplier."""
     lphi, lpsi = _log_state(state)
-    lphi = _update_rows(lpsi, state.lam, p, np.log(p.p_x))
-    lpsi = _update_cols(lphi, state.lam, p, np.log(p.p_y))
+    lphi = _kernels.scale_rows(lpsi, state.lam, p.d, np.log(p.p_x), p.axes)
+    lpsi = _kernels.scale_cols(lphi, state.lam, p.d, np.log(p.p_y), p.axes)
     return SinkhornState(phi=np.exp(lphi), psi=np.exp(lpsi), lam=state.lam,
                          iter=state.iter + 1)
 
@@ -279,8 +261,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
 
     for it in range(1, cfg.max_iters + 1):
         try:
-            lphi = _update_rows(lpsi, lam, p, log_px)
-            lpsi = _update_cols(lphi, lam, p, log_py)
+            lphi = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
+            lpsi = _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
             lam, stats, evals = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
             root_evals += evals
             row = evaluate(lphi, lpsi, lam, p, it, stats)

@@ -19,26 +19,43 @@ def _random_inputs(rng, m=6, n=13):
     return d, lphi, lpsi, log_px, log_py
 
 
-def test_scale_rows_flags_underflow(rng):
-    d, _, lpsi, log_px, _ = _random_inputs(rng)
+def _dense_scalings(lphi, lpsi, lam, d, log_px, log_py):
+    """Row and column updates by a dense shifted log-sum-exp over the whole
+    metric, summed in long double."""
+    def update(log_p, e, axis):
+        e = e.astype(np.longdouble)
+        mx = e.max(axis=axis, keepdims=True)
+        lse = np.log(np.exp(e - mx).sum(axis=axis)) + mx.squeeze(axis)
+        return (log_p - lse).astype(np.float64)
+
+    return (update(log_px, lpsi[None, :] - lam * d, 1),
+            update(log_py, lphi[:, None] - lam * d, 0))
+
+
+def _assert_close(got, want, rtol, err_msg=""):
+    # relative to the largest magnitude, so entries near zero do not
+    # turn rounding into a failure
+    assert np.all(np.isfinite(got)), err_msg
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), err_msg
+
+
+def test_scale_rows_finite_where_plain_sums_underflow(rng):
+    # every term exp(lpsi_j - lam*d_ij) underflows at lam = 1e6, so a plain
+    # sum would be zero; the shifted loop stays finite and exact
+    d, lphi, lpsi, log_px, log_py = _random_inputs(rng)
     d += 1.0  # keep every metric entry strictly positive
-    _, ok = K.scale_rows(lpsi, 1e6, d, log_px)
-    assert not ok
-    out = K.scale_rows_lse(lpsi, 1e6, d, log_px)
-    assert np.isfinite(out).all()
+    assert np.all(np.exp(lpsi[None, :] - 1e6 * d) == 0.0)
+    rows, cols = _dense_scalings(lphi, lpsi, 1e6, d, log_px, log_py)
+    _assert_close(K.scale_rows(lpsi, 1e6, d, log_px), rows, 1e-13)
+    _assert_close(K.scale_cols(lphi, 1e6, d, log_py), cols, 1e-13)
 
 
-def test_lse_matches_plain_when_safe(rng):
+def test_scaling_matches_dense_lse(rng):
     d, lphi, lpsi, log_px, log_py = _random_inputs(rng)
     lam = 0.7
-    plain, ok = K.scale_rows(lpsi, lam, d, log_px)
-    assert ok
-    np.testing.assert_allclose(K.scale_rows_lse(lpsi, lam, d, log_px), plain,
-                               rtol=1e-13)
-    plain, ok = K.scale_cols(lphi, lam, d, log_py)
-    assert ok
-    np.testing.assert_allclose(K.scale_cols_lse(lphi, lam, d, log_py), plain,
-                               rtol=1e-13)
+    rows, cols = _dense_scalings(lphi, lpsi, lam, d, log_px, log_py)
+    np.testing.assert_allclose(K.scale_rows(lpsi, lam, d, log_px), rows, rtol=1e-13)
+    np.testing.assert_allclose(K.scale_cols(lphi, lam, d, log_py), cols, rtol=1e-13)
 
 
 def test_coupling_stats_against_dense(rng):
@@ -154,11 +171,12 @@ def test_mismatch_dual_value_against_dense(rng):
 
 
 def _kernel_calls(p, lphi, lpsi, lam):
-    """Each axis-table kernel as a function of the tables (None: block loop)."""
+    """Each axis-table kernel as a function of the tables (None: block loop),
+    its results as a tuple."""
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
     return {
-        "scale_rows": lambda axes: K.scale_rows(lpsi, lam, p.d, log_px, axes),
-        "scale_cols": lambda axes: K.scale_cols(lphi, lam, p.d, log_py, axes),
+        "scale_rows": lambda axes: (K.scale_rows(lpsi, lam, p.d, log_px, axes),),
+        "scale_cols": lambda axes: (K.scale_cols(lphi, lam, p.d, log_py, axes),),
         "coupling_stats": lambda axes: K.coupling_stats(lphi, lpsi, lam, p.d, axes),
         "metric_moments": lambda axes: K.metric_moments(lphi, lpsi, lam, p.d, axes),
     }
@@ -181,11 +199,7 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
     for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / p.axes.span):
         assert K._factored(p.axes, lam, p.d)
         for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
-            factored, dense = kernel(p.axes), kernel(None)
-            if name.startswith("scale_"):
-                assert factored[1] is dense[1] is True, (name, lam)
-                factored, dense = factored[:1], dense[:1]
-            for got, want in zip(factored, dense):
+            for got, want in zip(kernel(p.axes), kernel(None)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                            err_msg=f"{name} at lam={lam}")
 
@@ -208,17 +222,21 @@ def test_factored_path_guard_and_crossover(rng, monkeypatch):
 
 
 def test_factored_sums_overflow_and_underflow_like_plain_sums(rng, monkeypatch):
-    # the factored sums are assembled from their logs: a scaling sum that
-    # overflows or underflows clears the ok flag on both paths, coupling
-    # entries that all overflow give infinite sums on both, and scalings far
-    # off the gauge balance (each factor alone overflows) give finite ones
+    # the factored sums are assembled from their logs: scalings shifted so
+    # far that a plain scaling sum overflows or underflows give finite,
+    # matching updates on both paths, coupling entries that all overflow
+    # give infinite sums on both, and scalings far off the gauge balance
+    # (each factor alone overflows) give finite ones
     p = make_problem("qam16", n_side=50)[3]
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
     for shift in (800.0, -800.0):
         calls = _kernel_calls(p, lphi + shift, lpsi + shift, 1.0)
         for name in ("scale_rows", "scale_cols"):
-            assert calls[name](p.axes)[1] is calls[name](None)[1] is False, (name, shift)
+            (got,), (want,) = calls[name](p.axes), calls[name](None)
+            assert np.all(np.isfinite(got)) and np.all(np.isfinite(want)), (name, shift)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} at shift {shift}")
     calls = _kernel_calls(p, lphi + 1000.0, lpsi + 1000.0, 0.0)
     with np.errstate(over="ignore"):
         for name in ("coupling_stats", "metric_moments"):
@@ -228,3 +246,28 @@ def test_factored_sums_overflow_and_underflow_like_plain_sums(rng, monkeypatch):
     for name in ("coupling_stats", "metric_moments"):
         for got, want in zip(calls[name](p.axes), calls[name](None)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_scalings_finite_by_construction(rng, monkeypatch):
+    # no scaling update may rely on inf or NaN: with every floating-point
+    # exception but underflow raised, both paths give finite updates that
+    # match the dense reference, from lam = 0 through the factored guard to
+    # lam = 1e6, where every unshifted term underflows
+    p = make_problem("qam16", n_side=50)[3]
+    monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
+    lphi, lpsi = _scalings(rng, p)
+    log_px, log_py = np.log(p.p_x), np.log(p.p_y)
+    guard = K.LSE_SWITCH / p.axes.span
+    lams = (0.0, 1.0, (1.0 - 1e-12) * guard, 2.0 * guard, 1e6)
+    assert [K._factored(p.axes, lam, p.d) for lam in lams] == [True] * 3 + [False] * 2
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for shift in (0.0, 800.0, -800.0):
+            for lam in lams:
+                rows, cols = _dense_scalings(lphi + shift, lpsi + shift, lam, p.d,
+                                             log_px, log_py)
+                for axes in (p.axes, None):
+                    msg = f"shift {shift}, lam {lam}, axes {axes is not None}"
+                    _assert_close(K.scale_rows(lpsi + shift, lam, p.d, log_px, axes),
+                                  rows, 1e-12, "rows: " + msg)
+                    _assert_close(K.scale_cols(lphi + shift, lam, p.d, log_py, axes),
+                                  cols, 1e-12, "cols: " + msg)
