@@ -31,9 +31,9 @@ M = 4 gains least from the factoring, starts to win.  Solve time to tol
 1.09-1.10 at 4 x 2500 (qpsk grid 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096,
 0.71-0.83 at 16 x 900 and 64 x 225, and 0.34 at 16 x 2500 (qam16 grid
 50).  Off the factored path, scale_rows and scale_cols hand the call to
-the shifted block loop.  mismatch_dual_value and all of dual.py keep the
-block loop, so the Newton oracle stays a dense cross-check of the factored
-path.
+the shifted block loop.  mismatch_dual_value and the dual objective and
+gradient keep the block loop, and the Newton loop exponentiates the dense
+coupling, so the Newton oracle stays a cross-check of the factored path.
 """
 
 from dataclasses import dataclass
@@ -121,6 +121,14 @@ def _matmul(a, b):
     for lo in range(0, a.shape[0], rows):
         np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
     return out
+
+
+def vdot(x, y) -> float:
+    """sum(x * y) over two arrays of one shape, as a single-threaded einsum
+    reduction: OpenBLAS runs dot products of more than 10,000 entries threaded,
+    and a threaded reduction that small only waits when another process holds
+    a core."""
+    return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
 def _gibbs_factors(axes, lam):
@@ -225,7 +233,7 @@ def _factored_sweep(lphi, lpsi, lam, axes, marginals):
     a = _matmul((axes.d1_powers * f).reshape(3 * m, -1), axes.grid(np.exp(lpsi - lpsi_max)))
     a = a.reshape(3, m, -1)
     b = axes.d2_powers * (g * phi)
-    # einsum, not vdot: OpenBLAS threads dot products this long (GEMM_CHUNK)
+    # einsum, not np.vdot: OpenBLAS threads dot products this long (GEMM_CHUNK)
     t = np.einsum("pia,qia->pq", a, b)
     moments = (t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2])
     with np.errstate(divide="ignore"):
@@ -281,8 +289,8 @@ def mismatch_dual_value(w, a, log_px, zeta, d):
     """
     m, n = d.shape
     base = (log_px + a)[:, None]
-    wd = float(np.vdot(w, d))
-    value = float(a @ w.sum(axis=1)) - zeta * wd
+    wd = vdot(w, d)
+    value = vdot(a, w.sum(axis=1)) - zeta * wd
     first, second = -wd, 0.0
     for lo, hi in _blocks(n, m):
         dc = d[:, lo:hi]
@@ -299,7 +307,7 @@ def mismatch_dual_value(w, a, log_px, zeta, d):
         dev *= e
         var = dev.sum(axis=0) / mass
         weight = w[:, lo:hi].sum(axis=0)
-        value -= float(weight @ (mx + np.log(mass)))
-        first += float(weight @ mean)
-        second -= float(weight @ var)
+        value -= vdot(weight, mx + np.log(mass))
+        first += vdot(weight, mean)
+        second -= vdot(weight, var)
     return value, first, second

@@ -1,0 +1,226 @@
+"""Damped Newton on the dual: the one loop behind the Newton oracle and the
+solver's hand-off from a stalled scaling run.
+
+The dual variables (alpha, beta, lam) parameterize the coupling
+
+    q_ij = exp(-alpha_i - beta_j - lam*d_ij - 1)
+
+and the (convex, to-be-minimized) dual objective is
+
+    g = sum_ij q_ij + <alpha, p_x> + <beta, p_y> + lam * t.
+
+Shifting (alpha, beta) by (+s, -s) leaves q unchanged; this gauge
+direction (1_M, -1_N, 0) is the only flat direction of g for
+non-constant centrally symmetric metrics.  The Hessian is an arrowhead
+whose blocks are q and its metric-weighted sums, so one dense pass over
+the coupling at a point gives its gradient, its dual value and rate, and
+the Hessian the next Newton step needs: every trial point of a line
+search is exponentiated once, and the accepted one is not exponentiated
+again.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from . import _kernels
+from .errors import EvaluationError, NumericalFailureError
+from .problem import Coupling, evaluate
+
+# The first trial of a line search moves no log q_ij up by more than this.
+# Longer full steps, common far from the optimum, land where the dual value
+# is far worse or where exp overflows, and are halved back one sweep at a
+# time: on the six oracle-cert cells (qpsk, qam16 at grids 10-20) this cap
+# takes the trials from 466 to 95 for 94 steps (10 to 12 does best).
+STEP_EXP_CAP = 10.0
+
+# A full step whose predicted decrease -slope is below this fraction of
+# max(|g|, 1) asks the Armijo test to compare rounding errors of g; it is
+# accepted when it lowers the gauge-projected gradient instead.
+FLAT_SLOPE_RTOL = 6.4e-14
+
+
+@dataclass
+class DualPoint:
+    alpha: np.ndarray
+    beta: np.ndarray
+    lam: float
+
+    def __post_init__(self):
+        self.alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
+        self.beta = np.ascontiguousarray(self.beta, dtype=np.float64)
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+
+
+def from_coupling(q: Coupling) -> DualPoint:
+    """Bijection phi = exp(-alpha - 1/2), psi = exp(-beta - 1/2)."""
+    return DualPoint(alpha=-q.log_phi - 0.5, beta=-q.log_psi - 0.5, lam=q.lam)
+
+
+def coupling_from_dual(dp: DualPoint, d: np.ndarray) -> Coupling:
+    return Coupling(log_phi=-dp.alpha - 0.5, log_psi=-dp.beta - 0.5, lam=dp.lam, d=d)
+
+
+class DualHessian(NamedTuple):
+    """Arrowhead dual Hessian in (alpha, beta, lam) order: the coupling q, whose
+    sums fill the diagonal blocks, u = (d q) 1, v = (d q)^T 1, w = sum d^2 q."""
+
+    q: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: float
+
+    def dense(self) -> np.ndarray:
+        q, u, v, w = self
+        return np.block([[np.diag(q.sum(axis=1)), q, u[:, None]],
+                         [q.T, np.diag(q.sum(axis=0)), v[:, None]],
+                         [u[None, :], v[None, :], np.array([[w]])]])
+
+
+def dual_hessian(dp: DualPoint, p) -> DualHessian:
+    """The Hessian at a dual point, as its arrowhead blocks; refuses couplings
+    above problem.DENSE_CAP entries."""
+    q = coupling_from_dual(dp, p.d).dense()
+    dq = p.d * q
+    return DualHessian(q, dq.sum(axis=1), dq.sum(axis=0), float(_kernels.vdot(p.d, dq)))
+
+
+def _sweep(dp: DualPoint, p, it=0, hessian=True):
+    """One pass over the coupling at a dual point: the full gradient
+    (d/dalpha, d/dbeta, d/dlam) as one vector, the point's TraceRow, and the
+    point's DualHessian, whose sums give the marginals and metric moments.
+    With hessian=False the sums come from a streamed coupling_stats sweep
+    with no size cap, and the Hessian is None.  The pass is its own overflow
+    guard: raises EvaluationError when an exp, a sum or the evaluation
+    overflows."""
+    lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
+    h = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if hessian:
+                h = dual_hessian(dp, p)
+                stats = (h.q.sum(axis=1), h.q.sum(axis=0), float(h.u.sum()), h.w)
+            else:
+                stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
+            row = evaluate(lphi, lpsi, dp.lam, p, it, stats)
+    except FloatingPointError:
+        raise EvaluationError("dual point too far out: its coupling sums overflow") from None
+    grad = np.concatenate([p.p_x - stats[0], p.p_y - stats[1], [p.t - stats[2]]])
+    return grad, row, h
+
+
+def gauge_vector(m: int, n: int) -> np.ndarray:
+    k = np.concatenate([np.ones(m), -np.ones(n), [0.0]])
+    return k / np.linalg.norm(k)
+
+
+def _project(grad, k_hat):
+    """The part of a gradient orthogonal to the gauge direction."""
+    return grad - _kernels.vdot(grad, k_hat) * k_hat
+
+
+def _newton_step(h: DualHessian, grad):
+    """Solve (H + delta I) s = -grad, delta = 1e-12 trace(H) / (M+N+1), by
+    eliminating s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta): the
+    (M+1)-square Schur complement is built from Q / sqrt(c + delta) in
+    O(M^2 N).  The gradient is orthogonal to the gauge vector, an eigenvector
+    of H + delta I, so no gauge pin is needed."""
+    q, u, v, w = h
+    m, r, c = q.shape[0], q.sum(axis=1), q.sum(axis=0)
+    delta = 1e-12 * (r.sum() + c.sum() + w) / (m + c.size + 1)
+    inv_c = 1.0 / (c + delta)
+    g = q * np.sqrt(inv_c)
+    schur = np.empty((m + 1, m + 1))
+    schur[:m, :m] = np.diag(r + delta) - g @ g.T
+    schur[:m, m] = schur[m, :m] = u - q @ (v * inv_c)
+    schur[m, m] = w + delta - v @ (v * inv_c)
+    gb_c = grad[m:-1] * inv_c
+    rhs = np.append(q @ gb_c - grad[:m], v @ gb_c - grad[-1])
+    try:
+        x = np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
+    s_beta = -(gb_c + (x[:m] @ q + v * x[m]) * inv_c)
+    step = np.concatenate([x[:m], s_beta, x[m:]])
+    if not np.isfinite(step).all():
+        raise NumericalFailureError("Newton step is not finite")
+    return step
+
+
+def _first_trial(dp, step, d):
+    """Length of a line search's first trial: 1, or 0.95 of the way to lam = 0
+    when the step lowers lam, and no longer than moves some log q_ij up by
+    STEP_EXP_CAP."""
+    t_step = 1.0
+    if step[-1] < 0.0:
+        t_step = min(t_step, 0.95 * dp.lam / -step[-1])
+    m = dp.alpha.size
+    rise = np.add.outer(-step[:m], -step[m:-1])
+    rise -= step[-1] * d
+    top = float(rise.max())
+    if top * t_step > STEP_EXP_CAP:
+        t_step = STEP_EXP_CAP / top
+    return t_step
+
+
+def _line_search(dp, step, slope, g_cur, gnorm_cur, p, it, k_hat):
+    """Armijo backtracking from _first_trial's step; the accepted
+    (point, gradient, row, Hessian).  A full step too flat for the Armijo
+    test to resolve is accepted when it lowers the projected gradient."""
+    m = dp.alpha.size
+    t_step = _first_trial(dp, step, p.d)
+    flat = -slope <= FLAT_SLOPE_RTOL * max(abs(g_cur), 1.0)
+    while t_step > 1e-20:
+        trial = DualPoint(dp.alpha + t_step * step[:m], dp.beta + t_step * step[m:-1],
+                          dp.lam + t_step * step[-1])
+        try:
+            grad, row, h = _sweep(trial, p, it)
+        except EvaluationError:
+            pass                # far out: its objective is beyond every bound here
+        else:
+            if row.dual_objective <= g_cur + 1e-4 * t_step * slope:
+                return trial, grad, row, h
+            if (flat and t_step == 1.0
+                    and float(np.abs(_project(grad, k_hat)).max()) < gnorm_cur):
+                return trial, grad, row, h
+        t_step *= 0.5
+    raise NumericalFailureError("Newton line search failed to decrease", iteration=it)
+
+
+def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
+    """Damped Newton on (alpha, beta, lam) from dp, at most ``steps`` steps.
+
+    Each step solves the Schur-complement system at the current point, falls
+    back to the negative projected gradient when that is no descent
+    direction, and line-searches with lam kept positive; the accepted point's
+    sweep gives the next gradient and Hessian.  Stops as soon as
+    ``done(grad, row)`` holds at the current point.  Every accepted point's
+    TraceRow (iter it0 + 1, it0 + 2, ...) is appended to ``trace``.  Returns
+    (point, row, done, failure) at the last accepted point, failure being
+    the NumericalFailureError (with its step's iteration) that ended the
+    loop, or None.  The start point's sweep raises EvaluationError when it
+    overflows.
+    """
+    k_hat = gauge_vector(p.m, p.n)
+    grad, row, h = _sweep(dp, p, it0)
+    for it in range(it0 + 1, it0 + steps + 1):
+        if done(grad, row):
+            return dp, row, True, None
+        grad_proj = _project(grad, k_hat)
+        try:
+            step = _newton_step(h, grad)
+            slope = _kernels.vdot(grad, step)
+            if slope >= 0.0:
+                step = -grad_proj
+                slope = _kernels.vdot(grad, step)
+            gnorm = float(np.abs(grad_proj).max())
+            dp, grad, row, h = _line_search(dp, step, slope, row.dual_objective, gnorm,
+                                            p, it, k_hat)
+        except NumericalFailureError as err:
+            err.iteration = it
+            return dp, row, False, err
+        trace.append(row)
+    return dp, row, done(grad, row), None

@@ -2,21 +2,15 @@
 the classical mismatched-decoding dual, and sub-linear convergence
 certificates for the alternating-scaling trace.
 
-The dual variables (alpha, beta, lam) parameterize the coupling
+The dual variables, objective, Hessian and the damped Newton loop live in
+``_newton`` (the scaling solver hands stalled runs to the same loop) and
+are bound here as well.  Shifting (alpha, beta) by (+s, -s) leaves the
+coupling unchanged; this gauge direction (1_M, -1_N, 0) is the only flat
+direction of the dual for non-constant centrally symmetric metrics, which
+is what makes the projected Newton oracle well posed.
 
-    q_ij = exp(-alpha_i - beta_j - lam*d_ij - 1)
-
-and the (convex, to-be-minimized) dual objective is
-
-    g = sum_ij q_ij + <alpha, p_x> + <beta, p_y> + lam * t.
-
-Shifting (alpha, beta) by (+s, -s) leaves q unchanged; this gauge
-direction (1_M, -1_N, 0) is the only flat direction of g for
-non-constant centrally symmetric metrics, which is what makes the
-projected Newton oracle well posed.
-
-At lam = 0 the minimizer of g is the product coupling p_x (x) p_y in
-closed form; the Newton oracle starts there and runs one damped Newton
+At lam = 0 the minimizer of the dual is the product coupling p_x (x) p_y
+in closed form; the Newton oracle starts there and runs one damped Newton
 phase over (alpha, beta, lam) only when that coupling breaks the metric
 constraint, each step eliminating the arrowhead Hessian's column block.
 """
@@ -24,37 +18,27 @@ constraint, each step eliminating the arrowhead Hessian's column block.
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
+from ._newton import (DualHessian, DualPoint, _newton_step, _project, _sweep,  # noqa: F401
+                      coupling_from_dual, descend, dual_hessian, from_coupling,
+                      gauge_vector)
 from .channel import DiscreteProblem
-from .errors import EvaluationError, InconsistentOracleError, NumericalFailureError
-from .problem import Coupling, balance_gauge, evaluate, product_coupling
+from .errors import InconsistentOracleError, NumericalFailureError
+from .problem import Coupling, balance_gauge, product_coupling
 from .sinkhorn import SolveReport, SolveStatus
 
 
-@dataclass
-class DualPoint:
-    alpha: np.ndarray
-    beta: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        self.alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
-        self.beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
+    return _sweep(dp, p, hessian=False)[1].dual_objective
 
 
-def from_coupling(q: Coupling) -> DualPoint:
-    """Bijection phi = exp(-alpha - 1/2), psi = exp(-beta - 1/2)."""
-    return DualPoint(alpha=-q.log_phi - 0.5, beta=-q.log_psi - 0.5, lam=q.lam)
-
-
-def coupling_from_dual(dp: DualPoint, d: np.ndarray) -> Coupling:
-    return Coupling(log_phi=-dp.alpha - 0.5, log_psi=-dp.beta - 0.5, lam=dp.lam, d=d)
+def dual_gradient(dp: DualPoint, p: DiscreteProblem):
+    """(d/dalpha, d/dbeta, d/dlam) of the dual objective."""
+    grad = _sweep(dp, p, hessian=False)[0]
+    return grad[:p.m], grad[p.m:-1], float(grad[-1])
 
 
 def gauge_normalize(dp: DualPoint) -> DualPoint:
@@ -63,62 +47,9 @@ def gauge_normalize(dp: DualPoint) -> DualPoint:
     return DualPoint(alpha=-lphi - 0.5, beta=-lpsi - 0.5, lam=dp.lam)
 
 
-def _sweep(dp: DualPoint, p: DiscreteProblem, it=0):
-    """One coupling_stats sweep at a dual point: the full gradient
-    (d/dalpha, d/dbeta, d/dlam) as one vector, and the point's TraceRow.
-    The sweep is its own overflow guard: raises EvaluationError when an exp,
-    a sum of the sweep or the evaluation overflows."""
-    lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
-            row = evaluate(lphi, lpsi, dp.lam, p, it, stats)
-    except FloatingPointError:
-        raise EvaluationError("dual point too far out: its coupling sums overflow") from None
-    return np.concatenate([p.p_x - stats[0], p.p_y - stats[1], [p.t - stats[2]]]), row
-
-
-def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
-    return _sweep(dp, p)[1].dual_objective
-
-
-def dual_gradient(dp: DualPoint, p: DiscreteProblem):
-    """(d/dalpha, d/dbeta, d/dlam) of the dual objective."""
-    grad = _sweep(dp, p)[0]
-    return grad[:p.m], grad[p.m:-1], float(grad[-1])
-
-
-class DualHessian(NamedTuple):
-    """Arrowhead dual Hessian in (alpha, beta, lam) order: the coupling q, whose
-    sums fill the diagonal blocks, u = (d q) 1, v = (d q)^T 1, w = sum d^2 q."""
-
-    q: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: float
-
-    def dense(self) -> np.ndarray:
-        q, u, v, w = self
-        return np.block([[np.diag(q.sum(axis=1)), q, u[:, None]],
-                         [q.T, np.diag(q.sum(axis=0)), v[:, None]],
-                         [u[None, :], v[None, :], np.array([[w]])]])
-
-
-def dual_hessian(dp: DualPoint, p: DiscreteProblem) -> DualHessian:
-    """The Hessian at a dual point, as its arrowhead blocks."""
-    q = coupling_from_dual(dp, p.d).dense()
-    dq = p.d * q
-    return DualHessian(q, dq.sum(axis=1), dq.sum(axis=0), float((p.d * dq).sum()))
-
-
 # --------------------------------------------------------------------------
 # scaling-kernel rank checks
 # --------------------------------------------------------------------------
-
-
-def gauge_vector(m: int, n: int) -> np.ndarray:
-    k = np.concatenate([np.ones(m), -np.ones(n), [0.0]])
-    return k / np.linalg.norm(k)
 
 
 def scaling_constraint_matrix(d: np.ndarray) -> np.ndarray:
@@ -166,60 +97,6 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _newton_step(h: DualHessian, grad):
-    """Solve (H + delta I) s = -grad, delta = 1e-12 trace(H) / (M+N+1), by
-    eliminating s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta): the
-    (M+1)-square Schur complement is built from Q / sqrt(c + delta) in
-    O(M^2 N).  The gradient is orthogonal to the gauge vector, an eigenvector
-    of H + delta I, so no gauge pin is needed."""
-    q, u, v, w = h
-    m, r, c = q.shape[0], q.sum(axis=1), q.sum(axis=0)
-    delta = 1e-12 * (r.sum() + c.sum() + w) / (m + c.size + 1)
-    inv_c = 1.0 / (c + delta)
-    g = q * np.sqrt(inv_c)
-    schur = np.empty((m + 1, m + 1))
-    schur[:m, :m] = np.diag(r + delta) - g @ g.T
-    schur[:m, m] = schur[m, :m] = u - q @ (v * inv_c)
-    schur[m, m] = w + delta - v @ (v * inv_c)
-    gb_c = grad[m:-1] * inv_c
-    rhs = np.append(q @ gb_c - grad[:m], v @ gb_c - grad[-1])
-    try:
-        x = np.linalg.solve(schur, rhs)
-    except np.linalg.LinAlgError as err:
-        raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
-    s_beta = -(gb_c + (x[:m] @ q + v * x[m]) * inv_c)
-    step = np.concatenate([x[:m], s_beta, x[m:]])
-    if not np.isfinite(step).all():
-        raise NumericalFailureError("Newton step is not finite")
-    return step
-
-
-def _line_search(dp, step, slope, g_cur, p, it):
-    """Armijo backtracking from the full step, or from 0.95 of the way to
-    lam = 0 when the step lowers lam; the accepted (point, gradient, row)."""
-    m = dp.alpha.size
-    t_step = 1.0
-    if step[-1] < 0.0:
-        t_step = min(1.0, 0.95 * dp.lam / -step[-1])
-    while t_step > 1e-20:
-        trial = DualPoint(dp.alpha + t_step * step[:m], dp.beta + t_step * step[m:-1],
-                          dp.lam + t_step * step[-1])
-        try:
-            grad, row = _sweep(trial, p, it)
-        except EvaluationError:
-            pass                # far out: its objective is beyond every bound here
-        else:
-            if row.dual_objective <= g_cur + 1e-4 * t_step * slope:
-                return trial, grad, row
-        t_step *= 0.5
-    raise NumericalFailureError("Newton line search failed to decrease", iteration=it)
-
-
-def _project(grad, k_hat):
-    """The part of a gradient orthogonal to the gauge direction."""
-    return grad - np.dot(grad, k_hat) * k_hat
-
-
 def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
                   start: DualPoint | None = None) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
@@ -227,45 +104,32 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
     Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
     is nonnegative at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
-    Otherwise damped Newton on (alpha, beta, lam) runs from the product point
-    at lam = 1, or from ``start`` (lam 0 restarts at 1): Schur-complement
-    Newton steps, Armijo backtracking with lam kept positive, and one sweep per
-    trial point, whose accepted one gives the trace row and next gradient.
+    Otherwise the damped Newton loop (``_newton.descend``) runs from the
+    product point at lam = 1, or from ``start`` (lam 0 restarts at 1), until
+    the gauge-projected gradient's max-norm is at most tol.
     """
     k_hat = gauge_vector(p.m, p.n)
+
+    def done(grad, _row):
+        return float(np.abs(_project(grad, k_hat)).max()) <= tol
+
     zero = from_coupling(product_coupling(p))
     ga, gb, gl = dual_gradient(zero, p)
     trace: list = []
-    failure_reason = None
-    failed_iteration = None
+    failure = None
     if gl >= 0.0:
         # slack constraint: the product coupling is optimal
         dp, rate, g = zero, 0.0, p.h_x + p.h_y
-        grad = np.concatenate([ga, gb, [0.0]])
+        converged = done(np.concatenate([ga, gb, [0.0]]), None)
     else:
         base = zero if start is None else start
         dp = DualPoint(base.alpha, base.beta, base.lam or 1.0)
-        grad, row = _sweep(dp, p)
-        try:
-            for it in range(1, max_iters + 1):
-                grad_proj = _project(grad, k_hat)
-                if float(np.abs(grad_proj).max()) <= tol:
-                    break
-                step = _newton_step(dual_hessian(dp, p), grad)
-                slope = float(np.dot(grad, step))
-                if slope >= 0.0:
-                    step = -grad_proj
-                    slope = float(np.dot(grad, step))
-                dp, grad, row = _line_search(dp, step, slope, row.dual_objective, p, it)
-                trace.append(row)
-        except NumericalFailureError as err:
-            failure_reason = str(err)
-            failed_iteration = err.iteration
+        dp, row, converged, failure = descend(dp, p, max_iters, done, trace)
         rate, g = row.lm_rate_nats, row.dual_objective
 
-    if failure_reason is not None:
+    if failure is not None:
         status = SolveStatus.NUMERICAL_FAILURE
-    elif float(np.abs(_project(grad, k_hat)).max()) <= tol:
+    elif converged:
         status = SolveStatus.CONVERGED
     else:
         status = SolveStatus.MAX_ITERS
@@ -281,8 +145,8 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
         tau=None,
         strategy="newton",
         lambda_init=0.0,
-        failed_iteration=failed_iteration,
-        failure_reason=failure_reason,
+        failed_iteration=failure and failure.iteration,
+        failure_reason=failure and str(failure),
     )
 
 

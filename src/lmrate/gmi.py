@@ -59,7 +59,7 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
     growth = 0
     # 1 / E[d] under the joint: the matched tilt of a Gaussian metric, and a
     # start that scales with the metric
-    mean_metric = float(np.vdot(joint, p.d))
+    mean_metric = _kernels.vdot(joint, p.d)
     x = min(1.0 / mean_metric, cap) if mean_metric > 0.0 else cap
     for evaluations in range(1, _MAX_EVALS + 1):
         value, first, second = _kernels.mismatch_dual_value(joint, shifts, log_px, x, p.d)

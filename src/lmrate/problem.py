@@ -91,7 +91,7 @@ def _stats(log_phi, log_psi, lam, d, stats=None, axes=None):
         stats = _kernels.coupling_stats(log_phi, log_psi, lam, d, axes)
     row, col, metric_mass, _ = stats
     return (row, col, float(row.sum()), metric_mass,
-            float(np.dot(row, log_phi)) + float(np.dot(col, log_psi)) - lam * metric_mass)
+            _kernels.vdot(row, log_phi) + _kernels.vdot(col, log_psi) - lam * metric_mass)
 
 
 @dataclass
@@ -127,8 +127,8 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
         r_phi=float(np.abs(row - p.p_x).sum()),
         r_psi=float(np.abs(col - p.p_y).sum()),
         r_lambda=0.0 if (lam == 0.0 and excess < 0.0) else abs(excess),
-        dual_objective=(mass - float(np.dot(p.p_x, log_phi))
-                        - float(np.dot(p.p_y, log_psi)) - 1.0 + lam * p.t),
+        dual_objective=(mass - _kernels.vdot(p.p_x, log_phi)
+                        - _kernels.vdot(p.p_y, log_psi) - 1.0 + lam * p.t),
         lm_rate_nats=neg_entropy + p.h_x + p.h_y,
         lam=lam)
 
@@ -148,7 +148,7 @@ def shannon_entropy(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0):
         raise EvaluationError("entropy requires strictly positive probabilities")
-    return float(-np.dot(p, np.log(p)))
+    return -_kernels.vdot(p, np.log(p))
 
 
 def primal_entropy(q: Coupling) -> float:

@@ -16,6 +16,11 @@ Residuals after a full iteration are the L1 marginal gaps plus the
 multiplier residual |excess|, with the complementary-slackness convention
 that the multiplier residual is zero at lam = 0 with negative excess
 (the constraint is simply inactive there).
+
+The scaling iteration converges only sub-linearly, and at high SNR a root
+run can stall far from tol.  Such a run hands its iterate to the damped
+Newton loop of the dual (``_newton.descend``, the Newton oracle's loop),
+which finishes it in a few steps; see ``solve``.
 """
 
 import math
@@ -25,7 +30,8 @@ from numbers import Integral
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, problem
+from ._newton import DualPoint, descend
 from .channel import DiscreteProblem
 from .errors import NumericalFailureError
 from .problem import Coupling, TraceRow, balance_gauge, evaluate
@@ -35,6 +41,13 @@ ROOT_RTOL = 1e-13
 
 _ROOT_LAMBDA_CAP = 1e6
 _ROOT_MAX_EVALS = 200
+
+# A root run hands off to the Newton loop from iteration HANDOFF_MIN_ITERS
+# on, once its largest residual shrank by less than HANDOFF_CONTRACTION per
+# iteration (geometric mean) over the last HANDOFF_WINDOW iterations.
+HANDOFF_MIN_ITERS = 30
+HANDOFF_WINDOW = 10
+HANDOFF_CONTRACTION = 0.9
 
 
 class LambdaStrategy(str, Enum):
@@ -96,6 +109,7 @@ class SolveReport:
     failed_iteration: int | None = None
     failure_reason: str | None = None
     root_evals: int = 0               # excess evaluations of the multiplier root solves
+    newton_steps: int = 0             # trace rows made by the Newton hand-off
 
     @property
     def converged(self) -> bool:
@@ -234,17 +248,35 @@ def residuals(state: SinkhornState, p: DiscreteProblem) -> tuple:
     return row.r_phi, row.r_psi, row.r_lambda
 
 
+def _peak(row: TraceRow) -> float:
+    return max(row.r_phi, row.r_psi, row.r_lambda)
+
+
+def _stalled(trace) -> bool:
+    """The hand-off rule, on the residuals of the scaling trace so far."""
+    return (len(trace) >= HANDOFF_MIN_ITERS
+            and _peak(trace[-1]) > HANDOFF_CONTRACTION ** HANDOFF_WINDOW
+            * _peak(trace[-1 - HANDOFF_WINDOW]))
+
+
 def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the alternating-scaling loop until all residuals fall below tol.
 
+    A ``root`` run that stalls (``_stalled``) at a positive multiplier hands
+    the gauge-balanced iterate to the damped Newton loop, which stops on the
+    same residual test.  A ``project`` run never hands off, since its
+    certificate speaks about the scaling trace, and neither does an
+    instance above problem.DENSE_CAP entries, whose Hessian is dense.
     Returns a SolveReport whose residual_trace has exactly one row per
-    completed iteration; the trace carries the dual objective and the
-    multiplier so convergence certificates can be built from it.
+    completed iteration or Newton step (both count against max_iters); the
+    trace carries the dual objective and the multiplier so convergence
+    certificates can be built from it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     strategy = _resolve_strategy(cfg, p)
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
+    may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
 
     log_px = np.log(p.p_x)
     log_py = np.log(p.p_y)
@@ -258,6 +290,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     failed_iteration = None
     failure_reason = None
     root_evals = 0
+    newton_steps = 0
 
     for it in range(1, cfg.max_iters + 1):
         try:
@@ -274,8 +307,24 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             failure_reason = str(err)
             break
         trace.append(row)
-        if max(row.r_phi, row.r_psi, row.r_lambda) <= cfg.tol:
+        if _peak(row) <= cfg.tol:
             status = SolveStatus.CONVERGED
+            break
+        if may_hand_off and lam > 0.0 and _stalled(trace):
+            # the iterate's entries are at most its marginals, so its dense
+            # sweep cannot overflow
+            lphi, lpsi = balance_gauge(lphi, lpsi)
+            dp, _, _, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam), p,
+                                        cfg.max_iters - it, lambda _, r: _peak(r) <= cfg.tol,
+                                        trace, it)
+            newton_steps = len(trace) - it
+            lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
+            if failure is not None:
+                status = SolveStatus.NUMERICAL_FAILURE
+                failed_iteration = failure.iteration
+                failure_reason = f"Newton phase: {failure}"
+            elif _peak(trace[-1]) <= cfg.tol:
+                status = SolveStatus.CONVERGED
             break
 
     final = trace[-1] if trace else evaluate(lphi, lpsi, lam, p)
@@ -295,4 +344,5 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         failed_iteration=failed_iteration,
         failure_reason=failure_reason,
         root_evals=root_evals,
+        newton_steps=newton_steps,
     )

@@ -294,6 +294,24 @@ def test_sweep_rows_sorted_and_bounded(tmp_path):
     assert echo["grid"] == 8
 
 
+def test_readme_sweep_example_converges(tmp_path):
+    # the README's sweep example, in this process with one worker: every
+    # cell reaches tol, the stalled high-SNR ones through the Newton
+    # hand-off, and no rate exceeds log2 M or falls below the GMI
+    path = tmp_path / "scan.csv"
+    rc = main(["sweep", "--modulation", "qpsk,qam16", "--eta=0.8,0.9",
+               "--snr-db=-5,0,5,10,15", "--grid", "50", "--workers", "1",
+               "--out", str(path)])
+    assert rc == 0
+    _, header, rows = _read_csv(path)
+    assert len(rows) == 20
+    assert [r[header.index("status")] for r in rows] == ["0"] * 20
+    for r in rows:
+        lm, gmi_bits = float(r[4]), float(r[5])
+        assert lm <= {"qpsk": 2.0, "qam16": 4.0}[r[0]], r
+        assert gmi_bits <= lm + 1e-8 / LN2, r
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

@@ -24,7 +24,7 @@ from lmrate import (
     scarlett_point_from_coupling,
     solve,
 )
-from lmrate import _kernels, dual
+from lmrate import _newton, dual
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
 from conftest import make_problem, random_problem
@@ -262,21 +262,33 @@ def test_newton_multiplier_unique_across_starts(rng, qpsk_n6):
 
 
 def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
-    # the first full Newton steps from the product point land where exp
-    # overflows; the line search must reject such trial points by the
-    # sweep's own overflow signal, with no overflow escaping it
+    # the full Newton steps from the product point land where exp overflows.
+    # Uncapped, the line search must reject such trial points by the sweep's
+    # own overflow signal, with no overflow escaping it; with the first
+    # trial capped (STEP_EXP_CAP) no trial gets there, in fewer sweeps
     exponents = []
 
-    def spy(lphi, lpsi, lam, d):
-        exponents.append(float((lphi[:, None] + lpsi[None, :] - lam * d).max()))
-        return coupling_stats(lphi, lpsi, lam, d)
+    def spy(dp, p):
+        exponents.append(float((-dp.alpha[:, None] - dp.beta[None, :] - dp.lam * p.d).max())
+                         - 1.0)
+        return hessian(dp, p)
 
-    coupling_stats = _kernels.coupling_stats
-    monkeypatch.setattr(_kernels, "coupling_stats", spy)
-    with np.errstate(over="raise", invalid="raise"):
-        report = newton_oracle(qpsk_n10, tol=1e-12)
+    hessian = _newton.dual_hessian
+    monkeypatch.setattr(_newton, "dual_hessian", spy)
+    with monkeypatch.context() as uncapped:
+        uncapped.setattr(_newton, "STEP_EXP_CAP", math.inf)
+        with np.errstate(over="raise", invalid="raise"):
+            report = newton_oracle(qpsk_n10, tol=1e-12)
     assert report.converged
     assert max(exponents) > 710.0
+    sweeps = len(exponents)
+    exponents.clear()
+    with np.errstate(over="raise", invalid="raise"):
+        capped = newton_oracle(qpsk_n10, tol=1e-12)
+    assert capped.converged
+    assert max(exponents) < 700.0
+    assert len(exponents) < sweeps
+    assert abs(capped.lm_rate_nats - report.lm_rate_nats) <= 1e-12
 
 
 def test_newton_oracle_beyond_old_cap():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lmrate._kernels as K
+from lmrate import _newton, problem
 from lmrate import (
     LambdaStrategy,
     NumericalFailureError,
@@ -405,3 +406,94 @@ def test_state_requires_positive_scalings(qpsk_n6):
     bad = SinkhornState(phi=np.zeros(qpsk_n6.m), psi=np.ones(qpsk_n6.n), lam=0.0)
     with pytest.raises(ValueError):
         sinkhorn_step(bad, qpsk_n6)
+
+
+# ---------------------------------------------------------------------------
+# Newton hand-off of stalled root runs
+# ---------------------------------------------------------------------------
+
+# eta 0.9, grid 50: the scaling iteration stalls at these SNRs (it contracts
+# at 0.95-0.998 an iteration from about iteration 30), but not at qam16 10 dB
+STALLED = [("qpsk", 10.0), ("qpsk", 15.0), ("qpsk", 20.0), ("qam16", 15.0), ("qam16", 20.0)]
+
+
+@pytest.fixture(scope="module")
+def high_snr_runs():
+    runs = {}
+    for scheme, snr in STALLED + [("qam16", 10.0)]:
+        p = make_problem(scheme, eta=0.9, snr_db=snr, n_side=50)[3]
+        runs[(scheme, snr)] = (p, solve(p))
+    return runs
+
+
+def test_stalled_cells_hand_off_and_converge(high_snr_runs):
+    for cell, (p, report) in high_snr_runs.items():
+        assert report.converged, (cell, report.status, report.failure_reason)
+        assert (report.newton_steps > 0) == (cell in STALLED), cell
+        assert report.lm_rate_nats <= math.log(p.m), cell
+        # the oracle at the solve's own tolerance: at 20 dB the optimal
+        # multiplier grows without bound as tol shrinks, and the rates of
+        # points with residuals near 1e-10 sit about 1e-9 below the limit
+        oracle = newton_oracle(p)
+        assert oracle.converged, cell
+        assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9, cell
+        check = lm_rate(report.solution, p, feasibility_tol=1e-9)
+        assert abs(check - report.lm_rate_nats) <= 1e-11, cell
+
+
+def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
+    for cell in STALLED:
+        p, report = high_snr_runs[cell]
+        trace = report.residual_trace
+        # one row per scaling iteration, then one per Newton step
+        assert [row.iter for row in trace] == list(range(1, report.iterations + 1))
+        assert report.iterations - report.newton_steps == _stall_iteration(report)
+        last = trace[-1]
+        assert max(last.r_phi, last.r_psi, last.r_lambda) <= 1e-10
+        values = [report.dual_objective_init] + [row.dual_objective for row in trace]
+        assert np.all(np.diff(values) <= 1e-12), cell
+
+
+def _stall_iteration(report):
+    # the first iteration, from the 30th on, whose largest residual shrank by
+    # less than 0.9 an iteration over the last 10: where the hand-off rule holds
+    peaks = [max(r.r_phi, r.r_psi, r.r_lambda) for r in report.residual_trace]
+    return next(it for it in range(30, len(peaks) + 1)
+                if peaks[it - 1] > 0.9 ** 10 * peaks[it - 11])
+
+
+def test_low_snr_cell_makes_no_newton_steps():
+    p = make_problem("qpsk", snr_db=0.0, n_side=50)[3]
+    report = solve(p)
+    assert report.converged
+    assert report.newton_steps == 0
+
+
+def test_projected_run_never_hands_off():
+    p = make_problem("qpsk", snr_db=20.0, n_side=50)[3]
+    report = solve(p, SolverConfig(max_iters=60, lambda_strategy="project"))
+    assert report.status is SolveStatus.MAX_ITERS
+    assert report.iterations == 60
+    assert report.newton_steps == 0
+
+
+def test_no_hand_off_above_dense_cap(monkeypatch):
+    p = make_problem("qpsk", snr_db=20.0, n_side=50)[3]
+    monkeypatch.setattr(problem, "DENSE_CAP", p.d.size - 1)
+    report = solve(p, SolverConfig(max_iters=60))
+    assert report.status is SolveStatus.MAX_ITERS
+    assert report.iterations == 60
+    assert report.newton_steps == 0
+
+
+def test_newton_failure_ends_solve(monkeypatch):
+    def broken(h, grad):
+        raise NumericalFailureError("Newton system could not be solved: test")
+
+    monkeypatch.setattr(_newton, "_newton_step", broken)
+    p = make_problem("qpsk", snr_db=20.0, n_side=50)[3]
+    report = solve(p)
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.failure_reason.startswith("Newton phase: ")
+    assert report.newton_steps == 0
+    assert report.failed_iteration == report.iterations + 1
