@@ -1,5 +1,7 @@
-"""Damped Newton on the dual: the one loop behind the Newton oracle and the
-solver's hand-off from a stalled scaling run.
+"""Every Newton loop in the package: ``bracketed_newton``, the safeguarded
+scalar Newton behind the multiplier root and the GMI tilt, and ``descend``,
+damped Newton on the dual behind the Newton oracle and the solver's
+hand-off from a stalled scaling run.
 
 The dual variables (alpha, beta, lam) parameterize the coupling
 
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import EvaluationError, NumericalFailureError
+from .errors import BracketError, EvaluationError, NumericalFailureError
 from .problem import Coupling, evaluate
 
 # The first trial of a line search moves no log q_ij up by more than this.
@@ -40,6 +42,8 @@ STEP_EXP_CAP = 10.0
 # max(|g|, 1) asks the Armijo test to compare rounding errors of g; it is
 # accepted when it lowers the gauge-projected gradient instead.
 FLAT_SLOPE_RTOL = 6.4e-14
+
+SCALAR_MAX_EVALS = 200        # evaluations of one bracketed_newton search
 
 
 @dataclass
@@ -224,3 +228,39 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
             return dp, row, False, err
         trace.append(row)
     return dp, row, done(grad, row), None
+
+
+def bracketed_newton(f, x, cap, max_growth=0):
+    """Safeguarded Newton from x for the zero of a decreasing function on
+    [0, cap].  ``f(x)`` returns (value, step, done): value > 0 places x left
+    of the zero in a bracket of evaluated points, step is the caller's
+    Newton step (NaN for none) and done its stopping test; x = 0 with
+    value <= 0 also stops.  A step out of the bracket bisects it, or goes to
+    the cap while it is open on the right; steps are clipped to [0, cap].
+    A positive value at the cap doubles it, up to max_growth times, then
+    raises BracketError.  Returns (x, evaluations, resolved) at the last
+    point, resolved False when the bracket got too narrow to split.
+    """
+    lo, hi = -math.inf, math.inf     # evaluated points with value > 0 / value <= 0
+    growth = 0
+    for evals in range(1, SCALAR_MAX_EVALS + 1):
+        value, step, done = f(x)
+        if value > 0.0:
+            lo = x
+        else:
+            hi = x
+        if done or hi == 0.0:
+            return x, evals, True
+        if lo >= cap:
+            if growth == max_growth:
+                raise BracketError(f"zero still beyond {cap:g} after {max_growth} cap doublings")
+            growth += 1
+            cap *= 2.0
+        x_new = x + step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (max(lo, 0.0) + hi) if hi < math.inf else cap
+        x_new = min(max(x_new, 0.0), cap)
+        if not lo < x_new < hi:
+            return x, evals, False
+        x = x_new
+    raise NumericalFailureError(f"Newton search unresolved after {SCALAR_MAX_EVALS} evaluations")

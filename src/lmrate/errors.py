@@ -25,7 +25,7 @@ class NumericalFailureError(LmrateError, RuntimeError):
         self.iteration = iteration
 
 
-class BracketError(LmrateError, RuntimeError):
+class BracketError(NumericalFailureError):
     """Raised when a 1-D search cannot enclose its optimum."""
 
 

@@ -31,7 +31,7 @@ from numbers import Integral
 import numpy as np
 
 from . import _kernels, problem
-from ._newton import DualPoint, descend
+from ._newton import DualPoint, bracketed_newton, descend
 from .channel import DiscreteProblem
 from .errors import NumericalFailureError
 from .problem import Coupling, TraceRow, balance_gauge, evaluate
@@ -40,7 +40,6 @@ from .problem import Coupling, TraceRow, balance_gauge, evaluate
 ROOT_RTOL = 1e-13
 
 _ROOT_LAMBDA_CAP = 1e6
-_ROOT_MAX_EVALS = 200
 
 # A root run hands off to the Newton loop from iteration HANDOFF_MIN_ITERS
 # on, once its largest residual shrank by less than HANDOFF_CONTRACTION per
@@ -139,10 +138,8 @@ def multiplier_excess(lphi, lpsi, lam, d, t, axes=None) -> float:
 
 
 class _Root(float):
-    """A multiplier that also carries the coupling_stats sweep taken at it
-    (``stats``, None when the warm-start hint was accepted as it stood) and
-    the number of excess evaluations that found it (``evals``), so the
-    solver's one multiplier call per iteration stays solve_multiplier_root."""
+    """A multiplier with the coupling_stats sweep taken at it (``stats``, None
+    when the hint was accepted as it stood) and its evaluation count (``evals``)."""
 
     def __new__(cls, lam, stats, evals):
         root = super().__new__(cls, lam)
@@ -154,57 +151,40 @@ class _Root(float):
 def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) -> float:
     """Unique nonnegative root of the excess, or 0 when excess(0) <= 0.
 
-    Safeguarded Newton warm-started at lam_hint, taken on
-    log(s1) - log(t) with s1 = sum d q and slope -s2/s1, s2 = sum d^2 q.
-    Like the excess s1 - t it is decreasing and convex with the same root,
-    and it is linear for a single metric value.  So a step from the left of
-    the root never overshoots, one from the right lands at or left of it,
-    and after at most one step the iterates climb to the root.  lam = 0 is
-    evaluated only when a step reaches it.  Overflowed moments step right
-    by doubling; underflowed moments, and steps that leave the bracket of
-    evaluated points, bisect it.  Tolerance |excess| <= ROOT_RTOL * t.
-
+    ``_newton.bracketed_newton`` from lam_hint, capped at _ROOT_LAMBDA_CAP,
+    on log(s1/t), s1 = sum d q: decreasing and convex like the excess, with
+    the same root, and linear for a single metric value.  Its step is
+    log(s1/t) * s1/s2, s2 = sum d^2 q; it stops at |excess| <= ROOT_RTOL * t.
     The first evaluation is a metric_moments sweep and every later one a
-    coupling_stats sweep, which the returned float carries as ``.stats``
-    (with the evaluation count as ``.evals``) so the solver evaluates the
-    new multiplier without another sweep.  NaN moments (an exact zero of d
-    times an overflowed coupling entry) raise NumericalFailureError at the
-    multiplier where they occur, as do a bracket too narrow to split
-    ("stalled") and an excess still positive past _ROOT_LAMBDA_CAP.  Every
-    sweep is given ``axes``, the metric's GridAxes or None.
+    coupling_stats sweep, carried by the returned float as ``.stats`` (the
+    count as ``.evals``), so the solver needs no sweep at the new multiplier.
+    NumericalFailureError when t <= 0 (before any sweep), at NaN moments, on
+    a stall and past the cap.  ``axes``: the metric's GridAxes or None.
     """
-    f_tol = ROOT_RTOL * abs(t)
-    lo, hi = -math.inf, math.inf     # evaluated points with excess > 0 / <= 0
-    x = float(lam_hint)
-    s1, s2 = _kernels.metric_moments(lphi, lpsi, x, d, axes)
+    if not t > 0.0:
+        raise NumericalFailureError(f"no multiplier bracket: threshold t = {t!r} is not positive")
     stats = None
-    for evals in range(1, _ROOT_MAX_EVALS + 1):
+    swept = False
+
+    def excess(lam):
+        nonlocal stats, swept
+        if swept:
+            stats = _kernels.coupling_stats(lphi, lpsi, lam, d, axes)
+            _, _, s1, s2 = stats
+        else:
+            s1, s2 = _kernels.metric_moments(lphi, lpsi, lam, d, axes)
+            swept = True
         if math.isnan(s1) or math.isnan(s2):
             raise NumericalFailureError(
-                f"non-finite metric moments ({s1!r}, {s2!r}) at lam={x!r}")
-        fx = s1 - t
-        if abs(fx) <= f_tol or (x == 0.0 and fx <= 0.0):
-            return _Root(x, stats, evals)
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = math.nan
-        if t > 0.0 and 0.0 < s1 < math.inf and 0.0 < s2 < math.inf:
-            x_new = x + math.log(s1 / t) * s1 / s2
-        if not lo < x_new < hi:
-            x_new = 0.5 * (max(lo, 0.0) + hi) if hi < math.inf else max(2.0 * x, 1.0)
-        x_new = max(x_new, 0.0)
-        if not lo < x_new < hi:
-            break
-        if x_new > _ROOT_LAMBDA_CAP and hi == math.inf:
-            raise NumericalFailureError(
-                f"no multiplier bracket below {_ROOT_LAMBDA_CAP:g}; "
-                "threshold t may be inconsistent with the metric")
-        x = x_new
-        stats = _kernels.coupling_stats(lphi, lpsi, x, d, axes)
-        _, _, s1, s2 = stats
-    raise NumericalFailureError("multiplier root solve stalled before tolerance")
+                f"non-finite metric moments ({s1!r}, {s2!r}) at lam={lam!r}")
+        finite = 0.0 < s1 < math.inf and 0.0 < s2 < math.inf
+        step = math.log(s1 / t) * s1 / s2 if finite else math.nan
+        return s1 - t, step, abs(s1 - t) <= ROOT_RTOL * t
+
+    lam, evals, resolved = bracketed_newton(excess, float(lam_hint), _ROOT_LAMBDA_CAP)
+    if not resolved:
+        raise NumericalFailureError("multiplier root solve stalled before tolerance")
+    return _Root(lam, stats, evals)
 
 
 def _log_state(state: SinkhornState):

@@ -97,6 +97,11 @@ def test_pinned_maximizer_raises(qpsk_n6):
 def test_bad_arguments_rejected(qpsk_n6):
     with pytest.raises(ValueError):
         gmi(qpsk_n6, s_max=0.0)
+    # a negative or fractional growth count would never stop the cap growing
+    base = gmi(qpsk_n6)
+    for max_growth in (-1, 2.5):
+        with pytest.raises(ValueError, match="max_growth"):
+            gmi(qpsk_n6, s_max=base.s_star / 5000.0, max_growth=max_growth)
 
 
 def test_maximizer_beyond_initial_cap_is_followed():

@@ -148,12 +148,33 @@ def test_root_solve_matches_bisection_oracle(qpsk_n10):
     assert abs(multiplier_excess(lphi, lpsi, stepped.lam, p.d, p.t)) <= 1e-13 * p.t
 
 
-def test_root_solve_unbracketable_raises():
-    # t < 0 can never be hit by a nonnegative metric mass, from any hint
+def test_root_solve_unbracketable_raises(monkeypatch):
+    # t < 0 can never be hit by a nonnegative metric mass, from any hint,
+    # and the solve says so before it makes a single sweep
+    calls = Counter()
+    for name in ("coupling_stats", "metric_moments"):
+        def counted(*args, _name=name, _kernel=getattr(K, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(K, name, counted)
     d = np.array([[1.0]])
     for hint in (0.0, 1.0, 1e3):
         with pytest.raises(NumericalFailureError, match="no multiplier bracket"):
             solve_multiplier_root(np.zeros(1), np.zeros(1), d, -1.0, lam_hint=hint)
+    assert sum(calls.values()) == 0
+
+
+def test_root_beyond_cap_is_a_numerical_failure():
+    # q(lam) = exp(-1e-4 lam) and t = 1e-300 put the root near 6.8e6, past
+    # the search cap; a solve that meets such a root reports it as a failure
+    d = np.array([[1e-4]])
+    with pytest.raises(NumericalFailureError, match=r"1e\+06"):
+        solve_multiplier_root(np.zeros(1), np.zeros(1), d, 1e-300)
+    p = DiscreteProblem(d=d, p_x=np.ones(1), p_y=np.ones(1), w=np.ones((1, 1)), t=1e-300)
+    report = solve(p, SolverConfig(lambda_strategy="root"))
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.failed_iteration == 1
+    assert "1e+06" in report.failure_reason
 
 
 def test_root_solve_nan_moments_raise():
