@@ -11,8 +11,8 @@ over [-half_width, half_width]^2 and renormalizes each row, giving a
 finite-alphabet problem whose couplings are directly comparable with the
 analytic threshold.  Grid nodes and all derived tables are kept exactly
 centrally symmetric (bit-for-bit) whenever the constellation is, because
-the symmetry arguments used by the solver's multiplier root-finding and
-by the scaling-kernel rank checks hold exactly, not approximately.
+the symmetry arguments used by the scaling-kernel rank checks and the
+acceptance tests hold exactly, not approximately.
 """
 
 import json
@@ -100,11 +100,9 @@ class DiscreteProblem:
     t: capacity-constraint threshold, sum_ij p_x[i] w[i][j] d[i][j] for
        channel-built instances.
     neg_x / neg_y: index involutions realizing point negation, or None
-       when the instance carries no symmetry.
-    rootfind_safe: True when the multiplier equation is guaranteed to have
-       a unique nonnegative root (symmetric constellation, matched decoder,
-       positive-definite quadratic form of H), enabling the root-find
-       multiplier update as the default.
+       when the instance carries no symmetry.  The solvers need neither:
+       the multiplier equation has a unique nonnegative root on every
+       instance with t > 0.
     axes: the metric's GridAxes for channel-built instances, which the
        scaling sweeps factor through; None otherwise.  Not serialized.
     """
@@ -116,7 +114,6 @@ class DiscreteProblem:
     t: float
     neg_x: np.ndarray | None = None
     neg_y: np.ndarray | None = None
-    rootfind_safe: bool = False
     axes: GridAxes | None = None
 
     def __post_init__(self):
@@ -158,7 +155,7 @@ class DiscreteProblem:
         above max(d) to force the zero-multiplier optimum).
         """
         return DiscreteProblem(self.d, self.p_x, self.p_y, self.w, float(t),
-                               self.neg_x, self.neg_y, self.rootfind_safe, self.axes)
+                               self.neg_x, self.neg_y, self.axes)
 
     def validate(self) -> list:
         """Contract check mirroring validate_constellation: returns violations."""
@@ -202,18 +199,18 @@ class DiscreteProblem:
             "t": self.t,
             "neg_x": None if self.neg_x is None else self.neg_x.tolist(),
             "neg_y": None if self.neg_y is None else self.neg_y.tolist(),
-            "rootfind_safe": self.rootfind_safe,
         }
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteProblem":
+        """Inverse of to_json; other keys, such as the symmetry flag that
+        older dumps carry, are ignored."""
         data = json.loads(text)
         neg_x = None if data["neg_x"] is None else np.asarray(data["neg_x"], dtype=np.int64)
         neg_y = None if data["neg_y"] is None else np.asarray(data["neg_y"], dtype=np.int64)
         return cls(np.asarray(data["d"]), np.asarray(data["p_x"]), np.asarray(data["p_y"]),
-                   np.asarray(data["w"]), float(data["t"]), neg_x, neg_y,
-                   bool(data.get("rootfind_safe", False)))
+                   np.asarray(data["w"]), float(data["t"]), neg_x, neg_y)
 
 
 def _symmetric_axis(n_side: int, half_width: float) -> np.ndarray:
@@ -243,7 +240,9 @@ def _grid_sum(t1, t2):
 
 
 def quadratic_form_positive(channel: ChannelSpec) -> bool:
-    """True when x . (H x) > 0 for all x != 0 (symmetric part of H is PD)."""
+    """True when x . (H x) > 0 for all x != 0 (symmetric part of H is PD),
+    the paper's condition for a positive optimal multiplier; no solver
+    path depends on it."""
     h = channel.h
     sym = 0.5 * (h + h.T)
     return bool(np.linalg.eigvalsh(sym).min() > 0.0)
@@ -263,10 +262,10 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         c: Constellation.
         n_side: nodes per axis, >= 2.
         prob_floor: pruning threshold on the output marginal, >= 0.
-        half_width: grid extent.
+        half_width: grid extent, positive and finite.
         allow_asymmetric: permit constellations that are not closed under
-            negation.  Such instances lose the exact-symmetry guarantees
-            and the root-find default (rootfind_safe is forced False).
+            negation.  Such instances carry no negation maps (neg_x and
+            neg_y are None); the solvers treat them like any other.
 
     Returns:
         (OutputGrid, DiscreteProblem)
@@ -275,6 +274,8 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         raise ValueError("n_side must be at least 2")
     if not (prob_floor >= 0.0):
         raise ValueError("prob_floor must be nonnegative")
+    if not (half_width > 0.0 and math.isfinite(half_width)):
+        raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
     neg_x = c.negation_index()
     symmetric = neg_x is not None and bool(np.all(c.probs[neg_x] == c.probs))
     if not symmetric and not allow_asymmetric:
@@ -343,12 +344,10 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     t = float(np.sum(c.probs[:, None] * w * d))
     n_kept = points.shape[0]
     neg_y = np.arange(n_kept - 1, -1, -1, dtype=np.int64) if symmetric else None
-    safe = symmetric and channel.matched_decoder() and quadratic_form_positive(channel)
     grid = OutputGrid(points=points, delta=delta, half_width=float(half_width),
                       n_side=n_side, pruned=pruned)
     problem = DiscreteProblem(d=d, p_x=c.probs.copy(), p_y=p_y, w=w, t=t,
-                              neg_x=neg_x if symmetric else None, neg_y=neg_y,
-                              rootfind_safe=safe, axes=axes)
+                              neg_x=neg_x if symmetric else None, neg_y=neg_y, axes=axes)
     return grid, problem
 
 

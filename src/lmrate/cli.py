@@ -42,7 +42,7 @@ _DEFAULTS = {
     "grid": 10,
     "tol": 1e-10,
     "max_iters": 500,
-    "lambda_strategy": None,   # solver picks root/project from the instance
+    "lambda_strategy": "root",
     "tau": None,
     "lambda_init": 1.0,
     "threshold": None,
@@ -174,10 +174,9 @@ def _resolve_config(args) -> dict:
             raise ConfigError("grid", f"n_side must be at least 2, got {v}")
     cfg["tol"] = _positive("tol", cfg["tol"])
     cfg["max_iters"] = _positive("max_iters", cfg["max_iters"], int)
-    if cfg["lambda_strategy"] is not None:
-        if cfg["lambda_strategy"] not in ("project", "root"):
-            raise ConfigError("lambda_strategy",
-                              f"must be 'project' or 'root', got {cfg['lambda_strategy']!r}")
+    if cfg["lambda_strategy"] not in ("project", "root"):
+        raise ConfigError("lambda_strategy",
+                          f"must be 'project' or 'root', got {cfg['lambda_strategy']!r}")
     if cfg["tau"] is not None:
         cfg["tau"] = _positive("tau", cfg["tau"])
     cfg["lambda_init"] = _positive("lambda_init", cfg["lambda_init"], zero_ok=True)
@@ -203,7 +202,7 @@ def _solver_config(cfg) -> SolverConfig:
     return SolverConfig(
         max_iters=cfg["max_iters"],
         tol=cfg["tol"],
-        lambda_strategy=cfg["lambda_strategy"] or "auto",
+        lambda_strategy=cfg["lambda_strategy"],
         tau=cfg["tau"],
         lambda_init=cfg["lambda_init"],
     )

@@ -127,10 +127,8 @@ def validate_constellation(c: Constellation, require_symmetry: bool = True) -> l
     Args:
         c: constellation to check.
         require_symmetry: set False to skip the closure-under-negation
-            check for deliberately asymmetric alphabets.  Doing so forfeits
-            the guarantee that the capacity-constraint multiplier equation
-            has a root, so root-find multiplier updates are not offered for
-            such inputs (the solver falls back to projected steps).
+            check for deliberately asymmetric alphabets, which discretize
+            takes with allow_asymmetric=True.  The solvers need no symmetry.
 
     Returns:
         List of human-readable violation descriptors; empty when valid.

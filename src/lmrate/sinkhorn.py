@@ -52,7 +52,6 @@ HANDOFF_CONTRACTION = 0.9
 class LambdaStrategy(str, Enum):
     PROJECT = "project"
     ROOT = "root"
-    AUTO = "auto"
 
 
 class SolveStatus(str, Enum):
@@ -65,7 +64,7 @@ class SolveStatus(str, Enum):
 class SolverConfig:
     max_iters: int = 500
     tol: float = 1e-10
-    lambda_strategy: LambdaStrategy = LambdaStrategy.AUTO
+    lambda_strategy: LambdaStrategy = LambdaStrategy.ROOT
     tau: float | None = None          # None -> 1 / max(d)^2
     lambda_init: float = 1.0
 
@@ -113,12 +112,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
-
-
-def _resolve_strategy(cfg: SolverConfig, p: DiscreteProblem) -> LambdaStrategy:
-    if cfg.lambda_strategy is not LambdaStrategy.AUTO:
-        return cfg.lambda_strategy
-    return LambdaStrategy.ROOT if p.rootfind_safe else LambdaStrategy.PROJECT
 
 
 def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
@@ -242,18 +235,22 @@ def _stalled(trace) -> bool:
 def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the alternating-scaling loop until all residuals fall below tol.
 
-    A ``root`` run that stalls (``_stalled``) at a positive multiplier hands
-    the gauge-balanced iterate to the damped Newton loop, which stops on the
-    same residual test.  A ``project`` run never hands off, since its
-    certificate speaks about the scaling trace, and neither does an
-    instance above problem.DENSE_CAP entries, whose Hessian is dense.
+    The multiplier update is ``root`` unless the config asks for
+    ``project``.  A ``root`` run that stalls (``_stalled``) at a positive
+    multiplier hands the gauge-balanced iterate to the damped Newton loop,
+    which stops on the same residual test, provided the product coupling
+    p_x (x) p_y breaks the metric constraint (the Newton oracle's lam = 0
+    test, made at the first stall); otherwise the optimal multiplier is 0
+    and the scaling loop carries on.  A ``project`` run never hands off,
+    since its certificate speaks about the scaling trace, and neither does
+    an instance above problem.DENSE_CAP entries, whose Hessian is dense.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
     certificates can be built from it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    strategy = _resolve_strategy(cfg, p)
+    strategy = cfg.lambda_strategy
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
     may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
@@ -291,6 +288,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             status = SolveStatus.CONVERGED
             break
         if may_hand_off and lam > 0.0 and _stalled(trace):
+            # asked at the first stall only: when the product coupling meets
+            # the constraint, the optimal multiplier is 0, which the Newton
+            # line search never reaches
+            may_hand_off = multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) > 0.0
+            if not may_hand_off:
+                continue
             # the iterate's entries are at most its marginals, so its dense
             # sweep cannot overflow
             lphi, lpsi = balance_gauge(lphi, lpsi)

@@ -36,8 +36,7 @@ def random_problem(rng, m, n):
     t = float(np.sum(p_x[:, None] * w * d))
     return DiscreteProblem(d=d, p_x=p_x, p_y=p_y, w=w, t=t,
                            neg_x=np.arange(m - 1, -1, -1),
-                           neg_y=np.arange(n - 1, -1, -1),
-                           rootfind_safe=False)
+                           neg_y=np.arange(n - 1, -1, -1))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -80,7 +81,6 @@ def test_discrete_problem_is_normalized_and_symmetric():
     assert np.array_equal(prob.d[np.ix_(prob.neg_x, prob.neg_y)], prob.d)
     assert np.array_equal(prob.w[np.ix_(prob.neg_x, prob.neg_y)], prob.w)
     assert np.array_equal(prob.p_y[prob.neg_y], prob.p_y)
-    assert prob.rootfind_safe
 
 
 def test_axis_tables_rebuild_the_metric():
@@ -172,6 +172,11 @@ def test_tiny_grid_rejected():
     chan = build_channel(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         discretize(chan, cons, n_side=1)
+    # a zero width stacks every node on the origin, a negative one mirrors
+    # the axis, and neither NaN nor inf spans a grid
+    for half_width in (0.0, -8.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half_width"):
+            discretize(chan, cons, n_side=10, half_width=half_width)
 
 
 def test_asymmetric_constellation_needs_opt_in():
@@ -185,13 +190,6 @@ def test_asymmetric_constellation_needs_opt_in():
         discretize(chan, lopsided, n_side=6)
     _, prob = discretize(chan, lopsided, n_side=6, allow_asymmetric=True)
     assert prob.neg_x is None and prob.neg_y is None
-    assert not prob.rootfind_safe
-
-
-def test_mismatched_decoder_disables_rootfind_default():
-    _, _, _, prob = make_problem(h_hat=[[1.0, 0.0], [0.0, 0.8]], n_side=6)
-    assert not prob.rootfind_safe
-    assert prob.validate() == []
 
 
 def test_with_threshold_marks_inconsistency():
@@ -214,4 +212,9 @@ def test_problem_json_round_trip():
     assert back.t == prob.t
     assert np.array_equal(back.neg_x, prob.neg_x)
     assert np.array_equal(back.neg_y, prob.neg_y)
-    assert back.rootfind_safe == prob.rootfind_safe
+    assert "rootfind_safe" not in json.loads(prob.to_json())
+    # dumps written before the symmetry flag went still load
+    payload = dict(json.loads(prob.to_json()), rootfind_safe=True)
+    old = DiscreteProblem.from_json(json.dumps(payload))
+    assert np.array_equal(old.d, prob.d) and old.t == prob.t
+    assert old.validate() == []

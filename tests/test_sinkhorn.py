@@ -7,11 +7,14 @@ import pytest
 import lmrate._kernels as K
 from lmrate import _newton, problem
 from lmrate import (
+    Constellation,
     LambdaStrategy,
     NumericalFailureError,
     SinkhornState,
     SolveStatus,
     SolverConfig,
+    build_channel,
+    discretize,
     lm_rate,
     multiplier_excess,
     residuals,
@@ -481,6 +484,42 @@ def _stall_iteration(report):
     peaks = [max(r.r_phi, r.r_psi, r.r_lambda) for r in report.residual_trace]
     return next(it for it in range(30, len(peaks) + 1)
                 if peaks[it - 1] > 0.9 ** 10 * peaks[it - 11])
+
+
+def test_root_run_with_zero_multiplier_never_hands_off():
+    # the product coupling meets this instance's constraint with slack
+    # 8.6e-3, so the optimal multiplier is 0; the root run's multiplier decays
+    # towards it and stalls, but the Newton line search would keep it above 0
+    p = random_problem(np.random.default_rng(20250819), 4, 6)
+    slack = -multiplier_excess(np.log(p.p_x), np.log(p.p_y), 0.0, p.d, p.t)
+    assert slack > 8e-3
+    report = solve(p, SolverConfig(lambda_strategy="root"))
+    assert report.converged, (report.status, report.failure_reason)
+    assert report.newton_steps == 0
+    oracle = newton_oracle(p, tol=1e-12)
+    assert oracle.converged and oracle.lm_rate_nats == 0.0
+    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9
+
+
+def test_default_converges_without_symmetry_certificate():
+    # none has the symmetry certificate: a mismatched decoder, an asymmetric
+    # constellation and a channel whose symmetric part is indefinite
+    # (theta = pi/2); the multiplier root is unique on each all the same
+    mismatched = make_problem(h_hat=[[1.0, 0.0], [0.0, 0.8]])[3]
+    assert mismatched.validate() == []
+    points = np.array([[1.0, 0.2], [-0.5, 0.9], [-0.3, -1.1], [0.8, -0.4]])
+    probs = np.array([0.4, 0.3, 0.2, 0.1])
+    points /= math.sqrt(probs @ (points * points).sum(axis=1))
+    chan = build_channel(1.0, 0.9, np.pi / 18, 0.0)
+    _, lopsided = discretize(chan, Constellation(points=points, probs=probs), 10,
+                             allow_asymmetric=True)
+    quarter_turn = make_problem(theta=np.pi / 2)[3]
+    for p in (mismatched, lopsided, quarter_turn):
+        report = solve(p, SolverConfig(max_iters=2000))
+        assert report.converged, (report.status, report.failure_reason)
+        oracle = newton_oracle(p, tol=1e-12)
+        assert oracle.converged
+        assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9
 
 
 def test_low_snr_cell_makes_no_newton_steps():
