@@ -31,13 +31,16 @@ M = 4 gains least from the factoring, starts to win.  Solve time to tol
 1.09-1.10 at 4 x 2500 (qpsk grid 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096,
 0.71-0.83 at 16 x 900 and 64 x 225, and 0.34 at 16 x 2500 (qam16 grid
 50).  Off the factored path, scale_rows and scale_cols hand the call to
-the shifted block loop.  mismatch_dual_value and the dual objective and
-gradient keep the block loop, and the Newton loop exponentiates the dense
-coupling, so the Newton oracle stays a cross-check of the factored path.
+the shifted block loop.  mismatch_dual_value takes each output's posterior
+from the same tables under the same guard, 2 M n_side exps in place of M N.
+The dual objective and gradient keep the block loop, and the Newton loop
+exponentiates the dense coupling, so the Newton oracle stays a cross-check
+of the factored path.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,10 +71,10 @@ LSE_SWITCH = 700.0
 class GridAxes:
     """Axis tables of a metric that splits over a square output grid.
 
-    Column j of the M x N metric is grid node kept[j] = a * n_side + b, and
-    d[i, j] = d1[i, a] + d2[i, b] with d1, d2 of shape (M, n_side).  So the
-    Gibbs kernel factors, exp(-lam d[i, j]) = F[i, a] G[i, b] with
-    F = exp(-lam d1) and G = exp(-lam d2).
+    Column j of the M x N metric is grid node kept[j] = a * n_side + b, kept
+    increasing, and d[i, j] = d1[i, a] + d2[i, b] with d1, d2 of shape
+    (M, n_side).  So the Gibbs kernel factors, exp(-lam d[i, j]) =
+    F[i, a] G[i, b] with F = exp(-lam d1) and G = exp(-lam d2).
     """
 
     d1: np.ndarray
@@ -94,11 +97,19 @@ class GridAxes:
         return np.stack([np.ones_like(self.d2), self.d2, self.d2 * self.d2])
 
     def grid(self, values):
-        """Node values laid out on the n_side x n_side grid, pruned nodes zero."""
+        """Node values laid out on the n_side x n_side grid, pruned nodes zero;
+        a view of ``values`` when no node is pruned."""
         n = self.d1.shape[1]
+        if self.kept.size == n * n:
+            return values.reshape(n, n)
         out = np.zeros(n * n)
         out[self.kept] = values
         return out.reshape(n, n)
+
+    def nodes(self, grid):
+        """An n_side x n_side grid read at the kept nodes, a view if none is pruned."""
+        flat = grid.ravel()
+        return flat if self.kept.size == flat.size else flat[self.kept]
 
 
 def _blocks(count, width):
@@ -180,7 +191,7 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
     if _factored(axes, lam, d):
         f, g = _gibbs_factors(axes, lam)
         shift = lphi.max()
-        s = _matmul((f * np.exp(lphi - shift)[:, None]).T, g).ravel()[axes.kept]
+        s = axes.nodes(_matmul((f * np.exp(lphi - shift)[:, None]).T, g))
         return log_py - (shift + np.log(s))
     return scale_cols_lse(lphi, lam, d, log_py)
 
@@ -241,7 +252,7 @@ def _factored_sweep(lphi, lpsi, lam, axes, marginals):
         if not marginals:
             return s1, s2
         row = np.exp(lphi + lpsi_max + np.log(_row_dot(a[0], g)))
-        col = _matmul((f * phi).T, g).ravel()[axes.kept]
+        col = axes.nodes(_matmul((f * phi).T, g))
         col = np.exp(lpsi + lphi_max + np.log(col))
     return row, col, s1, s2
 
@@ -272,26 +283,67 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     return _moment_sweep(lphi, lpsi, lam, d)
 
 
-def mismatch_dual_value(w, a, log_px, zeta, d):
+class JointSums(NamedTuple):
+    """The sums of the joint weights w_ij = p_x[i] w[i][j] that
+    mismatch_dual_value reads: over the outputs, over the inputs, and of w d."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    wd: float
+
+
+def joint_sums(p_x, w, d) -> JointSums:
+    """JointSums of p_x[:, None] * w over the metric d: three passes over the
+    joint, taken once for any number of mismatch_dual_value calls."""
+    joint = p_x[:, None] * w
+    return JointSums(joint.sum(axis=1), joint.sum(axis=0), vdot(joint, d))
+
+
+def _factored_posterior(base, zeta, axes):
+    """Per kept node: (log sum_i exp(base_i - zeta d_ij), E_post[d], Var_post[d])
+    from the grid sums of c F d1^p G d2^q, p + q <= 2, c = exp(base - max base):
+    six (n_side x M) @ (M x n_side) products, which beat one stacked product.
+    Under the LSE_SWITCH guard every mass lies in [exp(-LSE_SWITCH), M]."""
+    shift = base.max()
+    x = axes.d1_powers * (np.exp(base - shift)[:, None] * np.exp(-zeta * axes.d1))
+    y = axes.d2_powers * np.exp(-zeta * axes.d2)
+
+    def node_sum(p, q):
+        return axes.nodes(_matmul(x[p].T, y[q]))
+
+    mass = node_sum(0, 0)
+    mean = (node_sum(1, 0) + node_sum(0, 1)) / mass
+    moment2 = (node_sum(2, 0) + 2.0 * node_sum(1, 1) + node_sum(0, 2)) / mass
+    return shift + np.log(mass), mean, moment2 - mean * mean
+
+
+def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     """Mismatched-decoding dual objective and its first two zeta-derivatives.
 
-    w is the M x N joint weight matrix p_x[i]*w[i][j] and d the M x N
-    metric, both as stored.  Returns (value, first, second) in nats:
+    sums is the JointSums of the joint weights w_ij = p_x[i] w[i][j] and d
+    the M x N metric as stored.  Returns (value, first, second) in nats:
 
         value  = sum_ij w_ij * [ (a_i - zeta*d_ij) - log sum_k exp(log_px_k + a_k - zeta*d_kj) ]
         first  = sum_j W_j E_post[d] - sum_ij w_ij d_ij
         second = -sum_j W_j Var_post[d]
 
     with W_j = sum_i w_ij and the posterior at output j the softmax over
-    inputs k of log_px_k + a_k - zeta*d_kj.  One exp pass over column blocks
-    gives all three; the variance is taken about the posterior mean, so it
+    inputs k of log_px_k + a_k - zeta*d_kj.  With ``axes`` (the GridAxes of
+    d), under the scaling kernels' guard, the posteriors come from the axis
+    tables (_factored_posterior): 2 M n_side exps in place of M N, and no
+    pass over the M x N arrays.  Otherwise one exp pass over column blocks
+    gives all three, the variance taken about the posterior mean, so it
     stays accurate when the posterior concentrates at large zeta.
     """
+    value = vdot(a, sums.rows) - zeta * sums.wd
+    first, second = -sums.wd, 0.0
+    base = log_px + a
+    if _factored(axes, zeta, d):
+        lse, mean, var = _factored_posterior(base, zeta, axes)
+        return (value - vdot(sums.cols, lse), first + vdot(sums.cols, mean),
+                -vdot(sums.cols, var))
     m, n = d.shape
-    base = (log_px + a)[:, None]
-    wd = vdot(w, d)
-    value = vdot(a, w.sum(axis=1)) - zeta * wd
-    first, second = -wd, 0.0
+    base = base[:, None]
     for lo, hi in _blocks(n, m):
         dc = d[:, lo:hi]
         e = dc * -zeta
@@ -306,7 +358,7 @@ def mismatch_dual_value(w, a, log_px, zeta, d):
         np.square(dev, out=dev)
         dev *= e
         var = dev.sum(axis=0) / mass
-        weight = w[:, lo:hi].sum(axis=0)
+        weight = sums.cols[lo:hi]
         value -= vdot(weight, mx + np.log(mass))
         first += vdot(weight, mean)
         second -= vdot(weight, var)

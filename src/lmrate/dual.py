@@ -175,14 +175,18 @@ class ScarlettDualPoint:
 
     def __post_init__(self):
         self.a = np.ascontiguousarray(self.a, dtype=np.float64)
-        if not (self.zeta >= 0.0):
-            raise ValueError(f"zeta must be nonnegative, got {self.zeta!r}")
+        if not (0.0 <= self.zeta < math.inf):
+            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta!r}")
+        if self.a.ndim != 1 or not np.all(np.isfinite(self.a)):
+            raise ValueError("a must be a finite 1-D array")
 
 
 def scarlett_dual_value(sp: ScarlettDualPoint, p: DiscreteProblem) -> float:
     """Classical dual objective (nats); every point lower-bounds the rate."""
-    return _kernels.mismatch_dual_value(p.p_x[:, None] * p.w, sp.a, np.log(p.p_x),
-                                        sp.zeta, p.d)[0]
+    if sp.a.shape != (p.m,):
+        raise ValueError(f"a has shape {sp.a.shape}, the instance has {p.m} inputs")
+    return _kernels.mismatch_dual_value(_kernels.joint_sums(p.p_x, p.w, p.d), sp.a,
+                                        np.log(p.p_x), sp.zeta, p.d, p.axes)[0]
 
 
 def scarlett_point_from_coupling(q: Coupling, p: DiscreteProblem) -> ScarlettDualPoint:

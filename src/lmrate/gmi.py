@@ -50,19 +50,19 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
         raise ValueError("s_max must be positive")
     if not (isinstance(max_growth, Integral) and max_growth >= 0):
         raise ValueError(f"max_growth must be a nonnegative integer, got {max_growth!r}")
-    joint, log_px = p.p_x[:, None] * p.w, np.log(p.p_x)
+    sums, log_px = _kernels.joint_sums(p.p_x, p.w, p.d), np.log(p.p_x)
     shifts = np.zeros(p.m)
     value = math.nan
 
     def slope(s):
         nonlocal value
-        value, first, second = _kernels.mismatch_dual_value(joint, shifts, log_px, s, p.d)
+        value, first, second = _kernels.mismatch_dual_value(sums, shifts, log_px, s, p.d, p.axes)
         resolved = second < 0.0 and first * first <= -second * _GAIN_RTOL * max(abs(value), 1.0)
         return first, -first / second if second < 0.0 else math.nan, resolved
 
     # 1 / E[d] under the joint: the matched tilt of a Gaussian metric, and a
     # start that scales with the metric
-    mean_metric = _kernels.vdot(joint, p.d)
+    mean_metric = sums.wd
     x = min(1.0 / mean_metric, s_max) if mean_metric > 0.0 else s_max
     s_star, evaluations, _ = bracketed_newton(slope, float(x), float(s_max), max_growth)
     return GmiResult(value_nats=value, s_star=s_star, evaluations=evaluations)

@@ -24,7 +24,7 @@ from lmrate import (
     scarlett_point_from_coupling,
     solve,
 )
-from lmrate import _newton, dual
+from lmrate import _kernels, _newton, dual
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
 from conftest import make_problem, random_problem
@@ -339,6 +339,34 @@ def test_scarlett_zero_point_value(qpsk_4x9):
 def test_scarlett_rejects_negative_tilt():
     with pytest.raises(ValueError):
         ScarlettDualPoint(zeta=-0.1, a=np.zeros(2))
+
+
+@pytest.mark.parametrize("zeta", [math.inf, math.nan])
+def test_scarlett_rejects_non_finite_tilt(zeta):
+    with pytest.raises(ValueError, match="zeta"):
+        ScarlettDualPoint(zeta=zeta, a=np.zeros(2))
+
+
+def test_scarlett_rejects_bad_shifts(qpsk_n10):
+    for a in (np.zeros((4, 1)), np.array([0.0, math.nan, 0.0, 0.0]),
+              np.array([-math.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="finite 1-D"):
+            ScarlettDualPoint(zeta=1.0, a=a)
+    # one shift for four inputs would broadcast
+    with pytest.raises(ValueError, match="4 inputs"):
+        scarlett_dual_value(ScarlettDualPoint(zeta=1.0, a=np.zeros(1)), qpsk_n10)
+
+
+def test_scarlett_factored_matches_block_loop():
+    # qam16 at grid 50 lies above the crossover, so the classical dual at
+    # the solver's optimum goes through the axis tables
+    p = make_problem("qam16", n_side=50)[3]
+    report = solve(p, SolverConfig(tol=1e-10, max_iters=2000))
+    sp = scarlett_point_from_coupling(report.solution, p)
+    assert _kernels._factored(p.axes, sp.zeta, p.d)
+    block = scarlett_dual_value(sp, dataclasses.replace(p, axes=None))
+    assert abs(scarlett_dual_value(sp, p) - block) <= 1e-13
+    assert abs(block - report.lm_rate_nats) <= 1e-8
 
 
 def test_scarlett_weak_duality_random_points(rng, qpsk_4x9):

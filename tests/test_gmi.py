@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,29 @@ def test_maximizer_beyond_initial_cap_is_followed():
         value = scarlett_dual_value(ScarlettDualPoint(zeta=s, a=shifts), p)
         assert result.value_nats >= value - 1e-13
     assert result.s_star > 50.0
+
+
+def test_factored_tilt_matches_block_loop(monkeypatch):
+    # qam16 at grid 50 and 0 dB keeps every node and lies above the
+    # crossover, so each evaluation goes through the axis tables; the block
+    # loop, without them, takes the same search
+    p = make_problem("qam16", n_side=50)[3]
+    factored = 0
+    posterior = K._factored_posterior
+
+    def counted(*args):
+        nonlocal factored
+        factored += 1
+        return posterior(*args)
+
+    monkeypatch.setattr(K, "_factored_posterior", counted)
+    got = gmi(p)
+    assert p.n == 2500 and factored == got.evaluations
+    want = gmi(dataclasses.replace(p, axes=None))
+    assert factored == got.evaluations
+    assert abs(got.value_nats - want.value_nats) <= 1e-13
+    assert abs(got.s_star - want.s_star) <= 1e-12 * want.s_star
+    assert got.evaluations == want.evaluations
 
 
 def test_evaluation_budget(qpsk_n10, monkeypatch):

@@ -116,13 +116,13 @@ def test_column_blocks_match_one_block(rng, monkeypatch):
     d, lphi, _, log_px, log_py = _random_inputs(rng)
     m, n = d.shape
     a = rng.normal(0.0, 0.5, m)
-    joint = np.exp(log_px)[:, None] * rng.dirichlet(np.ones(n), m)
+    sums = K.joint_sums(np.exp(log_px), rng.dirichlet(np.ones(n), m), d)
     lse = K.scale_cols_lse(lphi, 0.9, d, log_py)
-    dual = K.mismatch_dual_value(joint, a, log_px, 0.8, d)
+    dual = K.mismatch_dual_value(sums, a, log_px, 0.8, d)
     monkeypatch.setattr(K, "BLOCK_ENTRIES", 5 * m)   # column blocks of 5, 5 and 3
     assert len(list(K._blocks(n, m))) == 3
     np.testing.assert_array_equal(K.scale_cols_lse(lphi, 0.9, d, log_py), lse)
-    np.testing.assert_allclose(K.mismatch_dual_value(joint, a, log_px, 0.8, d), dual,
+    np.testing.assert_allclose(K.mismatch_dual_value(sums, a, log_px, 0.8, d), dual,
                                rtol=1e-13, atol=0.0)
 
 
@@ -157,7 +157,7 @@ def test_mismatch_dual_value_against_dense(rng):
     expected_second = float(-(weight @ var))
 
     def kernel(z):
-        return K.mismatch_dual_value(p_x[:, None] * w, a, log_px, z, d)
+        return K.mismatch_dual_value(K.joint_sums(p_x, w, d), a, log_px, z, d)
 
     value, first, second = kernel(zeta)
     assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected))
@@ -172,13 +172,17 @@ def test_mismatch_dual_value_against_dense(rng):
 
 def _kernel_calls(p, lphi, lpsi, lam):
     """Each axis-table kernel as a function of the tables (None: block loop),
-    its results as a tuple."""
+    its results as a tuple.  The classical dual takes lam as its tilt and the
+    shifts a = lphi - log p_x of a scaled coupling."""
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
+    sums = K.joint_sums(p.p_x, p.w, p.d)
     return {
         "scale_rows": lambda axes: (K.scale_rows(lpsi, lam, p.d, log_px, axes),),
         "scale_cols": lambda axes: (K.scale_cols(lphi, lam, p.d, log_py, axes),),
         "coupling_stats": lambda axes: K.coupling_stats(lphi, lpsi, lam, p.d, axes),
         "metric_moments": lambda axes: K.metric_moments(lphi, lpsi, lam, p.d, axes),
+        "mismatch_dual_value": lambda axes: K.mismatch_dual_value(
+            sums, lphi - log_px, log_px, lam, p.d, axes),
     }
 
 
@@ -196,12 +200,19 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
     assert p.n == (2500 if snr_db == 0.0 else 1020)
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
+    # the classical dual's first derivative is a difference of two sums of
+    # about sum w d and vanishes at the maximizer: its rounding scales with
+    # that sum, not with itself
+    atol = {("mismatch_dual_value", 1): 1e-12 * K.joint_sums(p.p_x, p.w, p.d).wd}
     for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / p.axes.span):
         assert K._factored(p.axes, lam, p.d)
         for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
-            for got, want in zip(kernel(p.axes), kernel(None)):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
-                                           err_msg=f"{name} at lam={lam}")
+            for k, (got, want) in enumerate(zip(kernel(p.axes), kernel(None))):
+                if (name, k) in atol:
+                    assert abs(got - want) <= atol[name, k], f"{name}[{k}] at lam={lam}"
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                               err_msg=f"{name}[{k}] at lam={lam}")
 
 
 def test_factored_path_guard_and_crossover(rng, monkeypatch):
@@ -271,3 +282,21 @@ def test_scalings_finite_by_construction(rng, monkeypatch):
                                   rows, 1e-12, "rows: " + msg)
                     _assert_close(K.scale_cols(lphi + shift, lam, p.d, log_py, axes),
                                   cols, 1e-12, "cols: " + msg)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0])
+def test_grid_layout_copies_only_pruned_grids(rng, snr_db):
+    # every node kept (0 dB): the grid and the node gather are views of
+    # their input; pruned (10 dB, 1020 of 2500 nodes): a zero-filled scatter
+    # and a gather at the kept nodes
+    axes = make_problem("qam16", snr_db=snr_db, n_side=50)[3].axes
+    full = axes.kept.size == 2500
+    assert full == (snr_db == 0.0)
+    values = rng.normal(0.0, 1.0, axes.kept.size)
+    grid = rng.normal(0.0, 1.0, (50, 50))
+    scattered = np.zeros(2500)
+    scattered[axes.kept] = values
+    np.testing.assert_array_equal(axes.grid(values), scattered.reshape(50, 50))
+    np.testing.assert_array_equal(axes.nodes(grid), grid.ravel()[axes.kept])
+    assert np.shares_memory(axes.grid(values), values) == full
+    assert np.shares_memory(axes.nodes(grid), grid) == full
