@@ -56,6 +56,10 @@ BLOCK_ENTRIES = 1 << 22
 # (measured crossover in the module docstring).
 FACTORED_MIN_ENTRIES = 1 << 14
 
+# Dense exponent blocks (exponent_blocks) hold about this many entries: the
+# Newton loop's coupling and line-search cap then need no M x N temporary.
+DENSE_BLOCK_ENTRIES = 1 << 15
+
 # Largest matrix product (in multiply-adds) handed to BLAS in one call.
 # OpenBLAS runs products up to this size on one thread; threaded, the
 # factored sweeps' small products gained nothing on an idle 2-core machine
@@ -117,6 +121,17 @@ def _blocks(count, width):
     step = max(1, BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, count, step):
         yield lo, min(count, lo + step)
+
+
+def exponent_blocks(a, b, lam, d, entries=DENSE_BLOCK_ENTRIES):
+    """(lo, e) for row blocks of e_ij = (a_i + b_j) - lam * d_ij from row lo,
+    each of at most max(N, entries) entries."""
+    m, n = d.shape
+    rows = max(1, entries // n)
+    for lo in range(0, m, rows):
+        e = np.add.outer(a[lo:lo + rows], b)
+        e -= lam * d[lo:lo + rows]
+        yield lo, e
 
 
 def _factored(axes, lam, d):
@@ -214,9 +229,8 @@ def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
     """(sum_ij d q, sum_ij d^2 q) of the coupling, each block exponentiated and
     weighted in place; fills row_marg and adds into col_marg when given."""
     s1 = s2 = 0.0
-    for lo, hi in _blocks(*d.shape):
-        q = np.add.outer(lphi[lo:hi], lpsi)
-        q -= lam * d[lo:hi]
+    for lo, q in exponent_blocks(lphi, lpsi, lam, d, BLOCK_ENTRIES):
+        hi = lo + q.shape[0]
         np.exp(q, out=q)
         if row_marg is not None:
             row_marg[lo:hi] = q.sum(axis=1)

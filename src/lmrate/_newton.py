@@ -1,7 +1,7 @@
 """Every Newton loop in the package: ``bracketed_newton``, the safeguarded
 scalar Newton behind the multiplier root and the GMI tilt, and ``descend``,
-damped Newton on the dual behind the Newton oracle and the solver's
-hand-off from a stalled scaling run.
+damped Newton on the dual behind the Newton oracle and the Newton finish
+of the solver's root runs.
 
 The dual variables (alpha, beta, lam) parameterize the coupling
 
@@ -57,6 +57,7 @@ class DualPoint:
         self.beta = np.ascontiguousarray(self.beta, dtype=np.float64)
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+        self.lam = float(self.lam)
 
 
 def from_coupling(q: Coupling) -> DualPoint:
@@ -135,10 +136,12 @@ def _newton_step(h: DualHessian, grad):
     q, u, v, w = h
     m, r, c = q.shape[0], q.sum(axis=1), q.sum(axis=0)
     delta = 1e-12 * (r.sum() + c.sum() + w) / (m + c.size + 1)
-    inv_c = 1.0 / (c + delta)
+    c += delta
+    inv_c = np.divide(1.0, c, out=c)
     g = q * np.sqrt(inv_c)
     schur = np.empty((m + 1, m + 1))
     schur[:m, :m] = np.diag(r + delta) - g @ g.T
+    del g                       # the step's one M x N temporary
     schur[:m, m] = schur[m, :m] = u - q @ (v * inv_c)
     schur[m, m] = w + delta - v @ (v * inv_c)
     gb_c = grad[m:-1] * inv_c
@@ -162,9 +165,8 @@ def _first_trial(dp, step, d):
     if step[-1] < 0.0:
         t_step = min(t_step, 0.95 * dp.lam / -step[-1])
     m = dp.alpha.size
-    rise = np.add.outer(-step[:m], -step[m:-1])
-    rise -= step[-1] * d
-    top = float(rise.max())
+    top = max(float(rise.max())
+              for _, rise in _kernels.exponent_blocks(-step[:m], -step[m:-1], step[-1], d))
     if top * t_step > STEP_EXP_CAP:
         t_step = STEP_EXP_CAP / top
     return t_step
@@ -213,14 +215,14 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
     for it in range(it0 + 1, it0 + steps + 1):
         if done(grad, row):
             return dp, row, True, None
-        grad_proj = _project(grad, k_hat)
         try:
             step = _newton_step(h, grad)
+            h = None        # free before the line search sweeps the next coupling
             slope = _kernels.vdot(grad, step)
             if slope >= 0.0:
-                step = -grad_proj
+                step = -_project(grad, k_hat)
                 slope = _kernels.vdot(grad, step)
-            gnorm = float(np.abs(grad_proj).max())
+            gnorm = float(np.abs(_project(grad, k_hat)).max())
             dp, grad, row, h = _line_search(dp, step, slope, row.dual_objective, gnorm,
                                             p, it, k_hat)
         except NumericalFailureError as err:

@@ -3,7 +3,7 @@ the classical mismatched-decoding dual, and sub-linear convergence
 certificates for the alternating-scaling trace.
 
 The dual variables, objective, Hessian and the damped Newton loop live in
-``_newton`` (the scaling solver hands stalled runs to the same loop) and
+``_newton`` (the scaling solver hands its root runs to the same loop) and
 are bound here as well.  Shifting (alpha, beta) by (+s, -s) leaves the
 coupling unchanged; this gauge direction (1_M, -1_N, 0) is the only flat
 direction of the dual for non-constant centrally symmetric metrics, which

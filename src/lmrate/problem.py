@@ -74,11 +74,15 @@ class Coupling:
         return self.stats()[:2]
 
     def dense(self, max_entries: int = DENSE_CAP) -> np.ndarray:
-        """Materialize q as an (M, N) array; refuses above max_entries."""
+        """Materialize q as an (M, N) array, exponentiated block by block into
+        it, so it is the only M x N array made; refuses above max_entries."""
         if self.d.size > max_entries:
             raise UnsupportedConfigurationError(
                 f"coupling has {self.d.size} entries, above the dense cap {max_entries}")
-        return np.exp(self.log_phi[:, None] + self.log_psi[None, :] - self.lam * self.d)
+        q = np.empty(self.d.shape)
+        for lo, e in _kernels.exponent_blocks(self.log_phi, self.log_psi, self.lam, self.d):
+            np.exp(e, out=q[lo:lo + e.shape[0]])
+        return q
 
 
 def _stats(log_phi, log_psi, lam, d, stats=None, axes=None):
@@ -118,8 +122,10 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
     derived from the sweep by ``_stats``.  Non-finite sums are passed
     through for the caller to judge.  ``stats`` is a coupling_stats result
     already taken at (log_phi, log_psi, lam); without it the sweep is made,
-    through p.axes when the instance has them.
+    through p.axes when the instance has them.  The numbers are plain floats,
+    whatever scalar type ``lam`` comes as.
     """
+    lam = float(lam)
     row, col, mass, metric_mass, neg_entropy = _stats(log_phi, log_psi, lam, p.d, stats, p.axes)
     excess = metric_mass - p.t
     return TraceRow(

@@ -18,9 +18,12 @@ that the multiplier residual is zero at lam = 0 with negative excess
 (the constraint is simply inactive there).
 
 The scaling iteration converges only sub-linearly, and at high SNR a root
-run can stall far from tol.  Such a run hands its iterate to the damped
-Newton loop of the dual (``_newton.descend``, the Newton oracle's loop),
-which finishes it in a few steps; see ``solve``.
+run can stall far from tol.  A root run therefore hands its iterate to the
+damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
+loop), which finishes it in a few steps: at iteration HANDOFF_EARLY_ITER
+when a dense Newton step is cheap (M^2 N at most NEWTON_COST_CAP, the
+Sinkhorn-Newton recipe of Tang et al., ICLR 2024), and otherwise once the
+run stalls; see ``solve``.
 """
 
 import math
@@ -41,8 +44,18 @@ ROOT_RTOL = 1e-13
 
 _ROOT_LAMBDA_CAP = 1e6
 
-# A root run hands off to the Newton loop from iteration HANDOFF_MIN_ITERS
-# on, once its largest residual shrank by less than HANDOFF_CONTRACTION per
+# A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
+# when M^2 N, the multiply-adds of a Newton step's Schur build, is at most
+# NEWTON_COST_CAP.  Solve to tol 1e-10 at 0 dB, without -> with the early
+# hand-off, best of 5 on a 2-core Xeon: qam64 at grid 50 (M^2 N = 1.0e7)
+# 26 -> 13 ms, qam16 at grid 200 (1.0e7) 97 -> 59 ms; past the cap the gain
+# shrinks, then turns: qam256 at grid 50 (1.6e8) 73 -> 55 ms, at grid 100
+# (6.6e8) 150 -> 231 ms, and the dense phase holds two M x N arrays.
+HANDOFF_EARLY_ITER = 3
+NEWTON_COST_CAP = 2e7
+
+# Above the cap a root run hands off from iteration HANDOFF_MIN_ITERS on,
+# once its largest residual shrank by less than HANDOFF_CONTRACTION per
 # iteration (geometric mean) over the last HANDOFF_WINDOW iterations.
 HANDOFF_MIN_ITERS = 30
 HANDOFF_WINDOW = 10
@@ -226,7 +239,7 @@ def _peak(row: TraceRow) -> float:
 
 
 def _stalled(trace) -> bool:
-    """The hand-off rule, on the residuals of the scaling trace so far."""
+    """The stall rule, on the residuals of the scaling trace so far."""
     return (len(trace) >= HANDOFF_MIN_ITERS
             and _peak(trace[-1]) > HANDOFF_CONTRACTION ** HANDOFF_WINDOW
             * _peak(trace[-1 - HANDOFF_WINDOW]))
@@ -236,12 +249,14 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the alternating-scaling loop until all residuals fall below tol.
 
     The multiplier update is ``root`` unless the config asks for
-    ``project``.  A ``root`` run that stalls (``_stalled``) at a positive
-    multiplier hands the gauge-balanced iterate to the damped Newton loop,
-    which stops on the same residual test, provided the product coupling
-    p_x (x) p_y breaks the metric constraint (the Newton oracle's lam = 0
-    test, made at the first stall); otherwise the optimal multiplier is 0
-    and the scaling loop carries on.  A ``project`` run never hands off,
+    ``project``.  A ``root`` run at a positive multiplier hands the
+    gauge-balanced iterate to the damped Newton loop, which stops on the
+    same residual test: at iteration HANDOFF_EARLY_ITER when M^2 N is at
+    most NEWTON_COST_CAP, and otherwise once the run stalls (``_stalled``).
+    It does so provided the product coupling p_x (x) p_y breaks the metric
+    constraint (the Newton oracle's lam = 0 test, made when the rule first
+    holds); otherwise the optimal multiplier is 0 and the scaling loop
+    carries on.  A ``project`` run never hands off,
     since its certificate speaks about the scaling trace, and neither does
     an instance above problem.DENSE_CAP entries, whose Hessian is dense.
     Returns a SolveReport whose residual_trace has exactly one row per
@@ -254,6 +269,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
     may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
+    early = p.m * p.m * p.n <= NEWTON_COST_CAP
 
     log_px = np.log(p.p_x)
     log_py = np.log(p.p_y)
@@ -287,8 +303,9 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         if _peak(row) <= cfg.tol:
             status = SolveStatus.CONVERGED
             break
-        if may_hand_off and lam > 0.0 and _stalled(trace):
-            # asked at the first stall only: when the product coupling meets
+        if may_hand_off and lam > 0.0 and (
+                (early and len(trace) >= HANDOFF_EARLY_ITER) or _stalled(trace)):
+            # asked the first time only: when the product coupling meets
             # the constraint, the optimal multiplier is 0, which the Newton
             # line search never reaches
             may_hand_off = multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) > 0.0

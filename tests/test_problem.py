@@ -137,3 +137,15 @@ def test_solved_rates_are_nonnegative(rng):
         assert report.lm_rate_nats >= -1e-10
         assert lm_rate(report.solution, p, feasibility_tol=1e-8) == pytest.approx(
             report.lm_rate_nats, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(16, 2500), (4, 40000)])
+def test_dense_blocks_match_one_expression(rng, shape):
+    # dense() exponentiates row blocks into the result: 16 x 2500 takes two
+    # blocks, the last one short, and 4 x 40000 one row a block; the entries
+    # are those of the one-expression formula, bit for bit
+    m, n = shape
+    d = rng.uniform(0.0, 3.0, shape)
+    q = Coupling(rng.normal(size=m), rng.normal(size=n), 0.7, d)
+    expected = np.exp(q.log_phi[:, None] + q.log_psi[None, :] - q.lam * d)
+    assert np.array_equal(q.dense(), expected)

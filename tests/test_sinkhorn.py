@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lmrate._kernels as K
-from lmrate import _newton, problem
+from lmrate import _newton, problem, sinkhorn
 from lmrate import (
     Constellation,
     LambdaStrategy,
@@ -433,7 +433,7 @@ def test_state_requires_positive_scalings(qpsk_n6):
 
 
 # ---------------------------------------------------------------------------
-# Newton hand-off of stalled root runs
+# Newton hand-off of root runs
 # ---------------------------------------------------------------------------
 
 # eta 0.9, grid 50: the scaling iteration stalls at these SNRs (it contracts
@@ -451,10 +451,14 @@ def high_snr_runs():
 
 
 def test_stalled_cells_hand_off_and_converge(high_snr_runs):
+    # every cell is below the cost cap, so each hands off early, stalling or not
     for cell, (p, report) in high_snr_runs.items():
         assert report.converged, (cell, report.status, report.failure_reason)
-        assert (report.newton_steps > 0) == (cell in STALLED), cell
+        assert report.newton_steps > 0, cell
         assert report.lm_rate_nats <= math.log(p.m), cell
+        # the Newton phase reports plain floats, as the scaling loop does
+        assert type(report.lm_rate_nats) is float and type(report.lambda_final) is float
+        assert all(type(row.lam) is float for row in report.residual_trace), cell
         # the oracle at the solve's own tolerance: at 20 dB the optimal
         # multiplier grows without bound as tol shrinks, and the rates of
         # points with residuals near 1e-10 sit about 1e-9 below the limit
@@ -465,13 +469,21 @@ def test_stalled_cells_hand_off_and_converge(high_snr_runs):
         assert abs(check - report.lm_rate_nats) <= 1e-11, cell
 
 
-def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
+def test_hand_off_trace_rows_and_dual_descent(high_snr_runs, monkeypatch):
+    # below the cost cap a root run hands off after its third iteration;
+    # with the cap at 0 every instance is above it, and the stalled cells
+    # hand off where the stall rule first holds
+    runs = [(cell, report, 3) for cell, (_, report) in high_snr_runs.items()]
+    monkeypatch.setattr(sinkhorn, "NEWTON_COST_CAP", 0.0)
     for cell in STALLED:
-        p, report = high_snr_runs[cell]
+        report = solve(high_snr_runs[cell][0])
+        runs.append((cell, report, _stall_iteration(report)))
+    for cell, report, handed_off_at in runs:
+        assert report.converged and report.newton_steps > 0, cell
         trace = report.residual_trace
         # one row per scaling iteration, then one per Newton step
         assert [row.iter for row in trace] == list(range(1, report.iterations + 1))
-        assert report.iterations - report.newton_steps == _stall_iteration(report)
+        assert report.iterations - report.newton_steps == handed_off_at, cell
         last = trace[-1]
         assert max(last.r_phi, last.r_psi, last.r_lambda) <= 1e-10
         values = [report.dual_objective_init] + [row.dual_objective for row in trace]
@@ -484,6 +496,21 @@ def _stall_iteration(report):
     peaks = [max(r.r_phi, r.r_psi, r.r_lambda) for r in report.residual_trace]
     return next(it for it in range(30, len(peaks) + 1)
                 if peaks[it - 1] > 0.9 ** 10 * peaks[it - 11])
+
+
+def test_early_hand_off_follows_the_cost_cap():
+    # qam64 at grid 50 (M^2 N = 1.0e7) is below the cap and hands off after
+    # iteration 3; at grid 100 (4.1e7) it is above, and at 0 dB it converges
+    # by scaling alone before any stall
+    below = make_problem("qam64", n_side=50)[3]
+    above = make_problem("qam64", n_side=100)[3]
+    assert below.m ** 2 * below.n <= sinkhorn.NEWTON_COST_CAP < above.m ** 2 * above.n
+    early = solve(below)
+    assert early.converged and early.newton_steps > 0
+    assert early.iterations - early.newton_steps == 3
+    late = solve(above)
+    assert late.converged
+    assert late.newton_steps == 0
 
 
 def test_root_run_with_zero_multiplier_never_hands_off():
@@ -522,8 +549,42 @@ def test_default_converges_without_symmetry_certificate():
         assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9
 
 
+def _no_certificate_cells():
+    """24 grid-30 cells, eta 0.9, SNR -5 to 20 dB, none with the symmetry
+    certificate: qpsk and qam16 under the mismatched decoder h_hat =
+    diag(1, 0.8), a lopsided 4-point constellation, and qpsk at theta pi/2."""
+    points = np.array([[1.0, 0.2], [-0.5, 0.9], [-0.3, -1.1], [0.8, -0.4]])
+    probs = np.array([0.4, 0.3, 0.2, 0.1])
+    points /= math.sqrt(probs @ (points * points).sum(axis=1))
+    lopsided = Constellation(points=points, probs=probs)
+    for snr in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
+        for scheme in ("qpsk", "qam16"):
+            yield (scheme, "h_hat", snr), make_problem(
+                scheme, snr_db=snr, n_side=30, h_hat=[[1.0, 0.0], [0.0, 0.8]])[3]
+        chan = build_channel(1.0, 0.9, np.pi / 18, snr)
+        yield ("lopsided", snr), discretize(chan, lopsided, 30, allow_asymmetric=True)[1]
+        yield ("qpsk", "pi/2", snr), make_problem(theta=np.pi / 2, snr_db=snr, n_side=30)[3]
+
+
+def test_no_certificate_cells_match_the_oracle():
+    # the rate of a point whose residuals are at most tol sits up to about
+    # lam * tol below the limit, and lam reaches 32 on the 20 dB cells: qpsk
+    # under h_hat at 20 dB ends 2.04e-9 below newton_oracle(tol=1e-12)
+    cells = dict(_no_certificate_cells())
+    assert len(cells) == 24
+    for cell, p in cells.items():
+        report = solve(p, SolverConfig(max_iters=2000))
+        assert report.converged, (cell, report.status, report.failure_reason)
+        oracle = newton_oracle(p, tol=1e-12)
+        assert oracle.converged, cell
+        assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 2.5e-9, cell
+
+
 def test_low_snr_cell_makes_no_newton_steps():
-    p = make_problem("qpsk", snr_db=0.0, n_side=50)[3]
+    # qam256 at grid 50 is above the cost cap (M^2 N = 1.6e8), so only a
+    # stall hands it off, and at 0 dB it converges by scaling before one
+    p = make_problem("qam256", snr_db=0.0, n_side=50)[3]
+    assert p.m ** 2 * p.n > sinkhorn.NEWTON_COST_CAP
     report = solve(p)
     assert report.converged
     assert report.newton_steps == 0
