@@ -116,9 +116,10 @@ class GridAxes:
         return flat if self.kept.size == flat.size else flat[self.kept]
 
 
-def _blocks(count, width):
-    """Index ranges of at most BLOCK_ENTRIES // width rows (or columns) each."""
-    step = max(1, BLOCK_ENTRIES // max(width, 1))
+def _blocks(count, width, entries=None):
+    """Index ranges of at most entries // width rows (or columns) each,
+    entries being BLOCK_ENTRIES unless given."""
+    step = max(1, (entries or BLOCK_ENTRIES) // max(width, 1))
     for lo in range(0, count, step):
         yield lo, min(count, lo + step)
 
@@ -126,11 +127,9 @@ def _blocks(count, width):
 def exponent_blocks(a, b, lam, d, entries=DENSE_BLOCK_ENTRIES):
     """(lo, e) for row blocks of e_ij = (a_i + b_j) - lam * d_ij from row lo,
     each of at most max(N, entries) entries."""
-    m, n = d.shape
-    rows = max(1, entries // n)
-    for lo in range(0, m, rows):
-        e = np.add.outer(a[lo:lo + rows], b)
-        e -= lam * d[lo:lo + rows]
+    for lo, hi in _blocks(*d.shape, entries):
+        e = np.add.outer(a[lo:hi], b)
+        e -= lam * d[lo:hi]
         yield lo, e
 
 

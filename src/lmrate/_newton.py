@@ -215,14 +215,15 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
     for it in range(it0 + 1, it0 + steps + 1):
         if done(grad, row):
             return dp, row, True, None
+        grad_proj = _project(grad, k_hat)
         try:
             step = _newton_step(h, grad)
             h = None        # free before the line search sweeps the next coupling
             slope = _kernels.vdot(grad, step)
             if slope >= 0.0:
-                step = -_project(grad, k_hat)
+                step = -grad_proj
                 slope = _kernels.vdot(grad, step)
-            gnorm = float(np.abs(_project(grad, k_hat)).max())
+            gnorm = float(np.abs(grad_proj).max())
             dp, grad, row, h = _line_search(dp, step, slope, row.dual_objective, gnorm,
                                             p, it, k_hat)
         except NumericalFailureError as err:

@@ -20,10 +20,10 @@ that the multiplier residual is zero at lam = 0 with negative excess
 The scaling iteration converges only sub-linearly, and at high SNR a root
 run can stall far from tol.  A root run therefore hands its iterate to the
 damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
-loop), which finishes it in a few steps: at iteration HANDOFF_EARLY_ITER
-when a dense Newton step is cheap (M^2 N at most NEWTON_COST_CAP, the
-Sinkhorn-Newton recipe of Tang et al., ICLR 2024), and otherwise once the
-run stalls; see ``solve``.
+loop), which finishes it in a few steps.  It does so at iteration
+HANDOFF_EARLY_ITER when a dense Newton step is cheap (M^2 N at most
+NEWTON_COST_CAP, the Sinkhorn-Newton recipe of Tang et al., ICLR 2024), and
+otherwise once the run stalls; see ``solve``.
 """
 
 import math
@@ -46,13 +46,18 @@ _ROOT_LAMBDA_CAP = 1e6
 
 # A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
 # when M^2 N, the multiply-adds of a Newton step's Schur build, is at most
-# NEWTON_COST_CAP.  Solve to tol 1e-10 at 0 dB, without -> with the early
-# hand-off, best of 5 on a 2-core Xeon: qam64 at grid 50 (M^2 N = 1.0e7)
-# 26 -> 13 ms, qam16 at grid 200 (1.0e7) 97 -> 59 ms; past the cap the gain
-# shrinks, then turns: qam256 at grid 50 (1.6e8) 73 -> 55 ms, at grid 100
-# (6.6e8) 150 -> 231 ms, and the dense phase holds two M x N arrays.
+# NEWTON_COST_CAP.  Solve to tol 1e-10, scaling alone -> early hand-off, best
+# of 5 on a 2-core Xeon.  At 0 dB, where scaling alone is quickest, the gain
+# shrinks with M^2 N and turns near 4e8: qam64 at grid 50 (M^2 N = 1.0e7)
+# 27 -> 19 ms, qam256 at grid 50 (1.6e8) 60 -> 54 ms, at grid 70 (3.2e8)
+# 121 -> 112 ms, at grid 100 (6.6e8) 154 -> 196 ms.  At higher SNR scaling
+# takes longer: qam256 at grid 100 and 10 dB (2.9e8) 2264 -> 235 ms.  The
+# Newton phase holds about two M x N arrays besides d: the tracemalloc peak
+# of the qam256 grid-50 solve is 1.1 -> 12 MB, while the case-matrix
+# benchmark's peak RSS reads 83.7-84.6 MB with that cell handed off and
+# 83.0-87.1 MB without (no early hand-off at all: 82.0-82.3 MB).
 HANDOFF_EARLY_ITER = 3
-NEWTON_COST_CAP = 2e7
+NEWTON_COST_CAP = 3e8
 
 # Above the cap a root run hands off from iteration HANDOFF_MIN_ITERS on,
 # once its largest residual shrank by less than HANDOFF_CONTRACTION per
@@ -245,20 +250,29 @@ def _stalled(trace) -> bool:
             * _peak(trace[-1 - HANDOFF_WINDOW]))
 
 
+def _newton_done(row: TraceRow, tol: float) -> bool:
+    """The Newton phase's stopping test: the residuals, and lam * r_lambda,
+    the multiplier's share of the rate's gap to the optimum, at most tol."""
+    return _peak(row) <= tol and row.lam * row.r_lambda <= tol
+
+
 def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the alternating-scaling loop until all residuals fall below tol.
 
     The multiplier update is ``root`` unless the config asks for
     ``project``.  A ``root`` run at a positive multiplier hands the
-    gauge-balanced iterate to the damped Newton loop, which stops on the
-    same residual test: at iteration HANDOFF_EARLY_ITER when M^2 N is at
-    most NEWTON_COST_CAP, and otherwise once the run stalls (``_stalled``).
-    It does so provided the product coupling p_x (x) p_y breaks the metric
-    constraint (the Newton oracle's lam = 0 test, made when the rule first
-    holds); otherwise the optimal multiplier is 0 and the scaling loop
-    carries on.  A ``project`` run never hands off,
-    since its certificate speaks about the scaling trace, and neither does
-    an instance above problem.DENSE_CAP entries, whose Hessian is dense.
+    gauge-balanced iterate to the damped Newton loop at iteration
+    HANDOFF_EARLY_ITER when M^2 N is at most NEWTON_COST_CAP, and otherwise
+    once the run stalls (``_stalled``).  It does so provided the product
+    coupling p_x (x) p_y breaks the metric constraint (the Newton oracle's
+    lam = 0 test, made when the rule first holds); otherwise the optimal
+    multiplier is 0 and the scaling loop carries on.  The Newton loop stops
+    on the residual test and on lam * r_lambda <= tol (``_newton_done``):
+    at high SNR lam reaches tens, and a point that meets the residual test
+    alone can still be 2e-9 nats short of the optimal rate.  A ``project``
+    run never hands off, since its certificate speaks about the scaling
+    trace, and neither does an instance above problem.DENSE_CAP entries,
+    whose Hessian is dense.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -315,7 +329,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             # sweep cannot overflow
             lphi, lpsi = balance_gauge(lphi, lpsi)
             dp, _, _, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam), p,
-                                        cfg.max_iters - it, lambda _, r: _peak(r) <= cfg.tol,
+                                        cfg.max_iters - it, lambda _, r: _newton_done(r, cfg.tol),
                                         trace, it)
             newton_steps = len(trace) - it
             lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
