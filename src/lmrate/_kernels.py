@@ -33,9 +33,11 @@ M = 4 gains least from the factoring, starts to win.  Solve time to tol
 50).  Off the factored path, scale_rows and scale_cols hand the call to
 the shifted block loop.  mismatch_dual_value takes each output's posterior
 from the same tables under the same guard, 2 M n_side exps in place of M N.
-The dual objective and gradient keep the block loop, and the Newton loop
-exponentiates the dense coupling, so the Newton oracle stays a cross-check
-of the factored path.
+The solver's Newton finish reads them too: _factored_sweep gives the dual
+Hessian's sums, and factored_coupling builds the Schur factor Q diag(s) as
+one broadcast product, with no M x N exp.  The dual objective and gradient
+keep the block loop, and the Newton oracle exponentiates the dense
+coupling, so it stays a cross-check of the factored path.
 """
 
 from dataclasses import dataclass
@@ -111,9 +113,10 @@ class GridAxes:
         return out.reshape(n, n)
 
     def nodes(self, grid):
-        """An n_side x n_side grid read at the kept nodes, a view if none is pruned."""
-        flat = grid.ravel()
-        return flat if self.kept.size == flat.size else flat[self.kept]
+        """Grids over the last two axes, n_side x n_side each, read at the kept
+        nodes; a view if none is pruned."""
+        flat = grid.reshape(*grid.shape[:-2], -1)
+        return flat if self.kept.size == flat.shape[-1] else flat[..., self.kept]
 
 
 def _blocks(count, width, entries=None):
@@ -241,7 +244,7 @@ def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
     return s1, s2
 
 
-def _factored_sweep(lphi, lpsi, lam, axes, marginals):
+def _factored_sweep(lphi, lpsi, lam, axes, sums):
     """_moment_sweep's sums through the axis tables.  With d = d1 + d2 the
     sum of q d^k splits into grid sums of phi F d1^p Psi G d2^q over
     p + q = k: one stacked GEMM a = [F; F d1; F d1^2] @ Psi, then inner
@@ -249,25 +252,58 @@ def _factored_sweep(lphi, lpsi, lam, axes, marginals):
     second GEMM.  Both scalings are shifted by their maximum, and every
     result is exp of its log, so it overflows or underflows where the plain
     sum would; an overflow is +inf here even where the block loop's
-    0 * inf at an exact zero of d makes it NaN."""
+    0 * inf at an exact zero of d makes it NaN.
+
+    ``sums`` picks the result: "moments" (s1, s2), "stats" (row, col, s1,
+    s2) or "hessian" (row, col, u, v, w), the dual Hessian's sums
+    u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q beside the marginals.  For
+    "hessian" the products stay per row, without phi, and each row's own
+    scaling goes back in log space; v takes one more GEMM,
+    [F d1; F]^T @ [G; G d2] in phi-weighted rows."""
     f, g = _gibbs_factors(axes, lam)
     m = lphi.shape[0]
     lphi_max, lpsi_max = lphi.max(), lpsi.max()
     phi = np.exp(lphi - lphi_max)[:, None]
     a = _matmul((axes.d1_powers * f).reshape(3 * m, -1), axes.grid(np.exp(lpsi - lpsi_max)))
     a = a.reshape(3, m, -1)
+    if sums == "hessian":
+        t = np.einsum("pia,qia->pqi", a, axes.d2_powers * g)
+        rows = np.stack([t[0, 0], t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2]])
+        x = axes.d1_powers[:2] * (f * phi)
+        y = axes.d2_powers[:2] * g
+        cols = axes.nodes(np.stack([_matmul(x[0].T, g),
+                                    _matmul(x[::-1].reshape(2 * m, -1).T, y.reshape(2 * m, -1))]))
+        with np.errstate(divide="ignore"):
+            row, u, w = np.exp(lphi + lpsi_max + np.log(rows))
+            col, v = np.exp(lpsi + lphi_max + np.log(cols))
+        return row, col, u, v, float(w.sum())
     b = axes.d2_powers * (g * phi)
     # einsum, not np.vdot: OpenBLAS threads dot products this long (GEMM_CHUNK)
     t = np.einsum("pia,qia->pq", a, b)
     moments = (t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2])
     with np.errstate(divide="ignore"):
         s1, s2 = np.exp(lphi_max + lpsi_max + np.log(moments)).tolist()
-        if not marginals:
+        if sums == "moments":
             return s1, s2
         row = np.exp(lphi + lpsi_max + np.log(_row_dot(a[0], g)))
         col = axes.nodes(_matmul((f * phi).T, g))
         col = np.exp(lpsi + lphi_max + np.log(col))
     return row, col, s1, s2
+
+
+def factored_coupling(lphi, lpsi, lam, axes, s):
+    """The coupling with its columns scaled by s, q_ij s_j, as a new M x N
+    array built from the axis tables with no exp over it: the broadcast
+    product (R_i F_ia) G_ib at the kept nodes, R_i = exp(lphi_i + max lpsi),
+    times exp(lpsi_j - max lpsi) s_j.  Each partial product lies between
+    q_ij and R_i, and R_i <= exp(lam d_ij) q_ij for the column j of max
+    lpsi, so under the kernels' guard nothing overflows where the coupling's
+    sums are finite."""
+    f, g = _gibbs_factors(axes, lam)
+    shift = lpsi.max()
+    q = np.einsum("ia,ib->iab", f * np.exp(lphi + shift)[:, None], g)
+    q *= axes.grid(np.exp(lpsi - shift) * s)
+    return axes.nodes(q)
 
 
 def coupling_stats(lphi, lpsi, lam, d, axes=None):
@@ -280,7 +316,7 @@ def coupling_stats(lphi, lpsi, lam, d, axes=None):
     ``axes`` (the GridAxes of d) the sums go through the axis tables.
     """
     if _factored(axes, lam, d):
-        return _factored_sweep(lphi, lpsi, lam, axes, marginals=True)
+        return _factored_sweep(lphi, lpsi, lam, axes, "stats")
     row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
 
@@ -292,7 +328,7 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     evaluation, at its warm-start hint.  ``axes`` as for coupling_stats.
     """
     if _factored(axes, lam, d):
-        return _factored_sweep(lphi, lpsi, lam, axes, marginals=False)
+        return _factored_sweep(lphi, lpsi, lam, axes, "moments")
     return _moment_sweep(lphi, lpsi, lam, d)
 
 

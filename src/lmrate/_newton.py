@@ -14,15 +14,21 @@ and the (convex, to-be-minimized) dual objective is
 Shifting (alpha, beta) by (+s, -s) leaves q unchanged; this gauge
 direction (1_M, -1_N, 0) is the only flat direction of g for
 non-constant centrally symmetric metrics.  The Hessian is an arrowhead
-whose blocks are q and its metric-weighted sums, so one dense pass over
-the coupling at a point gives its gradient, its dual value and rate, and
-the Hessian the next Newton step needs: every trial point of a line
-search is exponentiated once, and the accepted one is not exponentiated
-again.
+whose blocks are q and its metric-weighted sums, so one pass over the
+coupling at a point gives its gradient, its dual value and rate, and the
+Hessian the next Newton step needs: every trial point of a line search is
+swept once, and the accepted one is not swept again.  Given the metric's
+axis tables (the solver's Newton finish, under the kernels' guard) that
+pass is _kernels' factored sweep, and only the step itself builds an
+M x N array, its Schur factor, from the tables.  Without them (the Newton
+oracle) the pass exponentiates the dense coupling, so the oracle stays an
+independent cross-check of the factored path.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -70,44 +76,57 @@ def coupling_from_dual(dp: DualPoint, d: np.ndarray) -> Coupling:
 
 
 class DualHessian(NamedTuple):
-    """Arrowhead dual Hessian in (alpha, beta, lam) order: the coupling q, whose
-    sums fill the diagonal blocks, u = (d q) 1, v = (d q)^T 1, w = sum d^2 q."""
+    """Arrowhead dual Hessian in (alpha, beta, lam) order.  The coupling q
+    fills the off-diagonal block and its marginals r = q 1 and c = q^T 1 the
+    diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.
+    ``q_scaled(s)`` returns Q diag(s) as a new M x N array: the dense
+    coupling times s, or the broadcast product of the axis tables."""
 
-    q: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
     u: np.ndarray
     v: np.ndarray
     w: float
+    q_scaled: Callable
 
     def dense(self) -> np.ndarray:
-        q, u, v, w = self
-        return np.block([[np.diag(q.sum(axis=1)), q, u[:, None]],
-                         [q.T, np.diag(q.sum(axis=0)), v[:, None]],
+        r, c, u, v, w, q_scaled = self
+        q = q_scaled(np.ones(c.size))
+        return np.block([[np.diag(r), q, u[:, None]],
+                         [q.T, np.diag(c), v[:, None]],
                          [u[None, :], v[None, :], np.array([[w]])]])
 
 
-def dual_hessian(dp: DualPoint, p) -> DualHessian:
-    """The Hessian at a dual point, as its arrowhead blocks; refuses couplings
-    above problem.DENSE_CAP entries."""
+def dual_hessian(dp: DualPoint, p, axes=None) -> DualHessian:
+    """The Hessian at a dual point, as its arrowhead blocks.  With ``axes``
+    (p's GridAxes), under the kernels' guard at dp.lam, its sums come from
+    the axis tables and Q only from q_scaled; otherwise from the dense
+    coupling, refusing couplings above problem.DENSE_CAP entries."""
+    lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
+    if _kernels._factored(axes, dp.lam, p.d):
+        sums = _kernels._factored_sweep(lphi, lpsi, dp.lam, axes, "hessian")
+        return DualHessian(*sums, partial(_kernels.factored_coupling, lphi, lpsi, dp.lam, axes))
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
-    return DualHessian(q, dq.sum(axis=1), dq.sum(axis=0), float(_kernels.vdot(p.d, dq)))
+    return DualHessian(q.sum(axis=1), q.sum(axis=0), dq.sum(axis=1), dq.sum(axis=0),
+                       float(_kernels.vdot(p.d, dq)), partial(np.multiply, q))
 
 
-def _sweep(dp: DualPoint, p, it=0, hessian=True):
+def _sweep(dp: DualPoint, p, it=0, hessian=True, axes=None):
     """One pass over the coupling at a dual point: the full gradient
     (d/dalpha, d/dbeta, d/dlam) as one vector, the point's TraceRow, and the
-    point's DualHessian, whose sums give the marginals and metric moments.
-    With hessian=False the sums come from a streamed coupling_stats sweep
-    with no size cap, and the Hessian is None.  The pass is its own overflow
-    guard: raises EvaluationError when an exp, a sum or the evaluation
-    overflows."""
+    point's DualHessian (dual_hessian with ``axes``), whose sums give the
+    marginals and metric moments.  With hessian=False the sums come from a
+    streamed coupling_stats sweep with no size cap, and the Hessian is None.
+    The pass is its own overflow guard: raises EvaluationError when an exp,
+    a sum or the evaluation overflows."""
     lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
     h = None
     try:
         with np.errstate(over="raise", invalid="raise"):
             if hessian:
-                h = dual_hessian(dp, p)
-                stats = (h.q.sum(axis=1), h.q.sum(axis=0), float(h.u.sum()), h.w)
+                h = dual_hessian(dp, p, axes)
+                stats = (h.r, h.c, float(h.u.sum()), h.w)
             else:
                 stats = _kernels.coupling_stats(lphi, lpsi, dp.lam, p.d)
             row = evaluate(lphi, lpsi, dp.lam, p, it, stats)
@@ -119,7 +138,7 @@ def _sweep(dp: DualPoint, p, it=0, hessian=True):
 
 def gauge_vector(m: int, n: int) -> np.ndarray:
     k = np.concatenate([np.ones(m), -np.ones(n), [0.0]])
-    return k / np.linalg.norm(k)
+    return k / math.sqrt(m + n)
 
 
 def _project(grad, k_hat):
@@ -129,42 +148,49 @@ def _project(grad, k_hat):
 
 def _newton_step(h: DualHessian, grad):
     """Solve (H + delta I) s = -grad, delta = 1e-12 trace(H) / (M+N+1), by
-    eliminating s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta): the
-    (M+1)-square Schur complement is built from Q / sqrt(c + delta) in
-    O(M^2 N).  The gradient is orthogonal to the gauge vector, an eigenvector
-    of H + delta I, so no gauge pin is needed."""
-    q, u, v, w = h
-    m, r, c = q.shape[0], q.sum(axis=1), q.sum(axis=0)
+    eliminating s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta).
+    The (M+1)-square Schur complement and every product with Q go through
+    G = Q diag((c + delta)^-1/2), the step's one M x N array, built once:
+    O(M^2 N).  The gradient is orthogonal to the gauge vector, an
+    eigenvector of H + delta I, so no gauge pin is needed."""
+    r, c, u, v, w, q_scaled = h
+    m = r.size
     delta = 1e-12 * (r.sum() + c.sum() + w) / (m + c.size + 1)
-    c += delta
-    inv_c = np.divide(1.0, c, out=c)
-    g = q * np.sqrt(inv_c)
+    scale = np.sqrt(1.0 / (c + delta))
+    g = q_scaled(scale)
+    vs, gs = v * scale, grad[m:-1] * scale
     schur = np.empty((m + 1, m + 1))
     schur[:m, :m] = np.diag(r + delta) - g @ g.T
-    del g                       # the step's one M x N temporary
-    schur[:m, m] = schur[m, :m] = u - q @ (v * inv_c)
-    schur[m, m] = w + delta - v @ (v * inv_c)
-    gb_c = grad[m:-1] * inv_c
-    rhs = np.append(q @ gb_c - grad[:m], v @ gb_c - grad[-1])
+    schur[:m, m] = schur[m, :m] = u - g @ vs
+    schur[m, m] = w + delta - _kernels.vdot(vs, vs)
+    rhs = np.append(g @ gs - grad[:m], _kernels.vdot(vs, gs) - grad[-1])
     try:
         x = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError as err:
         raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
-    s_beta = -(gb_c + (x[:m] @ q + v * x[m]) * inv_c)
+    s_beta = -(gs + x[:m] @ g + vs * x[m]) * scale
     step = np.concatenate([x[:m], s_beta, x[m:]])
     if not np.isfinite(step).all():
         raise NumericalFailureError("Newton step is not finite")
     return step
 
 
-def _first_trial(dp, step, d):
+def _first_trial(dp, step, d, axes=None):
     """Length of a line search's first trial: 1, or 0.95 of the way to lam = 0
     when the step lowers lam, and no longer than moves some log q_ij up by
-    STEP_EXP_CAP."""
+    STEP_EXP_CAP.  Where the kernels take ``axes`` at dp.lam, the rise
+    -s_alpha_i - s_beta_j - s_lam d_ij is first bounded through
+    d_ij = d1_ia + d2_ib by each row's table maxima, and the pass over d
+    that finds its maximum is made only when that bound could bind."""
     t_step = 1.0
     if step[-1] < 0.0:
         t_step = min(t_step, 0.95 * dp.lam / -step[-1])
     m = dp.alpha.size
+    if _kernels._factored(axes, dp.lam, d):
+        row_top = (np.max(-step[-1] * axes.d1, axis=1)
+                   + np.max(-step[-1] * axes.d2, axis=1) - step[:m])
+        if (row_top.max() - step[m:-1].min()) * t_step <= STEP_EXP_CAP:
+            return t_step
     top = max(float(rise.max())
               for _, rise in _kernels.exponent_blocks(-step[:m], -step[m:-1], step[-1], d))
     if top * t_step > STEP_EXP_CAP:
@@ -172,18 +198,18 @@ def _first_trial(dp, step, d):
     return t_step
 
 
-def _line_search(dp, step, slope, g_cur, gnorm_cur, p, it, k_hat):
+def _line_search(dp, step, slope, g_cur, gnorm_cur, p, it, k_hat, axes):
     """Armijo backtracking from _first_trial's step; the accepted
     (point, gradient, row, Hessian).  A full step too flat for the Armijo
     test to resolve is accepted when it lowers the projected gradient."""
     m = dp.alpha.size
-    t_step = _first_trial(dp, step, p.d)
+    t_step = _first_trial(dp, step, p.d, axes)
     flat = -slope <= FLAT_SLOPE_RTOL * max(abs(g_cur), 1.0)
     while t_step > 1e-20:
         trial = DualPoint(dp.alpha + t_step * step[:m], dp.beta + t_step * step[m:-1],
                           dp.lam + t_step * step[-1])
         try:
-            grad, row, h = _sweep(trial, p, it)
+            grad, row, h = _sweep(trial, p, it, axes=axes)
         except EvaluationError:
             pass                # far out: its objective is beyond every bound here
         else:
@@ -196,7 +222,7 @@ def _line_search(dp, step, slope, g_cur, gnorm_cur, p, it, k_hat):
     raise NumericalFailureError("Newton line search failed to decrease", iteration=it)
 
 
-def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
+def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0, axes=None):
     """Damped Newton on (alpha, beta, lam) from dp, at most ``steps`` steps.
 
     Each step solves the Schur-complement system at the current point, falls
@@ -208,10 +234,11 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
     (point, row, done, failure) at the last accepted point, failure being
     the NumericalFailureError (with its step's iteration) that ended the
     loop, or None.  The start point's sweep raises EvaluationError when it
-    overflows.
+    overflows.  With ``axes``, p's GridAxes, every sweep and step that the
+    kernels' guard admits goes through the axis tables (dual_hessian).
     """
     k_hat = gauge_vector(p.m, p.n)
-    grad, row, h = _sweep(dp, p, it0)
+    grad, row, h = _sweep(dp, p, it0, axes=axes)
     for it in range(it0 + 1, it0 + steps + 1):
         if done(grad, row):
             return dp, row, True, None
@@ -225,7 +252,7 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0):
                 slope = _kernels.vdot(grad, step)
             gnorm = float(np.abs(grad_proj).max())
             dp, grad, row, h = _line_search(dp, step, slope, row.dual_objective, gnorm,
-                                            p, it, k_hat)
+                                            p, it, k_hat, axes)
         except NumericalFailureError as err:
             err.iteration = it
             return dp, row, False, err

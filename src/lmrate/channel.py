@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import GridAxes
+from ._kernels import GridAxes, JointSums, joint_sums
 from .errors import DegenerateGridError, UnsupportedConfigurationError
 from .problem import shannon_entropy
 
@@ -146,6 +146,11 @@ class DiscreteProblem:
     @cached_property
     def h_y(self) -> float:
         return shannon_entropy(self.p_y)
+
+    @cached_property
+    def joint(self) -> JointSums:
+        """The JointSums of p_x[:, None] * w over d, for the classical dual."""
+        return joint_sums(self.p_x, self.w, self.d)
 
     def with_threshold(self, t: float) -> "DiscreteProblem":
         """Copy with an overridden constraint threshold.

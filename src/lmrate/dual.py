@@ -185,8 +185,8 @@ def scarlett_dual_value(sp: ScarlettDualPoint, p: DiscreteProblem) -> float:
     """Classical dual objective (nats); every point lower-bounds the rate."""
     if sp.a.shape != (p.m,):
         raise ValueError(f"a has shape {sp.a.shape}, the instance has {p.m} inputs")
-    return _kernels.mismatch_dual_value(_kernels.joint_sums(p.p_x, p.w, p.d), sp.a,
-                                        np.log(p.p_x), sp.zeta, p.d, p.axes)[0]
+    return _kernels.mismatch_dual_value(p.joint, sp.a, np.log(p.p_x), sp.zeta, p.d,
+                                        p.axes)[0]
 
 
 def scarlett_point_from_coupling(q: Coupling, p: DiscreteProblem) -> ScarlettDualPoint:

@@ -50,7 +50,7 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
         raise ValueError("s_max must be positive")
     if not (isinstance(max_growth, Integral) and max_growth >= 0):
         raise ValueError(f"max_growth must be a nonnegative integer, got {max_growth!r}")
-    sums, log_px = _kernels.joint_sums(p.p_x, p.w, p.d), np.log(p.p_x)
+    sums, log_px = p.joint, np.log(p.p_x)
     shifts = np.zeros(p.m)
     value = math.nan
 

@@ -21,9 +21,9 @@ The scaling iteration converges only sub-linearly, and at high SNR a root
 run can stall far from tol.  A root run therefore hands its iterate to the
 damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
 loop), which finishes it in a few steps.  It does so at iteration
-HANDOFF_EARLY_ITER when a dense Newton step is cheap (M^2 N at most
-NEWTON_COST_CAP, the Sinkhorn-Newton recipe of Tang et al., ICLR 2024), and
-otherwise once the run stalls; see ``solve``.
+HANDOFF_EARLY_ITER when a Newton step is cheap enough (M^2 N at most
+NEWTON_COST_CAP, the Sinkhorn-Newton recipe of Tang et al., ICLR 2024); see
+``solve``.
 """
 
 import math
@@ -47,24 +47,17 @@ _ROOT_LAMBDA_CAP = 1e6
 # A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
 # when M^2 N, the multiply-adds of a Newton step's Schur build, is at most
 # NEWTON_COST_CAP.  Solve to tol 1e-10, scaling alone -> early hand-off, best
-# of 5 on a 2-core Xeon.  At 0 dB, where scaling alone is quickest, the gain
-# shrinks with M^2 N and turns near 4e8: qam64 at grid 50 (M^2 N = 1.0e7)
-# 27 -> 19 ms, qam256 at grid 50 (1.6e8) 60 -> 54 ms, at grid 70 (3.2e8)
-# 121 -> 112 ms, at grid 100 (6.6e8) 154 -> 196 ms.  At higher SNR scaling
-# takes longer: qam256 at grid 100 and 10 dB (2.9e8) 2264 -> 235 ms.  The
-# Newton phase holds about two M x N arrays besides d: the tracemalloc peak
-# of the qam256 grid-50 solve is 1.1 -> 12 MB, while the case-matrix
-# benchmark's peak RSS reads 83.7-84.6 MB with that cell handed off and
-# 83.0-87.1 MB without (no early hand-off at all: 82.0-82.3 MB).
+# of 6 on a 2-core Xeon, the Newton phase on the axis tables: at 0 dB, where
+# scaling alone is quickest, qam256 at grid 50 (M^2 N = 1.6e8) 78 -> 23 ms,
+# grid 70 (3.2e8) 89 -> 39 ms, grid 100 (6.6e8) 155 -> 79 ms, grid 120
+# (9.4e8) 277 -> 133 ms and grid 150 (1.5e9) 449 -> 232 ms, so the measured
+# sizes show no crossover (with the dense Newton phase it lay near 4e8:
+# grid 100 took 154 -> 196 ms).  At 10 dB qam256 at grid 200 (1.2e9) takes
+# 18.9 s -> 1.8 s.  Above the cap a run never hands off.  On the tables the
+# Newton phase holds one M x N array, its step's Schur factor; off them (lam
+# past the kernels' guard) the dense coupling and one more.
 HANDOFF_EARLY_ITER = 3
-NEWTON_COST_CAP = 3e8
-
-# Above the cap a root run hands off from iteration HANDOFF_MIN_ITERS on,
-# once its largest residual shrank by less than HANDOFF_CONTRACTION per
-# iteration (geometric mean) over the last HANDOFF_WINDOW iterations.
-HANDOFF_MIN_ITERS = 30
-HANDOFF_WINDOW = 10
-HANDOFF_CONTRACTION = 0.9
+NEWTON_COST_CAP = 1.5e9
 
 
 class LambdaStrategy(str, Enum):
@@ -243,13 +236,6 @@ def _peak(row: TraceRow) -> float:
     return max(row.r_phi, row.r_psi, row.r_lambda)
 
 
-def _stalled(trace) -> bool:
-    """The stall rule, on the residuals of the scaling trace so far."""
-    return (len(trace) >= HANDOFF_MIN_ITERS
-            and _peak(trace[-1]) > HANDOFF_CONTRACTION ** HANDOFF_WINDOW
-            * _peak(trace[-1 - HANDOFF_WINDOW]))
-
-
 def _newton_done(row: TraceRow, tol: float) -> bool:
     """The Newton phase's stopping test: the residuals, and lam * r_lambda,
     the multiplier's share of the rate's gap to the optimum, at most tol."""
@@ -262,17 +248,18 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     The multiplier update is ``root`` unless the config asks for
     ``project``.  A ``root`` run at a positive multiplier hands the
     gauge-balanced iterate to the damped Newton loop at iteration
-    HANDOFF_EARLY_ITER when M^2 N is at most NEWTON_COST_CAP, and otherwise
-    once the run stalls (``_stalled``).  It does so provided the product
-    coupling p_x (x) p_y breaks the metric constraint (the Newton oracle's
-    lam = 0 test, made when the rule first holds); otherwise the optimal
-    multiplier is 0 and the scaling loop carries on.  The Newton loop stops
-    on the residual test and on lam * r_lambda <= tol (``_newton_done``):
-    at high SNR lam reaches tens, and a point that meets the residual test
-    alone can still be 2e-9 nats short of the optimal rate.  A ``project``
-    run never hands off, since its certificate speaks about the scaling
-    trace, and neither does an instance above problem.DENSE_CAP entries,
-    whose Hessian is dense.
+    HANDOFF_EARLY_ITER when M^2 N is at most NEWTON_COST_CAP; its sweeps
+    and steps read the metric's axis tables where the kernels' guard admits
+    them.  It does so provided the product coupling p_x (x) p_y breaks the
+    metric constraint (the Newton oracle's lam = 0 test, made when the rule
+    first holds); otherwise the optimal multiplier is 0 and the scaling
+    loop carries on.  The Newton loop stops on the residual test and on
+    lam * r_lambda <= tol (``_newton_done``): at high SNR lam reaches tens,
+    and a point that meets the residual test alone can still be 2e-9 nats
+    short of the optimal rate.  A ``project`` run never hands off, since
+    its certificate speaks about the scaling trace, and neither does an
+    instance above problem.DENSE_CAP entries, whose Newton step builds an
+    M x N array.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -282,8 +269,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     strategy = cfg.lambda_strategy
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
-    may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
-    early = p.m * p.m * p.n <= NEWTON_COST_CAP
+    may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
+                    and p.m * p.m * p.n <= NEWTON_COST_CAP)
 
     log_px = np.log(p.p_x)
     log_py = np.log(p.p_y)
@@ -317,8 +304,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         if _peak(row) <= cfg.tol:
             status = SolveStatus.CONVERGED
             break
-        if may_hand_off and lam > 0.0 and (
-                (early and len(trace) >= HANDOFF_EARLY_ITER) or _stalled(trace)):
+        if may_hand_off and lam > 0.0 and len(trace) >= HANDOFF_EARLY_ITER:
             # asked the first time only: when the product coupling meets
             # the constraint, the optimal multiplier is 0, which the Newton
             # line search never reaches
@@ -330,7 +316,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             lphi, lpsi = balance_gauge(lphi, lpsi)
             dp, _, _, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam), p,
                                         cfg.max_iters - it, lambda _, r: _newton_done(r, cfg.tol),
-                                        trace, it)
+                                        trace, it, p.axes)
             newton_steps = len(trace) - it
             lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
             if failure is not None:

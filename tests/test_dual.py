@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lmrate import (
     EvaluationError,
     InconsistentOracleError,
     ScarlettDualPoint,
+    SinkhornState,
     SolverConfig,
     NumericalFailureError,
     certificate,
@@ -22,6 +24,7 @@ from lmrate import (
     scaling_null_space,
     scarlett_dual_value,
     scarlett_point_from_coupling,
+    sinkhorn_step,
     solve,
 )
 from lmrate import _kernels, _newton, dual
@@ -125,6 +128,105 @@ def test_newton_step_solves_damped_system(request, rng, name):
         delta = 1e-12 * np.trace(dense) / dense.shape[0]
         resid = dense @ step + delta * step + grad
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(grad)
+
+
+def _scaled_point(p, lam):
+    """A gauge-balanced dual point whose scalings fit lam: the third scaling
+    iterate, rescaled three times at lam."""
+    start = solve(p, SolverConfig(max_iters=3)).solution
+    state = SinkhornState(start.phi, start.psi, lam)
+    for _ in range(3):
+        state = sinkhorn_step(state, p)
+    return gauge_normalize(DualPoint(-np.log(state.phi) - 0.5, -np.log(state.psi) - 0.5, lam))
+
+
+def _factored_points():
+    """(cell, problem, dual point) at grid 50 for qam16 and qam64 at 0 and
+    10 dB: at the hand-off multiplier where it lies inside the kernels'
+    guard, and at (1 - 1e-12) times the guard."""
+    for scheme in ("qam16", "qam64"):
+        for snr_db in (0.0, 10.0):
+            p = make_problem(scheme, snr_db=snr_db, n_side=50)[3]
+            guard = _kernels.LSE_SWITCH / p.axes.span
+            hand_off = solve(p, SolverConfig(max_iters=3)).lambda_final
+            for lam in (hand_off, (1.0 - 1e-12) * guard):
+                if lam < guard:
+                    yield (scheme, snr_db, lam), p, _scaled_point(p, lam)
+
+
+@pytest.fixture(scope="module")
+def factored_points():
+    return list(_factored_points())
+
+
+def test_factored_hessian_matches_dense(rng, monkeypatch, factored_points):
+    # qam16 at 10 dB keeps 1020 of 2500 nodes, below the size crossover:
+    # lowered so that it takes the tables too, zero-filled nodes and all
+    monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
+    assert len(factored_points) == 6
+    for cell, p, dp in factored_points:
+        assert _kernels._factored(p.axes, dp.lam, p.d), cell
+        factored, dense = dual_hessian(dp, p, p.axes), dual_hessian(dp, p)
+        for name in ("r", "c", "u", "v", "w"):
+            np.testing.assert_allclose(getattr(factored, name), getattr(dense, name),
+                                       rtol=1e-12, atol=0.0, err_msg=f"{name} at {cell}")
+        s = rng.uniform(0.5, 2.0, p.n)
+        np.testing.assert_allclose(factored.q_scaled(s), dense.q_scaled(s),
+                                   rtol=1e-12, atol=0.0, err_msg=f"Q diag(s) at {cell}")
+
+
+def test_factored_newton_step_matches_dense(monkeypatch, factored_points):
+    # the damped system is ill-conditioned along nodes of tiny output mass, so
+    # two steps whose Hessians differ by rounding differ there by 1e-5 to 4e-3
+    # relative (as two dense builds perturbed by 1e-15 do); the factored step
+    # solves the dense system to rounding, and the multiplier component and
+    # predicted decrease, which the line search reads, agree to 1e-10
+    monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
+    for cell, p, dp in factored_points:
+        grad, _, dense = dual._sweep(dp, p)
+        factored = dual_hessian(dp, p, p.axes)
+        step, ref = dual._newton_step(factored, grad), dual._newton_step(dense, grad)
+        assert abs(step[-1] - ref[-1]) <= 1e-10 * abs(ref[-1]), cell
+        slope, ref_slope = _kernels.vdot(grad, step), _kernels.vdot(grad, ref)
+        assert abs(slope - ref_slope) <= 1e-10 * abs(ref_slope), cell
+        h = dense.dense()
+        delta = 1e-12 * np.trace(h) / h.shape[0]
+        assert np.linalg.norm(h @ step + delta * step + grad) <= 1e-9 * np.linalg.norm(grad), cell
+
+
+def test_first_trial_table_bound_matches_full_pass(monkeypatch, factored_points):
+    # the table bound only decides whether the pass over d is made: the
+    # trial length is the full pass's whether or not the cap binds
+    monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
+    binds = free = 0
+    for cell, p, dp in factored_points:
+        step = dual._newton_step(dual_hessian(dp, p), dual._sweep(dp, p)[0])
+        for scale in (1e-3, 1.0, 30.0, -30.0):
+            full = _newton._first_trial(dp, scale * step, p.d)
+            assert _newton._first_trial(dp, scale * step, p.d, p.axes) == full, (cell, scale)
+            lam_cap = 0.95 * dp.lam / -(scale * step[-1]) if scale * step[-1] < 0.0 else 1.0
+            binds += full < min(1.0, lam_cap)
+            free += full == min(1.0, lam_cap)
+    assert binds > 0 and free > 0
+
+
+def test_newton_oracle_never_builds_the_factored_hessian(monkeypatch):
+    # the oracle is the cross-check of the factored Newton finish, so it keeps
+    # the dense coupling even where the solver's finish reads the tables
+    p = make_problem("qam16", n_side=50)[3]
+    calls = Counter()
+
+    def spy(*args):
+        calls[args[-1]] += 1
+        return sweep(*args)
+
+    sweep = _kernels._factored_sweep
+    monkeypatch.setattr(_kernels, "_factored_sweep", spy)
+    report = newton_oracle(p, tol=1e-12)
+    assert report.converged and report.iterations > 0
+    assert calls["hessian"] == 0
+    assert solve(p).newton_steps > 0
+    assert calls["hessian"] > 0
 
 
 def test_objective_is_gauge_invariant(rng, qpsk_4x9):
@@ -268,10 +370,10 @@ def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
     # trial capped (STEP_EXP_CAP) no trial gets there, in fewer sweeps
     exponents = []
 
-    def spy(dp, p):
+    def spy(dp, p, axes=None):
         exponents.append(float((-dp.alpha[:, None] - dp.beta[None, :] - dp.lam * p.d).max())
                          - 1.0)
-        return hessian(dp, p)
+        return hessian(dp, p, axes)
 
     hessian = _newton.dual_hessian
     monkeypatch.setattr(_newton, "dual_hessian", spy)
