@@ -34,10 +34,11 @@ M = 4 gains least from the factoring, starts to win.  Solve time to tol
 the shifted block loop.  mismatch_dual_value takes each output's posterior
 from the same tables under the same guard, 2 M n_side exps in place of M N.
 The solver's Newton finish reads them too: _factored_sweep gives the dual
-Hessian's sums, and factored_coupling builds the Schur factor Q diag(s) as
-one broadcast product, with no M x N exp.  The dual objective and gradient
-keep the block loop, and the Newton oracle exponentiates the dense
-coupling, so it stays a cross-check of the factored path.
+Hessian's sums, and factored_coupling builds the Schur factor Q diag(s)
+from the tables as the one M x N array, with no exp over it.  The dual
+objective and gradient keep the block loop, and the Newton oracle
+exponentiates the dense coupling, so it stays a cross-check of the
+factored path.
 """
 
 from dataclasses import dataclass
@@ -293,17 +294,28 @@ def _factored_sweep(lphi, lpsi, lam, axes, sums):
 
 def factored_coupling(lphi, lpsi, lam, axes, s):
     """The coupling with its columns scaled by s, q_ij s_j, as a new M x N
-    array built from the axis tables with no exp over it: the broadcast
-    product (R_i F_ia) G_ib at the kept nodes, R_i = exp(lphi_i + max lpsi),
-    times exp(lpsi_j - max lpsi) s_j.  Each partial product lies between
-    q_ij and R_i, and R_i <= exp(lam d_ij) q_ij for the column j of max
-    lpsi, so under the kernels' guard nothing overflows where the coupling's
-    sums are finite."""
+    array built from the axis tables with no exp over it: (R_i F_ia) G_ib
+    at the kept nodes, R_i = exp(lphi_i + max lpsi), times
+    exp(lpsi_j - max lpsi) s_j.  Each partial product lies between q_ij and
+    R_i, and R_i <= exp(lam d_ij) q_ij for the column j of max lpsi, so
+    under the kernels' guard nothing overflows where the coupling's sums are
+    finite.  The result is the only M x N array made: on a full grid it is
+    the broadcast product itself, and on a pruned one the kept nodes'
+    columns of R F gathered, times G's in row blocks of
+    DENSE_BLOCK_ENTRIES."""
     f, g = _gibbs_factors(axes, lam)
     shift = lpsi.max()
-    q = np.einsum("ia,ib->iab", f * np.exp(lphi + shift)[:, None], g)
-    q *= axes.grid(np.exp(lpsi - shift) * s)
-    return axes.nodes(q)
+    f *= np.exp(lphi + shift)[:, None]
+    m, n = f.shape
+    if axes.kept.size == n * n:
+        q = np.einsum("ia,ib->iab", f, g).reshape(m, -1)
+    else:
+        a, b = np.divmod(axes.kept, n)
+        q = np.take(f, a, axis=1)
+        for lo, hi in _blocks(m, b.size, DENSE_BLOCK_ENTRIES):
+            q[lo:hi] *= np.take(g[lo:hi], b, axis=1)
+    q *= np.exp(lpsi - shift) * s
+    return q
 
 
 def coupling_stats(lphi, lpsi, lam, d, axes=None):

@@ -80,7 +80,7 @@ class DualHessian(NamedTuple):
     fills the off-diagonal block and its marginals r = q 1 and c = q^T 1 the
     diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.
     ``q_scaled(s)`` returns Q diag(s) as a new M x N array: the dense
-    coupling times s, or the broadcast product of the axis tables."""
+    coupling times s, or the product of the axis tables at the kept nodes."""
 
     r: np.ndarray
     c: np.ndarray

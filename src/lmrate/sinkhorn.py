@@ -21,9 +21,9 @@ The scaling iteration converges only sub-linearly, and at high SNR a root
 run can stall far from tol.  A root run therefore hands its iterate to the
 damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
 loop), which finishes it in a few steps.  It does so at iteration
-HANDOFF_EARLY_ITER when a Newton step is cheap enough (M^2 N at most
-NEWTON_COST_CAP, the Sinkhorn-Newton recipe of Tang et al., ICLR 2024); see
-``solve``.
+HANDOFF_EARLY_ITER when a Newton step costs less than the scaling it saves
+(M at most NEWTON_MAX_INPUTS, the Sinkhorn-Newton recipe of Tang et al.,
+ICLR 2024); see ``solve``.
 """
 
 import math
@@ -45,19 +45,25 @@ ROOT_RTOL = 1e-13
 _ROOT_LAMBDA_CAP = 1e6
 
 # A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
-# when M^2 N, the multiply-adds of a Newton step's Schur build, is at most
-# NEWTON_COST_CAP.  Solve to tol 1e-10, scaling alone -> early hand-off, best
-# of 6 on a 2-core Xeon, the Newton phase on the axis tables: at 0 dB, where
-# scaling alone is quickest, qam256 at grid 50 (M^2 N = 1.6e8) 78 -> 23 ms,
-# grid 70 (3.2e8) 89 -> 39 ms, grid 100 (6.6e8) 155 -> 79 ms, grid 120
-# (9.4e8) 277 -> 133 ms and grid 150 (1.5e9) 449 -> 232 ms, so the measured
-# sizes show no crossover (with the dense Newton phase it lay near 4e8:
-# grid 100 took 154 -> 196 ms).  At 10 dB qam256 at grid 200 (1.2e9) takes
-# 18.9 s -> 1.8 s.  Above the cap a run never hands off.  On the tables the
-# Newton phase holds one M x N array, its step's Schur factor; off them (lam
-# past the kernels' guard) the dense coupling and one more.
+# when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step costs about
+# M scaling iterations (M^2 N multiply-adds to build its Schur complement,
+# against M N for a factored sweep), so the gain turns on M, not on the
+# grid.  Solve to tol 1e-10 at 0 dB, where scaling alone is quickest,
+# scaling alone -> early hand-off, best of 2 or 3 on a 2-core Xeon with the
+# Newton phase on the axis tables: qam256 (M = 256) at grid 10 24 -> 11 ms,
+# grid 50 78 -> 23 ms, grid 150 479 -> 221 ms and grid 190 (N = 36100, near
+# problem.DENSE_CAP) 822 -> 420 ms.  A square alphabet of 400 points wins
+# from grid 10 (28 -> 19 ms) to grid 150 (N = 22500, 780 -> 453 ms), but
+# 484 points at grid 10 take 37 -> 42 ms, 576 points at grids 10 to 20
+# 41-52 -> 62-69 ms and 1024 points at grid 40 159 -> 201 ms.  Larger
+# grids and higher SNR favour the hand-off (576 points at grid 60: 236 ->
+# 146 ms; 1024 points at grid 40 and 10 dB: 1.83 -> 0.88 s), so the cap
+# sits at the crossover measured on small grids at low SNR.  At 10 dB
+# qam256 at grid 200 takes 18.9 s -> 1.8 s.  On the tables the Newton phase
+# holds one M x N array, its step's Schur factor; off them (lam past the
+# kernels' guard) the dense coupling and one more.
 HANDOFF_EARLY_ITER = 3
-NEWTON_COST_CAP = 1.5e9
+NEWTON_MAX_INPUTS = 400
 
 
 class LambdaStrategy(str, Enum):
@@ -248,7 +254,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     The multiplier update is ``root`` unless the config asks for
     ``project``.  A ``root`` run at a positive multiplier hands the
     gauge-balanced iterate to the damped Newton loop at iteration
-    HANDOFF_EARLY_ITER when M^2 N is at most NEWTON_COST_CAP; its sweeps
+    HANDOFF_EARLY_ITER when M is at most NEWTON_MAX_INPUTS; its sweeps
     and steps read the metric's axis tables where the kernels' guard admits
     them.  It does so provided the product coupling p_x (x) p_y breaks the
     metric constraint (the Newton oracle's lam = 0 test, made when the rule
@@ -270,7 +276,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
     may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
-                    and p.m * p.m * p.n <= NEWTON_COST_CAP)
+                    and p.m <= NEWTON_MAX_INPUTS)
 
     log_px = np.log(p.p_x)
     log_py = np.log(p.p_y)

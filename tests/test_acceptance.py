@@ -130,7 +130,7 @@ def test_criterion_04_gmi_ordering_and_trends():
                                         theta=np.pi / denom, snr_db=snr,
                                         n_side=50)[3]
                     report = solve(prob, SolverConfig(max_iters=2000, tol=1e-10))
-                    # every cell is below the cost cap, so the Newton
+                    # every cell is below the cap on inputs, so the Newton
                     # hand-off finishes it; none needs the oracle
                     assert report.converged, (scheme, eta, denom, snr, report.status)
                     lm = report.lm_rate_nats

@@ -451,7 +451,8 @@ def high_snr_runs():
 
 
 def test_stalled_cells_hand_off_and_converge(high_snr_runs):
-    # every cell is below the cost cap, so each hands off early, stalling or not
+    # every cell is below the cap on inputs, so each hands off early,
+    # stalling or not
     for cell, (p, report) in high_snr_runs.items():
         assert report.converged, (cell, report.status, report.failure_reason)
         assert report.newton_steps > 0, cell
@@ -470,7 +471,7 @@ def test_stalled_cells_hand_off_and_converge(high_snr_runs):
 
 
 def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
-    # below the cost cap a root run hands off after its third iteration
+    # below the cap on inputs a root run hands off after its third iteration
     for cell, (_, report) in high_snr_runs.items():
         assert report.converged and report.newton_steps > 0, cell
         trace = report.residual_trace
@@ -483,20 +484,26 @@ def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
         assert np.all(np.diff(values) <= 1e-12), cell
 
 
+def _square_problem(k, n_side):
+    """A k x k square alphabet of unit power, uniform prior, at 0 dB."""
+    axis = np.arange(1.0 - k, k, 2.0)
+    points = np.array([(a, b) for a in axis for b in axis])
+    points /= math.sqrt((points * points).sum(axis=1).mean())
+    cons = Constellation(points=points, probs=np.full(k * k, 1.0 / (k * k)))
+    return discretize(build_channel(1.0, 0.9, np.pi / 18, 0.0), cons, n_side)[1]
+
+
 @pytest.fixture
-def above_cap(monkeypatch):
-    # qam256 at grid 100 (M^2 N = 6.6e8); an instance above the cap itself
-    # (1.5e9) holds arrays of 47 MB or more, so the cap is lowered below it
-    monkeypatch.setattr(sinkhorn, "NEWTON_COST_CAP", 3e8)
-    return make_problem("qam256", n_side=100)[3]
+def above_cap():
+    # 484 inputs, the smallest square alphabet above the cap, at grid 10
+    return _square_problem(22, 10)
 
 
 def test_early_hand_off_follows_the_cost_cap(above_cap):
-    # qam256 at grid 50 (M^2 N = 1.6e8) is below the cap and hands off after
-    # iteration 3; test_low_snr_cell_makes_no_newton_steps solves the cell
-    # above it
-    below = make_problem("qam256", n_side=50)[3]
-    assert below.m ** 2 * below.n <= sinkhorn.NEWTON_COST_CAP < above_cap.m ** 2 * above_cap.n
+    # 400 inputs, at the cap itself, hand off after iteration 3;
+    # test_low_snr_cell_makes_no_newton_steps solves the cell above it
+    below = _square_problem(20, 10)
+    assert below.m == sinkhorn.NEWTON_MAX_INPUTS < above_cap.m
     early = solve(below)
     assert early.converged and early.newton_steps > 0
     assert early.iterations - early.newton_steps == 3
@@ -577,8 +584,8 @@ def test_default_converges_without_symmetry_certificate():
 
 
 def test_low_snr_cell_makes_no_newton_steps(above_cap):
-    # above the cost cap a run never hands off, and at 0 dB this cell
-    # converges by scaling alone
+    # above the cap a run never hands off, and at 0 dB this cell converges
+    # by scaling alone
     report = solve(above_cap)
     assert report.converged
     assert report.newton_steps == 0
