@@ -12,8 +12,8 @@ and the (convex, to-be-minimized) dual objective is
     g = sum_ij q_ij + <alpha, p_x> + <beta, p_y> + lam * t.
 
 Shifting (alpha, beta) by (+s, -s) leaves q unchanged; this gauge
-direction (1_M, -1_N, 0) is the only flat direction of g for
-non-constant centrally symmetric metrics.  The Hessian is an arrowhead
+direction (1_M, -1_N, 0) is the only flat direction of g for metrics
+that are not additively separable.  The Hessian is an arrowhead
 whose blocks are q and its metric-weighted sums, so one pass over the
 coupling at a point gives its gradient, its dual value and rate, and the
 Hessian the next Newton step needs: every trial point of a line search is

@@ -10,14 +10,15 @@ Discretization evaluates the transition density on a uniform square grid
 over [-half_width, half_width]^2 and renormalizes each row, giving a
 finite-alphabet problem whose couplings are directly comparable with the
 analytic threshold.  Grid nodes and all derived tables are kept exactly
-centrally symmetric (bit-for-bit) whenever the constellation is, because
-the symmetry arguments used by the scaling-kernel rank checks and the
-acceptance tests hold exactly, not approximately.
+centrally symmetric (bit-for-bit) whenever the constellation is.  No
+solver needs that, but without the mirrored sums the factored Newton step
+on qam16 at grid 50, 0 dB is 4.2e-9 from the dense one in the damped
+system's energy norm at the hand-off multiplier, against 1.9e-10 with them.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -99,10 +100,6 @@ class DiscreteProblem:
     w: row-stochastic transition matrix (M, N).
     t: capacity-constraint threshold, sum_ij p_x[i] w[i][j] d[i][j] for
        channel-built instances.
-    neg_x / neg_y: index involutions realizing point negation, or None
-       when the instance carries no symmetry.  The solvers need neither:
-       the multiplier equation has a unique nonnegative root on every
-       instance with t > 0.
     axes: the metric's GridAxes for channel-built instances, which the
        scaling sweeps factor through; None otherwise.  Not serialized.
     """
@@ -112,8 +109,6 @@ class DiscreteProblem:
     p_y: np.ndarray
     w: np.ndarray
     t: float
-    neg_x: np.ndarray | None = None
-    neg_y: np.ndarray | None = None
     axes: GridAxes | None = None
 
     def __post_init__(self):
@@ -159,8 +154,7 @@ class DiscreteProblem:
         it exists for constraint-slackness experiments (e.g. inflating t
         above max(d) to force the zero-multiplier optimum).
         """
-        return DiscreteProblem(self.d, self.p_x, self.p_y, self.w, float(t),
-                               self.neg_x, self.neg_y, self.axes)
+        return replace(self, t=float(t))
 
     def validate(self) -> list:
         """Contract check mirroring validate_constellation: returns violations."""
@@ -182,13 +176,6 @@ class DiscreteProblem:
         t_ref = float(np.sum(self.p_x[:, None] * self.w * self.d))
         if t_ref != self.t:
             issues.append(f"t = {self.t!r} differs from the recomputed value {t_ref!r}")
-        if self.neg_x is not None and self.neg_y is not None:
-            sym = self.d[np.ix_(self.neg_x, self.neg_y)]
-            if not np.array_equal(sym, self.d):
-                issues.append("metric is not exactly centrally symmetric")
-            sym_w = self.w[np.ix_(self.neg_x, self.neg_y)]
-            if not np.array_equal(sym_w, self.w):
-                issues.append("transition matrix is not exactly centrally symmetric")
         if self.axes is not None:
             a, b = np.divmod(self.axes.kept, self.axes.d1.shape[1])
             if not np.array_equal(self.axes.d1[:, a] + self.axes.d2[:, b], self.d):
@@ -202,20 +189,16 @@ class DiscreteProblem:
             "p_y": self.p_y.tolist(),
             "w": self.w.tolist(),
             "t": self.t,
-            "neg_x": None if self.neg_x is None else self.neg_x.tolist(),
-            "neg_y": None if self.neg_y is None else self.neg_y.tolist(),
         }
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteProblem":
-        """Inverse of to_json; other keys, such as the symmetry flag that
-        older dumps carry, are ignored."""
+        """Inverse of to_json; other keys, such as the negation maps and
+        the symmetry flag that older dumps carry, are ignored."""
         data = json.loads(text)
-        neg_x = None if data["neg_x"] is None else np.asarray(data["neg_x"], dtype=np.int64)
-        neg_y = None if data["neg_y"] is None else np.asarray(data["neg_y"], dtype=np.int64)
         return cls(np.asarray(data["d"]), np.asarray(data["p_x"]), np.asarray(data["p_y"]),
-                   np.asarray(data["w"]), float(data["t"]), neg_x, neg_y)
+                   np.asarray(data["w"]), float(data["t"]))
 
 
 def _symmetric_axis(n_side: int, half_width: float) -> np.ndarray:
@@ -254,7 +237,7 @@ def quadratic_form_positive(channel: ChannelSpec) -> bool:
 
 
 def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
-               half_width: float = 8.0, allow_asymmetric: bool = False):
+               half_width: float = 8.0):
     """Discretize the channel output onto an n_side x n_side grid.
 
     Rows of the transition matrix are the Gaussian density evaluated at the
@@ -268,9 +251,6 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         n_side: nodes per axis, >= 2.
         prob_floor: pruning threshold on the output marginal, >= 0.
         half_width: grid extent, positive and finite.
-        allow_asymmetric: permit constellations that are not closed under
-            negation.  Such instances carry no negation maps (neg_x and
-            neg_y are None); the solvers treat them like any other.
 
     Returns:
         (OutputGrid, DiscreteProblem)
@@ -281,12 +261,8 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         raise ValueError("prob_floor must be nonnegative")
     if not (half_width > 0.0 and math.isfinite(half_width)):
         raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
+    symmetric = c.is_centrally_symmetric()
     neg_x = c.negation_index()
-    symmetric = neg_x is not None and bool(np.all(c.probs[neg_x] == c.probs))
-    if not symmetric and not allow_asymmetric:
-        raise UnsupportedConfigurationError(
-            "constellation is not centrally symmetric; pass allow_asymmetric=True "
-            "to discretize anyway (disables the symmetry-based guarantees)")
 
     coords = _symmetric_axis(n_side, float(half_width))
     delta = 2.0 * float(half_width) / (n_side - 1)
@@ -347,12 +323,9 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         p_y = _mirror_cols(c.probs @ w)
 
     t = float(np.sum(c.probs[:, None] * w * d))
-    n_kept = points.shape[0]
-    neg_y = np.arange(n_kept - 1, -1, -1, dtype=np.int64) if symmetric else None
     grid = OutputGrid(points=points, delta=delta, half_width=float(half_width),
                       n_side=n_side, pruned=pruned)
-    problem = DiscreteProblem(d=d, p_x=c.probs.copy(), p_y=p_y, w=w, t=t,
-                              neg_x=neg_x if symmetric else None, neg_y=neg_y, axes=axes)
+    problem = DiscreteProblem(d=d, p_x=c.probs.copy(), p_y=p_y, w=w, t=t, axes=axes)
     return grid, problem
 
 

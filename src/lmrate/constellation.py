@@ -67,8 +67,8 @@ class Constellation:
     def negation_index(self):
         """Index map i -> j with points[j] == -points[i] exactly, or None.
 
-        Exact (bitwise) matching: the symmetry guarantees downstream rely on
-        negated pairs being identical floats, not merely close ones.
+        Exact (bitwise) matching: discretize mirrors sums across these pairs,
+        which keeps the factored Newton step near the dense one (see lmrate.channel).
         """
         lookup = {}
         for i, pt in enumerate(self.points):
@@ -121,14 +121,11 @@ def build_constellation(scheme) -> Constellation:
     return Constellation(points, probs, label=scheme.value)
 
 
-def validate_constellation(c: Constellation, require_symmetry: bool = True) -> list:
+def validate_constellation(c: Constellation) -> list:
     """Check the constellation contract; reports violations, never raises.
 
-    Args:
-        c: constellation to check.
-        require_symmetry: set False to skip the closure-under-negation
-            check for deliberately asymmetric alphabets, which discretize
-            takes with allow_asymmetric=True.  The solvers need no symmetry.
+    The contract is a prior on distinct finite points with unit mean power;
+    an alphabet need not be closed under negation.
 
     Returns:
         List of human-readable violation descriptors; empty when valid.
@@ -152,16 +149,4 @@ def validate_constellation(c: Constellation, require_symmetry: bool = True) -> l
         if key in seen:
             issues.append(f"duplicate point at indexes {seen[key]} and {i}: {key}")
         seen[key] = i
-    if require_symmetry:
-        neg = c.negation_index()
-        if neg is None:
-            issues.append("point set is not closed under negation (exact match required)")
-        else:
-            mism = np.nonzero(c.probs[neg] != c.probs)[0]
-            if mism.size:
-                i = int(mism[0])
-                issues.append(
-                    f"negated pair ({i}, {int(neg[i])}) has mismatched probabilities "
-                    f"{c.probs[i]!r} vs {c.probs[int(neg[i])]!r}"
-                )
     return issues

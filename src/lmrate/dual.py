@@ -6,8 +6,9 @@ The dual variables, objective, Hessian and the damped Newton loop live in
 ``_newton`` (the scaling solver hands its root runs to the same loop) and
 are bound here as well.  Shifting (alpha, beta) by (+s, -s) leaves the
 coupling unchanged; this gauge direction (1_M, -1_N, 0) is the only flat
-direction of the dual for non-constant centrally symmetric metrics, which
-is what makes the projected Newton oracle well posed.
+direction of the dual for metrics that are not additively separable
+(see ``scaling_null_space``), which is what makes the projected Newton
+oracle well posed.
 
 At lam = 0 the minimizer of the dual is the product coupling p_x (x) p_y
 in closed form; the Newton oracle starts there and runs one damped Newton

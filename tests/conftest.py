@@ -34,9 +34,7 @@ def random_problem(rng, m, n):
     p_x = np.full(m, 1.0 / m)
     p_y = p_x @ w
     t = float(np.sum(p_x[:, None] * w * d))
-    return DiscreteProblem(d=d, p_x=p_x, p_y=p_y, w=w, t=t,
-                           neg_x=np.arange(m - 1, -1, -1),
-                           neg_y=np.arange(n - 1, -1, -1))
+    return DiscreteProblem(d=d, p_x=p_x, p_y=p_y, w=w, t=t)
 
 
 @pytest.fixture(scope="session")

@@ -219,9 +219,9 @@ def test_criterion_08_kernel_null_space(rng):
 
 def test_criterion_09_positive_excess_and_strategy_match():
     for scheme, n_side in (("qpsk", 10), ("qam16", 15)):
-        _, chan, _, prob = make_problem(scheme=scheme, n_side=n_side)
+        cons, chan, _, prob = make_problem(scheme=scheme, n_side=n_side)
         assert quadratic_form_positive(chan)
-        assert chan.matched_decoder() and prob.neg_x is not None
+        assert chan.matched_decoder() and cons.is_centrally_symmetric()
         # hand-rolled loop so the excess at multiplier zero is visible
         state = SinkhornState(phi=np.ones(prob.m), psi=np.ones(prob.n), lam=1.0)
         for _ in range(500):

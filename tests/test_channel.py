@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -71,16 +72,23 @@ def test_two_node_grid_geometry():
     assert prob.m == 4 and prob.n == 4
 
 
+def _assert_bitwise_symmetric(cons, prob):
+    # negating an input maps it through negation_index, negating a kept node
+    # reverses the node order
+    neg_x, neg_y = cons.negation_index(), np.arange(prob.n - 1, -1, -1)
+    assert np.array_equal(prob.d[np.ix_(neg_x, neg_y)], prob.d)
+    assert np.array_equal(prob.w[np.ix_(neg_x, neg_y)], prob.w)
+    assert np.array_equal(prob.p_y[neg_y], prob.p_y)
+
+
 def test_discrete_problem_is_normalized_and_symmetric():
-    _, _, grid, prob = make_problem(n_side=10)
+    cons, _, grid, prob = make_problem(n_side=10)
     np.testing.assert_allclose(prob.w.sum(axis=1), 1.0, rtol=0, atol=1e-13)
     assert abs(prob.p_y.sum() - 1.0) <= 1e-12
     assert prob.p_y.min() > 0.0
     assert prob.validate() == []
     # symmetry holds exactly, not to rounding
-    assert np.array_equal(prob.d[np.ix_(prob.neg_x, prob.neg_y)], prob.d)
-    assert np.array_equal(prob.w[np.ix_(prob.neg_x, prob.neg_y)], prob.w)
-    assert np.array_equal(prob.p_y[prob.neg_y], prob.p_y)
+    _assert_bitwise_symmetric(cons, prob)
 
 
 def test_axis_tables_rebuild_the_metric():
@@ -151,12 +159,14 @@ def test_threshold_vanishes_at_high_snr():
 
 
 def test_pruning_keeps_problem_valid():
-    _, _, grid, prob = make_problem(snr_db=15.0, n_side=15)
+    cons, _, grid, prob = make_problem(snr_db=15.0, n_side=15)
     assert grid.pruned.size > 0
     assert prob.n < grid.n_side**2
     assert prob.n == grid.points.shape[0]
     assert prob.p_y.min() > 0.0
-    np.testing.assert_array_equal(prob.neg_y, np.arange(prob.n - 1, -1, -1))
+    # the pruned set is negation-closed: node k's negation is node N - 1 - k
+    np.testing.assert_array_equal(np.sort(grid.n_side**2 - 1 - grid.pruned), grid.pruned)
+    _assert_bitwise_symmetric(cons, prob)
     assert prob.validate() == []
 
 
@@ -179,23 +189,24 @@ def test_tiny_grid_rejected():
             discretize(chan, cons, n_side=10, half_width=half_width)
 
 
-def test_asymmetric_constellation_needs_opt_in():
+def test_asymmetric_constellation_accepted_by_default():
     from lmrate import Constellation
 
     base = build_constellation("qpsk")
     lopsided = Constellation(points=base.points,
                              probs=np.array([0.4, 0.1, 0.4, 0.1]))
+    assert not lopsided.is_centrally_symmetric()
     chan = build_channel(1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        discretize(chan, lopsided, n_side=6)
-    _, prob = discretize(chan, lopsided, n_side=6, allow_asymmetric=True)
-    assert prob.neg_x is None and prob.neg_y is None
+    _, prob = discretize(chan, lopsided, 6)
+    assert prob.validate() == []
 
 
 def test_with_threshold_marks_inconsistency():
     _, _, _, prob = make_problem(n_side=6)
     inflated = prob.with_threshold(prob.d.max() + 1.0)
     assert inflated.t == prob.d.max() + 1.0
+    assert [f.name for f in dataclasses.fields(inflated)] == ["d", "p_x", "p_y", "w", "t", "axes"]
+    assert inflated.axes is prob.axes and inflated.d is prob.d
     issues = inflated.validate()
     assert any("t =" in v and "differs" in v for v in issues)
     # everything except the threshold tie stays intact
@@ -210,11 +221,12 @@ def test_problem_json_round_trip():
     assert np.array_equal(back.p_x, prob.p_x)
     assert np.array_equal(back.p_y, prob.p_y)
     assert back.t == prob.t
-    assert np.array_equal(back.neg_x, prob.neg_x)
-    assert np.array_equal(back.neg_y, prob.neg_y)
-    assert "rootfind_safe" not in json.loads(prob.to_json())
-    # dumps written before the symmetry flag went still load
-    payload = dict(json.loads(prob.to_json()), rootfind_safe=True)
+    assert set(json.loads(prob.to_json())) == {"d", "p_x", "p_y", "w", "t"}
+    # dumps written before the symmetry flag and the negation maps went
+    # still load
+    payload = dict(json.loads(prob.to_json()), rootfind_safe=True,
+                   neg_x=list(range(prob.m - 1, -1, -1)),
+                   neg_y=list(range(prob.n - 1, -1, -1)))
     old = DiscreteProblem.from_json(json.dumps(payload))
     assert np.array_equal(old.d, prob.d) and old.t == prob.t
     assert old.validate() == []

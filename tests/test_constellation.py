@@ -49,14 +49,14 @@ def test_negation_closure_is_bitwise(scheme):
     assert c.is_centrally_symmetric()
 
 
-def test_asymmetric_probs_flag_symmetry_not_power():
+def test_asymmetric_probs_are_valid():
+    # negated pairs with different probabilities: an asymmetric prior is
+    # valid input, and it keeps unit power
     base = build_constellation("qpsk")
     c = Constellation(points=base.points,
                       probs=np.array([0.3, 0.3, 0.2, 0.2]), label="tampered")
-    violations = validate_constellation(c)
-    text = " ".join(violations)
-    assert "power" not in text
-    assert any("negated pair" in v and "mismatched" in v for v in violations)
+    assert not c.is_centrally_symmetric()
+    assert validate_constellation(c) == []
 
 
 def test_scaled_points_flag_power():
@@ -67,14 +67,13 @@ def test_scaled_points_flag_power():
     assert "power" in violations[0] and "3.999999999999999" in violations[0]
 
 
-def test_symmetry_check_can_be_waived():
+def test_point_set_without_negation_closure_is_valid():
     base = build_constellation("qpsk")
     # two same-quadrant points: unit power but no negation closure
     lopsided = Constellation(points=base.points[:2],
                              probs=np.array([0.5, 0.5]), label="half")
-    assert any("negation" in v for v in validate_constellation(lopsided))
-    waived = validate_constellation(lopsided, require_symmetry=False)
-    assert waived == []
+    assert lopsided.negation_index() is None
+    assert validate_constellation(lopsided) == []
 
 
 def test_duplicate_points_detected():

@@ -520,15 +520,21 @@ def test_scarlett_mapped_optimum_attains_rate(qpsk_n10):
 
 
 def test_null_space_generic_metric(rng):
-    for _ in range(5):
-        p = random_problem(rng, 4, 6)
-        out = scaling_null_space(p.d)
+    # the gauge is the only flat direction of any metric that is not
+    # additively separable, centrally symmetric or not
+    metrics = [random_problem(rng, 4, 6).d for _ in range(5)]
+    metrics.append(rng.uniform(0.5, 3.0, (3, 7)))
+    for d in metrics:
+        out = scaling_null_space(d)
         assert out["null_dim"] == 1
         assert not out["degenerate"]
         basis = out["null_basis"][:, 0]
-        k = gauge_vector(4, 6)
+        k = gauge_vector(*d.shape)
         # basis and gauge direction are collinear
         assert abs(abs(float(basis @ k)) - 1.0) <= 1e-10
+    separable = rng.uniform(0.5, 3.0, (3, 1)) + rng.uniform(0.5, 3.0, (1, 7))
+    out = scaling_null_space(separable)
+    assert out["null_dim"] == 2 and out["degenerate"]
 
 
 def test_null_space_grid_metric(qpsk_4x9):

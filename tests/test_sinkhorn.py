@@ -561,8 +561,7 @@ def _no_certificate_cells():
             yield (scheme, "h_hat", n_side, snr), make_problem(
                 scheme, snr_db=snr, n_side=n_side, h_hat=[[1.0, 0.0], [0.0, 0.8]])[3]
         chan = build_channel(1.0, 0.9, np.pi / 18, snr)
-        yield ("lopsided", n_side, snr), discretize(chan, lopsided, n_side,
-                                                    allow_asymmetric=True)[1]
+        yield ("lopsided", n_side, snr), discretize(chan, lopsided, n_side)[1]
         yield ("qpsk", "pi/2", n_side, snr), make_problem(theta=np.pi / 2, snr_db=snr,
                                                           n_side=n_side)[3]
 
