@@ -15,27 +15,27 @@ them, so 0*log(0) = 0 holds through the marginals without a per-entry product.
 
 A channel-built metric splits by axis: column j is grid node (a, b) and
 d_ij = d1[i, a] + d2[i, b] (GridAxes), so exp(-lam d_ij) = F_i(a) G_i(b).
-Given the tables, scale_rows, scale_cols, coupling_stats and
-metric_moments take their sums as small GEMMs over the n_side x n_side
-grid (the separable kernel of Solomon et al., Convolutional Wasserstein
-Distances, 2015): 2 M n_side + n_side^2 exps a sweep in place of M N,
-about 28k against 640k for qam256 at grid 50.  Scalings are shifted by
-their maximum before exp, and each coupling sum is exp of its log, so it
-overflows or underflows where the plain sum would.  The factored path runs
-only while lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G
-product a normal double, and only on metrics of at least
-FACTORED_MIN_ENTRIES entries.  That crossover is where qpsk, whose
-M = 4 gains least from the factoring, starts to win.  Solve time to tol
-1e-10 at 0 dB, factored over block loop, best of 7 to 11 runs on a
-2-core Xeon with numpy 2.4 and OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10),
-1.09-1.10 at 4 x 2500 (qpsk grid 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096,
-0.71-0.83 at 16 x 900 and 64 x 225, and 0.34 at 16 x 2500 (qam16 grid
-50).  Off the factored path, scale_rows and scale_cols hand the call to
-the shifted block loop.  mismatch_dual_value takes each output's posterior
-from the same tables under the same guard, 2 M n_side exps in place of M N.
-The solver's Newton finish reads them too: _factored_sweep gives the dual
-Hessian's sums, and factored_coupling builds the Schur factor Q diag(s)
-from the tables as the one M x N array, with no exp over it.  The dual
+Given the tables, every sum over the metric comes from one reduction,
+_table_sums: the row sums and node sums of the kernel times d^k, as small
+GEMMs over the n_side x n_side grid (the separable kernel of Solomon et
+al., Convolutional Wasserstein Distances, 2015), 2 M n_side + n_side^2
+exps a sweep in place of M N, about 28k against 640k for qam256 at grid
+50.  It takes the scalings shifted by their maximum, and each caller puts
+the shift back in log space, so a coupling sum overflows or underflows
+where the plain sum would.  The factored path runs only while
+lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G product a
+normal double, and only on metrics of at least FACTORED_MIN_ENTRIES
+entries.  That crossover is where qpsk, whose M = 4 gains least from the
+factoring, starts to win.  Solve time to tol 1e-10 at 0 dB, factored over
+block loop, best of 7 to 11 runs on a 2-core Xeon with numpy 2.4 and
+OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10), 1.09-1.10 at 4 x 2500 (qpsk grid
+50), 1.15 at 4 x 3600, 0.91 at 4 x 4096, 0.71-0.83 at 16 x 900 and
+64 x 225, and 0.34 at 16 x 2500 (qam16 grid 50).  The reduction's
+consumers are scale_rows, scale_cols, metric_moments, coupling_stats,
+mismatch_dual_value's posteriors and the Newton finish's dual Hessian
+(_newton.dual_hessian); off the factored path each keeps its block loop.
+factored_coupling builds the Newton step's Schur factor Q diag(s) from the
+same tables as the one M x N array, with no exp over it.  The dual
 objective and gradient keep the block loop, and the Newton oracle
 exponentiates the dense coupling, so it stays a cross-check of the
 factored path.
@@ -137,6 +137,21 @@ def exponent_blocks(a, b, lam, d, entries=DENSE_BLOCK_ENTRIES):
         yield lo, e
 
 
+def _column_blocks(base, lam, d):
+    """(lo, hi, mx, e) for the column blocks of d: e = exp(base_i - lam d_ij
+    - mx_j) over columns lo:hi, mx_j the column's largest exponent, so each
+    column's largest term is 1."""
+    m, n = d.shape
+    base = base[:, None]
+    for lo, hi in _blocks(n, m):
+        e = d[:, lo:hi] * -lam
+        e += base
+        mx = e.max(axis=0)
+        e -= mx
+        np.exp(e, out=e)
+        yield lo, hi, mx, e
+
+
 def _factored(axes, lam, d):
     """True when the sweep over d at multiplier lam goes through its axis tables."""
     return (axes is not None and d.size >= FACTORED_MIN_ENTRIES
@@ -160,26 +175,80 @@ def vdot(x, y) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
-def _gibbs_factors(axes, lam):
-    return np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
+def _powers(table, powers, k):
+    """(k, M, n_side) stack of table * d^p for p < k, powers being GridAxes'
+    d1_powers or d2_powers; at k = 1 the table itself, as a view."""
+    return table[None] if k == 1 else powers[:k] * table
 
 
-def _row_dot(x, y):
-    return np.einsum("ia,ia->i", x, y)
+def _expand(k, term):
+    """The sum of term(p, q) over the binomial expansion of (d1 + d2)^k,
+    k <= 2: sum over p + q = k of C(k, p) term(p, q), p descending."""
+    if k == 0:
+        return term(0, 0)
+    if k == 1:
+        return term(1, 0) + term(0, 1)
+    return term(2, 0) + 2.0 * term(1, 1) + term(0, 2)
+
+
+def _table_sums(phi, psi, lam, axes, rows, cols):
+    """Every axis-table sum of the package, for weights phi on the inputs
+    and psi on the kept nodes: ([R_0, ...], [C_0, ...]) with R_k (k < rows)
+    the row sums sum_j psi_j K_ij d_ij^k and C_k (k < cols) the node sums
+    sum_i phi_i K_ij d_ij^k at the kept nodes, K = exp(-lam d) = F G.  psi is
+    read only for rows and phi only for cols, and both counts are at most 3.
+    Callers pass scalings shifted by their maximum, so each weight lies in
+    [0, 1], and put the shift back in log space.
+
+    With d = d1 + d2, the sum of K d^k splits over p + q = k into binomially
+    weighted sums of F d1^p and G d2^q.  The rows take one stacked GEMM
+    [F d1^p] @ Psi, Psi the grid of psi, then per row one small product with
+    [G d2^q]; the node sum of each (p, q) is one GEMM (phi F d1^p)^T @ (G d2^q).
+    Under the LSE_SWITCH guard, with weights of maximum 1, every R_0 lies
+    in [exp(-LSE_SWITCH), N] and every C_0 in [exp(-LSE_SWITCH), M]."""
+    f, g = np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
+    m, n = f.shape
+    row_sums = node_sums = []
+    if rows:
+        a = _matmul(_powers(f, axes.d1_powers, rows).reshape(-1, n), axes.grid(psi))
+        # einsum, not a batched np.matmul, whose rounding moves the factored
+        # Newton step on qam64 at grid 50 and 0 dB 5e-9 off the dense one,
+        # past the 1e-9 of test_factored_newton_step_matches_dense
+        t = np.einsum("pia,qia->pqi", a.reshape(rows, m, n), _powers(g, axes.d2_powers, rows))
+        row_sums = [_expand(k, lambda p, q: t[p, q]) for k in range(rows)]
+    if cols:
+        x = _powers(f * phi[:, None], axes.d1_powers, cols)
+        y = _powers(g, axes.d2_powers, cols)
+        node_sums = [axes.nodes(_expand(k, lambda p, q: _matmul(x[p].T, y[q])))
+                     for k in range(cols)]
+    return row_sums, node_sums
+
+
+def _coupling_sums(lphi, lpsi, lam, axes, rows, cols):
+    """The coupling's own sums, sum_j q_ij d_ij^k (k < rows) and
+    sum_i q_ij d_ij^k (k < cols): _table_sums of the shifted scalings, each
+    row's and node's scaling put back in log space, so every sum overflows
+    or underflows where the plain sum would (+inf here even where the block
+    loop's 0 * inf at an exact zero of d makes it NaN)."""
+    lphi_max, lpsi_max = lphi.max(), lpsi.max()
+    row_sums, node_sums = _table_sums(np.exp(lphi - lphi_max), np.exp(lpsi - lpsi_max),
+                                      lam, axes, rows, cols)
+    with np.errstate(divide="ignore"):
+        return (np.exp(lphi + lpsi_max + np.log(row_sums)),
+                [np.exp(lpsi + lphi_max + np.log(s)) for s in node_sums])
 
 
 def scale_rows(lpsi, lam, d, log_px, axes=None):
     """Row scaling update: lphi_i = log_px_i - log sum_j exp(lpsi_j - lam*d_ij).
 
-    With ``axes`` (the GridAxes of d) the sums are ((F @ Psi) * G) summed
-    over each row, Psi the grid of exp(lpsi - max lpsi).  Under the
-    LSE_SWITCH guard each sum lies in [exp(-LSE_SWITCH), N], so the result
-    is finite; outside it the call goes to scale_rows_lse.
+    With ``axes`` (the GridAxes of d) the sums are _table_sums' zeroth row
+    sums over psi = exp(lpsi - max lpsi).  Under the LSE_SWITCH guard each
+    lies in [exp(-LSE_SWITCH), N], so the result is finite; outside it the
+    call goes to scale_rows_lse.
     """
     if _factored(axes, lam, d):
-        f, g = _gibbs_factors(axes, lam)
         shift = lpsi.max()
-        s = _row_dot(_matmul(f, axes.grid(np.exp(lpsi - shift))), g)
+        (s,), _ = _table_sums(None, np.exp(lpsi - shift), lam, axes, 1, 0)
         return log_px - (shift + np.log(s))
     return scale_rows_lse(lpsi, lam, d, log_px)
 
@@ -202,28 +271,21 @@ def scale_rows_lse(lpsi, lam, d, log_px):
 def scale_cols(lphi, lam, d, log_py, axes=None):
     """Column scaling update, scale_rows' counterpart over the inputs.
 
-    With ``axes`` the sums are (F^T diag(phi)) @ G read at the kept nodes,
+    With ``axes`` the sums are _table_sums' zeroth node sums over
     phi = exp(lphi - max lphi); outside the guard the call goes to
     scale_cols_lse.
     """
     if _factored(axes, lam, d):
-        f, g = _gibbs_factors(axes, lam)
         shift = lphi.max()
-        s = axes.nodes(_matmul((f * np.exp(lphi - shift)[:, None]).T, g))
+        _, (s,) = _table_sums(np.exp(lphi - shift), None, lam, axes, 0, 1)
         return log_py - (shift + np.log(s))
     return scale_cols_lse(lphi, lam, d, log_py)
 
 
 def scale_cols_lse(lphi, lam, d, log_py):
     """scale_cols as the shifted block loop, one pass over column blocks."""
-    m, n = d.shape
-    out = np.empty(n)
-    for lo, hi in _blocks(n, m):
-        e = d[:, lo:hi] * -lam
-        e += lphi[:, None]
-        mx = e.max(axis=0)
-        e -= mx
-        np.exp(e, out=e)
+    out = np.empty(d.shape[1])
+    for lo, hi, mx, e in _column_blocks(lphi, lam, d):
         out[lo:hi] = log_py[lo:hi] - (mx + np.log(e.sum(axis=0)))
     return out
 
@@ -245,53 +307,6 @@ def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
     return s1, s2
 
 
-def _factored_sweep(lphi, lpsi, lam, axes, sums):
-    """_moment_sweep's sums through the axis tables.  With d = d1 + d2 the
-    sum of q d^k splits into grid sums of phi F d1^p Psi G d2^q over
-    p + q = k: one stacked GEMM a = [F; F d1; F d1^2] @ Psi, then inner
-    products of a[p] with b[q] = phi G d2^q.  The column marginal takes a
-    second GEMM.  Both scalings are shifted by their maximum, and every
-    result is exp of its log, so it overflows or underflows where the plain
-    sum would; an overflow is +inf here even where the block loop's
-    0 * inf at an exact zero of d makes it NaN.
-
-    ``sums`` picks the result: "moments" (s1, s2), "stats" (row, col, s1,
-    s2) or "hessian" (row, col, u, v, w), the dual Hessian's sums
-    u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q beside the marginals.  For
-    "hessian" the products stay per row, without phi, and each row's own
-    scaling goes back in log space; v takes one more GEMM,
-    [F d1; F]^T @ [G; G d2] in phi-weighted rows."""
-    f, g = _gibbs_factors(axes, lam)
-    m = lphi.shape[0]
-    lphi_max, lpsi_max = lphi.max(), lpsi.max()
-    phi = np.exp(lphi - lphi_max)[:, None]
-    a = _matmul((axes.d1_powers * f).reshape(3 * m, -1), axes.grid(np.exp(lpsi - lpsi_max)))
-    a = a.reshape(3, m, -1)
-    if sums == "hessian":
-        t = np.einsum("pia,qia->pqi", a, axes.d2_powers * g)
-        rows = np.stack([t[0, 0], t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2]])
-        x = axes.d1_powers[:2] * (f * phi)
-        y = axes.d2_powers[:2] * g
-        cols = axes.nodes(np.stack([_matmul(x[0].T, g),
-                                    _matmul(x[::-1].reshape(2 * m, -1).T, y.reshape(2 * m, -1))]))
-        with np.errstate(divide="ignore"):
-            row, u, w = np.exp(lphi + lpsi_max + np.log(rows))
-            col, v = np.exp(lpsi + lphi_max + np.log(cols))
-        return row, col, u, v, float(w.sum())
-    b = axes.d2_powers * (g * phi)
-    # einsum, not np.vdot: OpenBLAS threads dot products this long (GEMM_CHUNK)
-    t = np.einsum("pia,qia->pq", a, b)
-    moments = (t[1, 0] + t[0, 1], t[2, 0] + 2.0 * t[1, 1] + t[0, 2])
-    with np.errstate(divide="ignore"):
-        s1, s2 = np.exp(lphi_max + lpsi_max + np.log(moments)).tolist()
-        if sums == "moments":
-            return s1, s2
-        row = np.exp(lphi + lpsi_max + np.log(_row_dot(a[0], g)))
-        col = axes.nodes(_matmul((f * phi).T, g))
-        col = np.exp(lpsi + lphi_max + np.log(col))
-    return row, col, s1, s2
-
-
 def factored_coupling(lphi, lpsi, lam, axes, s):
     """The coupling with its columns scaled by s, q_ij s_j, as a new M x N
     array built from the axis tables with no exp over it: (R_i F_ia) G_ib
@@ -303,7 +318,7 @@ def factored_coupling(lphi, lpsi, lam, axes, s):
     the broadcast product itself, and on a pruned one the kept nodes'
     columns of R F gathered, times G's in row blocks of
     DENSE_BLOCK_ENTRIES."""
-    f, g = _gibbs_factors(axes, lam)
+    f, g = np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
     shift = lpsi.max()
     f *= np.exp(lphi + shift)[:, None]
     m, n = f.shape
@@ -325,10 +340,12 @@ def coupling_stats(lphi, lpsi, lam, d, axes=None):
     metric_mass = sum_ij d_ij q_ij and metric_moment2 = sum_ij d_ij^2 q_ij
     (the multiplier root solve's Newton slope, so its last candidate sweep is
     also the evaluation sweep).  problem.evaluate derives the rest.  With
-    ``axes`` (the GridAxes of d) the sums go through the axis tables.
+    ``axes`` (the GridAxes of d) the sums are _table_sums' row sums of d^0,
+    d^1, d^2 and its zeroth node sums, rescaled by _coupling_sums.
     """
     if _factored(axes, lam, d):
-        return _factored_sweep(lphi, lpsi, lam, axes, "stats")
+        (row, u, w), (col,) = _coupling_sums(lphi, lpsi, lam, axes, 3, 1)
+        return row, col, float(u.sum()), float(w.sum())
     row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
 
@@ -340,7 +357,8 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     evaluation, at its warm-start hint.  ``axes`` as for coupling_stats.
     """
     if _factored(axes, lam, d):
-        return _factored_sweep(lphi, lpsi, lam, axes, "moments")
+        (_, u, w), _ = _coupling_sums(lphi, lpsi, lam, axes, 3, 0)
+        return float(u.sum()), float(w.sum())
     return _moment_sweep(lphi, lpsi, lam, d)
 
 
@@ -360,24 +378,6 @@ def joint_sums(p_x, w, d) -> JointSums:
     return JointSums(joint.sum(axis=1), joint.sum(axis=0), vdot(joint, d))
 
 
-def _factored_posterior(base, zeta, axes):
-    """Per kept node: (log sum_i exp(base_i - zeta d_ij), E_post[d], Var_post[d])
-    from the grid sums of c F d1^p G d2^q, p + q <= 2, c = exp(base - max base):
-    six (n_side x M) @ (M x n_side) products, which beat one stacked product.
-    Under the LSE_SWITCH guard every mass lies in [exp(-LSE_SWITCH), M]."""
-    shift = base.max()
-    x = axes.d1_powers * (np.exp(base - shift)[:, None] * np.exp(-zeta * axes.d1))
-    y = axes.d2_powers * np.exp(-zeta * axes.d2)
-
-    def node_sum(p, q):
-        return axes.nodes(_matmul(x[p].T, y[q]))
-
-    mass = node_sum(0, 0)
-    mean = (node_sum(1, 0) + node_sum(0, 1)) / mass
-    moment2 = (node_sum(2, 0) + 2.0 * node_sum(1, 1) + node_sum(0, 2)) / mass
-    return shift + np.log(mass), mean, moment2 - mean * mean
-
-
 def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     """Mismatched-decoding dual objective and its first two zeta-derivatives.
 
@@ -390,28 +390,25 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
 
     with W_j = sum_i w_ij and the posterior at output j the softmax over
     inputs k of log_px_k + a_k - zeta*d_kj.  With ``axes`` (the GridAxes of
-    d), under the scaling kernels' guard, the posteriors come from the axis
-    tables (_factored_posterior): 2 M n_side exps in place of M N, and no
+    d), under the scaling kernels' guard, the posteriors come from the node
+    sums of d^0, d^1, d^2 that _table_sums takes over exp(base - max base),
+    base = log_px + a, with no psi: 2 M n_side exps in place of M N, and no
     pass over the M x N arrays.  Otherwise one exp pass over column blocks
-    gives all three, the variance taken about the posterior mean, so it
-    stays accurate when the posterior concentrates at large zeta.
+    (_column_blocks, as in scale_cols_lse) gives all three, the variance
+    taken about the posterior mean, so it stays accurate when the posterior
+    concentrates at large zeta.
     """
     value = vdot(a, sums.rows) - zeta * sums.wd
     first, second = -sums.wd, 0.0
     base = log_px + a
     if _factored(axes, zeta, d):
-        lse, mean, var = _factored_posterior(base, zeta, axes)
-        return (value - vdot(sums.cols, lse), first + vdot(sums.cols, mean),
-                -vdot(sums.cols, var))
-    m, n = d.shape
-    base = base[:, None]
-    for lo, hi in _blocks(n, m):
+        shift = base.max()
+        _, (mass, dm, d2m) = _table_sums(np.exp(base - shift), None, zeta, axes, 0, 3)
+        mean = dm / mass
+        return (value - vdot(sums.cols, shift + np.log(mass)),
+                first + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))
+    for lo, hi, mx, e in _column_blocks(base, zeta, d):
         dc = d[:, lo:hi]
-        e = dc * -zeta
-        e += base
-        mx = e.max(axis=0)
-        e -= mx
-        np.exp(e, out=e)
         mass = e.sum(axis=0)
         dev = dc * e
         mean = dev.sum(axis=0) / mass

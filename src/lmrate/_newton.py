@@ -19,10 +19,11 @@ coupling at a point gives its gradient, its dual value and rate, and the
 Hessian the next Newton step needs: every trial point of a line search is
 swept once, and the accepted one is not swept again.  Given the metric's
 axis tables (the solver's Newton finish, under the kernels' guard) that
-pass is _kernels' factored sweep, and only the step itself builds an
-M x N array, its Schur factor, from the tables.  Without them (the Newton
-oracle) the pass exponentiates the dense coupling, so the oracle stays an
-independent cross-check of the factored path.
+pass is _kernels' one table reduction (_table_sums, with three row sums
+and two node sums), and only the step itself builds an M x N array, its
+Schur factor, from the tables.  Without them (the Newton oracle) the pass
+exponentiates the dense coupling, so the oracle stays an independent
+cross-check of the factored path.
 """
 
 import math
@@ -78,7 +79,9 @@ def coupling_from_dual(dp: DualPoint, d: np.ndarray) -> Coupling:
 class DualHessian(NamedTuple):
     """Arrowhead dual Hessian in (alpha, beta, lam) order.  The coupling q
     fills the off-diagonal block and its marginals r = q 1 and c = q^T 1 the
-    diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.
+    diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.  On
+    the factored path r, u and w come from _kernels._table_sums' row sums
+    of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1.
     ``q_scaled(s)`` returns Q diag(s) as a new M x N array: the dense
     coupling times s, or the product of the axis tables at the kept nodes."""
 
@@ -104,8 +107,9 @@ def dual_hessian(dp: DualPoint, p, axes=None) -> DualHessian:
     coupling, refusing couplings above problem.DENSE_CAP entries."""
     lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
     if _kernels._factored(axes, dp.lam, p.d):
-        sums = _kernels._factored_sweep(lphi, lpsi, dp.lam, axes, "hessian")
-        return DualHessian(*sums, partial(_kernels.factored_coupling, lphi, lpsi, dp.lam, axes))
+        (r, u, w), (c, v) = _kernels._coupling_sums(lphi, lpsi, dp.lam, axes, 3, 2)
+        return DualHessian(r, c, u, v, float(w.sum()),
+                           partial(_kernels.factored_coupling, lphi, lpsi, dp.lam, axes))
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
     return DualHessian(q.sum(axis=1), q.sum(axis=0), dq.sum(axis=1), dq.sum(axis=0),

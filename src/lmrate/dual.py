@@ -98,16 +98,15 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 # --------------------------------------------------------------------------
 
 
-def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
-                  start: DualPoint | None = None) -> SolveReport:
+def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
     Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
     is nonnegative at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
     Otherwise the damped Newton loop (``_newton.descend``) runs from the
-    product point at lam = 1, or from ``start`` (lam 0 restarts at 1), until
-    the gauge-projected gradient's max-norm is at most tol.
+    product point at lam = 1 until the gauge-projected gradient's max-norm
+    is at most tol.
     """
     k_hat = gauge_vector(p.m, p.n)
 
@@ -123,8 +122,7 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200,
         dp, rate, g = zero, 0.0, p.h_x + p.h_y
         converged = done(np.concatenate([ga, gb, [0.0]]), None)
     else:
-        base = zero if start is None else start
-        dp = DualPoint(base.alpha, base.beta, base.lam or 1.0)
+        dp = DualPoint(zero.alpha, zero.beta, 1.0)
         dp, row, converged, failure = descend(dp, p, max_iters, done, trace)
         rate, g = row.lm_rate_nats, row.dual_objective
 

@@ -241,16 +241,18 @@ def test_newton_oracle_never_builds_the_factored_hessian(monkeypatch):
     calls = Counter()
 
     def spy(*args):
-        calls[args[-1]] += 1
+        calls[args[-2:]] += 1
         return sweep(*args)
 
-    sweep = _kernels._factored_sweep
-    monkeypatch.setattr(_kernels, "_factored_sweep", spy)
+    # the Hessian's sums are the only ones taken with two node sums
+    hessian = (3, 2)
+    sweep = _kernels._table_sums
+    monkeypatch.setattr(_kernels, "_table_sums", spy)
     report = newton_oracle(p, tol=1e-12)
     assert report.converged and report.iterations > 0
-    assert calls["hessian"] == 0
+    assert calls[hessian] == 0
     assert solve(p).newton_steps > 0
-    assert calls["hessian"] > 0
+    assert calls[hessian] > 0
 
 
 def test_objective_is_gauge_invariant(rng, qpsk_4x9):
@@ -375,14 +377,22 @@ def test_newton_multiplier_unique_across_starts(rng, qpsk_n6):
     p = qpsk_n6
     finals = []
     rates = []
-    # a start at lam = 0 restarts the multiplier at 1.0
+    k_hat = gauge_vector(p.m, p.n)
+
+    def done(grad, _row):
+        # newton_oracle's stopping rule at its default tol
+        return float(np.abs(_newton._project(grad, k_hat)).max()) <= 1e-10
+
+    # the oracle's Newton loop from random starts; one at lam = 0 restarts
+    # the multiplier at 1.0, as the oracle does from the product point
     starts = [_random_point(rng, p, lam=0.0)]
     starts += [_random_point(rng, p, lam=float(rng.uniform(0.0, 3.0))) for _ in range(10)]
     for start in starts:
-        report = newton_oracle(p, start=start)
-        assert report.converged
-        finals.append(report.lambda_final)
-        rates.append(report.lm_rate_nats)
+        dp = DualPoint(start.alpha, start.beta, start.lam or 1.0)
+        dp, row, converged, failure = _newton.descend(dp, p, 200, done, [])
+        assert converged and failure is None
+        finals.append(dp.lam)
+        rates.append(row.lm_rate_nats)
     assert max(finals) - min(finals) <= 1e-9
     assert max(rates) - min(rates) <= 1e-9
 

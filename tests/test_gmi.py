@@ -123,14 +123,14 @@ def test_factored_tilt_matches_block_loop(monkeypatch):
     # loop, without them, takes the same search
     p = make_problem("qam16", n_side=50)[3]
     factored = 0
-    posterior = K._factored_posterior
+    posterior = K._table_sums
 
     def counted(*args):
         nonlocal factored
         factored += 1
         return posterior(*args)
 
-    monkeypatch.setattr(K, "_factored_posterior", counted)
+    monkeypatch.setattr(K, "_table_sums", counted)
     got = gmi(p)
     assert p.n == 2500 and factored == got.evaluations
     want = gmi(dataclasses.replace(p, axes=None))

@@ -265,13 +265,13 @@ def test_factored_solve_matches_dense_twin_and_oracle(monkeypatch):
     twin = DiscreteProblem.from_json(p.to_json())
     assert p.axes is not None and twin.axes is None
     factored = []
-    sweep = K._factored_sweep
+    sweep = K._table_sums
 
     def counted(*args, **kwargs):
         factored.append(args[2])
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(K, "_factored_sweep", counted)
+    monkeypatch.setattr(K, "_table_sums", counted)
     cfg = SolverConfig(max_iters=2000, tol=1e-10)
     report = solve(p, cfg)
     assert report.converged and factored
