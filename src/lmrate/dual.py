@@ -10,10 +10,10 @@ direction of the dual for metrics that are not additively separable
 (see ``scaling_null_space``), which is what makes the projected Newton
 oracle well posed.
 
-At lam = 0 the minimizer of the dual is the product coupling p_x (x) p_y
-in closed form; the Newton oracle starts there and runs one damped Newton
-phase over (alpha, beta, lam) only when that coupling breaks the metric
-constraint, each step eliminating the arrowhead Hessian's column block.
+At lam = 0 the product coupling p_x (x) p_y minimizes the dual in closed
+form; the Newton oracle starts there and runs one damped Newton phase over
+(alpha, beta, lam) only when that coupling breaks the metric constraint by
+more than tol, each step eliminating the arrowhead Hessian's column block.
 """
 
 import dataclasses
@@ -102,7 +102,7 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) 
     """Second-order dual solve, independent of the alternating-scaling path.
 
     Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
-    is nonnegative at the product coupling (the lam = 0 optimum, rate 0 and
+    is at least -tol at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
     Otherwise the damped Newton loop (``_newton.descend``) runs from the
     product point at lam = 1 until the gauge-projected gradient's max-norm
@@ -117,8 +117,7 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) 
     ga, gb, gl = dual_gradient(zero, p)
     trace: list = []
     failure = None
-    if gl >= 0.0:
-        # slack constraint: the product coupling is optimal
+    if gl >= -tol:
         dp, rate, g = zero, 0.0, p.h_x + p.h_y
         converged = done(np.concatenate([ga, gb, [0.0]]), None)
     else:

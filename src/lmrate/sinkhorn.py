@@ -23,7 +23,8 @@ damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
 loop), which finishes it in a few steps.  It does so at iteration
 HANDOFF_EARLY_ITER when a Newton step costs less than the scaling it saves
 (M at most NEWTON_MAX_INPUTS, the Sinkhorn-Newton recipe of Tang et al.,
-ICLR 2024); see ``solve``.
+ICLR 2024).  When excess(0) <= tol at the product coupling p_x (x) p_y,
+the optimal multiplier is 0 and a root run starts there instead; see ``solve``.
 """
 
 import math
@@ -117,10 +118,10 @@ class SolveReport:
     residual_trace: list
     status: SolveStatus
     dual_objective: float
-    dual_objective_init: float
+    dual_objective_init: float        # at the start; H(p_x) + H(p_y) at the product start
     tau: float | None                 # the projected step size; None for other strategies
     strategy: str
-    lambda_init: float = 1.0
+    lambda_init: float = 1.0          # the start multiplier; 0.0 at the product start
     failed_iteration: int | None = None
     failure_reason: str | None = None
     root_evals: int = 0               # excess evaluations of the multiplier root solves
@@ -205,11 +206,16 @@ def _log_state(state: SinkhornState):
     return np.log(phi), np.log(psi)
 
 
+def _scale(lpsi, lam, p, log_px, log_py):
+    """One row-then-column rescale at fixed multiplier: (log_phi, log_psi)."""
+    lphi = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
+    return lphi, _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
+
+
 def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
     """One full row-then-column rescale at fixed multiplier."""
-    lphi, lpsi = _log_state(state)
-    lphi = _kernels.scale_rows(lpsi, state.lam, p.d, np.log(p.p_x), p.axes)
-    lpsi = _kernels.scale_cols(lphi, state.lam, p.d, np.log(p.p_y), p.axes)
+    _, lpsi = _log_state(state)
+    lphi, lpsi = _scale(lpsi, state.lam, p, np.log(p.p_x), np.log(p.p_y))
     return SinkhornState(phi=np.exp(lphi), psi=np.exp(lpsi), lam=state.lam,
                          iter=state.iter + 1)
 
@@ -252,20 +258,22 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the alternating-scaling loop until all residuals fall below tol.
 
     The multiplier update is ``root`` unless the config asks for
-    ``project``.  A ``root`` run at a positive multiplier hands the
-    gauge-balanced iterate to the damped Newton loop at iteration
-    HANDOFF_EARLY_ITER when M is at most NEWTON_MAX_INPUTS; its sweeps
-    and steps read the metric's axis tables where the kernels' guard admits
-    them.  It does so provided the product coupling p_x (x) p_y breaks the
-    metric constraint (the Newton oracle's lam = 0 test, made when the rule
-    first holds); otherwise the optimal multiplier is 0 and the scaling
-    loop carries on.  The Newton loop stops on the residual test and on
-    lam * r_lambda <= tol (``_newton_done``): at high SNR lam reaches tens,
-    and a point that meets the residual test alone can still be 2e-9 nats
-    short of the optimal rate.  A ``project`` run never hands off, since
-    its certificate speaks about the scaling trace, and neither does an
-    instance above problem.DENSE_CAP entries, whose Newton step builds an
-    M x N array.
+    ``project``.  A ``root`` run first sweeps once at lam = 0 (the active-set
+    test at a simple bound, Bertsekas, SIAM J. Control Optim. 1982): when
+    the multiplier gradient t - sum d q at the product coupling p_x (x) p_y
+    is at least -tol, as in the Newton oracle, the optimal multiplier is 0,
+    which the Newton line search never reaches, and the run starts from
+    that coupling at lam = 0 (the product start).  Otherwise it hands the
+    gauge-balanced iterate at a positive multiplier to the damped Newton
+    loop at iteration HANDOFF_EARLY_ITER when M is at most
+    NEWTON_MAX_INPUTS; its sweeps and steps read the metric's axis tables
+    where the kernels' guard admits them.  The Newton loop stops on the
+    residual test and on lam * r_lambda <= tol (``_newton_done``): at high
+    SNR lam reaches tens, and a point that meets the residual test alone
+    can still be 2e-9 nats short of the optimal rate.  A ``project`` run
+    never hands off, since its certificate speaks about the scaling trace,
+    and neither does an instance above problem.DENSE_CAP entries, whose
+    Newton step builds an M x N array.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -278,12 +286,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
                     and p.m <= NEWTON_MAX_INPUTS)
 
-    log_px = np.log(p.p_x)
-    log_py = np.log(p.p_y)
-    lphi = np.zeros(p.m)
-    lpsi = np.zeros(p.n)
-    lam = float(cfg.lambda_init)
-    g_init = evaluate(lphi, lpsi, lam, p).dual_objective
+    log_px, log_py = np.log(p.p_x), np.log(p.p_y)
+    lphi, lpsi, lam = np.zeros(p.m), np.zeros(p.n), float(cfg.lambda_init)
+    if (strategy is LambdaStrategy.ROOT
+            and multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol):
+        lphi, lpsi, lam = log_px, log_py, 0.0
+    start = evaluate(lphi, lpsi, lam, p)
 
     trace: list = []
     status = SolveStatus.MAX_ITERS
@@ -294,8 +302,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
 
     for it in range(1, cfg.max_iters + 1):
         try:
-            lphi = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
-            lpsi = _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
+            lphi, lpsi = _scale(lpsi, lam, p, log_px, log_py)
             lam, stats, evals = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
             root_evals += evals
             row = evaluate(lphi, lpsi, lam, p, it, stats)
@@ -310,13 +317,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         if _peak(row) <= cfg.tol:
             status = SolveStatus.CONVERGED
             break
-        if may_hand_off and lam > 0.0 and len(trace) >= HANDOFF_EARLY_ITER:
-            # asked the first time only: when the product coupling meets
-            # the constraint, the optimal multiplier is 0, which the Newton
-            # line search never reaches
-            may_hand_off = multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) > 0.0
-            if not may_hand_off:
-                continue
+        if may_hand_off and lam > 0.0 and it >= HANDOFF_EARLY_ITER:
             # the iterate's entries are at most its marginals, so its dense
             # sweep cannot overflow
             lphi, lpsi = balance_gauge(lphi, lpsi)
@@ -343,10 +344,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         residual_trace=trace,
         status=status,
         dual_objective=final.dual_objective,
-        dual_objective_init=g_init,
+        dual_objective_init=start.dual_objective,
         tau=tau if strategy is LambdaStrategy.PROJECT else None,
         strategy=strategy.value,
-        lambda_init=float(cfg.lambda_init),
+        lambda_init=start.lam,
         failed_iteration=failed_iteration,
         failure_reason=failure_reason,
         root_evals=root_evals,

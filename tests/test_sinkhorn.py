@@ -531,26 +531,66 @@ def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch):
     assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-11
 
 
-def test_root_run_with_zero_multiplier_never_hands_off():
-    # the product coupling meets this instance's constraint with slack
-    # 8.6e-3, so the optimal multiplier is 0; the root run's multiplier decays
-    # towards it and stalls, but the Newton line search would keep it above 0
-    p = random_problem(np.random.default_rng(20250819), 4, 6)
-    slack = -multiplier_excess(np.log(p.p_x), np.log(p.p_y), 0.0, p.d, p.t)
-    assert slack > 8e-3
-    report = solve(p, SolverConfig(lambda_strategy="root"))
-    assert report.converged, (report.status, report.failure_reason)
-    assert report.newton_steps == 0
-    oracle = newton_oracle(p, tol=1e-12)
-    assert oracle.converged and oracle.lm_rate_nats == 0.0
-    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9
+def _zero_multiplier_cells():
+    """(cell, instance, config) at theta = pi/2, eta 0.9, where the channel's
+    symmetric part is indefinite: the product coupling meets the metric
+    constraint exactly, so the optimal multiplier is 0 and excess(0) is
+    rounding noise of either sign, about 1e-16 t.  Matched decoder for qpsk,
+    qam16 and qam64 at grids 30 and 50, h_hat = diag(1, 0.8) for qpsk and
+    qam16 at grid 30 with max_iters 2000, each from -5 to 20 dB; then a
+    random instance whose product coupling meets its constraint with slack."""
+    snrs = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    for scheme in ("qpsk", "qam16", "qam64"):
+        for n_side in (30, 50):
+            for snr in snrs:
+                yield (scheme, n_side, snr), make_problem(
+                    scheme, theta=np.pi / 2, snr_db=snr, n_side=n_side)[3], SolverConfig()
+    for scheme in ("qpsk", "qam16"):
+        for snr in snrs:
+            yield (scheme, "h_hat", snr), make_problem(
+                scheme, theta=np.pi / 2, snr_db=snr, n_side=30,
+                h_hat=[[1.0, 0.0], [0.0, 0.8]])[3], SolverConfig(max_iters=2000)
+    yield ("random",), random_problem(np.random.default_rng(20250819), 4, 6), SolverConfig(
+        lambda_strategy="root")
+
+
+def test_zero_multiplier_runs_start_at_the_product_coupling():
+    # a root run tests lam = 0 once, before its loop, and starts these cells
+    # at the product coupling, the optimum.  Handed to the Newton finish,
+    # whose line search keeps lam > 0, a run cannot reach it and stops at
+    # max_iters; and the oracle's lam = 0 test allows rounding noise of
+    # either sign, since a test on the sign alone runs 200 Newton steps here
+    cells = list(_zero_multiplier_cells())
+    assert len(cells) == 49
+    for cell, p, cfg in cells:
+        report = solve(p, cfg)
+        assert report.converged, (cell, report.status, report.failure_reason)
+        assert (report.iterations, report.newton_steps) == (1, 0), cell
+        assert report.lm_rate_nats >= -1e-12, (cell, report.lm_rate_nats)
+        # the report starts its multiplier path and its dual values at the
+        # product coupling, as the oracle's report does
+        lams = [report.lambda_init] + [row.lam for row in report.residual_trace]
+        assert lams == [0.0, report.lambda_final], cell
+        oracle = newton_oracle(p, tol=1e-12)
+        assert oracle.converged and oracle.iterations == 0, cell
+        assert oracle.lm_rate_nats == 0.0, cell
+        assert oracle.dual_objective_init == p.h_x + p.h_y, cell
+        assert abs(report.dual_objective_init - oracle.dual_objective_init) <= 1e-12, cell
+        assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9, cell
+    # the random instance's product coupling meets its constraint with slack
+    # 8.6e-3, not to rounding
+    p = cells[-1][1]
+    assert -multiplier_excess(np.log(p.p_x), np.log(p.p_y), 0.0, p.d, p.t) > 8e-3
 
 
 def _no_certificate_cells():
     """Instances without the symmetry certificate, eta 0.9: qpsk and qam16
     under the mismatched decoder h_hat = diag(1, 0.8), a lopsided 4-point
     constellation, and qpsk at theta = pi/2, whose channel's symmetric part
-    is indefinite; at grid 10 and 0 dB, then at grid 30 from -5 to 20 dB."""
+    is indefinite, so that its optimal multiplier is 0 and its root runs
+    start at the product coupling (see
+    test_zero_multiplier_runs_start_at_the_product_coupling); at grid 10 and
+    0 dB, then at grid 30 from -5 to 20 dB."""
     points = np.array([[1.0, 0.2], [-0.5, 0.9], [-0.3, -1.1], [0.8, -0.4]])
     probs = np.array([0.4, 0.3, 0.2, 0.1])
     points /= math.sqrt(probs @ (points * points).sum(axis=1))
