@@ -44,7 +44,7 @@ _DEFAULTS = {
     "max_iters": 500,
     "lambda_strategy": "root",
     "tau": None,
-    "lambda_init": 1.0,
+    "lambda_init": None,
     "threshold": None,
     "trials": 3,
     "workers": 1,
@@ -179,7 +179,8 @@ def _resolve_config(args) -> dict:
                           f"must be 'project' or 'root', got {cfg['lambda_strategy']!r}")
     if cfg["tau"] is not None:
         cfg["tau"] = _positive("tau", cfg["tau"])
-    cfg["lambda_init"] = _positive("lambda_init", cfg["lambda_init"], zero_ok=True)
+    if cfg["lambda_init"] is not None:
+        cfg["lambda_init"] = _positive("lambda_init", cfg["lambda_init"], zero_ok=True)
     if cfg["threshold"] is not None:
         cfg["threshold"] = _positive("threshold", cfg["threshold"])
     cfg["trials"] = _positive("trials", cfg["trials"], int)
@@ -216,6 +217,11 @@ def _build_problem(view):
     if view["threshold"] is not None:
         prob = prob.with_threshold(float(view["threshold"]))
     return cons, grid_obj, prob
+
+
+def _gmi_of(prob, report):
+    """The GMI of prob: the one whose tilt started the solve, if one did."""
+    return report.gmi if report.gmi is not None else gmi(prob)
 
 
 def _mean_seconds(trials, run):
@@ -304,7 +310,7 @@ def cmd_solve(cfg) -> int:
     }
     if sc["with_gmi"]:
         try:
-            result[_rate_key(sc, "gmi")] = _rate_value(sc, gmi(prob).value_nats)
+            result[_rate_key(sc, "gmi")] = _rate_value(sc, _gmi_of(prob, report).value_nats)
         except BracketError as err:
             result["gmi_error"] = str(err)
     if report.failure_reason:
@@ -337,7 +343,7 @@ def _sweep_cell(payload) -> list:
         row[6] = report.lambda_final
         row[7] = report.iterations
         row[8] = _EXIT_BY_STATUS[report.status]
-        row[5] = _rate_value(cfg, gmi(prob).value_nats)
+        row[5] = _rate_value(cfg, _gmi_of(prob, report).value_nats)
     except LmrateError:
         row[8] = 1 if row[7] is None else 3
     return row

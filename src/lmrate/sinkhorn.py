@@ -24,7 +24,9 @@ loop), which finishes it in a few steps.  It does so at iteration
 HANDOFF_EARLY_ITER when a Newton step costs less than the scaling it saves
 (M at most NEWTON_MAX_INPUTS, the Sinkhorn-Newton recipe of Tang et al.,
 ICLR 2024).  When excess(0) <= tol at the product coupling p_x (x) p_y,
-the optimal multiplier is 0 and a root run starts there instead; see ``solve``.
+the optimal multiplier is 0 and a root run starts there instead; otherwise
+at the optimal tilt of the GMI, the rate's dual with no per-input shifts
+(Ganti, Lapidoth & Telatar, IEEE T-IT 2000); see ``solve``.
 """
 
 import math
@@ -38,6 +40,7 @@ from . import _kernels, problem
 from ._newton import DualPoint, bracketed_newton, descend
 from .channel import DiscreteProblem
 from .errors import NumericalFailureError
+from .gmi import GmiResult, gmi
 from .problem import Coupling, TraceRow, balance_gauge, evaluate
 
 # relative tolerance of the multiplier root solve: |excess| <= ROOT_RTOL * t
@@ -51,12 +54,14 @@ _ROOT_LAMBDA_CAP = 1e6
 # against M N for a factored sweep), so the gain turns on M, not on the
 # grid.  Solve to tol 1e-10 at 0 dB, where scaling alone is quickest,
 # scaling alone -> early hand-off, best of 2 or 3 on a 2-core Xeon with the
-# Newton phase on the axis tables: qam256 (M = 256) at grid 10 24 -> 11 ms,
-# grid 50 78 -> 23 ms, grid 150 479 -> 221 ms and grid 190 (N = 36100, near
-# problem.DENSE_CAP) 822 -> 420 ms.  A square alphabet of 400 points wins
-# from grid 10 (28 -> 19 ms) to grid 150 (N = 22500, 780 -> 453 ms), but
-# 484 points at grid 10 take 37 -> 42 ms, 576 points at grids 10 to 20
-# 41-52 -> 62-69 ms and 1024 points at grid 40 159 -> 201 ms.  Larger
+# Newton phase on the axis tables, from lam = 1: qam256 (M = 256) at grid 10
+# 24 -> 11 ms, grid 50 78 -> 23 ms, grid 150 479 -> 221 ms and grid 190
+# (N = 36100, near problem.DENSE_CAP) 822 -> 420 ms.  A square alphabet of
+# 400 points wins from grid 10 (28 -> 19 ms) to grid 150 (N = 22500, 780 ->
+# 453 ms), but 484 points at grid 10 take 37 -> 42 ms, 576 points at grids
+# 10 to 20 41-52 -> 62-69 ms and 1024 points at grid 40 159 -> 201 ms.  From
+# the GMI tilt (median of 15, OMP_NUM_THREADS=1) 400 points at grid 10 tie,
+# 29-35 -> 29-32 ms, and 484 points lose, 38-43 -> 46-47 ms.  Larger
 # grids and higher SNR favour the hand-off (576 points at grid 60: 236 ->
 # 146 ms; 1024 points at grid 40 and 10 dB: 1.83 -> 0.88 s), so the cap
 # sits at the crossover measured on small grids at low SNR.  At 10 dB
@@ -84,7 +89,7 @@ class SolverConfig:
     tol: float = 1e-10
     lambda_strategy: LambdaStrategy = LambdaStrategy.ROOT
     tau: float | None = None          # None -> 1 / max(d)^2
-    lambda_init: float = 1.0
+    lambda_init: float | None = None  # None -> the GMI tilt (root) or 1.0 (project)
 
     def __post_init__(self):
         self.lambda_strategy = LambdaStrategy(self.lambda_strategy)
@@ -95,8 +100,8 @@ class SolverConfig:
             raise ValueError("tol must be positive and finite")
         if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite when given")
-        if not (self.lambda_init >= 0 and math.isfinite(self.lambda_init)):
-            raise ValueError("lambda_init must be nonnegative and finite")
+        if self.lambda_init is not None and not 0 <= self.lambda_init < math.inf:
+            raise ValueError("lambda_init must be nonnegative and finite when given")
 
 
 @dataclass
@@ -121,11 +126,12 @@ class SolveReport:
     dual_objective_init: float        # at the start; H(p_x) + H(p_y) at the product start
     tau: float | None                 # the projected step size; None for other strategies
     strategy: str
-    lambda_init: float = 1.0          # the start multiplier; 0.0 at the product start
+    lambda_init: float = 1.0          # the start taken; 0.0 at the product start
     failed_iteration: int | None = None
     failure_reason: str | None = None
     root_evals: int = 0               # excess evaluations of the multiplier root solves
     newton_steps: int = 0             # trace rows made by the Newton hand-off
+    gmi: GmiResult | None = None      # the GMI whose tilt started the run, if one did
 
     @property
     def converged(self) -> bool:
@@ -248,10 +254,11 @@ def _peak(row: TraceRow) -> float:
     return max(row.r_phi, row.r_psi, row.r_lambda)
 
 
-def _newton_done(row: TraceRow, tol: float) -> bool:
-    """The Newton phase's stopping test: the residuals, and lam * r_lambda,
-    the multiplier's share of the rate's gap to the optimum, at most tol."""
-    return _peak(row) <= tol and row.lam * row.r_lambda <= tol
+def _newton_done(row: TraceRow, tol: float, p: DiscreteProblem) -> bool:
+    """The Newton phase's stopping test: the residuals, and the gap from the
+    rate to its weak-duality lower bound H(p_x) + H(p_y) - g, at most tol."""
+    return (_peak(row) <= tol
+            and abs(row.lm_rate_nats - (p.h_x + p.h_y - row.dual_objective)) <= tol)
 
 
 def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
@@ -263,12 +270,15 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     the multiplier gradient t - sum d q at the product coupling p_x (x) p_y
     is at least -tol, as in the Newton oracle, the optimal multiplier is 0,
     which the Newton line search never reaches, and the run starts from
-    that coupling at lam = 0 (the product start).  Otherwise it hands the
+    that coupling at lam = 0 (the product start).  Otherwise, with
+    cfg.lambda_init None, it starts at the GMI's optimal tilt gmi(p).s_star
+    and reports that GmiResult as ``gmi`` (it starts at 1.0, ``gmi`` None,
+    when gmi raises NumericalFailureError).  It hands the
     gauge-balanced iterate at a positive multiplier to the damped Newton
     loop at iteration HANDOFF_EARLY_ITER when M is at most
     NEWTON_MAX_INPUTS; its sweeps and steps read the metric's axis tables
     where the kernels' guard admits them.  The Newton loop stops on the
-    residual test and on lam * r_lambda <= tol (``_newton_done``): at high
+    residual test and on the primal-dual gap (``_newton_done``): at high
     SNR lam reaches tens, and a point that meets the residual test alone
     can still be 2e-9 nats short of the optimal rate.  A ``project`` run
     never hands off, since its certificate speaks about the scaling trace,
@@ -287,10 +297,17 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
                     and p.m <= NEWTON_MAX_INPUTS)
 
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
-    lphi, lpsi, lam = np.zeros(p.m), np.zeros(p.n), float(cfg.lambda_init)
-    if (strategy is LambdaStrategy.ROOT
-            and multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol):
-        lphi, lpsi, lam = log_px, log_py, 0.0
+    lphi, lpsi, lam, tilt = np.zeros(p.m), np.zeros(p.n), cfg.lambda_init, None
+    if strategy is LambdaStrategy.ROOT:
+        if multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol:
+            lphi, lpsi, lam = log_px, log_py, 0.0
+        elif lam is None:
+            try:
+                tilt = gmi(p)
+                lam = tilt.s_star
+            except NumericalFailureError:
+                pass
+    lam = 1.0 if lam is None else float(lam)
     start = evaluate(lphi, lpsi, lam, p)
 
     trace: list = []
@@ -322,7 +339,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             # sweep cannot overflow
             lphi, lpsi = balance_gauge(lphi, lpsi)
             dp, _, _, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam), p,
-                                        cfg.max_iters - it, lambda _, r: _newton_done(r, cfg.tol),
+                                        cfg.max_iters - it,
+                                        lambda _, r: _newton_done(r, cfg.tol, p),
                                         trace, it, p.axes)
             newton_steps = len(trace) - it
             lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
@@ -352,4 +370,5 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         failure_reason=failure_reason,
         root_evals=root_evals,
         newton_steps=newton_steps,
+        gmi=tilt,
     )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lmrate import SolveStatus
+from lmrate import SolveStatus, cli
 from lmrate.channel import DiscreteProblem
 from lmrate.cli import _EXIT_BY_STATUS, main, parse_angle
 
@@ -96,6 +96,42 @@ def test_solve_with_gmi_baseline(capsys):
     assert doc["gmi_bits"] <= doc["lm_rate_bits"] + 1e-8
 
 
+def test_gmi_of_the_start_is_reused(monkeypatch, capsys, tmp_path):
+    # a root run from the default start keeps the GMI whose tilt started
+    # it, and solve --with-gmi and sweep report that one instead of
+    # computing their own
+    reports, calls = [], []
+
+    def capture(p, cfg):
+        report = solve(p, cfg)
+        reports.append(report)
+        return report
+
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", capture)
+    monkeypatch.setattr(cli, "gmi", lambda p: calls.append(p))
+    rc, doc = _run_json(capsys, ["solve", "--grid", "8", "--with-gmi", "--nats"])
+    assert rc == 0
+    assert doc["gmi_nats"] == reports[0].gmi.value_nats
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--snr-db=0,5", "--grid", "8", "--nats", "--out", str(path)]) == 0
+    _, header, rows = _read_csv(path)
+    assert [float(r[header.index("gmi_nats")]) for r in rows] == [
+        r.gmi.value_nats for r in reports[1:]]
+    assert calls == []
+
+
+def test_config_null_lambda_init_is_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_init": None, "grid": 6}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["solve", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["solve", "--grid", "6", "--out", str(b)]) == 0
+    da, db = json.loads(a.read_text()), json.loads(b.read_text())
+    assert da["config"]["lambda_init"] is None
+    assert (da["iterations"], da["lm_rate_bits"]) == (db["iterations"], db["lm_rate_bits"])
+
+
 def test_solve_budget_exhausted_exit(capsys):
     rc, doc = _run_json(capsys, ["solve", "--max-iters", "1"])
     assert rc == 2
@@ -167,7 +203,7 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("data,field", [
     ({"lambda_init": "abc"}, "lambda_init"),
-    ({"lambda_init": None}, "lambda_init"),
+    ({"lambda_init": -1.0}, "lambda_init"),
     ({"nats": "no"}, "nats"),
     ({"with_gmi": 1}, "with_gmi"),
     ({"max_iters": math.inf}, "max_iters"),   # JSON Infinity

@@ -133,7 +133,7 @@ def test_newton_step_solves_damped_system(request, rng, name):
 def _scaled_point(p, lam):
     """A gauge-balanced dual point whose scalings fit lam: the third scaling
     iterate, rescaled three times at lam."""
-    start = solve(p, SolverConfig(max_iters=3)).solution
+    start = solve(p, SolverConfig(max_iters=3, lambda_init=1.0)).solution
     state = SinkhornState(start.phi, start.psi, lam)
     for _ in range(3):
         state = sinkhorn_step(state, p)
@@ -148,7 +148,7 @@ def _factored_points():
         for snr_db in (0.0, 10.0):
             p = make_problem(scheme, snr_db=snr_db, n_side=50)[3]
             guard = _kernels.LSE_SWITCH / p.axes.span
-            hand_off = solve(p, SolverConfig(max_iters=3)).lambda_final
+            hand_off = solve(p, SolverConfig(max_iters=3, lambda_init=1.0)).lambda_final
             for lam in (hand_off, (1.0 - 1e-12) * guard):
                 if lam < guard:
                     yield (scheme, snr_db, lam), p, _scaled_point(p, lam)

@@ -105,6 +105,26 @@ def test_bad_arguments_rejected(qpsk_n6):
             gmi(qpsk_n6, s_max=base.s_star / 5000.0, max_growth=max_growth)
 
 
+def test_flat_metric_resolves_at_once(rng):
+    # a metric constant along each column (d_ij = c_j) gives every posterior
+    # zero variance and gmi a zero slope at every tilt: the GMI is 0, and the
+    # first evaluation says so, where the search used to bisect towards
+    # s = 0 for 200 evaluations or double its cap into a BracketError
+    one = DiscreteProblem(d=np.array([[1e-4]]), p_x=np.ones(1), p_y=np.ones(1),
+                          w=np.ones((1, 1)), t=1e-300)
+    result = gmi(one)
+    assert (result.value_nats, result.evaluations) == (0.0, 1)
+    w = rng.uniform(0.1, 1.0, (4, 6))
+    w /= w.sum(axis=1, keepdims=True)
+    p_x = np.full(4, 0.25)
+    d = np.tile(rng.uniform(0.0, 3.0, 6), (4, 1))
+    flat = DiscreteProblem(d=d, p_x=p_x, p_y=p_x @ w, w=w,
+                           t=float(np.sum(p_x[:, None] * w * d)))
+    result = gmi(flat)
+    assert abs(result.value_nats) <= 1e-15
+    assert result.evaluations == 1
+
+
 def test_maximizer_beyond_initial_cap_is_followed():
     # qam16 at 30 dB: the tilt maximizer lies past the default cap of 50,
     # so a search that stops at the cap undershoots the GMI by 8e-5 nats

@@ -62,9 +62,9 @@ def test_oracle_cert_layers_reached():
 def test_sweep_snr_layers_reached(tmp_path):
     # one sweep-snr cell (qam16, eta 0.8, 20 dB) through cli.main: its 16 x
     # 192 metric is below the size crossover (FACTORED_MIN_ENTRIES), so its
-    # scaling kernels run the shifted block loop.  It hands off to the Newton
-    # finish at iteration 3 (17 trace rows, 14 of them Newton steps), so it
-    # converges and passes every output check.
+    # scaling kernels run the shifted block loop.  It starts at the GMI tilt
+    # and hands off to the Newton finish at iteration 3 (16 trace rows, 13 of
+    # them Newton steps), so it converges and passes every output check.
     tracer_mod = _load("tracer")
     workloads = _load("workloads")
     workload = workloads.SweepSnr(math.pi / 18, str(tmp_path / "sweep.csv"))

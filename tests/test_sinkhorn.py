@@ -7,6 +7,7 @@ import pytest
 import lmrate._kernels as K
 from lmrate import _newton, problem, sinkhorn
 from lmrate import (
+    BracketError,
     Constellation,
     LambdaStrategy,
     NumericalFailureError,
@@ -178,6 +179,8 @@ def test_root_beyond_cap_is_a_numerical_failure():
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.failed_iteration == 1
     assert "1e+06" in report.failure_reason
+    # the metric is flat, so the GMI that starts the run is 0, found at once
+    assert (report.gmi.value_nats, report.gmi.evaluations) == (0.0, 1)
 
 
 def test_root_solve_nan_moments_raise():
@@ -421,6 +424,7 @@ def test_solver_config_validation():
         SolverConfig(lambda_init=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(lambda_init=math.inf)
+    assert SolverConfig().lambda_init is None
     with pytest.raises(ValueError):
         SolverConfig(lambda_strategy="bogus")
     assert SolverConfig(lambda_strategy="root").lambda_strategy is LambdaStrategy.ROOT
@@ -446,7 +450,7 @@ def high_snr_runs():
     runs = {}
     for scheme, snr in STALLED + [("qam16", 10.0)]:
         p = make_problem(scheme, eta=0.9, snr_db=snr, n_side=50)[3]
-        runs[(scheme, snr)] = (p, solve(p))
+        runs[(scheme, snr)] = (p, solve(p, SolverConfig(lambda_init=1.0)))
     return runs
 
 
@@ -522,7 +526,7 @@ def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch):
 
     factored = K.factored_coupling
     monkeypatch.setattr(K, "factored_coupling", spy)
-    report = solve(p)
+    report = solve(p, SolverConfig(lambda_init=1.0))
     assert report.converged and report.newton_steps > 0
     assert len(built) == report.newton_steps
     assert all(K._factored(p.axes, lam, p.d) for lam in built)
@@ -577,10 +581,63 @@ def test_zero_multiplier_runs_start_at_the_product_coupling():
         assert oracle.dual_objective_init == p.h_x + p.h_y, cell
         assert abs(report.dual_objective_init - oracle.dual_objective_init) <= 1e-12, cell
         assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9, cell
+        assert report.gmi is None, cell
     # the random instance's product coupling meets its constraint with slack
     # 8.6e-3, not to rounding
     p = cells[-1][1]
     assert -multiplier_excess(np.log(p.p_x), np.log(p.p_y), 0.0, p.d, p.t) > 8e-3
+
+
+def test_default_start_is_the_gmi_tilt():
+    # the 24 cells of the README scan plus 20 dB (qpsk and qam16, eta 0.8 and
+    # 0.9, -5 to 20 dB, grid 50, theta pi/18): each root run starts at the
+    # GMI's optimal tilt, a first guess at the multiplier, and keeps that
+    # GMI.  Together they take 166 trace rows (301 from lam = 1; the qpsk
+    # 20 dB cells converge in one), and the worst rate lands 8.7e-11 nats
+    # from the oracle's
+    rows = 0
+    for scheme in ("qpsk", "qam16"):
+        for eta in (0.8, 0.9):
+            for snr in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
+                cell = (scheme, eta, snr)
+                p = make_problem(scheme, eta=eta, snr_db=snr, n_side=50)[3]
+                report = solve(p)
+                assert report.converged, (cell, report.status, report.failure_reason)
+                assert report.gmi is not None, cell
+                assert report.lambda_init == report.gmi.s_star, cell
+                oracle = newton_oracle(p, tol=1e-12)
+                assert oracle.converged, cell
+                assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-10, cell
+                rows += report.iterations
+    assert rows <= 200
+
+
+def test_start_without_the_gmi(monkeypatch, qpsk_n10):
+    # an explicit start and a projected run compute no GMI; a GMI that
+    # fails leaves a root run at lam = 1
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return tilt(p)
+
+    tilt = sinkhorn.gmi
+    monkeypatch.setattr(sinkhorn, "gmi", spy)
+    for cfg, lam in ((SolverConfig(lambda_init=2.5), 2.5),
+                     (SolverConfig(lambda_strategy="project", max_iters=5), 1.0)):
+        report = solve(qpsk_n10, cfg)
+        assert (report.lambda_init, report.gmi) == (lam, None)
+    assert calls == []
+
+    def broken(p):
+        raise BracketError("test")
+
+    monkeypatch.setattr(sinkhorn, "gmi", broken)
+    report = solve(qpsk_n10)
+    assert report.converged
+    assert (report.lambda_init, report.gmi) == (1.0, None)
+    pinned = solve(qpsk_n10, SolverConfig(lambda_init=1.0))
+    assert report.residual_trace == pinned.residual_trace
 
 
 def _no_certificate_cells():
@@ -641,7 +698,7 @@ def test_projected_run_never_hands_off():
 def test_no_hand_off_above_dense_cap(monkeypatch):
     p = make_problem("qpsk", snr_db=20.0, n_side=50)[3]
     monkeypatch.setattr(problem, "DENSE_CAP", p.d.size - 1)
-    report = solve(p, SolverConfig(max_iters=60))
+    report = solve(p, SolverConfig(max_iters=60, lambda_init=1.0))
     assert report.status is SolveStatus.MAX_ITERS
     assert report.iterations == 60
     assert report.newton_steps == 0
@@ -653,7 +710,7 @@ def test_newton_failure_ends_solve(monkeypatch):
 
     monkeypatch.setattr(_newton, "_newton_step", broken)
     p = make_problem("qpsk", snr_db=20.0, n_side=50)[3]
-    report = solve(p)
+    report = solve(p, SolverConfig(lambda_init=1.0))
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.failure_reason.startswith("Newton phase: ")
     assert report.newton_steps == 0
