@@ -16,6 +16,8 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .constellation import Scheme, build_constellation
 from .dual import newton_oracle
 from .errors import BracketError, LmrateError
 from .gmi import gmi
-from .sinkhorn import SolverConfig, SolveStatus, solve
+from .sinkhorn import LambdaStrategy, SolverConfig, SolveStatus, solve
 
 LN2 = math.log(2.0)
 
@@ -32,24 +34,6 @@ _EXIT_BY_STATUS = {
     SolveStatus.CONVERGED: 0,
     SolveStatus.MAX_ITERS: 2,
     SolveStatus.NUMERICAL_FAILURE: 3,
-}
-
-_DEFAULTS = {
-    "modulation": "qpsk",
-    "eta": 0.9,
-    "theta": math.pi / 18.0,
-    "snr_db": 0.0,
-    "grid": 10,
-    "tol": 1e-10,
-    "max_iters": 500,
-    "lambda_strategy": "root",
-    "tau": None,
-    "lambda_init": None,
-    "threshold": None,
-    "trials": 3,
-    "workers": 1,
-    "with_gmi": False,
-    "nats": False,
 }
 
 
@@ -85,26 +69,23 @@ def parse_angle(text) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _norm_list(field, value, parse, item_name):
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [value]
-    if not parts:
-        raise ConfigError(field, "list must be non-empty")
-    out = []
-    for part in parts:
-        try:
-            out.append(parse(part))
-        except (ValueError, TypeError, OverflowError) as err:
-            raise ConfigError(field, f"bad {item_name} {part!r}: {err}")
-    return out
-
-
-def _norm_modulation(token) -> str:
-    return Scheme(str(token).strip().lower()).value
+def _listed(parse, item_name="number"):
+    """The check of a list setting: a comma-separated string, a list or one
+    value, each item through parse(field, item)."""
+    def check(field, value):
+        if isinstance(value, str):
+            value = [p for p in value.split(",") if p.strip()]
+        parts = list(value) if isinstance(value, (list, tuple)) else [value]
+        if not parts:
+            raise ConfigError(field, "list must be non-empty")
+        out = []
+        for part in parts:
+            try:
+                out.append(parse(field, part))
+            except (ValueError, TypeError, OverflowError) as err:
+                raise ConfigError(field, f"bad {item_name} {part!r}: {err}")
+        return out
+    return check
 
 
 def _one(field, values):
@@ -132,9 +113,73 @@ def _positive(field, value, kind=float, zero_ok=False):
     return value
 
 
+def _finite(field, value, parse=_number):
+    value = parse(value)
+    if not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got {value!r}")
+    return value
+
+
+def _n_side(field, value):
+    value = _positive(field, value, int)
+    if value < 2:
+        raise ConfigError(field, f"n_side must be at least 2, got {value}")
+    return value
+
+
+def _optional(check):
+    """check, letting None through."""
+    return lambda field, value: None if value is None else check(field, value)
+
+
+def _strategy(field, value):
+    if value not in ("project", "root"):
+        raise ConfigError(field, f"must be 'project' or 'root', got {value!r}")
+    return LambdaStrategy(value).value
+
+
+def _switch(field, value):
+    if not isinstance(value, bool):
+        raise ConfigError(field, f"must be true or false, got {value!r}")
+    return value
+
+
+# setting: (default, keywords of its --flag, check(field, value) -> the
+# resolved value).  The order is the config echo's; the solver settings take
+# SolverConfig's defaults.
+_SETTINGS = {
+    "modulation": ("qpsk", {"help": "scheme name(s), comma separated"},
+                   _listed(lambda _, v: Scheme(str(v).strip().lower()).value, "modulation")),
+    "eta": (0.9, {"help": "second channel gain(s), first gain is 1"}, _listed(_positive)),
+    "theta": (math.pi / 18.0, {"help": "rotation angle(s), e.g. pi/18"},
+              _listed(partial(_finite, parse=parse_angle), "angle")),
+    "snr_db": (0.0, {"help": "SNR value(s) in dB"}, _listed(_finite)),
+    "grid": (10, {"help": "output nodes per axis (n_side)"}, _listed(_n_side)),
+    "tol": (SolverConfig.tol, {"type": float, "help": "residual tolerance"}, _positive),
+    "max_iters": (SolverConfig.max_iters, {"type": int}, partial(_positive, kind=int)),
+    "lambda_strategy": (SolverConfig.lambda_strategy, {"choices": ["project", "root"]},
+                        _strategy),
+    "tau": (SolverConfig.tau, {"type": float, "help": "projected multiplier step size"},
+            _optional(_positive)),
+    "lambda_init": (SolverConfig.lambda_init, {"type": float},
+                    _optional(partial(_positive, zero_ok=True))),
+    "threshold": (None, {"type": float,
+                         "help": "override the metric budget computed from the instance"},
+                  _optional(_positive)),
+    "trials": (3, {"type": int, "help": "timing repetitions (compare)"},
+               partial(_positive, kind=int)),
+    "workers": (1, {"type": int, "help": "worker processes (sweep)"},
+                partial(_positive, kind=int)),
+    "with_gmi": (False, {"action": "store_true",
+                         "help": "include the GMI baseline in the result"}, _switch),
+    "nats": (False, {"action": "store_true", "help": "report rates in nats instead of bits"},
+             _switch),
+}
+
+
 def _resolve_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    if args.config:
         path = Path(args.config)
         try:
             text = path.read_text()
@@ -147,66 +192,23 @@ def _resolve_config(args) -> dict:
         if not isinstance(data, dict):
             raise ConfigError("config", "top level must be a JSON object")
         for key, value in data.items():
-            if key not in _DEFAULTS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"config.{key}", "unknown field")
             cfg[key] = value
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if key in ("with_gmi", "nats"):
-            if flag_value:
-                cfg[key] = True
-        elif flag_value is not None:
-            cfg[key] = flag_value
-
-    cfg["modulation"] = _norm_list("modulation", cfg["modulation"],
-                                   _norm_modulation, "modulation")
-    cfg["eta"] = _norm_list("eta", cfg["eta"], lambda v: _positive("eta", v), "number")
-    cfg["theta"] = _norm_list("theta", cfg["theta"], parse_angle, "angle")
-    cfg["snr_db"] = _norm_list("snr_db", cfg["snr_db"], _number, "number")
-    for field in ("theta", "snr_db"):
-        for v in cfg[field]:
-            if not math.isfinite(v):
-                raise ConfigError(field, f"must be finite, got {v!r}")
-    cfg["grid"] = _norm_list("grid", cfg["grid"], lambda v: _positive("grid", v, int),
-                             "integer")
-    for v in cfg["grid"]:
-        if v < 2:
-            raise ConfigError("grid", f"n_side must be at least 2, got {v}")
-    cfg["tol"] = _positive("tol", cfg["tol"])
-    cfg["max_iters"] = _positive("max_iters", cfg["max_iters"], int)
-    if cfg["lambda_strategy"] not in ("project", "root"):
-        raise ConfigError("lambda_strategy",
-                          f"must be 'project' or 'root', got {cfg['lambda_strategy']!r}")
-    if cfg["tau"] is not None:
-        cfg["tau"] = _positive("tau", cfg["tau"])
-    if cfg["lambda_init"] is not None:
-        cfg["lambda_init"] = _positive("lambda_init", cfg["lambda_init"], zero_ok=True)
-    if cfg["threshold"] is not None:
-        cfg["threshold"] = _positive("threshold", cfg["threshold"])
-    cfg["trials"] = _positive("trials", cfg["trials"], int)
-    cfg["workers"] = _positive("workers", cfg["workers"], int)
-    for field in ("with_gmi", "nats"):
-        if not isinstance(cfg[field], bool):
-            raise ConfigError(field, f"must be true or false, got {cfg[field]!r}")
-    return cfg
+    for key in _SETTINGS:
+        flag = getattr(args, key, None)     # no --with-gmi outside solve
+        if flag is not None and flag is not False:     # False: a switch not given
+            cfg[key] = flag
+    return {key: check(key, cfg[key]) for key, (_, _, check) in _SETTINGS.items()}
 
 
-def _scalar_view(cfg) -> dict:
-    """Collapse the list-valued fields for single-instance commands."""
-    out = dict(cfg)
-    for field in ("modulation", "eta", "theta", "snr_db", "grid"):
-        out[field] = _one(field, cfg[field])
-    return out
+def _scalar_view(cfg, keys=("modulation", "eta", "theta", "snr_db", "grid")) -> dict:
+    """Collapse the list-valued fields (all by default) for single-instance commands."""
+    return {**cfg, **{key: _one(key, cfg[key]) for key in keys}}
 
 
 def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(
-        max_iters=cfg["max_iters"],
-        tol=cfg["tol"],
-        lambda_strategy=cfg["lambda_strategy"],
-        tau=cfg["tau"],
-        lambda_init=cfg["lambda_init"],
-    )
+    return SolverConfig(**{f.name: cfg[f.name] for f in fields(SolverConfig)})
 
 
 def _build_problem(view):
@@ -240,8 +242,6 @@ def _mean_seconds(trials, run):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return "" if value is None else str(value)
@@ -351,8 +351,7 @@ def _sweep_cell(payload) -> list:
 
 def cmd_sweep(cfg) -> int:
     cells = sorted(product(cfg["modulation"], cfg["eta"], cfg["theta"], cfg["snr_db"]))
-    cell_cfg = _echo(cfg)
-    cell_cfg["grid"] = _one("grid", cfg["grid"])
+    cell_cfg = _scalar_view(_echo(cfg), ("grid",))
     payloads = [{"cell": cell, "cfg": cell_cfg} for cell in cells]
     if cfg["workers"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
@@ -366,9 +365,7 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_compare(cfg) -> int:
-    sc = dict(cfg)
-    for field in ("eta", "theta", "snr_db"):
-        sc[field] = _one(field, cfg[field])
+    sc = _scalar_view(cfg, ("eta", "theta", "snr_db"))
     rows = []
     for modulation in cfg["modulation"]:
         for grid in cfg["grid"]:
@@ -452,28 +449,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--modulation", help="scheme name(s), comma separated")
-        sp.add_argument("--eta", help="second channel gain(s), first gain is 1")
-        sp.add_argument("--theta", help="rotation angle(s), e.g. pi/18")
-        sp.add_argument("--snr-db", dest="snr_db", help="SNR value(s) in dB")
-        sp.add_argument("--grid", help="output nodes per axis (n_side)")
-        sp.add_argument("--tol", type=float, help="residual tolerance")
-        sp.add_argument("--max-iters", dest="max_iters", type=int)
-        sp.add_argument("--lambda-strategy", dest="lambda_strategy",
-                        choices=["project", "root"])
-        sp.add_argument("--tau", type=float, help="projected multiplier step size")
-        sp.add_argument("--lambda-init", dest="lambda_init", type=float)
-        sp.add_argument("--threshold", type=float,
-                        help="override the metric budget computed from the instance")
-        sp.add_argument("--trials", type=int, help="timing repetitions (compare)")
-        sp.add_argument("--workers", type=int, help="worker processes (sweep)")
+        # --help lists the value flags, --config and --out, then the switches;
+        # --with-gmi is solve's alone
+        for key, (_, flag, _) in _SETTINGS.items():
+            if "action" not in flag:
+                sp.add_argument("--" + key.replace("_", "-"), **flag)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--nats", action="store_true",
-                        help="report rates in nats instead of bits")
-        if name == "solve":
-            sp.add_argument("--with-gmi", dest="with_gmi", action="store_true",
-                            help="include the GMI baseline in the result")
+        for key in ("nats", "with_gmi") if name == "solve" else ("nats",):
+            sp.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][1])
     return parser
 
 
@@ -481,7 +465,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        cfg["out"] = getattr(args, "out", None)
+        cfg["out"] = args.out
         return _COMMANDS[args.command](cfg)
     except (ConfigError, LmrateError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -44,7 +44,7 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
     gain first^2/|second| falls below what the value can resolve, not on a
     width in s: on a flat top (the value saturating at log M at high SNR)
     the maximizer is not identifiable, but the value is.  A metric constant
-    along each column (gmi'' = 0, gmi' = 0 up to rounding) resolves at its
+    along each column (gmi' = gmi'' = 0 up to rounding) resolves at its
     first evaluation.  ``evaluations`` counts kernel calls.
     """
     if not s_max > 0.0:
@@ -58,10 +58,10 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
     def slope(s):
         nonlocal value
         value, first, second = _kernels.mismatch_dual_value(sums, shifts, log_px, s, p.d, p.axes)
-        # a metric constant along each column (d_ij = c_j) makes gmi flat: no
-        # posterior variance, and a slope that is rounding of sums.wd
+        # a metric constant along each column (d_ij = c_j) makes gmi flat: a
+        # slope that is rounding of sums.wd, and a variance of either sign
         resolved = (second < 0.0 and first * first <= -second * _GAIN_RTOL * max(abs(value), 1.0)
-                    or second == 0.0 and abs(first) <= _GAIN_RTOL * sums.wd)
+                    or abs(first) <= _GAIN_RTOL * sums.wd)
         return first, -first / second if second < 0.0 else math.nan, resolved
 
     # 1 / E[d] under the joint: the matched tilt of a Gaussian metric, and a

@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lmrate import SolveStatus, cli
+from lmrate import BracketError, SolveStatus, cli
 from lmrate.channel import DiscreteProblem
 from lmrate.cli import _EXIT_BY_STATUS, main, parse_angle
 
@@ -121,6 +123,20 @@ def test_gmi_of_the_start_is_reused(monkeypatch, capsys, tmp_path):
     assert calls == []
 
 
+def test_solve_with_gmi_reports_gmi_error(monkeypatch, capsys):
+    # from an explicit start no GMI started the run, so solve --with-gmi
+    # computes its own, and a failed one is reported next to a good rate
+    def unbracketed(p):
+        raise BracketError("zero still beyond 3.2e+03 after 6 cap doublings")
+
+    monkeypatch.setattr(cli, "gmi", unbracketed)
+    rc, doc = _run_json(capsys, ["solve", "--grid", "8", "--with-gmi", "--lambda-init", "1"])
+    assert rc == 0
+    assert doc["status"] == "converged"
+    assert doc["gmi_error"] == "zero still beyond 3.2e+03 after 6 cap doublings"
+    assert "gmi_bits" not in doc
+
+
 def test_config_null_lambda_init_is_the_default(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lambda_init": None, "grid": 6}))
@@ -199,6 +215,67 @@ def test_help_exits_zero(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--lambda-strategy" in capsys.readouterr().out
+
+
+# every subcommand's flags, in --help order: (flag, type, choices, default,
+# action, help); each flag's dest is its name without the dashes
+_FLAGS = [
+    ("--help", None, None, argparse.SUPPRESS, "_HelpAction", "show this help message and exit"),
+    ("--modulation", None, None, None, "_StoreAction", "scheme name(s), comma separated"),
+    ("--eta", None, None, None, "_StoreAction", "second channel gain(s), first gain is 1"),
+    ("--theta", None, None, None, "_StoreAction", "rotation angle(s), e.g. pi/18"),
+    ("--snr-db", None, None, None, "_StoreAction", "SNR value(s) in dB"),
+    ("--grid", None, None, None, "_StoreAction", "output nodes per axis (n_side)"),
+    ("--tol", float, None, None, "_StoreAction", "residual tolerance"),
+    ("--max-iters", int, None, None, "_StoreAction", None),
+    ("--lambda-strategy", None, ["project", "root"], None, "_StoreAction", None),
+    ("--tau", float, None, None, "_StoreAction", "projected multiplier step size"),
+    ("--lambda-init", float, None, None, "_StoreAction", None),
+    ("--threshold", float, None, None, "_StoreAction",
+     "override the metric budget computed from the instance"),
+    ("--trials", int, None, None, "_StoreAction", "timing repetitions (compare)"),
+    ("--workers", int, None, None, "_StoreAction", "worker processes (sweep)"),
+    ("--config", None, None, None, "_StoreAction", "JSON config file; flags override it"),
+    ("--out", None, None, None, "_StoreAction", "output path (default stdout)"),
+    ("--nats", None, None, False, "_StoreTrueAction", "report rates in nats instead of bits"),
+]
+_WITH_GMI = ("--with-gmi", None, None, False, "_StoreTrueAction",
+             "include the GMI baseline in the result")
+
+
+@pytest.mark.parametrize("command", ["solve", "residuals", "sweep", "compare", "gmi",
+                                     "dump-problem"])
+def test_flags_pinned(capsys, command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    expected = _FLAGS + [_WITH_GMI] * (command == "solve")
+    assert [(a.option_strings[-1], a.type, a.choices, a.default, type(a).__name__, a.help)
+            for a in actions] == expected
+    assert [a.dest for a in actions] == [f[0][2:].replace("-", "_") for f in expected]
+    assert actions[0].option_strings == ["-h", "--help"]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = capsys.readouterr().out.split("\n\n")[-1]
+    assert re.findall(r"^  (-h, )?(--[a-z-]+)", options, re.M) == [
+        ("-h, " if f[0] == "--help" else "", f[0]) for f in expected]
+
+
+def test_config_echo_pinned(capsys, tmp_path):
+    rc, doc = _run_json(capsys, ["solve"])
+    assert rc == 0
+    scalar = [("modulation", "qpsk"), ("eta", 0.9), ("theta", math.pi / 18.0),
+              ("snr_db", 0.0), ("grid", 10), ("tol", 1e-10), ("max_iters", 500),
+              ("lambda_strategy", "root"), ("tau", None), ("lambda_init", None),
+              ("threshold", None), ("trials", 3), ("workers", 1), ("with_gmi", False),
+              ("nats", False)]
+    assert list(doc["config"].items()) == scalar
+    # sweep keeps the swept fields as lists and grid as one value
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(path)]) == 0
+    echo, _, _ = _read_csv(path)
+    assert list(echo.items()) == [
+        (k, [v] if k in ("modulation", "eta", "theta", "snr_db") else v) for k, v in scalar]
 
 
 @pytest.mark.parametrize("data,field", [
@@ -424,6 +501,18 @@ def test_gmi_command(capsys):
     assert doc["gmi_bits"] > 0.0
     assert doc["s_star"] > 0.0
     assert doc["evaluations"] > 0
+
+
+def test_gmi_command_bracket_error_exits_three(monkeypatch, capsys):
+    def unbracketed(p):
+        raise BracketError("zero still beyond 3.2e+03 after 6 cap doublings")
+
+    monkeypatch.setattr(cli, "gmi", unbracketed)
+    rc, doc = _run_json(capsys, ["gmi", "--grid", "8"])
+    assert rc == 3
+    assert set(doc) == {"status", "error", "config"}
+    assert doc["status"] == "numerical_failure"
+    assert doc["error"].startswith("zero still beyond")
 
 
 # ---------------------------------------------------------------------------

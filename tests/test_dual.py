@@ -12,6 +12,7 @@ from lmrate import (
     InconsistentOracleError,
     ScarlettDualPoint,
     SinkhornState,
+    SolveStatus,
     SolverConfig,
     NumericalFailureError,
     certificate,
@@ -460,6 +461,19 @@ def test_reference_value_needs_converged_oracle(monkeypatch, qpsk_n10):
                         lambda p, **kw: oracle(p, **dict(kw, max_iters=1)))
     with pytest.raises(NumericalFailureError, match="max_iters"):
         reference_dual_value(qpsk_n10)
+
+
+def test_newton_oracle_reports_numerical_failure(monkeypatch, qpsk_n10):
+    # the first Newton system cannot be solved: the oracle stops there with a
+    # report, at the start point, instead of raising
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    report = newton_oracle(qpsk_n10)
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.failure_reason.startswith("Newton system could not be solved: ")
+    assert (report.failed_iteration, report.iterations, report.lambda_final) == (1, 0, 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from lmrate import BracketError, NumericalFailureError
-from lmrate._newton import SCALAR_MAX_EVALS, bracketed_newton
+from lmrate import BracketError, NumericalFailureError, _newton
+from lmrate._newton import SCALAR_MAX_EVALS, DualPoint, bracketed_newton, descend
+from lmrate.dual import from_coupling
+from lmrate.problem import product_coupling
 
 
 def _recorded(f):
@@ -77,3 +80,61 @@ def test_narrow_bracket_is_unresolved():
     x, _, resolved = bracketed_newton(lambda x: (1.0 / 3.0 - x, math.nan, False), 0.0, 4.0)
     assert not resolved
     assert abs(x - 1.0 / 3.0) <= 1e-16
+
+
+# ---------------------------------------------------------------------------
+# descend's failure paths, each forced by a patched helper
+# ---------------------------------------------------------------------------
+
+
+def _descend(p, steps):
+    """descend from the Newton oracle's start (the product point at lam = 1)
+    with a stopping test that never holds: (point, row, done, failure, trace)."""
+    zero = from_coupling(product_coupling(p))
+    trace = []
+    out = descend(DualPoint(zero.alpha, zero.beta, 1.0), p, steps, lambda g, r: False, trace)
+    return (*out, trace)
+
+
+@pytest.mark.parametrize("broken,reason", [
+    ("raise", "Newton system could not be solved: "),
+    ("nan", "Newton step is not finite"),
+])
+def test_unsolvable_newton_system_ends_descent(monkeypatch, qpsk_n10, broken, reason):
+    def solve(a, b):
+        if broken == "raise":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, math.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    _, row, done, failure, trace = _descend(qpsk_n10, 5)
+    assert isinstance(failure, NumericalFailureError)
+    assert str(failure).startswith(reason)
+    assert (failure.iteration, row.iter, done, trace) == (1, 0, False, [])
+
+
+def test_line_search_failure_ends_descent(monkeypatch, qpsk_n10):
+    # a first trial below the search's floor leaves no trial to accept
+    monkeypatch.setattr(_newton, "_first_trial", lambda *args: 1e-21)
+    _, row, done, failure, trace = _descend(qpsk_n10, 5)
+    assert str(failure) == "Newton line search failed to decrease"
+    assert (failure.iteration, row.iter, done, trace) == (1, 0, False, [])
+
+
+def test_ascent_step_falls_back_to_the_gradient(monkeypatch, qpsk_n10):
+    # a "Newton step" along +grad is no descent direction: every step takes
+    # the negative projected gradient instead, and the dual value falls
+    steps = []
+
+    def ascent(h, grad):
+        steps.append(grad)
+        return grad.copy()
+
+    monkeypatch.setattr(_newton, "_newton_step", ascent)
+    zero = from_coupling(product_coupling(qpsk_n10))
+    start = _newton._sweep(DualPoint(zero.alpha, zero.beta, 1.0), qpsk_n10)[1]
+    _, row, done, failure, trace = _descend(qpsk_n10, 6)
+    assert failure is None and not done
+    assert len(steps) == len(trace) == 6
+    values = [start.dual_objective] + [r.dual_objective for r in trace]
+    assert all(b < a for a, b in zip(values, values[1:])), values

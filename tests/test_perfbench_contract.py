@@ -79,18 +79,27 @@ def test_sweep_snr_layers_reached(tmp_path):
     assert outcomes[0].ok, outcomes[0].errors
 
 
-def test_case_matrix_layers_reached():
-    # one small case-matrix cell (qpsk, grid 10): a solve to 1e-10, then the
-    # GMI, which must reach the classical-dual kernel
+def test_case_matrix_layers_reached(monkeypatch):
+    # one case-matrix cell at a time, each a solve to 1e-10 and then the GMI
+    # (which must reach the classical-dual kernel), and each reaching every
+    # layer: qpsk at grid 10, below the size crossover (FACTORED_MIN_ENTRIES),
+    # runs the block loop; qam16 at grid 50 (16 x 2500) reduces the axis tables
+    table_sums = lmrate._kernels._table_sums
+    calls = []
+    monkeypatch.setattr(lmrate._kernels, "_table_sums",
+                        lambda *args: calls.append(args) or table_sums(*args))
     tracer_mod = _load("tracer")
     workloads = _load("workloads")
-    workload = workloads.CaseMatrix(math.pi / 18)
-    workload.cells = [("qpsk", 10)]
-    with tracer_mod.Tracer() as tracer:
-        instances = workload.setup(lmrate)
-        answers = workload.run_pass(lmrate, instances, tracer)
-    missing = workloads.EXPECTED_LAYERS["case-matrix"] - {span[0] for span in tracer.spans}
-    assert not missing, f"case-matrix layers never reached: {sorted(missing)}"
-    outcomes = workload.check(answers)
-    assert [o.cell for o in outcomes] == ["qpsk/grid10"]
-    assert all(o.ok for o in outcomes), [(o.cell, o.errors) for o in outcomes]
+    for cell, tables in ((("qpsk", 10), False), (("qam16", 50), True)):
+        calls.clear()
+        workload = workloads.CaseMatrix(math.pi / 18)
+        workload.cells = [cell]
+        with tracer_mod.Tracer() as tracer:
+            instances = workload.setup(lmrate)
+            answers = workload.run_pass(lmrate, instances, tracer)
+        missing = workloads.EXPECTED_LAYERS["case-matrix"] - {span[0] for span in tracer.spans}
+        assert not missing, f"case-matrix layers never reached by {cell}: {sorted(missing)}"
+        assert bool(calls) is tables, cell
+        outcomes = workload.check(answers)
+        assert [o.cell for o in outcomes] == ["{}/grid{}".format(*cell)]
+        assert outcomes[0].ok, outcomes[0].errors

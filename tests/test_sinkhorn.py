@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -391,6 +392,23 @@ def test_numerical_failure_reported_without_lse(qpsk_n10):
     assert logged.status is SolveStatus.NUMERICAL_FAILURE
     assert not logged.converged
     assert "stalled" in logged.failure_reason
+
+
+def test_non_finite_evaluation_ends_solve(monkeypatch, qpsk_n10):
+    # the second iteration's evaluation comes back NaN: the run stops there
+    # and keeps the first iteration's row
+    evaluate = sinkhorn.evaluate
+
+    def broken(*args):
+        row = evaluate(*args)
+        return dataclasses.replace(row, dual_objective=math.nan) if row.iter == 2 else row
+
+    monkeypatch.setattr(sinkhorn, "evaluate", broken)
+    report = solve(qpsk_n10, SolverConfig(lambda_init=1.0))
+    assert report.status is SolveStatus.NUMERICAL_FAILURE
+    assert report.failure_reason == "coupling evaluation became non-finite"
+    assert (report.failed_iteration, report.iterations) == (2, 1)
+    assert math.isfinite(report.dual_objective)
 
 
 def test_lse_path_recovers_from_extreme_start(qpsk_n10):
