@@ -50,6 +50,9 @@ STEP_EXP_CAP = 10.0
 # accepted when it lowers the gauge-projected gradient instead.
 FLAT_SLOPE_RTOL = 6.4e-14
 
+# One bracketed_newton search looks on [0, SCALAR_CAP]: the multiplier root
+# and the GMI tilt are one dual variable, the GMI's shifts being pinned at 0.
+SCALAR_CAP = 1e6
 SCALAR_MAX_EVALS = 200        # evaluations of one bracketed_newton search
 
 
@@ -264,19 +267,18 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0, axes=
     return dp, row, done(grad, row), None
 
 
-def bracketed_newton(f, x, cap, max_growth=0):
+def bracketed_newton(f, x):
     """Safeguarded Newton from x for the zero of a decreasing function on
-    [0, cap].  ``f(x)`` returns (value, step, done): value > 0 places x left
-    of the zero in a bracket of evaluated points, step is the caller's
-    Newton step (NaN for none) and done its stopping test; x = 0 with
-    value <= 0 also stops.  A step out of the bracket bisects it, or goes to
-    the cap while it is open on the right; steps are clipped to [0, cap].
-    A positive value at the cap doubles it, up to max_growth times, then
-    raises BracketError.  Returns (x, evaluations, resolved) at the last
-    point, resolved False when the bracket got too narrow to split.
+    [0, SCALAR_CAP].  ``f(x)`` returns (value, step, done): value > 0 places
+    x left of the zero in a bracket of evaluated points, step is the
+    caller's Newton step (NaN for none) and done its stopping test; x = 0
+    with value <= 0 also stops.  A step out of the bracket bisects it, or
+    goes to the cap while it is open on the right; steps are clipped to the
+    range.  A positive value at the cap raises BracketError.  Returns
+    (x, evaluations, resolved) at the last point, resolved False when the
+    bracket got too narrow to split.
     """
     lo, hi = -math.inf, math.inf     # evaluated points with value > 0 / value <= 0
-    growth = 0
     for evals in range(1, SCALAR_MAX_EVALS + 1):
         value, step, done = f(x)
         if value > 0.0:
@@ -285,15 +287,12 @@ def bracketed_newton(f, x, cap, max_growth=0):
             hi = x
         if done or hi == 0.0:
             return x, evals, True
-        if lo >= cap:
-            if growth == max_growth:
-                raise BracketError(f"zero still beyond {cap:g} after {max_growth} cap doublings")
-            growth += 1
-            cap *= 2.0
+        if lo >= SCALAR_CAP:
+            raise BracketError(f"zero still beyond the search cap {SCALAR_CAP:g}")
         x_new = x + step
         if not lo < x_new < hi:
-            x_new = 0.5 * (max(lo, 0.0) + hi) if hi < math.inf else cap
-        x_new = min(max(x_new, 0.0), cap)
+            x_new = 0.5 * (max(lo, 0.0) + hi) if hi < math.inf else SCALAR_CAP
+        x_new = min(max(x_new, 0.0), SCALAR_CAP)
         if not lo < x_new < hi:
             return x, evals, False
         x = x_new

@@ -24,7 +24,7 @@ from pathlib import Path
 from .channel import build_channel, discretize
 from .constellation import Scheme, build_constellation
 from .dual import newton_oracle
-from .errors import BracketError, LmrateError
+from .errors import LmrateError, NumericalFailureError
 from .gmi import gmi
 from .sinkhorn import LambdaStrategy, SolverConfig, SolveStatus, solve
 
@@ -311,7 +311,7 @@ def cmd_solve(cfg) -> int:
     if sc["with_gmi"]:
         try:
             result[_rate_key(sc, "gmi")] = _rate_value(sc, _gmi_of(prob, report).value_nats)
-        except BracketError as err:
+        except NumericalFailureError as err:
             result["gmi_error"] = str(err)
     if report.failure_reason:
         result["failure_reason"] = report.failure_reason
@@ -387,7 +387,7 @@ def cmd_gmi(cfg) -> int:
     _, _, prob = _build_problem(sc)
     try:
         result = gmi(prob)
-    except BracketError as err:
+    except NumericalFailureError as err:
         _emit_json({"status": "numerical_failure", "error": str(err),
                     "config": _echo(sc)}, sc["out"])
         return 3

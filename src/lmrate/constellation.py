@@ -137,7 +137,7 @@ def validate_constellation(c: Constellation) -> list:
         issues.append(f"probabilities sum to {total!r}, expected 1 within 1e-12")
     if np.any(probs <= 0.0):
         bad = int(np.argmin(probs))
-        issues.append(f"probability {probs[bad]!r} at index {bad} is not strictly positive")
+        issues.append(f"probability {float(probs[bad])!r} at index {bad} is not strictly positive")
     if not np.all(np.isfinite(c.points)):
         issues.append("points contain non-finite coordinates")
     power = c.power()

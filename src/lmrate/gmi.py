@@ -16,12 +16,10 @@ Newton step.
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from . import _kernels
-from ._newton import bracketed_newton
+from . import _kernels, _newton
 from .channel import DiscreteProblem
 
 # Newton stops once its predicted gain first^2/|second| is below this
@@ -36,21 +34,18 @@ class GmiResult:
     evaluations: int
 
 
-def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResult:
+def gmi(p: DiscreteProblem) -> GmiResult:
     """Maximize the tilt by ``_newton.bracketed_newton`` on gmi'(s) from
-    s = 1/E[d], step -gmi'/gmi'' where gmi'' < 0, capped at s_max; the cap
-    doubles up to max_growth times while gmi' > 0 at it, then BracketError,
-    since the value would undershoot the GMI.  Stops when the predicted
-    gain first^2/|second| falls below what the value can resolve, not on a
+    s = 1/E[d], step -gmi'/gmi'' where gmi'' < 0, over [0, SCALAR_CAP], the
+    LM multiplier's range (the tilt is that multiplier with the per-input
+    shifts at zero); BracketError while gmi' > 0 at the cap, since the value
+    would undershoot the GMI.  Stops when the predicted gain
+    first^2/|second| falls below what the value can resolve, not on a
     width in s: on a flat top (the value saturating at log M at high SNR)
     the maximizer is not identifiable, but the value is.  A metric constant
     along each column (gmi' = gmi'' = 0 up to rounding) resolves at its
     first evaluation.  ``evaluations`` counts kernel calls.
     """
-    if not s_max > 0.0:
-        raise ValueError("s_max must be positive")
-    if not (isinstance(max_growth, Integral) and max_growth >= 0):
-        raise ValueError(f"max_growth must be a nonnegative integer, got {max_growth!r}")
     sums, log_px = p.joint, np.log(p.p_x)
     shifts = np.zeros(p.m)
     value = math.nan
@@ -66,7 +61,7 @@ def gmi(p: DiscreteProblem, s_max: float = 50.0, max_growth: int = 6) -> GmiResu
 
     # 1 / E[d] under the joint: the matched tilt of a Gaussian metric, and a
     # start that scales with the metric
-    mean_metric = sums.wd
-    x = min(1.0 / mean_metric, s_max) if mean_metric > 0.0 else s_max
-    s_star, evaluations, _ = bracketed_newton(slope, float(x), float(s_max), max_growth)
+    cap = _newton.SCALAR_CAP
+    x = min(1.0 / sums.wd, cap) if sums.wd > 0.0 else cap
+    s_star, evaluations, _ = _newton.bracketed_newton(slope, float(x))
     return GmiResult(value_nats=value, s_star=s_star, evaluations=evaluations)

@@ -46,8 +46,6 @@ from .problem import Coupling, TraceRow, balance_gauge, evaluate
 # relative tolerance of the multiplier root solve: |excess| <= ROOT_RTOL * t
 ROOT_RTOL = 1e-13
 
-_ROOT_LAMBDA_CAP = 1e6
-
 # A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
 # when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step costs about
 # M scaling iterations (M^2 N multiply-adds to build its Schur complement,
@@ -168,7 +166,7 @@ class _Root(float):
 def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) -> float:
     """Unique nonnegative root of the excess, or 0 when excess(0) <= 0.
 
-    ``_newton.bracketed_newton`` from lam_hint, capped at _ROOT_LAMBDA_CAP,
+    ``_newton.bracketed_newton`` from lam_hint, over [0, _newton.SCALAR_CAP],
     on log(s1/t), s1 = sum d q: decreasing and convex like the excess, with
     the same root, and linear for a single metric value.  Its step is
     log(s1/t) * s1/s2, s2 = sum d^2 q; it stops at |excess| <= ROOT_RTOL * t.
@@ -176,7 +174,9 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) ->
     coupling_stats sweep, carried by the returned float as ``.stats`` (the
     count as ``.evals``), so the solver needs no sweep at the new multiplier.
     NumericalFailureError when t <= 0 (before any sweep), at NaN moments, on
-    a stall and past the cap.  ``axes``: the metric's GridAxes or None.
+    a stall and past the evaluation budget; BracketError, its subclass, when
+    the excess is still positive at the cap.  ``axes``: the metric's
+    GridAxes or None.
     """
     if not t > 0.0:
         raise NumericalFailureError(f"no multiplier bracket: threshold t = {t!r} is not positive")
@@ -198,7 +198,7 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) ->
         step = math.log(s1 / t) * s1 / s2 if finite else math.nan
         return s1 - t, step, abs(s1 - t) <= ROOT_RTOL * t
 
-    lam, evals, resolved = bracketed_newton(excess, float(lam_hint), _ROOT_LAMBDA_CAP)
+    lam, evals, resolved = bracketed_newton(excess, float(lam_hint))
     if not resolved:
         raise NumericalFailureError("multiplier root solve stalled before tolerance")
     return _Root(lam, stats, evals)

@@ -230,3 +230,51 @@ def test_problem_json_round_trip():
     old = DiscreteProblem.from_json(json.dumps(payload))
     assert np.array_equal(old.d, prob.d) and old.t == prob.t
     assert old.validate() == []
+
+
+def _read_problem(**fields):
+    """validate() of a 2 x 2 problem read back through from_json, its fields
+    edited by ``fields``; p_y and t are derived unless given.  A constructor
+    error comes back as the one violation."""
+    data = {"d": [[0.0, 1.0], [1.0, 0.0]], "p_x": [0.5, 0.5],
+            "w": [[0.75, 0.25], [0.25, 0.75]], **fields}
+    p_x, w, d = (np.array(data[k]) for k in ("p_x", "w", "d"))
+    if "p_y" not in data:
+        data["p_y"] = (p_x @ w).tolist()
+    if "t" not in data:
+        data["t"] = float(np.sum(p_x[:, None] * w * d))
+    try:
+        return DiscreteProblem.from_json(json.dumps(data)).validate()
+    except ValueError as err:
+        return [str(err)]
+
+
+def _discretize_below_zero():
+    discretize(build_channel(1.0, 1.0, 0.0, 0.0), build_constellation("qpsk"), 10,
+               prob_floor=-1.0)
+
+
+@pytest.mark.parametrize("read,message", [
+    (lambda: _read_problem(w=[[1.0], [1.0]], p_y=[1.0], t=0.0),
+     "d and w must have the same shape"),
+    (lambda: _read_problem(p_x=[1.0], p_y=[0.5, 0.5], t=0.0),
+     "marginal lengths must match the metric shape"),
+    (lambda: _read_problem(d=[[0.0, 1.0], [1.0, -1.0]]), "metric has negative entries"),
+    (lambda: _read_problem(w=[[0.75, 0.5], [0.25, 0.75]]),
+     "w rows deviate from stochasticity by 2.500e-01 (> 1e-12)"),
+    (lambda: _read_problem(w=[[1.0, 0.0], [1.0, 0.0]]),
+     "p_y has non-positive entries (pruning incomplete)"),
+    (lambda: _read_problem(p_x=[1.0, 0.0]), "p_x has non-positive entries"),
+    (lambda: _read_problem(p_y=[0.6, 0.4]),
+     "p_y deviates from the marginalization of p_x @ w by 1.000e-01"),
+    (_discretize_below_zero, "prob_floor must be nonnegative"),
+], ids=["w-shape", "p_x-length", "negative-d", "w-rows", "p_y-zero", "p_x-zero",
+        "p_y-marginal", "prob_floor"])
+def test_bad_problem_data_reported(read, message):
+    # problems read from a file are outside input: each defect is named, and
+    # each edit here makes exactly one
+    try:
+        issues = read()
+    except ValueError as err:
+        issues = [str(err)]
+    assert issues == [message]

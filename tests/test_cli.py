@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from lmrate import BracketError, SolveStatus, cli
+from lmrate import BracketError, NumericalFailureError, SolveStatus, cli, sinkhorn
 from lmrate.channel import DiscreteProblem
 from lmrate.cli import _EXIT_BY_STATUS, main, parse_angle
 
@@ -125,16 +126,36 @@ def test_gmi_of_the_start_is_reused(monkeypatch, capsys, tmp_path):
 
 def test_solve_with_gmi_reports_gmi_error(monkeypatch, capsys):
     # from an explicit start no GMI started the run, so solve --with-gmi
-    # computes its own, and a failed one is reported next to a good rate
-    def unbracketed(p):
-        raise BracketError("zero still beyond 3.2e+03 after 6 cap doublings")
+    # computes its own, and a failed one is reported next to a good rate:
+    # a tilt past the search cap, or any other numerical failure, such as
+    # the scalar search's evaluation budget
+    for error in (BracketError("zero still beyond the search cap 1e+06"),
+                  NumericalFailureError("Newton search unresolved after 200 evaluations")):
+        def failed(p):
+            raise error
 
-    monkeypatch.setattr(cli, "gmi", unbracketed)
-    rc, doc = _run_json(capsys, ["solve", "--grid", "8", "--with-gmi", "--lambda-init", "1"])
-    assert rc == 0
-    assert doc["status"] == "converged"
-    assert doc["gmi_error"] == "zero still beyond 3.2e+03 after 6 cap doublings"
-    assert "gmi_bits" not in doc
+        monkeypatch.setattr(cli, "gmi", failed)
+        rc, doc = _run_json(capsys, ["solve", "--grid", "8", "--with-gmi", "--lambda-init", "1"])
+        assert rc == 0
+        assert doc["status"] == "converged"
+        assert doc["gmi_error"] == str(error)
+        assert "gmi_bits" not in doc
+
+
+def test_solve_failing_in_its_first_iteration(monkeypatch, capsys):
+    # no iteration completes: no residuals to report, exit 3 with the reason
+    evaluate = sinkhorn.evaluate
+
+    def broken(*args):
+        row = evaluate(*args)
+        return dataclasses.replace(row, dual_objective=math.nan) if row.iter == 1 else row
+
+    monkeypatch.setattr(sinkhorn, "evaluate", broken)
+    rc, doc = _run_json(capsys, ["solve", "--grid", "8"])
+    assert rc == 3
+    assert (doc["status"], doc["iterations"]) == ("numerical_failure", 0)
+    assert doc["final_residuals"] is None
+    assert doc["failure_reason"] == "coupling evaluation became non-finite"
 
 
 def test_config_null_lambda_init_is_the_default(tmp_path):
@@ -200,6 +221,9 @@ def test_exit_code_table_is_total():
     (["solve", "--max-iters", "abc"], "--max-iters"),
     (["solve", "--lambda-strategy", "auto"], "--lambda-strategy"),
     (["solve", "--bogus"], "--bogus"),
+    # values that parse but are not finite
+    (["solve", "--snr-db", "inf"], "snr_db: must be finite"),
+    (["solve", "--theta", "nan"], "theta: must be finite"),
 ])
 def test_invalid_flags_exit_one(capsys, argv, needle):
     rc = main(argv)
@@ -293,6 +317,7 @@ def test_config_echo_pinned(capsys, tmp_path):
     ({"eta": True}, "eta"),
     ({"snr_db": True}, "snr_db"),
     ({"lambda_init": False}, "lambda_init"),
+    ({"lambda_strategy": "newton"}, "lambda_strategy"),
 ])
 def test_config_values_checked_like_flags(tmp_path, capsys, data, field):
     cfg = tmp_path / "cfg.json"
@@ -504,15 +529,18 @@ def test_gmi_command(capsys):
 
 
 def test_gmi_command_bracket_error_exits_three(monkeypatch, capsys):
-    def unbracketed(p):
-        raise BracketError("zero still beyond 3.2e+03 after 6 cap doublings")
+    # a tilt past the search cap and any other numerical failure exit 3
+    for error in (BracketError("zero still beyond the search cap 1e+06"),
+                  NumericalFailureError("Newton search unresolved after 200 evaluations")):
+        def failed(p):
+            raise error
 
-    monkeypatch.setattr(cli, "gmi", unbracketed)
-    rc, doc = _run_json(capsys, ["gmi", "--grid", "8"])
-    assert rc == 3
-    assert set(doc) == {"status", "error", "config"}
-    assert doc["status"] == "numerical_failure"
-    assert doc["error"].startswith("zero still beyond")
+        monkeypatch.setattr(cli, "gmi", failed)
+        rc, doc = _run_json(capsys, ["gmi", "--grid", "8"])
+        assert rc == 3
+        assert set(doc) == {"status", "error", "config"}
+        assert doc["status"] == "numerical_failure"
+        assert doc["error"] == str(error)
 
 
 # ---------------------------------------------------------------------------

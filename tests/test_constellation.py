@@ -96,3 +96,27 @@ def test_json_round_trip():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         build_constellation("qam32")
+
+
+@pytest.mark.parametrize("points,probs,message", [
+    ([1.0, 0.0], [1.0], "points must have shape (M, 2)"),
+    ([[1.0, 0.0, 0.0]], [1.0], "points must have shape (M, 2)"),
+    ([[1.0, 0.0], [-1.0, 0.0]], [1.0], "probs length must match the number of points"),
+    # unit power from a prior that sums to 0.625
+    ([[2.0, 0.0], [-1.0, 0.0]], [0.125, 0.5],
+     "probabilities sum to 0.625, expected 1 within 1e-12"),
+    ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0],
+     "probability 0.0 at index 1 is not strictly positive"),
+    # a NaN power compares as within tolerance: one violation only
+    ([[math.nan, 0.0], [-1.0, 0.0]], [0.5, 0.5], "points contain non-finite coordinates"),
+], ids=["flat-points", "three-coordinates", "probs-length", "prob-sum", "zero-prob",
+        "nan-point"])
+def test_bad_constellation_file_reported(points, probs, message):
+    # a constellation read from a file is outside input: a bad shape raises,
+    # and every other defect is named by validate_constellation
+    text = json.dumps({"points": points, "probs": probs})
+    try:
+        issues = validate_constellation(Constellation.from_json(text))
+    except ValueError as err:
+        issues = [str(err)]
+    assert issues == [message]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lmrate._kernels as K
-from lmrate import BracketError, ScarlettDualPoint, gmi, scarlett_dual_value
+from lmrate import BracketError, ScarlettDualPoint, _newton, gmi, scarlett_dual_value
 from lmrate.channel import DiscreteProblem
 from conftest import make_problem, random_problem
 
@@ -71,38 +71,26 @@ def test_tilt_function_is_concave_along_scan(rng, qpsk_n6):
 
 
 def test_metric_scaling_shifts_tilt_only(qpsk_n6):
+    # the start 1/E[d] and every Newton step scale with the metric, and no
+    # cap binds below 1e6, so the search takes the same evaluations at every
+    # scale; at c = 1e-4 the tilt (8764) lies past the 3200 that a cap of 50
+    # doubled six times used to reach
     base = gmi(qpsk_n6)
-    c = 3.0
-    scaled = DiscreteProblem(d=c * qpsk_n6.d, p_x=qpsk_n6.p_x, p_y=qpsk_n6.p_y,
-                             w=qpsk_n6.w, t=c * qpsk_n6.t)
-    out = gmi(scaled)
-    assert abs(out.value_nats - base.value_nats) <= 1e-8
-    assert abs(out.s_star - base.s_star / c) <= 1e-6
+    for c in (3.0, 1e-3, 1e-4):
+        scaled = DiscreteProblem(d=c * qpsk_n6.d, p_x=qpsk_n6.p_x, p_y=qpsk_n6.p_y,
+                                 w=qpsk_n6.w, t=c * qpsk_n6.t)
+        out = gmi(scaled)
+        assert abs(out.value_nats - base.value_nats) <= 1e-8
+        assert abs(out.s_star - base.s_star / c) <= 1e-6 * max(1.0, base.s_star / c)
+        assert out.evaluations == base.evaluations
 
 
-def test_interval_growth_recovers_distant_maximizer(qpsk_n6):
+def test_pinned_maximizer_raises(qpsk_n6, monkeypatch):
+    # a maximizer past the search cap raises rather than undershoot the GMI
     base = gmi(qpsk_n6)
-    # six doublings recover a factor-50 undershoot of the search cap
-    tiny = base.s_star / 50.0
-    out = gmi(qpsk_n6, s_max=tiny)
-    assert abs(out.value_nats - base.value_nats) <= 1e-9
-    assert abs(out.s_star - base.s_star) <= 1e-6
-
-
-def test_pinned_maximizer_raises(qpsk_n6):
-    base = gmi(qpsk_n6)
-    with pytest.raises(BracketError):
-        gmi(qpsk_n6, s_max=base.s_star / 5000.0, max_growth=2)
-
-
-def test_bad_arguments_rejected(qpsk_n6):
-    with pytest.raises(ValueError):
-        gmi(qpsk_n6, s_max=0.0)
-    # a negative or fractional growth count would never stop the cap growing
-    base = gmi(qpsk_n6)
-    for max_growth in (-1, 2.5):
-        with pytest.raises(ValueError, match="max_growth"):
-            gmi(qpsk_n6, s_max=base.s_star / 5000.0, max_growth=max_growth)
+    monkeypatch.setattr(_newton, "SCALAR_CAP", base.s_star / 5000.0)
+    with pytest.raises(BracketError, match="search cap"):
+        gmi(qpsk_n6)
 
 
 def test_flat_metric_resolves_at_once(rng):
@@ -130,8 +118,9 @@ def test_flat_metric_resolves_at_once(rng):
 
 
 def test_maximizer_beyond_initial_cap_is_followed():
-    # qam16 at 30 dB: the tilt maximizer lies past the default cap of 50,
-    # so a search that stops at the cap undershoots the GMI by 8e-5 nats
+    # qam16 at 30 dB: the tilt maximizer lies past 50, once the search's
+    # starting cap, so a search that stops at 50 undershoots the GMI by
+    # 8e-5 nats
     p = make_problem("qam16", snr_db=30.0, n_side=50)[3]
     result = gmi(p)
     shifts = np.zeros(p.m)

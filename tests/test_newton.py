@@ -26,30 +26,40 @@ def _exp_minus(c):
     return f
 
 
+@pytest.fixture
+def cap(monkeypatch):
+    """Set the scalar search's cap for one test."""
+    return lambda value: monkeypatch.setattr(_newton, "SCALAR_CAP", value)
+
+
 @pytest.mark.parametrize("hint", [0.1, 0.9, 1.1, 5.0])
-def test_exp_zero_from_either_side(hint):
-    x, evals, resolved = bracketed_newton(_exp_minus(math.exp(-1.0)), hint, 10.0)
+def test_exp_zero_from_either_side(cap, hint):
+    cap(10.0)
+    x, evals, resolved = bracketed_newton(_exp_minus(math.exp(-1.0)), hint)
     assert resolved
     assert abs(x - 1.0) <= 1e-14
     assert evals <= 8
 
 
-def test_zero_at_the_origin():
+def test_zero_at_the_origin(cap):
     # exp(-x) - 2 is negative on [0, inf): the step from 1 is clipped to 0,
     # where the search stops with the zero at the boundary
+    cap(10.0)
     f = _recorded(_exp_minus(2.0))
-    assert bracketed_newton(f, 1.0, 10.0) == (0.0, 2, True)
+    assert bracketed_newton(f, 1.0) == (0.0, 2, True)
     assert f.points == [1.0, 0.0]
 
 
-def test_nan_step_bisects_to_the_zero():
+def test_nan_step_bisects_to_the_zero(cap):
     # no Newton step at all: the search goes to the cap, then bisects
+    cap(4.0)
+
     def f(x):
         value = 1.0 / 3.0 - x
         return value, math.nan, abs(value) <= 1e-12
 
     rec = _recorded(f)
-    x, evals, resolved = bracketed_newton(rec, 0.0, 4.0)
+    x, evals, resolved = bracketed_newton(rec, 0.0)
     assert resolved
     assert abs(x - 1.0 / 3.0) <= 1e-12
     assert rec.points[:4] == [0.0, 4.0, 2.0, 1.0]
@@ -57,27 +67,32 @@ def test_nan_step_bisects_to_the_zero():
     assert evals <= 45
 
 
-def test_positive_everywhere_raises_after_max_growth_doublings():
+def test_positive_at_the_cap_raises(cap):
+    # a value still positive at the cap raises at once: the search neither
+    # grows the cap nor evaluates past it
     f = _recorded(lambda x: (1.0, math.nan, False))
-    with pytest.raises(BracketError, match="beyond 8 after 3"):
-        bracketed_newton(f, 0.5, 1.0, max_growth=3)
-    assert f.points == [0.5, 1.0, 2.0, 4.0, 8.0]
-    # a zero past a cap that may not grow is a numerical failure
-    with pytest.raises(NumericalFailureError, match="beyond 1 after 0"):
-        bracketed_newton(lambda x: (1.0, math.nan, False), 0.5, 1.0)
+    with pytest.raises(BracketError, match=r"beyond the search cap 1e\+06$"):
+        bracketed_newton(f, 0.5)
+    assert f.points == [0.5, 1e6]
+    # a zero past the cap is a numerical failure
+    cap(1.0)
+    with pytest.raises(NumericalFailureError, match="beyond the search cap 1$"):
+        bracketed_newton(lambda x: (1.0, math.nan, False), 0.5)
 
 
-def test_evaluation_budget():
+def test_evaluation_budget(cap):
     # steps too short to reach the zero at 1 use up the budget
+    cap(10.0)
     f = _recorded(lambda x: (1.0 - x, 1e-3, False))
     with pytest.raises(NumericalFailureError, match="unresolved"):
-        bracketed_newton(f, 0.0, 10.0)
+        bracketed_newton(f, 0.0)
     assert len(f.points) == SCALAR_MAX_EVALS
 
 
-def test_narrow_bracket_is_unresolved():
+def test_narrow_bracket_is_unresolved(cap):
     # done never holds: bisection ends on two adjacent floats around 1/3
-    x, _, resolved = bracketed_newton(lambda x: (1.0 / 3.0 - x, math.nan, False), 0.0, 4.0)
+    cap(4.0)
+    x, _, resolved = bracketed_newton(lambda x: (1.0 / 3.0 - x, math.nan, False), 0.0)
     assert not resolved
     assert abs(x - 1.0 / 3.0) <= 1e-16
 

@@ -149,3 +149,15 @@ def test_dense_blocks_match_one_expression(rng, shape):
     q = Coupling(rng.normal(size=m), rng.normal(size=n), 0.7, d)
     expected = np.exp(q.log_phi[:, None] + q.log_psi[None, :] - q.lam * d)
     assert np.array_equal(q.dense(), expected)
+
+
+@pytest.mark.parametrize("measure", [lambda q, p: primal_entropy(q), lm_rate, constraint_gap],
+                         ids=["primal_entropy", "lm_rate", "constraint_gap"])
+def test_overflowing_coupling_is_refused(rng, measure):
+    # row scalings of e^800 overflow every sum over the coupling: each
+    # measure refuses the point instead of returning inf or NaN
+    p = random_problem(rng, 4, 6)
+    q = Coupling(np.full(4, 800.0), np.log(p.p_y), 1.0, p.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match="^coupling evaluation overflowed$"):
+            measure(q, p)
