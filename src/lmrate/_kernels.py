@@ -3,9 +3,11 @@
 Every hot loop of the solver lives here.  The kernels are vectorized numpy
 taking the M x N metric as stored and working on blocks of it, so the
 coupling is never materialized whole and memory stays bounded for large
-grids.  A shifted (max-subtracted) reduction over the inputs takes column
-blocks, so each column's maximum and sum finish in one pass; every other
-kernel takes row blocks, and its sums over the inputs accumulate across them.
+grids.  Both scaling updates run one shifted (max-subtracted) log-sum-exp
+loop, _scaled_lse, over column blocks (the row update over those of d.T),
+so each column's maximum and sum finish in one pass.  The classical dual
+takes the same column blocks; every other kernel takes row blocks, and its
+sums over the inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
 the double underflow threshold contribute exactly zero to every sum, as
@@ -152,6 +154,18 @@ def _column_blocks(base, lam, d):
         yield lo, hi, mx, e
 
 
+def _scaled_lse(base, lam, d, log_p):
+    """log_p_j - log sum_i exp(base_i - lam d_ij) for every column j of d, the
+    shifted block loop of both scaling updates: each column's largest term is
+    1, so its sum lies between 1 and d's row count.  The row update passes
+    d.T, whose column blocks are row blocks of d, each summed along its
+    contiguous axis as a row loop would."""
+    out = np.empty(d.shape[1])
+    for lo, hi, mx, e in _column_blocks(base, lam, d):
+        out[lo:hi] = log_p[lo:hi] - (mx + np.log(e.sum(axis=0)))
+    return out
+
+
 def _factored(axes, lam, d):
     """True when the sweep over d at multiplier lam goes through its axis tables."""
     return (axes is not None and d.size >= FACTORED_MIN_ENTRIES
@@ -160,10 +174,9 @@ def _factored(axes, lam, d):
 
 def _matmul(a, b):
     """a @ b in row blocks of at most GEMM_CHUNK multiply-adds each."""
-    rows = max(1, GEMM_CHUNK // (a.shape[1] * b.shape[1]))
     out = np.empty((a.shape[0], b.shape[1]))
-    for lo in range(0, a.shape[0], rows):
-        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    for lo, hi in _blocks(a.shape[0], a.shape[1] * b.shape[1], GEMM_CHUNK):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
 
@@ -254,18 +267,10 @@ def scale_rows(lpsi, lam, d, log_px, axes=None):
 
 
 def scale_rows_lse(lpsi, lam, d, log_px):
-    """scale_rows as the shifted (max-subtracted) block loop: a row's largest
-    term is 1, so its sum lies in [1, N].  perfbench traces it by this name."""
-    m, n = d.shape
-    out = np.empty(m)
-    for lo, hi in _blocks(m, n):
-        e = d[lo:hi] * -lam
-        e += lpsi
-        mx = e.max(axis=1)
-        e -= mx[:, None]
-        np.exp(e, out=e)
-        out[lo:hi] = log_px[lo:hi] - (mx + np.log(e.sum(axis=1)))
-    return out
+    """scale_rows as the shifted (max-subtracted) block loop: _scaled_lse over
+    the columns of d.T, so a row's sum lies in [1, N].  perfbench traces this
+    name and scale_cols_lse's, so neither calls the other."""
+    return _scaled_lse(lpsi, lam, d.T, log_px)
 
 
 def scale_cols(lphi, lam, d, log_py, axes=None):
@@ -283,11 +288,9 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
 
 
 def scale_cols_lse(lphi, lam, d, log_py):
-    """scale_cols as the shifted block loop, one pass over column blocks."""
-    out = np.empty(d.shape[1])
-    for lo, hi, mx, e in _column_blocks(lphi, lam, d):
-        out[lo:hi] = log_py[lo:hi] - (mx + np.log(e.sum(axis=0)))
-    return out
+    """scale_cols as the shifted block loop: _scaled_lse over the columns of
+    d, so a column's sum lies in [1, M]."""
+    return _scaled_lse(lphi, lam, d, log_py)
 
 
 def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
@@ -394,7 +397,7 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     sums of d^0, d^1, d^2 that _table_sums takes over exp(base - max base),
     base = log_px + a, with no psi: 2 M n_side exps in place of M N, and no
     pass over the M x N arrays.  Otherwise one exp pass over column blocks
-    (_column_blocks, as in scale_cols_lse) gives all three, the variance
+    (_column_blocks, as in _scaled_lse) gives all three, the variance
     taken about the posterior mean, so it stays accurate when the posterior
     concentrates at large zeta.
     """

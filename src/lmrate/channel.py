@@ -66,9 +66,16 @@ def build_channel(eta1: float, eta2: float, theta: float, snr_db: float,
                   h_hat=None) -> ChannelSpec:
     """Assemble a ChannelSpec from the SNR convention snr = 1 / (2*sigma2).
 
-    sigma2 = 10**(-snr_db/10) / 2, so snr_db = 0 gives sigma2 = 1/2.
+    sigma2 = 10**(-snr_db/10) / 2, so snr_db = 0 gives sigma2 = 1/2.  Raises
+    UnsupportedConfigurationError when that is no positive finite double.
     """
-    sigma2 = 10.0 ** (-snr_db / 10.0) / 2.0
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0) / 2.0
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise UnsupportedConfigurationError(
+            f"snr_db = {snr_db!r} gives noise variance {sigma2!r}, not a positive finite double")
     kwargs = {} if h_hat is None else {"h_hat": np.asarray(h_hat, dtype=np.float64)}
     return ChannelSpec(eta1=eta1, eta2=eta2, theta=theta, sigma2=sigma2, **kwargs)
 
@@ -203,15 +210,8 @@ class DiscreteProblem:
 
 def _symmetric_axis(n_side: int, half_width: float) -> np.ndarray:
     """Uniform coordinates on [-hw, hw] with coords[n-1-k] == -coords[k] exactly."""
-    delta = 2.0 * half_width / (n_side - 1)
-    coords = np.empty(n_side)
-    for k in range(n_side // 2):
-        v = -half_width + k * delta
-        coords[k] = v
-        coords[n_side - 1 - k] = -v
-    if n_side % 2:
-        coords[n_side // 2] = 0.0
-    return coords
+    half = -half_width + np.arange(n_side // 2) * (2.0 * half_width / (n_side - 1))
+    return np.concatenate([half, [0.0] * (n_side % 2), -half[::-1]])
 
 
 def _axis_squares(coords, centers):
@@ -247,7 +247,7 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
 
     Args:
         channel: ChannelSpec.
-        c: Constellation.
+        c: Constellation, its prior strictly positive.
         n_side: nodes per axis, >= 2.
         prob_floor: pruning threshold on the output marginal, >= 0.
         half_width: grid extent, positive and finite.
@@ -261,6 +261,10 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         raise ValueError("prob_floor must be nonnegative")
     if not (half_width > 0.0 and math.isfinite(half_width)):
         raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
+    if np.any(c.probs <= 0.0):
+        bad = int(np.argmin(c.probs))
+        raise ValueError(
+            f"probability {float(c.probs[bad])!r} at index {bad} is not strictly positive")
     symmetric = c.is_centrally_symmetric()
     neg_x = c.negation_index()
 
@@ -280,14 +284,7 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     def _mirror_rows(vec):
         # copy the representative value onto its negation partner so that
         # row scalings are bitwise symmetric, not merely equal to rounding
-        if not symmetric:
-            return vec
-        out = vec.copy()
-        for i in range(out.shape[0]):
-            ni = int(neg_x[i])
-            if ni < i:
-                out[i] = out[ni]
-        return out
+        return vec[np.minimum(np.arange(vec.shape[0]), neg_x)] if symmetric else vec
 
     def _mirror_cols(vec):
         if not symmetric:

@@ -55,13 +55,10 @@ def parse_angle(text) -> float:
     m = re.fullmatch(r"(-?\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?", s)
     if m is None:
         raise ValueError(f"cannot parse angle {text!r}")
-    coef = m.group(1)
-    if coef in ("", "-"):
-        num = -1.0 if coef == "-" else 1.0
-    else:
-        num = float(coef)
-    den = float(m.group(2)) if m.group(2) else 1.0
-    return num * math.pi / den
+    coef, den = m.group(1), float(m.group(2) or 1.0)
+    if den == 0.0:
+        raise ValueError(f"angle {text!r} divides by zero")
+    return float(coef + "1" if coef in ("", "-") else coef) * math.pi / den
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ from .errors import InconsistentOracleError, NumericalFailureError
 from .problem import Coupling, balance_gauge, product_coupling
 from .sinkhorn import SolveReport, SolveStatus
 
+# Newton steps of one newton_oracle run; the seed-0 oracle-cert runs take 12
+# to 19 at tol 1e-10 and 1e-12
+ORACLE_MAX_STEPS = 200
+
 
 def dual_objective(dp: DualPoint, p: DiscreteProblem) -> float:
     return _sweep(dp, p, hessian=False)[1].dual_objective
@@ -68,8 +72,9 @@ def scaling_constraint_matrix(d: np.ndarray) -> np.ndarray:
     return a
 
 
-def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
-    """SVD-based null space summary of the scaling constraint matrix.
+def scaling_null_space(d: np.ndarray) -> dict:
+    """SVD-based null space summary of the scaling constraint matrix, whose
+    rank counts the singular values above 1e-10 times the largest.
 
     Returns {singular_values, rank, null_dim, null_basis, degenerate};
     degenerate means the flat subspace is larger than the gauge line,
@@ -80,8 +85,7 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
     # a thin SVD has all M+N+1 rows of vt whenever MN >= M+N+1, and never
     # builds the MN x MN left factor
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cutoff = rel_tol * s[0]
-    rank = int((s > cutoff).sum())
+    rank = int((s > 1e-10 * s[0]).sum())
     cols = a.shape[1]
     null_basis = vt[rank:].T
     return {
@@ -98,7 +102,7 @@ def scaling_null_space(d: np.ndarray, rel_tol: float = 1e-10) -> dict:
 # --------------------------------------------------------------------------
 
 
-def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) -> SolveReport:
+def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
     Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
@@ -106,7 +110,8 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) 
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
     Otherwise the damped Newton loop (``_newton.descend``) runs from the
     product point at lam = 1 until the gauge-projected gradient's max-norm
-    is at most tol.
+    is at most tol, for at most ORACLE_MAX_STEPS steps (status MAX_ITERS
+    past them).
     """
     k_hat = gauge_vector(p.m, p.n)
 
@@ -122,22 +127,16 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10, max_iters: int = 200) 
         converged = done(np.concatenate([ga, gb, [0.0]]), None)
     else:
         dp = DualPoint(zero.alpha, zero.beta, 1.0)
-        dp, row, converged, failure = descend(dp, p, max_iters, done, trace)
+        dp, row, converged, failure = descend(dp, p, ORACLE_MAX_STEPS, done, trace)
         rate, g = row.lm_rate_nats, row.dual_objective
 
-    if failure is not None:
-        status = SolveStatus.NUMERICAL_FAILURE
-    elif converged:
-        status = SolveStatus.CONVERGED
-    else:
-        status = SolveStatus.MAX_ITERS
     return SolveReport(
         solution=coupling_from_dual(gauge_normalize(dp), p.d),
         lm_rate_nats=rate,
         lambda_final=dp.lam,
         iterations=len(trace),
         residual_trace=trace,
-        status=status,
+        status=SolveStatus.of_run(failure, converged),
         dual_objective=g,
         dual_objective_init=p.h_x + p.h_y,
         tau=None,

@@ -22,7 +22,8 @@ import numpy as np
 from . import _kernels
 from .errors import EvaluationError, UnsupportedConfigurationError
 
-# largest coupling that dense() will expand
+# largest coupling that dense() will expand, and above which solve makes no
+# Newton hand-off; both read it at call time
 DENSE_CAP = 10**7
 
 
@@ -73,12 +74,13 @@ class Coupling:
     def marginals(self):
         return self.stats()[:2]
 
-    def dense(self, max_entries: int = DENSE_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Materialize q as an (M, N) array, exponentiated block by block into
-        it, so it is the only M x N array made; refuses above max_entries."""
-        if self.d.size > max_entries:
+        it, so it is the only M x N array made; refuses above DENSE_CAP
+        entries."""
+        if self.d.size > DENSE_CAP:
             raise UnsupportedConfigurationError(
-                f"coupling has {self.d.size} entries, above the dense cap {max_entries}")
+                f"coupling has {self.d.size} entries, above the dense cap {DENSE_CAP}")
         q = np.empty(self.d.shape)
         for lo, e in _kernels.exponent_blocks(self.log_phi, self.log_psi, self.lam, self.d):
             np.exp(e, out=q[lo:lo + e.shape[0]])

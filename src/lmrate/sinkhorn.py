@@ -80,6 +80,14 @@ class SolveStatus(str, Enum):
     MAX_ITERS = "max_iters"
     NUMERICAL_FAILURE = "numerical_failure"
 
+    @classmethod
+    def of_run(cls, failure, converged) -> "SolveStatus":
+        """How a run ended: NUMERICAL_FAILURE when it stopped on ``failure``
+        (a NumericalFailureError), else CONVERGED or MAX_ITERS by ``converged``."""
+        if failure is not None:
+            return cls.NUMERICAL_FAILURE
+        return cls.CONVERGED if converged else cls.MAX_ITERS
+
 
 @dataclass
 class SolverConfig:
@@ -311,9 +319,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     start = evaluate(lphi, lpsi, lam, p)
 
     trace: list = []
-    status = SolveStatus.MAX_ITERS
-    failed_iteration = None
-    failure_reason = None
+    failure = None
     root_evals = 0
     newton_steps = 0
 
@@ -326,13 +332,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             if not (math.isfinite(row.dual_objective) and math.isfinite(row.lm_rate_nats)):
                 raise NumericalFailureError("coupling evaluation became non-finite")
         except NumericalFailureError as err:
-            status = SolveStatus.NUMERICAL_FAILURE
-            failed_iteration = it
-            failure_reason = str(err)
+            failure = NumericalFailureError(str(err), it)
             break
         trace.append(row)
         if _peak(row) <= cfg.tol:
-            status = SolveStatus.CONVERGED
             break
         if may_hand_off and lam > 0.0 and it >= HANDOFF_EARLY_ITER:
             # the iterate's entries are at most its marginals, so its dense
@@ -345,11 +348,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             newton_steps = len(trace) - it
             lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
             if failure is not None:
-                status = SolveStatus.NUMERICAL_FAILURE
-                failed_iteration = failure.iteration
-                failure_reason = f"Newton phase: {failure}"
-            elif _peak(trace[-1]) <= cfg.tol:
-                status = SolveStatus.CONVERGED
+                failure = NumericalFailureError(f"Newton phase: {failure}", failure.iteration)
             break
 
     final = trace[-1] if trace else evaluate(lphi, lpsi, lam, p)
@@ -360,14 +359,14 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         lambda_final=lam,
         iterations=len(trace),
         residual_trace=trace,
-        status=status,
+        status=SolveStatus.of_run(failure, _peak(final) <= cfg.tol),
         dual_objective=final.dual_objective,
         dual_objective_init=start.dual_objective,
         tau=tau if strategy is LambdaStrategy.PROJECT else None,
         strategy=strategy.value,
         lambda_init=start.lam,
-        failed_iteration=failed_iteration,
-        failure_reason=failure_reason,
+        failed_iteration=failure and failure.iteration,
+        failure_reason=failure and str(failure),
         root_evals=root_evals,
         newton_steps=newton_steps,
         gmi=tilt,

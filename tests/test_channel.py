@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lmrate import (
     quadratic_form_positive,
 )
 from lmrate._kernels import GridAxes
+from lmrate.channel import _symmetric_axis
 from conftest import make_problem
 
 
@@ -38,6 +40,13 @@ def test_distortion_matrix_layout():
     assert h[0, 1] == math.sin(theta)
     assert h[1, 0] == -0.9 * math.sin(theta)
     assert h[1, 1] == 0.9 * math.cos(theta)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0, math.nan])
+def test_build_channel_needs_a_finite_positive_noise_variance(snr_db):
+    # -4000 dB overflows sigma2 and 4000 dB underflows it to 0.0
+    with pytest.raises(UnsupportedConfigurationError, match="snr_db"):
+        build_channel(1.0, 0.9, 0.0, snr_db)
 
 
 def test_channel_spec_rejects_bad_params():
@@ -108,6 +117,18 @@ def test_axis_tables_rebuild_the_metric():
     swapped = DiscreteProblem(prob.d, prob.p_x, prob.p_y, prob.w, prob.t,
                               axes=GridAxes(axes.d2, axes.d1, axes.kept))
     assert swapped.validate() == ["axis tables do not reproduce the metric"]
+
+
+def test_symmetric_axis_matches_its_loop():
+    # the axis is one array expression; this loop, node by node, is its
+    # definition, and the two agree bit for bit
+    for n_side in range(2, 40):
+        for half_width in (8.0, 3.3, 0.7):
+            ref = np.zeros(n_side)
+            for k in range(n_side // 2):
+                v = -half_width + k * (2.0 * half_width / (n_side - 1))
+                ref[k], ref[n_side - 1 - k] = v, -v
+            assert _symmetric_axis(n_side, half_width).tobytes() == ref.tobytes()
 
 
 def test_odd_grid_has_exact_center():
@@ -187,6 +208,20 @@ def test_tiny_grid_rejected():
     for half_width in (0.0, -8.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="half_width"):
             discretize(chan, cons, n_side=10, half_width=half_width)
+
+
+def test_zero_prior_entry_rejected():
+    # a zero prior entry would reach log(0) in the solver, the Newton oracle
+    # and the GMI; discretize refuses it first, in validate_constellation's words
+    from lmrate import Constellation, validate_constellation
+
+    zero = Constellation([[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0])
+    chan = build_channel(1.0, 1.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            discretize(chan, zero, 6)
+    assert str(err.value) in validate_constellation(zero)
 
 
 def test_asymmetric_constellation_accepted_by_default():

@@ -224,6 +224,10 @@ def test_exit_code_table_is_total():
     # values that parse but are not finite
     (["solve", "--snr-db", "inf"], "snr_db: must be finite"),
     (["solve", "--theta", "nan"], "theta: must be finite"),
+    # finite values no instance can be built from
+    (["solve", "--theta", "pi/0"], "theta: bad angle 'pi/0'"),
+    (["solve", "--snr-db", "-4000"], "snr_db = -4000.0"),
+    (["solve", "--snr-db", "4000"], "snr_db = 4000.0"),
 ])
 def test_invalid_flags_exit_one(capsys, argv, needle):
     rc = main(argv)
@@ -469,17 +473,19 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 def test_sweep_failed_cell_reports_status(tmp_path):
     path = tmp_path / "sweep.csv"
-    # the second cell underflows the whole transition table: the sweep
-    # keeps going and flags that row instead of dying
-    rc = main(["sweep", "--snr-db=0,400", "--grid", "6", "--out", str(path)])
+    # at 400 dB the whole transition table underflows, and at -4000 dB the
+    # noise variance overflows: the sweep keeps going and flags those rows
+    # instead of dying
+    rc = main(["sweep", "--snr-db=0,400,-4000", "--grid", "6", "--out", str(path)])
     assert rc == 0
     _, _, rows = _read_csv(path)
-    assert len(rows) == 2
-    good = rows[0]
-    bad = rows[1]
+    assert len(rows) == 3
+    no_noise, good, bad = rows
     assert float(good[3]) == 0.0 and good[8] == "0"
     assert float(bad[3]) == 400.0 and bad[8] == "1"
     assert bad[4] == "" and bad[5] == ""
+    assert float(no_noise[3]) == -4000.0 and no_noise[8] == "1"
+    assert no_noise[4] == "" and no_noise[5] == ""
 
 
 # ---------------------------------------------------------------------------

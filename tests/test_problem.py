@@ -15,6 +15,7 @@ from lmrate import (
     shannon_entropy,
     solve,
 )
+from lmrate import problem
 from lmrate.channel import DiscreteProblem
 from conftest import random_problem
 
@@ -70,12 +71,15 @@ def test_shannon_entropy_values():
         shannon_entropy(np.array([1.5, -0.5]))
 
 
-def test_dense_cap_enforced(rng):
+def test_dense_cap_enforced(rng, monkeypatch):
+    # dense() reads the cap when called, as solve's hand-off test does
     p = random_problem(rng, 4, 6)
     q = product_coupling(p)
+    monkeypatch.setattr(problem, "DENSE_CAP", 10)
     with pytest.raises(UnsupportedConfigurationError):
-        q.dense(max_entries=10)
-    assert q.dense(max_entries=24).shape == (4, 6)
+        q.dense()
+    monkeypatch.setattr(problem, "DENSE_CAP", 24)
+    assert q.dense().shape == (4, 6)
 
 
 def test_coupling_rejects_bad_inputs(rng):
