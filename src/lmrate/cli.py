@@ -274,6 +274,11 @@ def _rate_value(cfg, nats: float) -> float:
     return nats if cfg["nats"] else nats / LN2
 
 
+def _instance(sc, prob) -> dict:
+    """The fields that name the instance at the head of a solve or gmi result."""
+    return {**{key: sc[key] for key in ("modulation", "eta", "theta", "snr_db")}, "n": prob.n}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -285,22 +290,14 @@ def cmd_solve(cfg) -> int:
     _, _, prob = _build_problem(sc)
     report = solve(prob, _solver_config(sc))
     runtime_ms = (time.perf_counter() - start) * 1e3
-    if report.residual_trace:
-        last = report.residual_trace[-1]
-        final_residuals = {"r_phi": last.r_phi, "r_psi": last.r_psi,
-                           "r_lambda": last.r_lambda}
-    else:
-        final_residuals = None
+    last = report.residual_trace[-1] if report.residual_trace else None
     result = {
-        "modulation": sc["modulation"],
-        "eta": sc["eta"],
-        "theta": sc["theta"],
-        "snr_db": sc["snr_db"],
-        "n": prob.n,
+        **_instance(sc, prob),
         "iterations": report.iterations,
         _rate_key(sc, "lm_rate"): _rate_value(sc, report.lm_rate_nats),
         "lambda": report.lambda_final,
-        "final_residuals": final_residuals,
+        "final_residuals": last and {"r_phi": last.r_phi, "r_psi": last.r_psi,
+                                     "r_lambda": last.r_lambda},
         "status": report.status.value,
         "runtime_ms": runtime_ms,
         "config": _echo(sc),
@@ -389,11 +386,7 @@ def cmd_gmi(cfg) -> int:
                     "config": _echo(sc)}, sc["out"])
         return 3
     _emit_json({
-        "modulation": sc["modulation"],
-        "eta": sc["eta"],
-        "theta": sc["theta"],
-        "snr_db": sc["snr_db"],
-        "n": prob.n,
+        **_instance(sc, prob),
         _rate_key(sc, "gmi"): _rate_value(sc, result.value_nats),
         "s_star": result.s_star,
         "evaluations": result.evaluations,

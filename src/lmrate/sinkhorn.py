@@ -20,13 +20,15 @@ that the multiplier residual is zero at lam = 0 with negative excess
 The scaling iteration converges only sub-linearly, and at high SNR a root
 run can stall far from tol.  A root run therefore hands its iterate to the
 damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
-loop), which finishes it in a few steps.  It does so at iteration
-HANDOFF_EARLY_ITER when a Newton step costs less than the scaling it saves
-(M at most NEWTON_MAX_INPUTS, the Sinkhorn-Newton recipe of Tang et al.,
-ICLR 2024).  When excess(0) <= tol at the product coupling p_x (x) p_y,
-the optimal multiplier is 0 and a root run starts there instead; otherwise
-at the optimal tilt of the GMI, the rate's dual with no per-input shifts
-(Ganti, Lapidoth & Telatar, IEEE T-IT 2000); see ``solve``.
+loop), which finishes it in a few steps.  It does so after one scaling
+iteration when a Newton step costs less than the scaling it saves (M at
+most NEWTON_MAX_INPUTS): scaling first, then Newton, as in the
+Sinkhorn-Newton methods of Brauer, Clason, Lorenz & Wirth
+(arXiv:1710.06635) and Tang et al. (ICLR 2024).  When excess(0) <= tol
+at the product coupling p_x (x) p_y, the optimal multiplier is 0 and a
+root run starts there instead; otherwise at the optimal tilt of the GMI,
+the rate's dual with no per-input shifts (Ganti, Lapidoth & Telatar,
+IEEE T-IT 2000); see ``solve``.
 """
 
 import math
@@ -46,27 +48,22 @@ from .problem import Coupling, TraceRow, balance_gauge, evaluate
 # relative tolerance of the multiplier root solve: |excess| <= ROOT_RTOL * t
 ROOT_RTOL = 1e-13
 
-# A root run hands off to the Newton loop at iteration HANDOFF_EARLY_ITER
+# A root run hands off to the Newton loop after its first scaling iteration
 # when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step costs about
 # M scaling iterations (M^2 N multiply-adds to build its Schur complement,
 # against M N for a factored sweep), so the gain turns on M, not on the
-# grid.  Solve to tol 1e-10 at 0 dB, where scaling alone is quickest,
-# scaling alone -> early hand-off, best of 2 or 3 on a 2-core Xeon with the
-# Newton phase on the axis tables, from lam = 1: qam256 (M = 256) at grid 10
-# 24 -> 11 ms, grid 50 78 -> 23 ms, grid 150 479 -> 221 ms and grid 190
-# (N = 36100, near problem.DENSE_CAP) 822 -> 420 ms.  A square alphabet of
-# 400 points wins from grid 10 (28 -> 19 ms) to grid 150 (N = 22500, 780 ->
-# 453 ms), but 484 points at grid 10 take 37 -> 42 ms, 576 points at grids
-# 10 to 20 41-52 -> 62-69 ms and 1024 points at grid 40 159 -> 201 ms.  From
-# the GMI tilt (median of 15, OMP_NUM_THREADS=1) 400 points at grid 10 tie,
-# 29-35 -> 29-32 ms, and 484 points lose, 38-43 -> 46-47 ms.  Larger
-# grids and higher SNR favour the hand-off (576 points at grid 60: 236 ->
-# 146 ms; 1024 points at grid 40 and 10 dB: 1.83 -> 0.88 s), so the cap
-# sits at the crossover measured on small grids at low SNR.  At 10 dB
-# qam256 at grid 200 takes 18.9 s -> 1.8 s.  On the tables the Newton phase
-# holds one M x N array, its step's Schur factor; off them (lam past the
-# kernels' guard) the dense coupling and one more.
-HANDOFF_EARLY_ITER = 3
+# grid.  Square alphabets at grid 10 and 0 dB, where scaling alone is
+# quickest, solved to tol 1e-10 from the GMI tilt (median of 15,
+# OMP_NUM_THREADS=1, 2-core Xeon), scaling alone -> hand-off: 400 points
+# 18.2 -> 16.1 ms, 441 points tie at 19.7 -> 20.3 ms and 484 points lose,
+# 19.9 -> 22.2 ms.  Larger grids and higher SNR favour the hand-off, so the
+# cap sits at the crossover measured on small grids at low SNR; with the
+# hand-off after iteration 3, from lam = 1, 576 points at grid 60 took
+# 236 -> 146 ms, 1024 points at grid 40 and 10 dB 1.83 -> 0.88 s, qam256
+# at grid 190 (N = 36100, near problem.DENSE_CAP) 822 -> 420 ms and at grid
+# 200 and 10 dB 18.9 s -> 1.8 s.  On the tables the Newton phase holds one
+# M x N array, its step's Schur factor; off them (lam past the kernels'
+# guard) the dense coupling and one more.
 NEWTON_MAX_INPUTS = 400
 
 
@@ -283,12 +280,14 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     and reports that GmiResult as ``gmi`` (it starts at 1.0, ``gmi`` None,
     when gmi raises NumericalFailureError).  It hands the
     gauge-balanced iterate at a positive multiplier to the damped Newton
-    loop at iteration HANDOFF_EARLY_ITER when M is at most
-    NEWTON_MAX_INPUTS; its sweeps and steps read the metric's axis tables
-    where the kernels' guard admits them.  The Newton loop stops on the
-    residual test and on the primal-dual gap (``_newton_done``): at high
-    SNR lam reaches tens, and a point that meets the residual test alone
-    can still be 2e-9 nats short of the optimal rate.  A ``project`` run
+    loop after the first iteration when M is at most NEWTON_MAX_INPUTS;
+    its sweeps and steps read the metric's axis tables where the kernels'
+    guard admits them.  The Newton loop stops on the residual test and on
+    the primal-dual gap (``_newton_done``): at high SNR lam reaches tens,
+    and a point that meets the residual test alone can still be 2e-9 nats
+    short of the optimal rate.  Such a run's status is that test's: it is
+    MAX_ITERS when the loop spends max_iters without meeting it, whatever
+    the last residuals read.  A ``project`` run
     never hands off, since its certificate speaks about the scaling trace,
     and neither does an instance above problem.DENSE_CAP entries, whose
     Newton step builds an M x N array.
@@ -320,6 +319,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
 
     trace: list = []
     failure = None
+    converged = False
     root_evals = 0
     newton_steps = 0
 
@@ -335,16 +335,17 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             failure = NumericalFailureError(str(err), it)
             break
         trace.append(row)
-        if _peak(row) <= cfg.tol:
+        converged = _peak(row) <= cfg.tol
+        if converged:
             break
-        if may_hand_off and lam > 0.0 and it >= HANDOFF_EARLY_ITER:
+        if may_hand_off and lam > 0.0:
             # the iterate's entries are at most its marginals, so its dense
             # sweep cannot overflow
             lphi, lpsi = balance_gauge(lphi, lpsi)
-            dp, _, _, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam), p,
-                                        cfg.max_iters - it,
-                                        lambda _, r: _newton_done(r, cfg.tol, p),
-                                        trace, it, p.axes)
+            dp, _, converged, failure = descend(DualPoint(-lphi - 0.5, -lpsi - 0.5, lam),
+                                                p, cfg.max_iters - it,
+                                                lambda _, r: _newton_done(r, cfg.tol, p),
+                                                trace, it, p.axes)
             newton_steps = len(trace) - it
             lphi, lpsi, lam = -dp.alpha - 0.5, -dp.beta - 0.5, dp.lam
             if failure is not None:
@@ -359,7 +360,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         lambda_final=lam,
         iterations=len(trace),
         residual_trace=trace,
-        status=SolveStatus.of_run(failure, _peak(final) <= cfg.tol),
+        status=SolveStatus.of_run(failure, converged),
         dual_objective=final.dual_objective,
         dual_objective_init=start.dual_objective,
         tau=tau if strategy is LambdaStrategy.PROJECT else None,

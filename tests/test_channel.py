@@ -49,6 +49,18 @@ def test_build_channel_needs_a_finite_positive_noise_variance(snr_db):
         build_channel(1.0, 0.9, 0.0, snr_db)
 
 
+@pytest.mark.parametrize("eta, sigma2", [(0.9, 5e-311), (1e200, 0.5), (1.7e308, 0.5)])
+def test_discretize_range_check_precedes_overflow(eta, sigma2):
+    # a density exponent past the doubles (subnormal noise variance), squared
+    # offsets past them, and images past them: each raises before numpy
+    # can overflow
+    chan = ChannelSpec(eta1=1.0, eta2=eta, theta=0.1, sigma2=sigma2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UnsupportedConfigurationError, match="overflow a double"):
+            discretize(chan, build_constellation("qam16"), 6)
+
+
 def test_channel_spec_rejects_bad_params():
     with pytest.raises(ValueError):
         ChannelSpec(eta1=0.0, eta2=1.0, theta=0.0, sigma2=0.5)

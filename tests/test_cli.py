@@ -228,6 +228,9 @@ def test_exit_code_table_is_total():
     (["solve", "--theta", "pi/0"], "theta: bad angle 'pi/0'"),
     (["solve", "--snr-db", "-4000"], "snr_db = -4000.0"),
     (["solve", "--snr-db", "4000"], "snr_db = 4000.0"),
+    # a subnormal noise variance and a gain whose squared offsets overflow
+    (["solve", "--snr-db", "3100", "--grid", "6"], "noise variance 5e-311"),
+    (["solve", "--eta", "1e200", "--grid", "6"], "overflow a double"),
 ])
 def test_invalid_flags_exit_one(capsys, argv, needle):
     rc = main(argv)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -27,10 +28,12 @@ from lmrate import (
     scarlett_point_from_coupling,
     sinkhorn_step,
     solve,
+    update_lambda_rootfind,
 )
 from lmrate import _kernels, _newton, dual
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
+from lmrate.problem import product_coupling
 from conftest import make_problem, random_problem
 
 
@@ -126,15 +129,23 @@ def test_newton_step_solves_damped_system(request, rng, name):
         grad = np.concatenate([ga, gb, [gl]])
         step = dual._newton_step(h, grad)
         dense = h.dense()
-        delta = 1e-12 * np.trace(dense) / dense.shape[0]
+        # the damping is the NEWTON_DAMPING share of the marginal diagonal's mean
+        delta = _newton.NEWTON_DAMPING * (h.r.sum() + h.c.sum()) / (p.m + p.n)
         resid = dense @ step + delta * step + grad
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(grad)
 
 
-def _scaled_point(p, lam):
-    """A gauge-balanced dual point whose scalings fit lam: the third scaling
-    iterate, rescaled three times at lam."""
-    start = solve(p, SolverConfig(max_iters=3, lambda_init=1.0)).solution
+def _third_iterate(p):
+    """The third iterate of a root run from lam = 1, by the step API."""
+    state = SinkhornState(np.ones(p.m), np.ones(p.n), 1.0)
+    for _ in range(3):
+        state = update_lambda_rootfind(sinkhorn_step(state, p), p)
+    return state
+
+
+def _scaled_point(p, start, lam):
+    """A gauge-balanced dual point whose scalings fit lam: the iterate
+    ``start`` rescaled three times at lam."""
     state = SinkhornState(start.phi, start.psi, lam)
     for _ in range(3):
         state = sinkhorn_step(state, p)
@@ -143,16 +154,16 @@ def _scaled_point(p, lam):
 
 def _factored_points():
     """(cell, problem, dual point) at grid 50 for qam16 and qam64 at 0 and
-    10 dB: at the hand-off multiplier where it lies inside the kernels'
-    guard, and at (1 - 1e-12) times the guard."""
+    10 dB, from the third scaling iterate: at its multiplier where that lies
+    inside the kernels' guard, and at (1 - 1e-12) times the guard."""
     for scheme in ("qam16", "qam64"):
         for snr_db in (0.0, 10.0):
             p = make_problem(scheme, snr_db=snr_db, n_side=50)[3]
             guard = _kernels.LSE_SWITCH / p.axes.span
-            hand_off = solve(p, SolverConfig(max_iters=3, lambda_init=1.0)).lambda_final
-            for lam in (hand_off, (1.0 - 1e-12) * guard):
+            start = _third_iterate(p)
+            for lam in (start.lam, (1.0 - 1e-12) * guard):
                 if lam < guard:
-                    yield (scheme, snr_db, lam), p, _scaled_point(p, lam)
+                    yield (scheme, snr_db, lam), p, _scaled_point(p, start, lam)
 
 
 @pytest.fixture(scope="module")
@@ -181,10 +192,10 @@ def test_factored_newton_step_matches_dense(monkeypatch, factored_points):
     # system A = H + delta I.  A is ill-conditioned along nodes of tiny output
     # mass, where two steps whose Hessians differ by rounding differ by 1e-5
     # to 4e-3 relative in the 2-norm; in the A-norm the factored step is
-    # within 3.1e-10 of the dense one at the hand-off multipliers.  At
+    # within 3.2e-10 of the dense one at the third iterate's multipliers.  At
     # (1 - 1e-12) times the guard, lam d reaches 700 and the coupling's
     # entries carry 1e-13 relative rounding: there the two differ by up to
-    # 2e-7 (at 0 dB), and a perturbation of that size of the dense coupling
+    # 1.4e-7 (at 0 dB), and a perturbation of that size of the dense coupling
     # alone moves the dense step by 1.4e-8 to 1.5e-7.  The multiplier
     # component and the predicted decrease, which the line search reads,
     # agree to 1e-10.
@@ -194,7 +205,8 @@ def test_factored_newton_step_matches_dense(monkeypatch, factored_points):
         factored = dual_hessian(dp, p, p.axes)
         step, ref = dual._newton_step(factored, grad), dual._newton_step(dense, grad)
         h = dense.dense()
-        h += 1e-12 * np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+        h += _newton.NEWTON_DAMPING * (dense.r.sum() + dense.c.sum()) / (p.m + p.n) * np.eye(
+            h.shape[0])
         err = step - ref
         rtol = 1e-6 if dp.lam > 0.5 * _kernels.LSE_SWITCH / p.axes.span else 1e-9
         assert math.sqrt(err @ h @ err) <= rtol * math.sqrt(ref @ h @ ref), cell
@@ -400,10 +412,20 @@ def test_newton_multiplier_unique_across_starts(rng, qpsk_n6):
 
 
 def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
-    # the full Newton steps from the product point land where exp overflows.
-    # Uncapped, the line search must reject such trial points by the sweep's
-    # own overflow signal, with no overflow escaping it; with the first
-    # trial capped (STEP_EXP_CAP) no trial gets there, in fewer sweeps
+    # from the product point at lam = 1, far from the optimum, full Newton
+    # steps land where exp overflows.  Uncapped, the line search must reject
+    # such trial points by the sweep's own overflow signal, with no overflow
+    # escaping it; with the first trial capped (STEP_EXP_CAP) no trial gets
+    # there, in fewer sweeps.  From the oracle's own start, the centred
+    # metric at 1 / E[d], no trial gets there even uncapped
+    p = qpsk_n10
+    zero = from_coupling(product_coupling(p))
+    far = DualPoint(zero.alpha, zero.beta, 1.0)
+    k_hat = gauge_vector(p.m, p.n)
+
+    def done(grad, _row):
+        return float(np.abs(dual._project(grad, k_hat)).max()) <= 1e-12
+
     exponents = []
 
     def spy(dp, p, axes=None):
@@ -416,17 +438,45 @@ def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
     with monkeypatch.context() as uncapped:
         uncapped.setattr(_newton, "STEP_EXP_CAP", math.inf)
         with np.errstate(over="raise", invalid="raise"):
-            report = newton_oracle(qpsk_n10, tol=1e-12)
+            _, row, converged, failure = _newton.descend(far, p, dual.ORACLE_MAX_STEPS, done, [])
+            assert converged and failure is None
+            assert max(exponents) > 710.0
+            sweeps = len(exponents)
+            exponents.clear()
+            report = newton_oracle(p, tol=1e-12)
     assert report.converged
-    assert max(exponents) > 710.0
-    sweeps = len(exponents)
+    assert max(exponents) < 700.0
     exponents.clear()
     with np.errstate(over="raise", invalid="raise"):
-        capped = newton_oracle(qpsk_n10, tol=1e-12)
-    assert capped.converged
+        _, capped, converged, failure = _newton.descend(far, p, dual.ORACLE_MAX_STEPS, done, [])
+    assert converged and failure is None
     assert max(exponents) < 700.0
     assert len(exponents) < sweeps
-    assert abs(capped.lm_rate_nats - report.lm_rate_nats) <= 1e-12
+    assert abs(capped.lm_rate_nats - row.lm_rate_nats) <= 1e-12
+    assert abs(report.lm_rate_nats - row.lm_rate_nats) <= 1e-12
+
+
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (50.0, 1.0), (700.0, 1.0),
+                                          (2000.0, 1.0), (0.0, 1e-3), (0.0, 100.0),
+                                          (0.0, 1e4)])
+def test_newton_loops_ignore_metric_offset_and_scale(qpsk_n10, shift, scale):
+    # the rate is unchanged under d -> scale * (d + shift), t -> scale * (t + shift),
+    # and so is the work of the oracle (on the column-centred metric, from a
+    # start that scales with it) and of solve's Newton finish (damped by the
+    # marginal blocks alone): each ends on its own stop rule in a few steps,
+    # with no RuntimeWarning
+    p = qpsk_n10
+    ref = newton_oracle(p, tol=1e-12).lm_rate_nats
+    moved = DiscreteProblem(d=scale * (p.d + shift), p_x=p.p_x, p_y=p.p_y, w=p.w,
+                            t=scale * (p.t + shift))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        oracle = newton_oracle(moved, tol=1e-12)
+        report = solve(moved)
+    assert oracle.converged and oracle.iterations <= 10, (oracle.status, oracle.iterations)
+    assert report.converged and report.iterations <= 10, (report.status, report.iterations)
+    assert abs(oracle.lm_rate_nats - ref) <= 1e-9
+    assert abs(report.lm_rate_nats - ref) <= 1e-9
 
 
 def test_newton_oracle_beyond_old_cap():
@@ -472,7 +522,11 @@ def test_newton_oracle_reports_numerical_failure(monkeypatch, qpsk_n10):
     report = newton_oracle(qpsk_n10)
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.failure_reason.startswith("Newton system could not be solved: ")
-    assert (report.failed_iteration, report.iterations, report.lambda_final) == (1, 0, 1.0)
+    # the start: 1 / E[d] of the column-centred metric under p_x (x) p_y
+    centred = qpsk_n10.d - qpsk_n10.d.min(axis=0)
+    start = 1.0 / float(qpsk_n10.p_x @ centred @ qpsk_n10.p_y)
+    assert (report.failed_iteration, report.iterations) == (1, 0)
+    assert report.lambda_final == start
 
 
 # --------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def test_sweep_budget_per_iteration(qpsk_n10, monkeypatch):
     # inside a counted kernel (scale_rows handing off to scale_rows_lse) is
     # part of that sweep.  The warm root solve plus the reuse of its last
     # sweep keeps an iteration within six sweeps (a cold bracket-and-bisect
-    # solve makes about eleven)
+    # solve makes about eleven).  The run makes one scaling iteration and
+    # hands off; the Newton finish sweeps through none of these kernels
     calls = Counter()
     depth = [0]
     for name in ("scale_rows", "scale_rows_lse", "scale_cols", "scale_cols_lse",
@@ -255,9 +256,11 @@ def test_sweep_budget_per_iteration(qpsk_n10, monkeypatch):
         monkeypatch.setattr(K, name, counted)
     report = solve(qpsk_n10)
     assert report.converged
+    scaling = report.iterations - report.newton_steps
+    assert scaling == 1
     assert calls["metric_moments"] > 0 and calls["coupling_stats"] > 0
-    assert sum(calls.values()) <= 6 * report.iterations
-    assert report.iterations <= report.root_evals
+    assert sum(calls.values()) <= 6 * scaling
+    assert scaling <= report.root_evals
     assert report.root_evals <= calls["metric_moments"] + calls["coupling_stats"]
 
 
@@ -395,19 +398,20 @@ def test_numerical_failure_reported_without_lse(qpsk_n10):
 
 
 def test_non_finite_evaluation_ends_solve(monkeypatch, qpsk_n10):
-    # the second iteration's evaluation comes back NaN: the run stops there
-    # and keeps the first iteration's row
+    # the first iteration's evaluation, the only one before the hand-off,
+    # comes back NaN: the run stops there with no row, and reports the
+    # values at its start
     evaluate = sinkhorn.evaluate
 
     def broken(*args):
         row = evaluate(*args)
-        return dataclasses.replace(row, dual_objective=math.nan) if row.iter == 2 else row
+        return dataclasses.replace(row, dual_objective=math.nan) if row.iter == 1 else row
 
     monkeypatch.setattr(sinkhorn, "evaluate", broken)
     report = solve(qpsk_n10, SolverConfig(lambda_init=1.0))
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.failure_reason == "coupling evaluation became non-finite"
-    assert (report.failed_iteration, report.iterations) == (2, 1)
+    assert (report.failed_iteration, report.iterations, report.newton_steps) == (1, 0, 0)
     assert math.isfinite(report.dual_objective)
 
 
@@ -493,17 +497,30 @@ def test_stalled_cells_hand_off_and_converge(high_snr_runs):
 
 
 def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
-    # below the cap on inputs a root run hands off after its third iteration
+    # below the cap on inputs a root run hands off after its first iteration
     for cell, (_, report) in high_snr_runs.items():
         assert report.converged and report.newton_steps > 0, cell
         trace = report.residual_trace
         # one row per scaling iteration, then one per Newton step
         assert [row.iter for row in trace] == list(range(1, report.iterations + 1))
-        assert report.iterations - report.newton_steps == 3, cell
+        assert report.iterations - report.newton_steps == 1, cell
         last = trace[-1]
         assert max(last.r_phi, last.r_psi, last.r_lambda) <= 1e-10
         values = [report.dual_objective_init] + [row.dual_objective for row in trace]
         assert np.all(np.diff(values) <= 1e-12), cell
+
+
+def test_hand_off_status_reads_the_newton_stop_rule(monkeypatch, qpsk_n10):
+    # a hand-off run that spends max_iters without meeting the finish's own
+    # test (the residuals and the primal-dual gap) ends at max_iters, even
+    # where its last row's residuals are below tol
+    monkeypatch.setattr(sinkhorn, "_newton_done", lambda *args: False)
+    report = solve(qpsk_n10, SolverConfig(max_iters=20))
+    assert (report.iterations, report.newton_steps) == (20, 19)
+    last = report.residual_trace[-1]
+    assert max(last.r_phi, last.r_psi, last.r_lambda) <= 1e-10
+    assert report.status is SolveStatus.MAX_ITERS
+    assert report.failure_reason is None
 
 
 def _square_problem(k, n_side):
@@ -522,13 +539,13 @@ def above_cap():
 
 
 def test_early_hand_off_follows_the_cost_cap(above_cap):
-    # 400 inputs, at the cap itself, hand off after iteration 3;
+    # 400 inputs, at the cap itself, hand off after iteration 1;
     # test_low_snr_cell_makes_no_newton_steps solves the cell above it
     below = _square_problem(20, 10)
     assert below.m == sinkhorn.NEWTON_MAX_INPUTS < above_cap.m
     early = solve(below)
     assert early.converged and early.newton_steps > 0
-    assert early.iterations - early.newton_steps == 3
+    assert early.iterations - early.newton_steps == 1
 
 
 def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch):
