@@ -6,7 +6,8 @@ coupling is never materialized whole and memory stays bounded for large
 grids.  Both scaling updates run one shifted (max-subtracted) log-sum-exp
 loop, _scaled_lse, over column blocks (the row update over those of d.T),
 so each column's maximum and sum finish in one pass.  The classical dual
-takes the same column blocks; every other kernel takes row blocks, and its
+and the projected iteration's two passes, scale_cols_mass and row_sweep,
+take the same column blocks; every other kernel takes row blocks, and its
 sums over the inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
@@ -33,8 +34,9 @@ block loop, best of 7 to 11 runs on a 2-core Xeon with numpy 2.4 and
 OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10), 1.09-1.10 at 4 x 2500 (qpsk grid
 50), 1.15 at 4 x 3600, 0.91 at 4 x 4096, 0.71-0.83 at 16 x 900 and
 64 x 225, and 0.34 at 16 x 2500 (qam16 grid 50).  The reduction's
-consumers are scale_rows, scale_cols, metric_moments, coupling_stats,
-mismatch_dual_value's posteriors and the Newton finish's dual Hessian
+consumers are scale_rows, scale_cols, scale_cols_mass, row_sweep,
+metric_moments, coupling_stats, mismatch_dual_value's posteriors and the
+Newton finish's dual Hessian
 (_newton.dual_hessian); off the factored path each keeps its block loop.
 factored_coupling builds the Newton step's Schur factor Q diag(s) from the
 same tables as the one M x N array, with no exp over it.  The dual
@@ -237,18 +239,33 @@ def _table_sums(phi, psi, lam, axes, rows, cols):
     return row_sums, node_sums
 
 
+def _shifted(log_scale):
+    """(exp(log_scale - shift), shift), shift the largest entry: the weights
+    _table_sums takes, each in [0, 1]."""
+    shift = log_scale.max()
+    return np.exp(log_scale - shift), shift
+
+
+def _restored(log_scale, shift, sums):
+    """exp(log_scale + shift + log sums), sums being table sums or a stack
+    of them: the coupling's own sums, each row's (or node's) scaling put
+    back in log space, so a sum overflows or underflows where the plain sum
+    would (+inf here even where the block loop's 0 * inf at an exact zero
+    of d makes it NaN).  Node sums are N long, and each is restored on its
+    own: stacking them costs a copy of every one."""
+    with np.errstate(divide="ignore"):
+        return np.exp(log_scale + shift + np.log(sums))
+
+
 def _coupling_sums(lphi, lpsi, lam, axes, rows, cols):
     """The coupling's own sums, sum_j q_ij d_ij^k (k < rows) and
-    sum_i q_ij d_ij^k (k < cols): _table_sums of the shifted scalings, each
-    row's and node's scaling put back in log space, so every sum overflows
-    or underflows where the plain sum would (+inf here even where the block
-    loop's 0 * inf at an exact zero of d makes it NaN)."""
-    lphi_max, lpsi_max = lphi.max(), lpsi.max()
-    row_sums, node_sums = _table_sums(np.exp(lphi - lphi_max), np.exp(lpsi - lpsi_max),
-                                      lam, axes, rows, cols)
-    with np.errstate(divide="ignore"):
-        return (np.exp(lphi + lpsi_max + np.log(row_sums)),
-                [np.exp(lpsi + lphi_max + np.log(s)) for s in node_sums])
+    sum_i q_ij d_ij^k (k < cols), both counts positive: _table_sums of the
+    shifted scalings, _restored."""
+    phi, lphi_max = _shifted(lphi)
+    psi, lpsi_max = _shifted(lpsi)
+    row_sums, node_sums = _table_sums(phi, psi, lam, axes, rows, cols)
+    return (_restored(lphi, lpsi_max, row_sums),
+            [_restored(lpsi, lphi_max, s) for s in node_sums])
 
 
 def scale_rows(lpsi, lam, d, log_px, axes=None):
@@ -260,8 +277,8 @@ def scale_rows(lpsi, lam, d, log_px, axes=None):
     call goes to scale_rows_lse.
     """
     if _factored(axes, lam, d):
-        shift = lpsi.max()
-        (s,), _ = _table_sums(None, np.exp(lpsi - shift), lam, axes, 1, 0)
+        psi, shift = _shifted(lpsi)
+        (s,), _ = _table_sums(None, psi, lam, axes, 1, 0)
         return log_px - (shift + np.log(s))
     return scale_rows_lse(lpsi, lam, d, log_px)
 
@@ -281,8 +298,8 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
     scale_cols_lse.
     """
     if _factored(axes, lam, d):
-        shift = lphi.max()
-        _, (s,) = _table_sums(np.exp(lphi - shift), None, lam, axes, 0, 1)
+        phi, shift = _shifted(lphi)
+        _, (s,) = _table_sums(phi, None, lam, axes, 0, 1)
         return log_py - (shift + np.log(s))
     return scale_cols_lse(lphi, lam, d, log_py)
 
@@ -291,6 +308,27 @@ def scale_cols_lse(lphi, lam, d, log_py):
     """scale_cols as the shifted block loop: _scaled_lse over the columns of
     d, so a column's sum lies in [1, M]."""
     return _scaled_lse(lphi, lam, d, log_py)
+
+
+def scale_cols_mass(lphi, lam, d, log_py, p_y, axes=None):
+    """scale_cols, and the metric mass of the coupling it leaves: (lpsi,
+    sum_ij d_ij q_ij) with q at (lphi, lpsi, lam).  That coupling's columns
+    sum to p_y, so its mass is sum_j p_y_j (sum_i d_ij e_ij) / (sum_i e_ij),
+    e being the column-scaled kernel that the update sums anyway: the
+    projected multiplier step's excess with no sweep of its own.  On the
+    tables the node sums of d^0 and d^1 give both; off them, scale_cols_lse's
+    loop weights each block by d once its sums are taken."""
+    if _factored(axes, lam, d):
+        phi, shift = _shifted(lphi)
+        _, (s, sd) = _table_sums(phi, None, lam, axes, 0, 2)
+        return log_py - (shift + np.log(s)), vdot(p_y, sd / s)
+    lpsi, mass = np.empty(d.shape[1]), 0.0
+    for lo, hi, mx, e in _column_blocks(lphi, lam, d):
+        s = e.sum(axis=0)
+        lpsi[lo:hi] = log_py[lo:hi] - (mx + np.log(s))
+        e *= d[:, lo:hi]
+        mass += vdot(p_y[lo:hi], e.sum(axis=0) / s)
+    return lpsi, mass
 
 
 def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
@@ -353,6 +391,38 @@ def coupling_stats(lphi, lpsi, lam, d, axes=None):
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
 
 
+def row_sweep(lphi, lpsi, lam, d, axes=None):
+    """One sweep over the coupling, shifted by row: (log_s, stats) with
+    log_s_i = log sum_j exp(lpsi_j - lam d_ij), the sums of the row update
+    at this lam (so log_px - log_s is scale_rows' result), and stats the
+    coupling's (row_marg, col_marg, metric_mass), coupling_stats' first
+    three.  A projected run's evaluation at its new multiplier thus also
+    takes its next row update.  With ``axes`` the sums are _table_sums' row
+    sums of d^0, d^1 and its zeroth node sums; off the tables, the loop of
+    scale_rows_lse, each block weighted by its rows' scalings
+    exp(lphi_i + mx_i), mx_i the row's largest exponent, once its row sums
+    are taken."""
+    if _factored(axes, lam, d):
+        phi, lphi_max = _shifted(lphi)
+        psi, lpsi_max = _shifted(lpsi)
+        (s, sd), (c,) = _table_sums(phi, psi, lam, axes, 2, 1)
+        log_s = lpsi_max + np.log(s)
+        u, col = _restored(lphi, lpsi_max, sd), _restored(lpsi, lphi_max, c)
+        return log_s, (np.exp(lphi + log_s), col, float(u.sum()))
+    d_t = d.T
+    log_s, row, col, mass = np.empty(d.shape[0]), np.empty(d.shape[0]), np.zeros(d.shape[1]), 0.0
+    for lo, hi, mx, e in _column_blocks(lpsi, lam, d_t):
+        s = e.sum(axis=0)
+        log_s[lo:hi] = mx + np.log(s)
+        weight = np.exp(lphi[lo:hi] + mx)
+        row[lo:hi] = weight * s
+        e *= weight
+        col += e.sum(axis=1)
+        e *= d_t[:, lo:hi]
+        mass += float(e.sum())
+    return log_s, (row, col, mass)
+
+
 def metric_moments(lphi, lpsi, lam, d, axes=None):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 
@@ -360,7 +430,9 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     evaluation, at its warm-start hint.  ``axes`` as for coupling_stats.
     """
     if _factored(axes, lam, d):
-        (_, u, w), _ = _coupling_sums(lphi, lpsi, lam, axes, 3, 0)
+        psi, shift = _shifted(lpsi)
+        (_, u, w), _ = _table_sums(None, psi, lam, axes, 3, 0)
+        u, w = _restored(lphi, shift, [u, w])
         return float(u.sum()), float(w.sum())
     return _moment_sweep(lphi, lpsi, lam, d)
 
@@ -405,8 +477,8 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     first, second = -sums.wd, 0.0
     base = log_px + a
     if _factored(axes, zeta, d):
-        shift = base.max()
-        _, (mass, dm, d2m) = _table_sums(np.exp(base - shift), None, zeta, axes, 0, 3)
+        weights, shift = _shifted(base)
+        _, (mass, dm, d2m) = _table_sums(weights, None, zeta, axes, 0, 3)
         mean = dm / mass
         return (value - vdot(sums.cols, shift + np.log(mass)),
                 first + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))

@@ -195,24 +195,29 @@ def _newton_step(h: DualHessian, grad):
     return step
 
 
-def _first_trial(dp, step, d, axes=None):
+def _first_trial(dp, step, p, axes=None):
     """Length of a line search's first trial: 1, or 0.95 of the way to lam = 0
     when the step lowers lam, and no longer than moves some log q_ij up by
-    STEP_EXP_CAP.  Where the kernels take ``axes`` at dp.lam, the rise
-    -s_alpha_i - s_beta_j - s_lam d_ij is first bounded through
-    d_ij = d1_ia + d2_ib by each row's table maxima, and the pass over d
-    that finds its maximum is made only when that bound could bind."""
+    STEP_EXP_CAP.  The rise -s_alpha_i - s_beta_j - s_lam d_ij is first
+    bounded, through each row's table maxima (d_ij = d1_ia + d2_ib) where
+    the kernels take ``axes`` at dp.lam, else through the metric's range
+    [p.d_min, p.d_max], and the pass over d that finds its maximum is made
+    only when that bound could bind.  Rounding is monotone, so no entry's
+    rounded rise passes the range bound, and the length is the pass's."""
     t_step = 1.0
-    if step[-1] < 0.0:
-        t_step = min(t_step, 0.95 * dp.lam / -step[-1])
+    s_lam = step[-1]
+    if s_lam < 0.0:
+        t_step = min(t_step, 0.95 * dp.lam / -s_lam)
     m = dp.alpha.size
-    if _kernels._factored(axes, dp.lam, d):
-        row_top = (np.max(-step[-1] * axes.d1, axis=1)
-                   + np.max(-step[-1] * axes.d2, axis=1) - step[:m])
-        if (row_top.max() - step[m:-1].min()) * t_step <= STEP_EXP_CAP:
-            return t_step
+    if _kernels._factored(axes, dp.lam, p.d):
+        row_top = np.max(-s_lam * axes.d1, axis=1) + np.max(-s_lam * axes.d2, axis=1) - step[:m]
+        bound = row_top.max() - step[m:-1].min()
+    else:
+        bound = -step[:m].min() - step[m:-1].min() + max(-s_lam * p.d_min, -s_lam * p.d_max)
+    if bound * t_step <= STEP_EXP_CAP:
+        return t_step
     top = max(float(rise.max())
-              for _, rise in _kernels.exponent_blocks(-step[:m], -step[m:-1], step[-1], d))
+              for _, rise in _kernels.exponent_blocks(-step[:m], -step[m:-1], s_lam, p.d))
     if top * t_step > STEP_EXP_CAP:
         t_step = STEP_EXP_CAP / top
     return t_step
@@ -223,7 +228,7 @@ def _line_search(dp, step, slope, g_cur, gnorm_cur, p, it, k_hat, axes):
     (point, gradient, row, Hessian).  A full step too flat for the Armijo
     test to resolve is accepted when it lowers the projected gradient."""
     m = dp.alpha.size
-    t_step = _first_trial(dp, step, p.d, axes)
+    t_step = _first_trial(dp, step, p, axes)
     flat = -slope <= FLAT_SLOPE_RTOL * max(abs(g_cur), 1.0)
     while t_step > 1e-20:
         trial = DualPoint(dp.alpha + t_step * step[:m], dp.beta + t_step * step[m:-1],

@@ -144,6 +144,10 @@ class DiscreteProblem:
         return float(self.d.max()) if self.d.size else 0.0
 
     @cached_property
+    def d_min(self) -> float:
+        return float(self.d.min()) if self.d.size else 0.0
+
+    @cached_property
     def h_x(self) -> float:
         return shannon_entropy(self.p_x)
 

@@ -95,7 +95,7 @@ def _stats(log_phi, log_psi, lam, d, stats=None, axes=None):
     - lam * metric_mass, and the mass is the row marginal's sum."""
     if stats is None:
         stats = _kernels.coupling_stats(log_phi, log_psi, lam, d, axes)
-    row, col, metric_mass, _ = stats
+    row, col, metric_mass = stats[:3]
     return (row, col, float(row.sum()), metric_mass,
             _kernels.vdot(row, log_phi) + _kernels.vdot(col, log_psi) - lam * metric_mass)
 
@@ -122,8 +122,9 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
 
     and the rate sum q log q + H(p_x) + H(p_y), with the mass and sum q log q
     derived from the sweep by ``_stats``.  Non-finite sums are passed
-    through for the caller to judge.  ``stats`` is a coupling_stats result
-    already taken at (log_phi, log_psi, lam); without it the sweep is made,
+    through for the caller to judge.  ``stats`` is a coupling_stats result,
+    or its first three sums (_kernels.row_sweep's), already taken at
+    (log_phi, log_psi, lam); without it the sweep is made,
     through p.axes when the instance has them.  The numbers are plain floats,
     whatever scalar type ``lam`` comes as.
     """

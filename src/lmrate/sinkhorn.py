@@ -12,6 +12,16 @@ is projected gradient descent on the dual) or by solving excess(lam) = 0
 directly; the excess is strictly decreasing in lam, so the root is unique
 whenever excess(0) > 0.
 
+The step API (sinkhorn_step, update_lambda_projection, residuals) takes
+those steps one sweep each.  ``solve`` runs the projected iteration in two
+passes over the coupling, the reuse of log-domain sums of stabilized
+scaling (Schmitzer, SIAM J. Sci. Comput. 2019): the column update's sums
+also give the excess (_kernels.scale_cols_mass, the coupling's columns
+then summing to p_y), and the evaluation at the new multiplier, shifted by
+row, also gives the next row update's sums (_kernels.row_sweep), so only
+the first iteration calls scale_rows.  Its trace matches the step API's to
+rounding.
+
 Residuals after a full iteration are the L1 marginal gaps plus the
 multiplier residual |excess|, with the complementary-slackness convention
 that the multiplier residual is zero at lam = 0 with negative excess
@@ -141,15 +151,6 @@ class SolveReport:
         return self.status is SolveStatus.CONVERGED
 
 
-def _update_lambda(strategy, lphi, lpsi, lam, p, tau):
-    """(new multiplier, coupling_stats taken at it or None, root-solve evaluations)."""
-    if strategy is LambdaStrategy.ROOT:
-        root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam, axes=p.axes)
-        return float(root), root.stats, root.evals
-    excess = multiplier_excess(lphi, lpsi, lam, p.d, p.t, p.axes)
-    return max(0.0, lam + tau * excess), None, 0
-
-
 def multiplier_excess(lphi, lpsi, lam, d, t, axes=None) -> float:
     """excess(lam) = sum_ij d_ij q_ij(lam) - t at fixed scalings; ``axes``
     is the metric's GridAxes or None, as for the kernels."""
@@ -231,21 +232,19 @@ def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
                          iter=state.iter + 1)
 
 
-def _lambda_step(state, p, strategy, tau=None) -> SinkhornState:
-    lphi, lpsi = _log_state(state)
-    lam, _, _ = _update_lambda(strategy, lphi, lpsi, state.lam, p, tau)
-    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
-
-
 def update_lambda_projection(state: SinkhornState, p: DiscreteProblem,
                              tau: float) -> SinkhornState:
     """Projected multiplier step lam <- max(0, lam + tau * excess)."""
-    return _lambda_step(state, p, LambdaStrategy.PROJECT, tau)
+    lphi, lpsi = _log_state(state)
+    lam = max(0.0, state.lam + tau * multiplier_excess(lphi, lpsi, state.lam, p.d, p.t, p.axes))
+    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
 
 
 def update_lambda_rootfind(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
     """Multiplier jump to the root of the excess at the current scalings."""
-    return _lambda_step(state, p, LambdaStrategy.ROOT)
+    lphi, lpsi = _log_state(state)
+    lam = float(solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=state.lam, axes=p.axes))
+    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
 
 
 def residuals(state: SinkhornState, p: DiscreteProblem) -> tuple:
@@ -290,7 +289,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     the last residuals read.  A ``project`` run
     never hands off, since its certificate speaks about the scaling trace,
     and neither does an instance above problem.DENSE_CAP entries, whose
-    Newton step builds an M x N array.
+    Newton step builds an M x N array.  A ``project`` iteration makes two
+    passes over the coupling (module docstring).
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -322,12 +322,21 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     converged = False
     root_evals = 0
     newton_steps = 0
+    log_s = None        # a projected run's row_sweep sums at the current lam
 
     for it in range(1, cfg.max_iters + 1):
         try:
-            lphi, lpsi = _scale(lpsi, lam, p, log_px, log_py)
-            lam, stats, evals = _update_lambda(strategy, lphi, lpsi, lam, p, tau)
-            root_evals += evals
+            if strategy is LambdaStrategy.ROOT:
+                lphi, lpsi = _scale(lpsi, lam, p, log_px, log_py)
+                root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam, axes=p.axes)
+                lam, stats = float(root), root.stats
+                root_evals += root.evals
+            else:
+                lphi = (_kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes) if log_s is None
+                        else log_px - log_s)
+                lpsi, mass = _kernels.scale_cols_mass(lphi, lam, p.d, log_py, p.p_y, p.axes)
+                lam = max(0.0, lam + tau * (mass - p.t))
+                log_s, stats = _kernels.row_sweep(lphi, lpsi, lam, p.d, p.axes)
             row = evaluate(lphi, lpsi, lam, p, it, stats)
             if not (math.isfinite(row.dual_objective) and math.isfinite(row.lm_rate_nats)):
                 raise NumericalFailureError("coupling evaluation became non-finite")

@@ -231,20 +231,58 @@ def test_factored_newton_step_holds_one_coupling_array(factored_points):
     assert peak < 2 * p.m * p.n * 8, (cell, peak / (p.m * p.n * 8))
 
 
+def _full_pass_trial(dp, step, d):
+    """_first_trial's length from the largest rise over every entry of d."""
+    t_step = min(1.0, 0.95 * dp.lam / -step[-1]) if step[-1] < 0.0 else 1.0
+    m = dp.alpha.size
+    top = float((np.add.outer(-step[:m], -step[m:-1]) - step[-1] * d).max())
+    cap = _newton.STEP_EXP_CAP
+    return cap / top if top * t_step > cap else t_step
+
+
 def test_first_trial_table_bound_matches_full_pass(monkeypatch, factored_points):
-    # the table bound only decides whether the pass over d is made: the
-    # trial length is the full pass's whether or not the cap binds
+    # the table bound, and the metric's range off the tables, only decide
+    # whether the pass over d is made: the trial length is the full pass's
+    # whether or not the cap binds
     monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
     binds = free = 0
     for cell, p, dp in factored_points:
         step = dual._newton_step(dual_hessian(dp, p), dual._sweep(dp, p)[0])
         for scale in (1e-3, 1.0, 30.0, -30.0):
-            full = _newton._first_trial(dp, scale * step, p.d)
-            assert _newton._first_trial(dp, scale * step, p.d, p.axes) == full, (cell, scale)
+            full = _full_pass_trial(dp, scale * step, p.d)
+            assert _newton._first_trial(dp, scale * step, p) == full, (cell, scale)
+            assert _newton._first_trial(dp, scale * step, p, p.axes) == full, (cell, scale)
             lam_cap = 0.95 * dp.lam / -(scale * step[-1]) if scale * step[-1] < 0.0 else 1.0
             binds += full < min(1.0, lam_cap)
             free += full == min(1.0, lam_cap)
     assert binds > 0 and free > 0
+
+
+def test_first_trial_range_bound_matches_full_pass(rng, monkeypatch, qpsk_n10):
+    # off the tables the rise is bounded by the metric's range, so the pass
+    # over d is made only where that bound could bind; on random steps at
+    # every scale, with the metric shifted far from zero, the length is the
+    # full pass's, bit for bit, and both outcomes occur
+    passes = Counter()
+    blocks = _kernels.exponent_blocks
+
+    def counted(*args, **kwargs):
+        passes["d"] += 1
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "exponent_blocks", counted)
+    binds = skipped = 0
+    for p in (qpsk_n10, random_problem(rng, 6, 8),
+              dataclasses.replace(qpsk_n10, d=qpsk_n10.d + 2000.0, t=qpsk_n10.t + 2000.0)):
+        for _ in range(200):
+            dp = _random_point(rng, p)
+            step = rng.normal(0.0, 1.0, p.m + p.n + 1) * 10.0 ** rng.uniform(-3.0, 2.0)
+            full = _full_pass_trial(dp, step, p.d)
+            before = passes["d"]
+            assert _newton._first_trial(dp, step, p) == full
+            skipped += passes["d"] == before
+            binds += full < (min(1.0, 0.95 * dp.lam / -step[-1]) if step[-1] < 0.0 else 1.0)
+    assert binds > 50 and skipped > 50 and passes["d"] >= binds
 
 
 def test_newton_oracle_never_builds_the_factored_hessian(monkeypatch):

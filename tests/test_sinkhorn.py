@@ -298,6 +298,68 @@ def test_projected_solve_makes_no_root_evaluations(qpsk_n10):
     assert report.root_evals == 0
 
 
+@pytest.fixture(scope="module")
+def projected_cells():
+    """(name, problem, config): qpsk at grid 10 runs the block loop, qam16 at
+    grid 50 the axis tables, and a threshold past max d projects the
+    multiplier to 0."""
+    qpsk, qam16 = make_problem()[3], make_problem("qam16", n_side=50)[3]
+    return [("block", qpsk, SolverConfig(lambda_strategy="project", tau=1.0)),
+            ("tables", qam16, SolverConfig(lambda_strategy="project", tau=1.0)),
+            ("slack", qpsk.with_threshold(2.0 * qpsk.d_max),
+             SolverConfig(lambda_strategy="project", max_iters=200))]
+
+
+def _step_api_trace(p, cfg):
+    """The paper's iteration through the public step API, one sweep each for
+    the rows, the columns, the multiplier step and the trace row:
+    (trace, converged)."""
+    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    tau = cfg.tau if cfg.tau is not None else 1.0 / p.d_max ** 2
+    trace = []
+    for it in range(1, cfg.max_iters + 1):
+        state = update_lambda_projection(sinkhorn_step(state, p), p, tau)
+        trace.append(problem.evaluate(np.log(state.phi), np.log(state.psi), state.lam, p, it))
+        if max(residuals(state, p)) <= cfg.tol:
+            return trace, True
+    return trace, False
+
+
+def test_projected_solve_matches_step_api_loop(projected_cells):
+    # solve runs the iteration in two passes, reusing the column update's
+    # sums for the excess and the evaluation's for the next row update; the
+    # step API keeps one sweep per step, so the two agree to rounding
+    for name, p, cfg in projected_cells:
+        report = solve(p, cfg)
+        trace, converged = _step_api_trace(p, cfg)
+        assert report.converged == converged and report.converged, name
+        assert report.iterations == len(trace), name
+        for ours, theirs in zip(report.residual_trace, trace):
+            for field, value in vars(theirs).items():
+                assert abs(getattr(ours, field) - value) <= 1e-13 * max(1.0, abs(value)), (
+                    name, ours.iter, field)
+        assert K._factored(p.axes, report.lambda_final, p.d) == (name == "tables"), name
+        assert (report.lambda_final == 0.0) == (name == "slack"), name
+
+
+def test_projected_iteration_makes_two_passes(projected_cells, monkeypatch):
+    # every pass over the coupling starts one of these three loops; a
+    # projected run makes its start's evaluation and its first row update,
+    # then two per iteration: the column update, which also gives the
+    # excess, and the evaluation, which also gives the next row update
+    passes = Counter()
+    for name in ("_column_blocks", "_table_sums", "exponent_blocks"):
+        def counted(*args, _name=name, _loop=getattr(K, name), **kwargs):
+            passes[_name] += 1
+            return _loop(*args, **kwargs)
+        monkeypatch.setattr(K, name, counted)
+    for name, p, cfg in projected_cells[:2]:
+        passes.clear()
+        report = solve(p, cfg)
+        assert sum(passes.values()) == 2 * report.iterations + 2, (name, passes)
+        assert (passes["_table_sums"] > 0) == (name == "tables"), (name, passes)
+
+
 def test_solve_qpsk_root_default(qpsk_n10):
     report = solve(qpsk_n10)
     assert report.converged
