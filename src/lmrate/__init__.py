@@ -10,19 +10,17 @@ from .channel import (ChannelSpec, DiscreteProblem, OutputGrid, analytic_thresho
 from .constellation import (Constellation, Scheme, build_constellation,
                             validate_constellation)
 from .dual import (ConvergenceCertificate, DualPoint, ScarlettDualPoint, certificate,
-                   dual_gradient, dual_hessian, dual_objective, gauge_normalize,
-                   newton_oracle, reference_dual_value, scaling_null_space,
-                   scarlett_dual_value, scarlett_point_from_coupling)
+                   dual_gradient, dual_hessian, dual_objective, newton_oracle,
+                   scaling_null_space, scarlett_dual_value, scarlett_point_from_coupling)
 from .errors import (BracketError, DegenerateGridError, EvaluationError,
                      InconsistentOracleError, LmrateError, NumericalFailureError,
                      UnsupportedConfigurationError)
 from .gmi import GmiResult, gmi
-from .problem import (Coupling, constraint_gap, lm_rate, primal_entropy,
-                      product_coupling, shannon_entropy)
-from .sinkhorn import (LambdaStrategy, SinkhornState, SolveReport, SolverConfig,
-                       SolveStatus, TraceRow, multiplier_excess, residuals,
-                       sinkhorn_step, solve, solve_multiplier_root,
-                       update_lambda_projection, update_lambda_rootfind)
+from .problem import Coupling, lm_rate, product_coupling, shannon_entropy
+from .sinkhorn import (LambdaStrategy, SolveReport, SolverConfig, SolveStatus, TraceRow,
+                       multiplier_excess, residuals, sinkhorn_step, solve,
+                       solve_multiplier_root, update_lambda_projection,
+                       update_lambda_rootfind)
 
 __version__ = "0.1.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "OutputGrid",
     "ScarlettDualPoint",
     "Scheme",
-    "SinkhornState",
     "SolveReport",
     "SolverConfig",
     "SolveStatus",
@@ -54,20 +51,16 @@ __all__ = [
     "build_channel",
     "build_constellation",
     "certificate",
-    "constraint_gap",
     "discretize",
     "dual_gradient",
     "dual_hessian",
     "dual_objective",
-    "gauge_normalize",
     "gmi",
     "lm_rate",
     "multiplier_excess",
     "newton_oracle",
-    "primal_entropy",
     "product_coupling",
     "quadratic_form_positive",
-    "reference_dual_value",
     "residuals",
     "scaling_null_space",
     "scarlett_dual_value",

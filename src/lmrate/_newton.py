@@ -58,8 +58,8 @@ FLAT_SLOPE_RTOL = 6.4e-14
 # with the square of the metric and stays out: with it (at 1e-12), a shift
 # of 2000 took the solver's Newton finish 497 steps on qpsk at grid 10, and
 # 3 without.  From 1e-12 to 1e-11 the benchmark cells' rows and rates hold;
-# 5e-12 keeps the factored step within 0.32 of its test bound against the
-# dense one (3e-12: 0.72) and every shift up to 2000 at 3 steps (1e-11: 8).
+# 5e-12 keeps the factored step within 0.39 of its test bound against the
+# dense one (3e-12: 0.60) and every shift up to 2000 at 3 steps (1e-11: 8).
 NEWTON_DAMPING = 5e-12
 
 # One bracketed_newton search looks on [0, SCALAR_CAP]: the multiplier root

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -107,8 +108,8 @@ class DiscreteProblem:
     p_x: input prior (M,).
     p_y: output marginal (N,), strictly positive.
     w: row-stochastic transition matrix (M, N).
-    t: capacity-constraint threshold, sum_ij p_x[i] w[i][j] d[i][j] for
-       channel-built instances.
+    t: capacity-constraint threshold, finite; sum_ij p_x[i] w[i][j] d[i][j]
+       for channel-built instances.
     axes: the metric's GridAxes for channel-built instances, which the
        scaling sweeps factor through; None otherwise.  Not serialized.
     """
@@ -129,6 +130,8 @@ class DiscreteProblem:
             raise ValueError("d and w must have the same shape")
         if self.p_x.shape != (self.d.shape[0],) or self.p_y.shape != (self.d.shape[1],):
             raise ValueError("marginal lengths must match the metric shape")
+        if not math.isfinite(self.t):
+            raise ValueError(f"threshold t must be finite, got {self.t!r}")
 
     @property
     def m(self) -> int:
@@ -254,7 +257,7 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     Args:
         channel: ChannelSpec.
         c: Constellation, its prior strictly positive.
-        n_side: nodes per axis, >= 2.
+        n_side: nodes per axis, an integer >= 2.
         prob_floor: pruning threshold on the output marginal, >= 0.
         half_width: grid extent, positive and finite.
 
@@ -267,8 +270,8 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         DegenerateGridError when a row's density underflows or every node
         is pruned.
     """
-    if n_side < 2:
-        raise ValueError("n_side must be at least 2")
+    if not (isinstance(n_side, Integral) and n_side >= 2):
+        raise ValueError(f"n_side must be an integer of at least 2, got {n_side!r}")
     if not (prob_floor >= 0.0):
         raise ValueError("prob_floor must be nonnegative")
     if not (half_width > 0.0 and math.isfinite(half_width)):

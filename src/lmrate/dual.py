@@ -2,9 +2,10 @@
 the classical mismatched-decoding dual, and sub-linear convergence
 certificates for the alternating-scaling trace.
 
-The dual variables, objective, Hessian and the damped Newton loop live in
-``_newton`` (the scaling solver hands its root runs to the same loop) and
-are bound here as well.  Shifting (alpha, beta) by (+s, -s) leaves the
+The dual variables, the Hessian and the damped Newton loop live in
+``_newton`` (the scaling solver hands its root runs to the same loop);
+this module binds DualPoint and dual_hessian and adds the objective and
+its gradient.  Shifting (alpha, beta) by (+s, -s) leaves the
 coupling unchanged; this gauge direction (1_M, -1_N, 0) is the only flat
 direction of the dual for metrics that are not additively separable
 (see ``scaling_null_space``), which is what makes the projected Newton
@@ -14,7 +15,10 @@ At lam = 0 the product coupling p_x (x) p_y minimizes the dual in closed
 form; the Newton oracle starts there and runs one damped Newton phase over
 (alpha, beta, lam) only when that coupling breaks the metric constraint by
 more than tol, each step eliminating the arrowhead Hessian's column block,
-on the column-centred metric (see ``newton_oracle``).
+on the column-centred metric (see ``newton_oracle``).  Its solution is
+the gauge representative ``problem.balance_gauge`` picks, as ``solve``'s
+is.  A converged oracle run's dual value is the reference optimum the
+certificate takes.
 """
 
 import dataclasses
@@ -24,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._newton import (DualHessian, DualPoint, _newton_step, _project, _sweep,  # noqa: F401
-                      coupling_from_dual, descend, dual_hessian, from_coupling,
-                      gauge_vector)
+from ._newton import (DualPoint, _project, _sweep, descend, dual_hessian,  # noqa: F401
+                      from_coupling, gauge_vector)
 from .channel import DiscreteProblem
-from .errors import InconsistentOracleError, NumericalFailureError
+from .errors import InconsistentOracleError
 from .problem import Coupling, balance_gauge, product_coupling
 from .sinkhorn import SolveReport, SolveStatus
 
@@ -47,42 +50,29 @@ def dual_gradient(dp: DualPoint, p: DiscreteProblem):
     return grad[:p.m], grad[p.m:-1], float(grad[-1])
 
 
-def gauge_normalize(dp: DualPoint) -> DualPoint:
-    """Shift along the gauge so sum(alpha) == sum(beta); idempotent."""
-    lphi, lpsi = balance_gauge(-dp.alpha - 0.5, -dp.beta - 0.5)
-    return DualPoint(alpha=-lphi - 0.5, beta=-lpsi - 0.5, lam=dp.lam)
-
-
 # --------------------------------------------------------------------------
 # scaling-kernel rank checks
 # --------------------------------------------------------------------------
 
 
-def scaling_constraint_matrix(d: np.ndarray) -> np.ndarray:
-    """MN x (M+N+1) matrix whose rows read (e_i, e_j, d_ij), row-major in (i, j).
-
-    Its null space is exactly the flat subspace of the dual objective.
-    """
-    m, n = d.shape
-    mn = m * n
-    a = np.zeros((mn, m + n + 1))
-    rows = np.arange(mn)
-    a[rows, np.repeat(np.arange(m), n)] = 1.0
-    a[rows, m + np.tile(np.arange(n), m)] = 1.0
-    a[:, m + n] = d.ravel()
-    return a
-
-
 def scaling_null_space(d: np.ndarray) -> dict:
-    """SVD-based null space summary of the scaling constraint matrix, whose
-    rank counts the singular values above 1e-10 times the largest.
+    """SVD-based null space summary of the scaling constraint matrix, the
+    MN x (M+N+1) matrix whose rows read (e_i, e_j, d_ij), row-major in
+    (i, j): its null space is exactly the flat subspace of the dual
+    objective, and its rank counts the singular values above 1e-10 times
+    the largest.
 
     Returns {singular_values, rank, null_dim, null_basis, degenerate};
     degenerate means the flat subspace is larger than the gauge line,
     which happens exactly when the metric is additively separable (a
     constant metric being the canonical case).
     """
-    a = scaling_constraint_matrix(d)
+    m, n = d.shape
+    rows = np.arange(m * n)
+    a = np.zeros((m * n, m + n + 1))
+    a[rows, np.repeat(np.arange(m), n)] = 1.0
+    a[rows, m + np.tile(np.arange(n), m)] = 1.0
+    a[:, m + n] = d.ravel()
     # a thin SVD has all M+N+1 rows of vt whenever MN >= M+N+1, and never
     # builds the MN x MN left factor
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
@@ -142,7 +132,7 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
         rate, g = row.lm_rate_nats, row.dual_objective
 
     return SolveReport(
-        solution=coupling_from_dual(gauge_normalize(dp), p.d),
+        solution=Coupling(*balance_gauge(-dp.alpha - 0.5, -dp.beta - 0.5), dp.lam, p.d),
         lm_rate_nats=rate,
         lambda_final=dp.lam,
         iterations=len(trace),
@@ -156,17 +146,6 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
         failed_iteration=failure and failure.iteration,
         failure_reason=failure and str(failure),
     )
-
-
-def reference_dual_value(p: DiscreteProblem):
-    """Reference optimum (g_star, source_string) from a converged oracle run;
-    raises NumericalFailureError when the oracle does not converge."""
-    report = newton_oracle(p, tol=1e-12)
-    if not report.converged:
-        raise NumericalFailureError(
-            f"reference oracle did not converge: status {report.status.value}, "
-            f"failure_reason {report.failure_reason!r}")
-    return report.dual_objective, "newton_oracle(tol=1e-12)"
 
 
 # --------------------------------------------------------------------------

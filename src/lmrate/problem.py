@@ -12,7 +12,10 @@ over the metric via the kernels module.  The rate objective in nats is
 which equals the KL divergence of the coupling from the product of its
 target marginals when the coupling is feasible.  ``evaluate`` turns one
 sweep over a coupling (marginals and metric moments, ``_stats``) into
-every number the solvers report about it.
+every number the solvers report about it; ``Coupling.stats`` gives the
+sums themselves.  A ``Coupling`` is the iterate of the public step API
+(``sinkhorn``) and the solution of every solver, which return the
+representative of its scaling gauge that ``balance_gauge`` picks.
 """
 
 from dataclasses import dataclass
@@ -51,28 +54,9 @@ class Coupling:
         if not (self.lam >= 0.0 and np.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
 
-    @classmethod
-    def from_scaling(cls, phi, psi, lam, d) -> "Coupling":
-        phi = np.asarray(phi, dtype=np.float64)
-        psi = np.asarray(psi, dtype=np.float64)
-        if np.any(phi <= 0) or np.any(psi <= 0):
-            raise EvaluationError("scaling factors must be strictly positive")
-        return cls(np.log(phi), np.log(psi), float(lam), d)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.exp(self.log_phi)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return np.exp(self.log_psi)
-
     def stats(self):
         """(row_marginal, col_marginal, mass, metric_mass, neg_entropy)."""
         return _stats(self.log_phi, self.log_psi, self.lam, self.d)
-
-    def marginals(self):
-        return self.stats()[:2]
 
     def dense(self) -> np.ndarray:
         """Materialize q as an (M, N) array, exponentiated block by block into
@@ -160,14 +144,6 @@ def shannon_entropy(p: np.ndarray) -> float:
     return -_kernels.vdot(p, np.log(p))
 
 
-def primal_entropy(q: Coupling) -> float:
-    """sum_ij q_ij log q_ij, streamed; underflowed entries contribute 0."""
-    _, _, _, _, neg_entropy = q.stats()
-    if not np.isfinite(neg_entropy):
-        raise EvaluationError("coupling evaluation overflowed")
-    return neg_entropy
-
-
 def lm_rate(q: Coupling, p, feasibility_tol: float | None = None) -> float:
     """Rate value (nats) of a coupling against problem p.
 
@@ -182,14 +158,6 @@ def lm_rate(q: Coupling, p, feasibility_tol: float | None = None) -> float:
     if not np.isfinite(row.lm_rate_nats):
         raise EvaluationError("coupling evaluation overflowed")
     return row.lm_rate_nats
-
-
-def constraint_gap(q: Coupling, p) -> float:
-    """Slack t - sum_ij d_ij q_ij; nonnegative iff the constraint holds."""
-    _, _, _, metric_mass, _ = q.stats()
-    if not np.isfinite(metric_mass):
-        raise EvaluationError("coupling evaluation overflowed")
-    return p.t - metric_mass
 
 
 def product_coupling(p) -> Coupling:

@@ -12,15 +12,17 @@ is projected gradient descent on the dual) or by solving excess(lam) = 0
 directly; the excess is strictly decreasing in lam, so the root is unique
 whenever excess(0) > 0.
 
-The step API (sinkhorn_step, update_lambda_projection, residuals) takes
-those steps one sweep each.  ``solve`` runs the projected iteration in two
-passes over the coupling, the reuse of log-domain sums of stabilized
-scaling (Schmitzer, SIAM J. Sci. Comput. 2019): the column update's sums
-also give the excess (_kernels.scale_cols_mass, the coupling's columns
-then summing to p_y), and the evaluation at the new multiplier, shifted by
-row, also gives the next row update's sums (_kernels.row_sweep), so only
-the first iteration calls scale_rows.  Its trace matches the step API's to
-rounding.
+The step API (sinkhorn_step, update_lambda_projection,
+update_lambda_rootfind, residuals) takes those steps one sweep each on a
+problem.Coupling, the log-domain iterate (log_phi, log_psi, lam) that
+``solve`` holds too, and returns a new one built at p.d.  ``solve`` runs
+the projected iteration in two passes over the coupling, the reuse of
+log-domain sums of stabilized scaling (Schmitzer, SIAM J. Sci. Comput.
+2019): the column update's sums also give the excess
+(_kernels.scale_cols_mass, the coupling's columns then summing to p_y),
+and the evaluation at the new multiplier, shifted by row, also gives the
+next row update's sums (_kernels.row_sweep), so only the first iteration
+calls scale_rows.  Its trace matches the step API's to rounding.
 
 Residuals after a full iteration are the L1 marginal gaps plus the
 multiplier residual |excess|, with the complementary-slackness convention
@@ -118,16 +120,6 @@ class SolverConfig:
 
 
 @dataclass
-class SinkhornState:
-    """Iterate of the alternating-scaling loop (plain-domain view)."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-    lam: float
-    iter: int = 0
-
-
-@dataclass
 class SolveReport:
     solution: Coupling
     lm_rate_nats: float
@@ -210,47 +202,32 @@ def solve_multiplier_root(lphi, lpsi, d, t, lam_hint: float = 1.0, axes=None) ->
     return _Root(lam, stats, evals)
 
 
-def _log_state(state: SinkhornState):
-    phi = np.asarray(state.phi, dtype=np.float64)
-    psi = np.asarray(state.psi, dtype=np.float64)
-    if np.any(phi <= 0) or np.any(psi <= 0):
-        raise ValueError("state scalings must be strictly positive")
-    return np.log(phi), np.log(psi)
-
-
 def _scale(lpsi, lam, p, log_px, log_py):
     """One row-then-column rescale at fixed multiplier: (log_phi, log_psi)."""
     lphi = _kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes)
     return lphi, _kernels.scale_cols(lphi, lam, p.d, log_py, p.axes)
 
 
-def sinkhorn_step(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
+def sinkhorn_step(q: Coupling, p: DiscreteProblem) -> Coupling:
     """One full row-then-column rescale at fixed multiplier."""
-    _, lpsi = _log_state(state)
-    lphi, lpsi = _scale(lpsi, state.lam, p, np.log(p.p_x), np.log(p.p_y))
-    return SinkhornState(phi=np.exp(lphi), psi=np.exp(lpsi), lam=state.lam,
-                         iter=state.iter + 1)
+    return Coupling(*_scale(q.log_psi, q.lam, p, np.log(p.p_x), np.log(p.p_y)), q.lam, p.d)
 
 
-def update_lambda_projection(state: SinkhornState, p: DiscreteProblem,
-                             tau: float) -> SinkhornState:
+def update_lambda_projection(q: Coupling, p: DiscreteProblem, tau: float) -> Coupling:
     """Projected multiplier step lam <- max(0, lam + tau * excess)."""
-    lphi, lpsi = _log_state(state)
-    lam = max(0.0, state.lam + tau * multiplier_excess(lphi, lpsi, state.lam, p.d, p.t, p.axes))
-    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
+    excess = multiplier_excess(q.log_phi, q.log_psi, q.lam, p.d, p.t, p.axes)
+    return Coupling(q.log_phi, q.log_psi, max(0.0, q.lam + tau * excess), p.d)
 
 
-def update_lambda_rootfind(state: SinkhornState, p: DiscreteProblem) -> SinkhornState:
+def update_lambda_rootfind(q: Coupling, p: DiscreteProblem) -> Coupling:
     """Multiplier jump to the root of the excess at the current scalings."""
-    lphi, lpsi = _log_state(state)
-    lam = float(solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=state.lam, axes=p.axes))
-    return SinkhornState(phi=state.phi, psi=state.psi, lam=lam, iter=state.iter)
+    root = solve_multiplier_root(q.log_phi, q.log_psi, p.d, p.t, lam_hint=q.lam, axes=p.axes)
+    return Coupling(q.log_phi, q.log_psi, float(root), p.d)
 
 
-def residuals(state: SinkhornState, p: DiscreteProblem) -> tuple:
-    """(r_phi, r_psi, r_lambda) at the current state."""
-    lphi, lpsi = _log_state(state)
-    row = evaluate(lphi, lpsi, state.lam, p)
+def residuals(q: Coupling, p: DiscreteProblem) -> tuple:
+    """(r_phi, r_psi, r_lambda) at the coupling."""
+    row = evaluate(q.log_phi, q.log_psi, q.lam, p)
     return row.r_phi, row.r_psi, row.r_lambda
 
 

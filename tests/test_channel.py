@@ -213,8 +213,12 @@ def test_all_nodes_below_floor_raises():
 def test_tiny_grid_rejected():
     cons = build_constellation("qpsk")
     chan = build_channel(1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        discretize(chan, cons, n_side=1)
+    # a grid has a whole number of nodes a side, at least two; a numpy
+    # integer is a whole number too
+    for n_side in (1, 10.5, 10.0):
+        with pytest.raises(ValueError, match="n_side must be an integer of at least 2"):
+            discretize(chan, cons, n_side=n_side)
+    assert discretize(chan, cons, n_side=np.int64(6))[0].n_side == 6
     # a zero width stacks every node on the origin, a negative one mirrors
     # the axis, and neither NaN nor inf spans a grid
     for half_width in (0.0, -8.0, math.nan, math.inf):
@@ -258,6 +262,18 @@ def test_with_threshold_marks_inconsistency():
     assert any("t =" in v and "differs" in v for v in issues)
     # everything except the threshold tie stays intact
     assert all("t =" in v for v in issues)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_threshold_rejected(t):
+    # no coupling meets or misses a non-finite metric budget, and the root
+    # solve would take log(s1 / t) of it; every way to set t is refused
+    _, _, _, prob = make_problem(n_side=6)
+    dumped = json.dumps(dict(json.loads(prob.to_json()), t=t))
+    for build in (lambda: prob.with_threshold(t), lambda: dataclasses.replace(prob, t=t),
+                  lambda: DiscreteProblem.from_json(dumped)):
+        with pytest.raises(ValueError, match="threshold t must be finite"):
+            build()
 
 
 def test_problem_json_round_trip():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import lmrate
 from lmrate import BracketError, NumericalFailureError, SolveStatus, cli, sinkhorn
 from lmrate.channel import DiscreteProblem
 from lmrate.cli import _EXIT_BY_STATUS, main, parse_angle
@@ -290,6 +291,23 @@ def test_flags_pinned(capsys, command):
     options = capsys.readouterr().out.split("\n\n")[-1]
     assert re.findall(r"^  (-h, )?(--[a-z-]+)", options, re.M) == [
         ("-h, " if f[0] == "--help" else "", f[0]) for f in expected]
+
+
+def test_public_names_pinned():
+    # like the flags above, a package name is added or removed on purpose
+    assert sorted(lmrate.__all__) == [
+        "BracketError", "ChannelSpec", "Constellation", "ConvergenceCertificate", "Coupling",
+        "DegenerateGridError", "DiscreteProblem", "DualPoint", "EvaluationError", "GmiResult",
+        "InconsistentOracleError", "LambdaStrategy", "LmrateError", "NumericalFailureError",
+        "OutputGrid", "ScarlettDualPoint", "Scheme", "SolveReport", "SolveStatus",
+        "SolverConfig", "TraceRow", "UnsupportedConfigurationError", "analytic_threshold",
+        "build_channel", "build_constellation", "certificate", "discretize", "dual_gradient",
+        "dual_hessian", "dual_objective", "gmi", "lm_rate", "multiplier_excess",
+        "newton_oracle", "product_coupling", "quadratic_form_positive", "residuals",
+        "scaling_null_space", "scarlett_dual_value", "scarlett_point_from_coupling",
+        "shannon_entropy", "sinkhorn_step", "solve", "solve_multiplier_root",
+        "update_lambda_projection", "update_lambda_rootfind", "validate_constellation"]
+    assert all(hasattr(lmrate, name) for name in lmrate.__all__)
 
 
 def test_config_echo_pinned(capsys, tmp_path):

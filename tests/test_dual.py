@@ -8,21 +8,18 @@ import numpy as np
 import pytest
 
 from lmrate import (
+    Coupling,
     DualPoint,
     EvaluationError,
     InconsistentOracleError,
     ScarlettDualPoint,
-    SinkhornState,
     SolveStatus,
     SolverConfig,
-    NumericalFailureError,
     certificate,
     dual_gradient,
     dual_hessian,
     dual_objective,
-    gauge_normalize,
     newton_oracle,
-    reference_dual_value,
     scaling_null_space,
     scarlett_dual_value,
     scarlett_point_from_coupling,
@@ -32,8 +29,8 @@ from lmrate import (
 )
 from lmrate import _kernels, _newton, dual
 from lmrate.channel import DiscreteProblem
-from lmrate.dual import coupling_from_dual, from_coupling, gauge_vector
-from lmrate.problem import product_coupling
+from lmrate._newton import coupling_from_dual, from_coupling, gauge_vector
+from lmrate.problem import balance_gauge, product_coupling
 from conftest import make_problem, random_problem
 
 
@@ -127,7 +124,7 @@ def test_newton_step_solves_damped_system(request, rng, name):
         h = dual_hessian(dp, p)
         ga, gb, gl = dual_gradient(dp, p)
         grad = np.concatenate([ga, gb, [gl]])
-        step = dual._newton_step(h, grad)
+        step = _newton._newton_step(h, grad)
         dense = h.dense()
         # the damping is the NEWTON_DAMPING share of the marginal diagonal's mean
         delta = _newton.NEWTON_DAMPING * (h.r.sum() + h.c.sum()) / (p.m + p.n)
@@ -137,19 +134,19 @@ def test_newton_step_solves_damped_system(request, rng, name):
 
 def _third_iterate(p):
     """The third iterate of a root run from lam = 1, by the step API."""
-    state = SinkhornState(np.ones(p.m), np.ones(p.n), 1.0)
+    q = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
     for _ in range(3):
-        state = update_lambda_rootfind(sinkhorn_step(state, p), p)
-    return state
+        q = update_lambda_rootfind(sinkhorn_step(q, p), p)
+    return q
 
 
 def _scaled_point(p, start, lam):
     """A gauge-balanced dual point whose scalings fit lam: the iterate
     ``start`` rescaled three times at lam."""
-    state = SinkhornState(start.phi, start.psi, lam)
+    q = Coupling(start.log_phi, start.log_psi, lam, p.d)
     for _ in range(3):
-        state = sinkhorn_step(state, p)
-    return gauge_normalize(DualPoint(-np.log(state.phi) - 0.5, -np.log(state.psi) - 0.5, lam))
+        q = sinkhorn_step(q, p)
+    return from_coupling(Coupling(*balance_gauge(q.log_phi, q.log_psi), lam, p.d))
 
 
 def _factored_points():
@@ -192,18 +189,18 @@ def test_factored_newton_step_matches_dense(monkeypatch, factored_points):
     # system A = H + delta I.  A is ill-conditioned along nodes of tiny output
     # mass, where two steps whose Hessians differ by rounding differ by 1e-5
     # to 4e-3 relative in the 2-norm; in the A-norm the factored step is
-    # within 3.2e-10 of the dense one at the third iterate's multipliers.  At
+    # within 3.9e-10 of the dense one at the third iterate's multipliers.  At
     # (1 - 1e-12) times the guard, lam d reaches 700 and the coupling's
     # entries carry 1e-13 relative rounding: there the two differ by up to
-    # 1.4e-7 (at 0 dB), and a perturbation of that size of the dense coupling
+    # 1.3e-7 (at 0 dB), and a perturbation of that size of the dense coupling
     # alone moves the dense step by 1.4e-8 to 1.5e-7.  The multiplier
     # component and the predicted decrease, which the line search reads,
     # agree to 1e-10.
     monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
     for cell, p, dp in factored_points:
-        grad, _, dense = dual._sweep(dp, p)
+        grad, _, dense = _newton._sweep(dp, p)
         factored = dual_hessian(dp, p, p.axes)
-        step, ref = dual._newton_step(factored, grad), dual._newton_step(dense, grad)
+        step, ref = _newton._newton_step(factored, grad), _newton._newton_step(dense, grad)
         h = dense.dense()
         h += _newton.NEWTON_DAMPING * (dense.r.sum() + dense.c.sum()) / (p.m + p.n) * np.eye(
             h.shape[0])
@@ -221,10 +218,10 @@ def test_factored_newton_step_holds_one_coupling_array(factored_points):
     # only row blocks, tables and the (M+1)-square Schur complement
     cell, p, dp = next(point for point in factored_points if point[0][:2] == ("qam64", 10.0))
     assert p.n < p.axes.d1.shape[1] ** 2 and _kernels._factored(p.axes, dp.lam, p.d)
-    grad, _, h = dual._sweep(dp, p, axes=p.axes)
+    grad, _, h = _newton._sweep(dp, p, axes=p.axes)
     tracemalloc.start()
     try:
-        dual._newton_step(h, grad)
+        _newton._newton_step(h, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +244,7 @@ def test_first_trial_table_bound_matches_full_pass(monkeypatch, factored_points)
     monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
     binds = free = 0
     for cell, p, dp in factored_points:
-        step = dual._newton_step(dual_hessian(dp, p), dual._sweep(dp, p)[0])
+        step = _newton._newton_step(dual_hessian(dp, p), _newton._sweep(dp, p)[0])
         for scale in (1e-3, 1.0, 30.0, -30.0):
             full = _full_pass_trial(dp, scale * step, p.d)
             assert _newton._first_trial(dp, scale * step, p) == full, (cell, scale)
@@ -350,19 +347,20 @@ def test_coupling_dual_bijection(rng, qpsk_4x9):
     assert back.lam == dp.lam
 
 
-def test_gauge_normalize_properties(rng, qpsk_4x9):
+def test_balance_gauge_properties(rng, qpsk_4x9):
     p = qpsk_4x9
     dp = _random_point(rng, p)
-    norm = gauge_normalize(dp)
+    q = coupling_from_dual(dp, p.d)
+    lphi, lpsi = balance_gauge(q.log_phi, q.log_psi)
+    norm = from_coupling(Coupling(lphi, lpsi, dp.lam, p.d))
     assert abs(norm.alpha.sum() - norm.beta.sum()) <= 1e-12
-    again = gauge_normalize(norm)
-    np.testing.assert_allclose(again.alpha, norm.alpha, rtol=0, atol=1e-14)
+    again = balance_gauge(lphi, lpsi)
+    np.testing.assert_allclose(again[0], lphi, rtol=0, atol=1e-14)
     assert abs(dual_objective(norm, p) - dual_objective(dp, p)) <= 1e-12
-    # normalizing a shifted copy lands on the same representative
-    shifted = DualPoint(dp.alpha + 5.0, dp.beta - 5.0, dp.lam)
-    renorm = gauge_normalize(shifted)
-    np.testing.assert_allclose(renorm.alpha, norm.alpha, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(renorm.beta, norm.beta, rtol=0, atol=1e-12)
+    # balancing a shifted copy lands on the same representative
+    shifted = balance_gauge(q.log_phi + 5.0, q.log_psi - 5.0)
+    np.testing.assert_allclose(shifted[0], lphi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(shifted[1], lpsi, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +460,7 @@ def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
     k_hat = gauge_vector(p.m, p.n)
 
     def done(grad, _row):
-        return float(np.abs(dual._project(grad, k_hat)).max()) <= 1e-12
+        return float(np.abs(_newton._project(grad, k_hat)).max()) <= 1e-12
 
     exponents = []
 
@@ -540,14 +538,16 @@ def test_newton_trace_descends(qpsk_n6):
 
 
 def test_reference_value_source(qpsk_4x9):
-    _, src = reference_dual_value(qpsk_4x9)
-    assert "newton" in src
+    # the certificate's reference optimum: a Newton oracle run to tol 1e-12
+    report = newton_oracle(qpsk_4x9, tol=1e-12)
+    assert report.converged and report.strategy == "newton"
 
 
 def test_reference_value_needs_converged_oracle(monkeypatch, qpsk_n10):
+    # an oracle run out of steps says so, and its value is no reference
     monkeypatch.setattr(dual, "ORACLE_MAX_STEPS", 1)
-    with pytest.raises(NumericalFailureError, match="max_iters"):
-        reference_dual_value(qpsk_n10)
+    report = newton_oracle(qpsk_n10, tol=1e-12)
+    assert report.status is SolveStatus.MAX_ITERS
 
 
 def test_newton_oracle_reports_numerical_failure(monkeypatch, qpsk_n10):
@@ -695,8 +695,9 @@ def test_null_space_degenerate_metrics():
 def project_run_with_reference(qpsk_n10):
     p = qpsk_n10
     report = solve(p, SolverConfig(max_iters=300, lambda_strategy="project"))
-    g_star, src = reference_dual_value(p)
-    return p, report, g_star, src
+    oracle = newton_oracle(p, tol=1e-12)
+    assert oracle.converged
+    return p, report, oracle.dual_objective, "newton_oracle(tol=1e-12)"
 
 
 def test_certificate_bound_holds(project_run_with_reference):

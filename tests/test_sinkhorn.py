@@ -10,9 +10,10 @@ from lmrate import _newton, problem, sinkhorn
 from lmrate import (
     BracketError,
     Constellation,
+    Coupling,
+    EvaluationError,
     LambdaStrategy,
     NumericalFailureError,
-    SinkhornState,
     SolveStatus,
     SolverConfig,
     build_channel,
@@ -47,28 +48,24 @@ def _kkt_2x2():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = np.array([[0.6, 0.4], [0.4, 0.6]])
     p = DiscreteProblem(d=d, p_x=np.full(2, 0.5), p_y=np.full(2, 0.5), w=w, t=0.4)
-    s = math.sqrt(0.3)
-    state = SinkhornState(phi=np.array([s, s]), psi=np.array([s, s]),
-                          lam=math.log(1.5))
-    return p, state
+    log_s = np.full(2, 0.5 * math.log(0.3))
+    return p, Coupling(log_s, log_s, math.log(1.5), d)
 
 
 def test_step_closed_form_constant_metric():
     c = 0.7
     lam = 1.3
     p = _uniform_2x2(d_value=c)
-    state = SinkhornState(phi=np.ones(2), psi=np.ones(2), lam=lam)
-    out = sinkhorn_step(state, p)
-    np.testing.assert_allclose(out.phi, math.exp(lam * c) / 4.0, rtol=1e-14)
-    np.testing.assert_allclose(out.psi, 1.0, rtol=0, atol=1e-14)
-    assert out.iter == state.iter + 1
+    out = sinkhorn_step(Coupling(np.zeros(2), np.zeros(2), lam, p.d), p)
+    np.testing.assert_allclose(out.log_phi, lam * c - math.log(4.0), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.log_psi, 0.0, rtol=0, atol=1e-14)
     assert out.lam == lam
     # already a fixed point: marginals match after a single pass
     r_phi, r_psi, _ = residuals(out, p)
     assert max(r_phi, r_psi) <= 1e-14
     again = sinkhorn_step(out, p)
-    np.testing.assert_allclose(again.phi, out.phi, rtol=1e-14)
-    np.testing.assert_allclose(again.psi, out.psi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(again.log_phi, out.log_phi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(again.log_psi, out.log_psi, rtol=0, atol=1e-14)
 
 
 def test_residuals_at_known_fixed_point():
@@ -77,8 +74,8 @@ def test_residuals_at_known_fixed_point():
     assert max(np.abs(r)) <= 1e-12
     # the step does not move the state (up to rounding)
     out = sinkhorn_step(state, p)
-    np.testing.assert_allclose(out.phi, state.phi, rtol=1e-14)
-    np.testing.assert_allclose(out.psi, state.psi, rtol=1e-14)
+    np.testing.assert_allclose(out.log_phi, state.log_phi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.log_psi, state.log_psi, rtol=0, atol=1e-14)
 
 
 def test_projection_update_cases():
@@ -89,22 +86,19 @@ def test_projection_update_cases():
 
     # strictly slack constraint at lam = 0 stays pinned at zero
     slack = p.with_threshold(5.0)
-    pinned = SinkhornState(phi=state.phi, psi=state.psi, lam=0.0)
-    out = update_lambda_projection(pinned, slack, tau=0.5)
+    out = update_lambda_projection(dataclasses.replace(state, lam=0.0), slack, tau=0.5)
     assert out.lam == 0.0
 
     # slack constraint at positive lam moves the multiplier down
-    high = SinkhornState(phi=state.phi, psi=state.psi, lam=1.0)
-    out = update_lambda_projection(high, slack, tau=0.5)
+    out = update_lambda_projection(dataclasses.replace(state, lam=1.0), slack, tau=0.5)
     assert out.lam < 1.0
 
 
 def test_projection_matches_manual_formula(rng):
     p = random_problem(rng, 4, 6)
-    state = SinkhornState(phi=rng.uniform(0.5, 1.5, 4),
-                          psi=rng.uniform(0.5, 1.5, 6), lam=0.8)
-    excess = multiplier_excess(np.log(state.phi), np.log(state.psi),
-                               state.lam, p.d, p.t)
+    state = Coupling(np.log(rng.uniform(0.5, 1.5, 4)), np.log(rng.uniform(0.5, 1.5, 6)),
+                     0.8, p.d)
+    excess = multiplier_excess(state.log_phi, state.log_psi, state.lam, p.d, p.t)
     out = update_lambda_projection(state, p, tau=0.25)
     assert abs(out.lam - max(0.0, 0.8 + 0.25 * excess)) <= 1e-15
 
@@ -140,10 +134,10 @@ def _root_bisect(lphi, lpsi, d, t):
 
 def test_root_solve_matches_bisection_oracle(qpsk_n10):
     p = qpsk_n10
-    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    state = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
     for _ in range(3):
         state = sinkhorn_step(state, p)
-    lphi, lpsi = np.log(state.phi), np.log(state.psi)
+    lphi, lpsi = state.log_phi, state.log_psi
     assert _excess_dense(lphi, lpsi, 0.0, p.d, p.t) > 0.0
     root = solve_multiplier_root(lphi, lpsi, p.d, p.t)
     oracle = _root_bisect(lphi, lpsi, p.d, p.t)
@@ -196,10 +190,10 @@ def test_root_solve_nan_moments_raise():
 
 
 def _rooted_state(p):
-    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    state = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
     for _ in range(3):
         state = sinkhorn_step(state, p)
-    return np.log(state.phi), np.log(state.psi)
+    return state.log_phi, state.log_psi
 
 
 def test_root_solve_warm_start_hints(qpsk_n10):
@@ -314,12 +308,12 @@ def _step_api_trace(p, cfg):
     """The paper's iteration through the public step API, one sweep each for
     the rows, the columns, the multiplier step and the trace row:
     (trace, converged)."""
-    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    state = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
     tau = cfg.tau if cfg.tau is not None else 1.0 / p.d_max ** 2
     trace = []
     for it in range(1, cfg.max_iters + 1):
         state = update_lambda_projection(sinkhorn_step(state, p), p, tau)
-        trace.append(problem.evaluate(np.log(state.phi), np.log(state.psi), state.lam, p, it))
+        trace.append(problem.evaluate(state.log_phi, state.log_psi, state.lam, p, it))
         if max(residuals(state, p)) <= cfg.tol:
             return trace, True
     return trace, False
@@ -420,18 +414,16 @@ def test_inactive_constraint_gives_zero_rate(qpsk_n10):
 
 def test_gauge_scaling_leaves_coupling_invariant(qpsk_n6):
     p = qpsk_n6
-    state = SinkhornState(phi=np.ones(p.m), psi=np.ones(p.n), lam=1.0)
+    state = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
     for _ in range(4):
         state = sinkhorn_step(state, p)
-    scaled = SinkhornState(phi=state.phi * 37.0, psi=state.psi / 37.0,
-                           lam=state.lam)
+    shift = math.log(37.0)
+    scaled = Coupling(state.log_phi + shift, state.log_psi - shift, state.lam, p.d)
     r_base = residuals(state, p)
     r_scaled = residuals(scaled, p)
     np.testing.assert_allclose(r_scaled, r_base, rtol=0, atol=1e-12)
-    e_base = multiplier_excess(np.log(state.phi), np.log(state.psi),
-                               state.lam, p.d, p.t)
-    e_scaled = multiplier_excess(np.log(scaled.phi), np.log(scaled.psi),
-                                 scaled.lam, p.d, p.t)
+    e_base = multiplier_excess(state.log_phi, state.log_psi, state.lam, p.d, p.t)
+    e_scaled = multiplier_excess(scaled.log_phi, scaled.log_psi, scaled.lam, p.d, p.t)
     assert abs(e_base - e_scaled) <= 1e-12
 
 
@@ -441,11 +433,10 @@ def test_random_instances_converge_and_stay_feasible(rng):
         report = solve(p, SolverConfig(max_iters=3000, tol=1e-11))
         assert report.converged, f"trial {trial} did not converge"
         q = report.solution
-        row, col = q.marginals()
+        row, col, _, metric_mass, _ = q.stats()
         assert float(np.abs(row - p.p_x).sum()) <= 1e-10
         assert float(np.abs(col - p.p_y).sum()) <= 1e-10
         # constraint satisfied up to the residual tolerance
-        _, _, _, metric_mass, _ = q.stats()
         assert metric_mass <= p.t + 1e-9
 
 
@@ -514,10 +505,19 @@ def test_solver_config_validation():
     assert SolverConfig(lambda_strategy="root").lambda_strategy is LambdaStrategy.ROOT
 
 
-def test_state_requires_positive_scalings(qpsk_n6):
-    bad = SinkhornState(phi=np.zeros(qpsk_n6.m), psi=np.ones(qpsk_n6.n), lam=0.0)
-    with pytest.raises(ValueError):
-        sinkhorn_step(bad, qpsk_n6)
+@pytest.mark.parametrize("log_phi,lam,error", [
+    (lambda m: np.full(m, -math.inf), 0.0, EvaluationError),
+    (lambda m: np.full(m, math.nan), 0.0, EvaluationError),
+    (lambda m: np.zeros(m + 1), 0.0, ValueError),
+    (np.zeros, -1.0, ValueError),
+    (np.zeros, math.nan, ValueError),
+], ids=["phi-zero", "phi-nan", "phi-length", "lam-negative", "lam-nan"])
+def test_state_requires_positive_scalings(qpsk_n6, log_phi, lam, error):
+    # the step API's iterate refuses a zero or undefined scaling, a scaling
+    # of the wrong length and a negative or undefined multiplier when it is
+    # built, so no step sees one
+    with pytest.raises(error):
+        Coupling(log_phi(qpsk_n6.m), np.zeros(qpsk_n6.n), lam, qpsk_n6.d)
 
 
 # ---------------------------------------------------------------------------
