@@ -38,8 +38,15 @@ consumers are scale_rows, scale_cols, scale_cols_mass, row_sweep,
 metric_moments, coupling_stats, mismatch_dual_value's posteriors and the
 Newton finish's dual Hessian
 (_newton.dual_hessian); off the factored path each keeps its block loop.
-factored_coupling builds the Newton step's Schur factor Q diag(s) from the
-same tables as the one M x N array, with no exp over it.  The dual
+The Newton step's products with the coupling (the Gram matrix of its Schur
+complement, Q y and Q^T x) go through the same tables.  When the decoder
+points take U and V distinct values on the two axes with U V <= M, as every
+built-in square alphabet's do under a diagonal h_hat, each input's table
+rows are those of its level on each axis, and LevelCoupling takes them from
+the U + V level rows with no M x N array: the axis-table idea carried one
+factor further.  factored_coupling builds Q diag(s) as one M x N array,
+with no exp over it, only for the metrics that are not level products (a
+rotated h_hat, a custom alphabet) and past LEVEL_RHO_CAP.  The dual
 objective and gradient keep the block loop, and the Newton oracle
 exponentiates the dense coupling, so it stays a cross-check of the
 factored path.
@@ -77,6 +84,13 @@ GEMM_CHUNK = 1 << 18
 # -LSE_SWITCH; past it they keep the block loop.
 LSE_SWITCH = 700.0
 
+# LevelCoupling's Gram entries are rho_i rho_k K_ik.  While every rho_i is
+# below 2^256 their product cannot overflow, and an entry of K that
+# underflows stands for a Gram entry below 2^-510.  The benchmark cells'
+# Newton steps keep rho below 1; at lam near the LSE_SWITCH guard at 0 dB
+# it reaches 2^473, and the step builds factored_coupling's array instead.
+LEVEL_RHO_CAP = 2.0 ** 256
+
 
 @dataclass(frozen=True)
 class GridAxes:
@@ -85,12 +99,38 @@ class GridAxes:
     Column j of the M x N metric is grid node kept[j] = a * n_side + b, kept
     increasing, and d[i, j] = d1[i, a] + d2[i, b] with d1, d2 of shape
     (M, n_side).  So the Gibbs kernel factors, exp(-lam d[i, j]) =
-    F[i, a] G[i, b] with F = exp(-lam d1) and G = exp(-lam d2).
+    F[i, a] G[i, b] with F = exp(-lam d1) and G = exp(-lam d2).  For a
+    channel-built metric, ``centers`` holds the (M, 2) decoder points
+    h_hat x_i: d1[i, a] is the squared offset of grid coordinate a from
+    centers[i, 0], and d2 the same from centers[i, 1].
     """
 
     d1: np.ndarray
     d2: np.ndarray
     kept: np.ndarray
+    centers: np.ndarray | None = None
+
+    @cached_property
+    def levels(self):
+        """(u, v, rows1, rows2) when the centers take U distinct first and V
+        distinct second coordinates with U V <= M: each input's level on
+        each axis, and one input of each level, so that d1 = d1[rows1][u]
+        and d2 = d2[rows2][v].  None otherwise, or without centers."""
+        if self.centers is None:
+            return None
+        _, rows1, u = np.unique(self.centers[:, 0], return_index=True, return_inverse=True)
+        _, rows2, v = np.unique(self.centers[:, 1], return_index=True, return_inverse=True)
+        if rows1.size * rows2.size > u.size:
+            return None
+        return u, v, rows1, rows2
+
+    @cached_property
+    def level_gram_index(self) -> np.ndarray:
+        """(M, M) flat index into LevelCoupling's (U^2, V^2) matrix K of the
+        entry K[u_i u_k, v_i v_k] that Gram entry (i, k) reads."""
+        u, v, rows1, rows2 = self.levels
+        nu, nv = rows1.size, rows2.size
+        return (u[:, None] * nu + u) * (nv * nv) + (v[:, None] * nv + v)
 
     @cached_property
     def span(self) -> float:
@@ -372,6 +412,87 @@ def factored_coupling(lphi, lpsi, lam, axes, s):
             q[lo:hi] *= np.take(g[lo:hi], b, axis=1)
     q *= np.exp(lpsi - shift) * s
     return q
+
+
+class ScaledCoupling(NamedTuple):
+    """Q diag(s) held as an M x N array, with the products the Newton step
+    takes of it: gram() = Q diag(s)^2 Q^T, dot(y) = Q diag(s) y and
+    tdot(x) = x^T Q diag(s), x of shape (..., M)."""
+
+    a: np.ndarray
+
+    def gram(self):
+        return self.a @ self.a.T
+
+    def dot(self, y):
+        return self.a @ y
+
+    def tdot(self, x):
+        return x @ self.a
+
+
+class LevelCoupling:
+    """ScaledCoupling's products on an instance whose GridAxes have levels,
+    with no M x N array.  With F and G the levels' tables exp(-lam d1[rows1])
+    and exp(-lam d2[rows2]), input i's row of Q diag(s) is
+    rho_i F[u_i, a] G[v_i, b] psi_j s_j at node j = (a, b), where
+    psi = exp(lpsi - max lpsi) and rho = exp(lphi + max lpsi), the factors
+    of _table_sums and factored_coupling.  So with W the grid of psi^2 s^2,
+    pruned nodes zero, the Gram matrix is rho_i rho_k K[u_i, u_k, v_i, v_k],
+    K = (F (x) F)(W (G (x) G)^T): U^2 V^2 n_side + V^2 n_side^2 multiply-adds
+    in place of M^2 N, 3.9M against 82M for qam256 at grid 50.  dot and tdot
+    are two small products over the grid each, the inputs' weights summed
+    by level for tdot.  Each table row is scaled by a power of two near its
+    maximum and rho by the inverse, exactly, so every product rounds as it
+    would with the unscaled tables, those of the Hessian's sums: the Schur
+    complement diag(r + delta) - gram is near singular along the gauge,
+    and its rounding must match r's (with each row shifted by exp of its
+    largest exponent, the step on qam16 at grid 50 and 0 dB moved 8.5 times
+    the bound of test_factored_newton_step_matches_dense off the dense one).
+    scaled_coupling takes it only while rho stays below LEVEL_RHO_CAP."""
+
+    def __init__(self, lphi, lpsi, lam, axes, s):
+        self.u, self.v, rows1, rows2 = axes.levels
+        f, g = np.exp(-lam * axes.d1[rows1]), np.exp(-lam * axes.d2[rows2])
+        k1, k2 = np.frexp(f.max(axis=1))[1], np.frexp(g.max(axis=1))[1]
+        self.f, self.g = np.ldexp(f, -k1[:, None]), np.ldexp(g, -k2[:, None])
+        shift = lpsi.max()
+        self.rho = np.ldexp(np.exp(lphi + shift), k1[self.u] + k2[self.v])
+        self.psi, self.s = np.exp(lpsi - shift), s
+        self.axes = axes
+
+    def gram(self):
+        f, g = self.f, self.g
+        n = f.shape[1]
+        ff = (f[:, None] * f[None]).reshape(-1, n)
+        gg = (g[:, None] * g[None]).reshape(-1, n)
+        w = self.axes.grid(self.psi * self.psi * (self.s * self.s))
+        out = _matmul(ff, _matmul(w, gg.T)).take(self.axes.level_gram_index)
+        out *= self.rho[:, None]
+        out *= self.rho
+        return out
+
+    def dot(self, y):
+        t = self.f @ self.axes.grid(self.psi * self.s * y) @ self.g.T
+        return self.rho * t[self.u, self.v]
+
+    def tdot(self, x):
+        nu, nv = self.f.shape[0], self.g.shape[0]
+        onehot = np.zeros((self.u.size, nu * nv))
+        onehot[np.arange(self.u.size), self.u * nv + self.v] = self.rho
+        t = (x @ onehot).reshape(*x.shape[:-1], nu, nv)
+        return self.axes.nodes(self.f.T @ t @ self.g) * (self.psi * self.s)
+
+
+def scaled_coupling(lphi, lpsi, lam, axes, s):
+    """Q diag(s) of the coupling at (lphi, lpsi, lam) from the axis tables:
+    a LevelCoupling when the axes have levels and its rho stays below
+    LEVEL_RHO_CAP, else factored_coupling's array as a ScaledCoupling."""
+    if axes.levels is not None:
+        q = LevelCoupling(lphi, lpsi, lam, axes, s)
+        if q.rho.max() < LEVEL_RHO_CAP:
+            return q
+    return ScaledCoupling(factored_coupling(lphi, lpsi, lam, axes, s))
 
 
 def coupling_stats(lphi, lpsi, lam, d, axes=None):

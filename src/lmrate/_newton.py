@@ -20,10 +20,13 @@ Hessian the next Newton step needs: every trial point of a line search is
 swept once, and the accepted one is not swept again.  Given the metric's
 axis tables (the solver's Newton finish, under the kernels' guard) that
 pass is _kernels' one table reduction (_table_sums, with three row sums
-and two node sums), and only the step itself builds an M x N array, its
-Schur factor, from the tables.  Without them (the Newton oracle) the pass
-exponentiates the dense coupling, so the oracle stays an independent
-cross-check of the factored path.
+and two node sums), and the step takes its products with the coupling
+from the tables too: through the inputs' levels on each axis when they
+form a product (_kernels.LevelCoupling, every built-in square alphabet
+under a diagonal h_hat), with no M x N array, and otherwise from the one
+M x N array factored_coupling builds, its Schur factor.  Without them
+(the Newton oracle) the pass exponentiates the dense coupling, so the
+oracle stays an independent cross-check of the factored path.
 """
 
 import math
@@ -58,8 +61,9 @@ FLAT_SLOPE_RTOL = 6.4e-14
 # with the square of the metric and stays out: with it (at 1e-12), a shift
 # of 2000 took the solver's Newton finish 497 steps on qpsk at grid 10, and
 # 3 without.  From 1e-12 to 1e-11 the benchmark cells' rows and rates hold;
-# 5e-12 keeps the factored step within 0.39 of its test bound against the
-# dense one (3e-12: 0.60) and every shift up to 2000 at 3 steps (1e-11: 8).
+# 5e-12 keeps the factored step within 0.67 of its test bound against the
+# dense one (3e-12: 0.50, 1e-12: 3.4) and every shift up to 2000 at 3
+# steps (1e-11: 8).
 NEWTON_DAMPING = 5e-12
 
 # One bracketed_newton search looks on [0, SCALAR_CAP]: the multiplier root
@@ -97,8 +101,12 @@ class DualHessian(NamedTuple):
     diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.  On
     the factored path r, u and w come from _kernels._table_sums' row sums
     of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1.
-    ``q_scaled(s)`` returns Q diag(s) as a new M x N array: the dense
-    coupling times s, or the product of the axis tables at the kept nodes."""
+    ``q_scaled(s)`` returns Q diag(s) as the three products the Newton step
+    takes of it (gram, dot, tdot): a _kernels.ScaledCoupling over an M x N
+    array (the dense coupling times s, or factored_coupling's product of
+    the axis tables), or a _kernels.LevelCoupling, which takes them through
+    the inputs' levels and builds no M x N array.  dense() is the whole
+    Hessian as an array, for checks on small instances."""
 
     r: np.ndarray
     c: np.ndarray
@@ -109,7 +117,7 @@ class DualHessian(NamedTuple):
 
     def dense(self) -> np.ndarray:
         r, c, u, v, w, q_scaled = self
-        q = q_scaled(np.ones(c.size))
+        q = q_scaled(np.ones(c.size)).tdot(np.eye(r.size))
         return np.block([[np.diag(r), q, u[:, None]],
                          [q.T, np.diag(c), v[:, None]],
                          [u[None, :], v[None, :], np.array([[w]])]])
@@ -124,11 +132,12 @@ def dual_hessian(dp: DualPoint, p, axes=None) -> DualHessian:
     if _kernels._factored(axes, dp.lam, p.d):
         (r, u, w), (c, v) = _kernels._coupling_sums(lphi, lpsi, dp.lam, axes, 3, 2)
         return DualHessian(r, c, u, v, float(w.sum()),
-                           partial(_kernels.factored_coupling, lphi, lpsi, dp.lam, axes))
+                           partial(_kernels.scaled_coupling, lphi, lpsi, dp.lam, axes))
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
     return DualHessian(q.sum(axis=1), q.sum(axis=0), dq.sum(axis=1), dq.sum(axis=0),
-                       float(_kernels.vdot(p.d, dq)), partial(np.multiply, q))
+                       float(_kernels.vdot(p.d, dq)),
+                       lambda s: _kernels.ScaledCoupling(q * s))
 
 
 def _sweep(dp: DualPoint, p, it=0, hessian=True, axes=None):
@@ -170,8 +179,10 @@ def _newton_step(h: DualHessian, grad):
     the marginal diagonal (r, c), by eliminating
     s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta).
     The (M+1)-square Schur complement and every product with Q go through
-    G = Q diag((c + delta)^-1/2), the step's one M x N array, built once:
-    O(M^2 N).  The gradient is orthogonal to the gauge vector, an
+    G = Q diag((c + delta)^-1/2), built once by the Hessian's q_scaled: its
+    Gram matrix G G^T, two products G y and one x^T G.  As an M x N array
+    that is O(M^2 N); through the level tables, O(U^2 V^2 n_side) with no
+    M x N array.  The gradient is orthogonal to the gauge vector, an
     eigenvector of H + delta I, so no gauge pin is needed."""
     r, c, u, v, w, q_scaled = h
     m = r.size
@@ -180,15 +191,15 @@ def _newton_step(h: DualHessian, grad):
     g = q_scaled(scale)
     vs, gs = v * scale, grad[m:-1] * scale
     schur = np.empty((m + 1, m + 1))
-    schur[:m, :m] = np.diag(r + delta) - g @ g.T
-    schur[:m, m] = schur[m, :m] = u - g @ vs
+    schur[:m, :m] = np.diag(r + delta) - g.gram()
+    schur[:m, m] = schur[m, :m] = u - g.dot(vs)
     schur[m, m] = w + delta - _kernels.vdot(vs, vs)
-    rhs = np.append(g @ gs - grad[:m], _kernels.vdot(vs, gs) - grad[-1])
+    rhs = np.append(g.dot(gs) - grad[:m], _kernels.vdot(vs, gs) - grad[-1])
     try:
         x = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError as err:
         raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
-    s_beta = -(gs + x[:m] @ g + vs * x[m]) * scale
+    s_beta = -(gs + g.tdot(x[:m]) + vs * x[m]) * scale
     step = np.concatenate([x[:m], s_beta, x[m:]])
     if not np.isfinite(step).all():
         raise NumericalFailureError("Newton step is not finite")

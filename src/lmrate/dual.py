@@ -33,7 +33,7 @@ from ._newton import (DualPoint, _project, _sweep, descend, dual_hessian,  # noq
 from .channel import DiscreteProblem
 from .errors import InconsistentOracleError
 from .problem import Coupling, balance_gauge, product_coupling
-from .sinkhorn import SolveReport, SolveStatus
+from .sinkhorn import SolveReport, SolveStatus, threshold_failure
 
 # Newton steps of one newton_oracle run; the seed-0 oracle-cert runs take 5
 # to 7 at tol 1e-10 and 1e-12
@@ -96,7 +96,9 @@ def scaling_null_space(d: np.ndarray) -> dict:
 def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
-    Active-set treatment of lam >= 0: if the multiplier gradient t - sum d q
+    A threshold below p.t_min by more than tol stops it before any sweep,
+    with status NUMERICAL_FAILURE (sinkhorn.threshold_failure).  Active-set
+    treatment of lam >= 0: if the multiplier gradient t - sum d q
     is at least -tol at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
     Otherwise the damped Newton loop (``_newton.descend``) runs until the
@@ -115,21 +117,21 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
         return float(np.abs(_project(grad, k_hat)).max()) <= tol
 
     zero = from_coupling(product_coupling(p))
-    ga, gb, gl = dual_gradient(zero, p)
     trace: list = []
-    failure = None
-    if gl >= -tol:
-        dp, rate, g = zero, 0.0, p.h_x + p.h_y
-        converged = done(np.concatenate([ga, gb, [0.0]]), None)
-    else:
-        low = p.d.min(axis=0)
-        centred = dataclasses.replace(p, d=p.d - low, t=p.t - _kernels.vdot(low, p.p_y),
-                                      axes=None)
-        mean = float(p.p_x @ centred.d @ p.p_y)
-        dp = DualPoint(zero.alpha, zero.beta, 1.0 / mean if mean > 0.0 else 1.0)
-        dp, row, converged, failure = descend(dp, centred, ORACLE_MAX_STEPS, done, trace)
-        dp = DualPoint(dp.alpha, dp.beta - dp.lam * low, dp.lam)
-        rate, g = row.lm_rate_nats, row.dual_objective
+    failure = threshold_failure(p, tol)
+    dp, rate, g, converged = zero, 0.0, p.h_x + p.h_y, False
+    if failure is None:
+        ga, gb, gl = dual_gradient(zero, p)
+        if gl >= -tol:
+            converged = done(np.concatenate([ga, gb, [0.0]]), None)
+        else:
+            low = p.d.min(axis=0)
+            centred = dataclasses.replace(p, d=p.d - low, t=p.t - p.t_min, axes=None)
+            mean = float(p.p_x @ centred.d @ p.p_y)
+            dp = DualPoint(zero.alpha, zero.beta, 1.0 / mean if mean > 0.0 else 1.0)
+            dp, row, converged, failure = descend(dp, centred, ORACLE_MAX_STEPS, done, trace)
+            dp = DualPoint(dp.alpha, dp.beta - dp.lam * low, dp.lam)
+            rate, g = row.lm_rate_nats, row.dual_objective
 
     return SolveReport(
         solution=Coupling(*balance_gauge(-dp.alpha - 0.5, -dp.beta - 0.5), dp.lam, p.d),

@@ -61,21 +61,26 @@ from .problem import Coupling, TraceRow, balance_gauge, evaluate
 ROOT_RTOL = 1e-13
 
 # A root run hands off to the Newton loop after its first scaling iteration
-# when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step costs about
-# M scaling iterations (M^2 N multiply-adds to build its Schur complement,
-# against M N for a factored sweep), so the gain turns on M, not on the
-# grid.  Square alphabets at grid 10 and 0 dB, where scaling alone is
-# quickest, solved to tol 1e-10 from the GMI tilt (median of 15,
-# OMP_NUM_THREADS=1, 2-core Xeon), scaling alone -> hand-off: 400 points
-# 18.2 -> 16.1 ms, 441 points tie at 19.7 -> 20.3 ms and 484 points lose,
-# 19.9 -> 22.2 ms.  Larger grids and higher SNR favour the hand-off, so the
-# cap sits at the crossover measured on small grids at low SNR; with the
-# hand-off after iteration 3, from lam = 1, 576 points at grid 60 took
-# 236 -> 146 ms, 1024 points at grid 40 and 10 dB 1.83 -> 0.88 s, qam256
-# at grid 190 (N = 36100, near problem.DENSE_CAP) 822 -> 420 ms and at grid
-# 200 and 10 dB 18.9 s -> 1.8 s.  On the tables the Newton phase holds one
-# M x N array, its step's Schur factor; off them (lam past the kernels'
-# guard) the dense coupling and one more.
+# when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step builds and
+# solves an (M+1)-square Schur complement: M^3 / 3 multiply-adds for the
+# solve, and for the build M^2 N from an M x N array or U^2 V^2 n_side
+# through the inputs' levels (U, V levels per axis), against M N or
+# 2 M n_side + n_side^2 exps for a scaling sweep.  So the gain turns on M.
+# Square alphabets at grid 10 and 0 dB, where scaling alone is quickest,
+# solved to tol 1e-10 from the GMI tilt (median of 25, OMP_NUM_THREADS=1,
+# 2-core Xeon; three runs each), scaling alone -> hand-off through the
+# levels: 400 points 8.8-9.1 -> 7.7-8.7 ms, 441 points tie at 8.8-9.3 ->
+# 8.4-9.4 ms, and 484 points lose, 10.1-10.4 -> 12.4-12.8 ms (576: 10.6-11.4
+# -> 18.4-19.1 ms).  The array build read the same (400: 7.9-8.8 ms), since
+# at grid 10 the M^3 solve is most of the step.  Larger grids and higher SNR
+# favour the hand-off, so the cap sits at the crossover measured on small
+# grids at low SNR; with the hand-off after iteration 3, from lam = 1, 576
+# points at grid 60 took 236 -> 146 ms, 1024 points at grid 40 and 10 dB
+# 1.83 -> 0.88 s, qam256 at grid 190 (N = 36100, near problem.DENSE_CAP)
+# 822 -> 420 ms and at grid 200 and 10 dB 18.9 s -> 1.8 s.  On the tables
+# the Newton phase builds no M x N array on level-product inputs, and one,
+# its step's Schur factor, on others; off them (lam past the kernels'
+# guard) it holds the dense coupling and one more.
 NEWTON_MAX_INPUTS = 400
 
 
@@ -231,6 +236,17 @@ def residuals(q: Coupling, p: DiscreteProblem) -> tuple:
     return row.r_phi, row.r_psi, row.r_lambda
 
 
+def threshold_failure(p: DiscreteProblem, tol: float):
+    """A NumericalFailureError (iteration 0) when no coupling whose columns
+    sum to p_y meets the metric constraint to within tol, t + tol < p.t_min;
+    else None.  solve and the Newton oracle check it before any sweep."""
+    if p.t + tol < p.t_min:
+        return NumericalFailureError(
+            f"threshold t = {p.t!r} is below {p.t_min!r}, the least metric mass "
+            "sum d q of any coupling with output marginal p_y", 0)
+    return None
+
+
 def _peak(row: TraceRow) -> float:
     return max(row.r_phi, row.r_psi, row.r_lambda)
 
@@ -266,8 +282,11 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     the last residuals read.  A ``project`` run
     never hands off, since its certificate speaks about the scaling trace,
     and neither does an instance above problem.DENSE_CAP entries, whose
-    Newton step builds an M x N array.  A ``project`` iteration makes two
-    passes over the coupling (module docstring).
+    Newton step can build an M x N array.  A ``project`` iteration makes two
+    passes over the coupling (module docstring).  A threshold that no
+    coupling meets to within tol (``threshold_failure``) stops either
+    strategy before any sweep of its loop, at the product coupling, with
+    status NUMERICAL_FAILURE.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -280,9 +299,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
                     and p.m <= NEWTON_MAX_INPUTS)
 
+    failure = threshold_failure(p, cfg.tol)
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
     lphi, lpsi, lam, tilt = np.zeros(p.m), np.zeros(p.n), cfg.lambda_init, None
-    if strategy is LambdaStrategy.ROOT:
+    if failure is not None:
+        lphi, lpsi, lam = log_px, log_py, 0.0
+    elif strategy is LambdaStrategy.ROOT:
         if multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol:
             lphi, lpsi, lam = log_px, log_py, 0.0
         elif lam is None:
@@ -295,13 +317,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     start = evaluate(lphi, lpsi, lam, p)
 
     trace: list = []
-    failure = None
     converged = False
     root_evals = 0
     newton_steps = 0
     log_s = None        # a projected run's row_sweep sums at the current lam
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, (cfg.max_iters if failure is None else 0) + 1):
         try:
             if strategy is LambdaStrategy.ROOT:
                 lphi, lpsi = _scale(lpsi, lam, p, log_px, log_py)

@@ -131,6 +131,27 @@ def test_axis_tables_rebuild_the_metric():
     assert swapped.validate() == ["axis tables do not reproduce the metric"]
 
 
+def test_input_levels_reproduce_the_axis_tables():
+    # under the identity decoder qam16's decoder points take 4 values on
+    # each axis, and each input's rows of d1 and d2 are its levels' rows,
+    # bit for bit; a rotated decoder gives 16 on each, 16 * 16 > 16 inputs,
+    # and no levels.  validate() checks the levels against the tables
+    cons, chan, grid, prob = make_problem("qam16", snr_db=10.0, n_side=50)
+    u, v, rows1, rows2 = prob.axes.levels
+    assert (rows1.size, rows2.size) == (4, 4)
+    assert np.array_equal(prob.axes.d1[rows1][u], prob.axes.d1)
+    assert np.array_equal(prob.axes.d2[rows2][v], prob.axes.d2)
+    assert prob.validate() == []
+    angle = np.pi / 18
+    rotated = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    assert make_problem("qam16", n_side=20, h_hat=rotated)[3].axes.levels is None
+    axes = prob.axes
+    wrong = np.column_stack([axes.centers[:, 1], axes.centers[:, 0]])
+    swapped = DiscreteProblem(prob.d, prob.p_x, prob.p_y, prob.w, prob.t,
+                              axes=GridAxes(axes.d1, axes.d2, axes.kept, wrong))
+    assert swapped.validate() == ["input levels do not reproduce the axis tables"]
+
+
 def test_symmetric_axis_matches_its_loop():
     # the axis is one array expression; this loop, node by node, is its
     # definition, and the two agree bit for bit

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -165,17 +167,49 @@ def test_root_solve_unbracketable_raises(monkeypatch):
 
 def test_root_beyond_cap_is_a_numerical_failure():
     # q(lam) = exp(-1e-4 lam) and t = 1e-300 put the root near 6.8e6, past
-    # the search cap; a solve that meets such a root reports it as a failure
+    # the search cap
     d = np.array([[1e-4]])
     with pytest.raises(NumericalFailureError, match=r"1e\+06"):
         solve_multiplier_root(np.zeros(1), np.zeros(1), d, 1e-300)
-    p = DiscreteProblem(d=d, p_x=np.ones(1), p_y=np.ones(1), w=np.ones((1, 1)), t=1e-300)
+    # a solve that meets such a root reports it as a failure.  A second input
+    # at metric 0 makes that threshold feasible (t_min = 0), and the root at
+    # the first iteration's scalings lies near 6.8e6 again
+    p = DiscreteProblem(d=np.array([[0.0], [1e-4]]), p_x=np.full(2, 0.5), p_y=np.ones(1),
+                        w=np.ones((2, 1)), t=1e-300)
     report = solve(p, SolverConfig(lambda_strategy="root"))
     assert report.status is SolveStatus.NUMERICAL_FAILURE
     assert report.failed_iteration == 1
     assert "1e+06" in report.failure_reason
-    # the metric is flat, so the GMI that starts the run is 0, found at once
-    assert (report.gmi.value_nats, report.gmi.evaluations) == (0.0, 1)
+    # one output carries no information: the GMI that starts the run is 0
+    assert (report.gmi.value_nats, report.gmi.s_star) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("strategy", ["root", "project"])
+def test_infeasible_threshold_stops_before_any_iteration(strategy):
+    # every coupling with output marginal p_y has sum d q >= t_min =
+    # sum_j p_y_j min_i d_ij, 1.59 on qpsk at grid 6.  Below it, solve and the
+    # Newton oracle stop before any iteration, at the product coupling, and
+    # name the threshold and the bound: no overflow in the Newton step at
+    # t = 1e-300, and no 200 oracle steps at t <= 0
+    base = make_problem(n_side=6)[3]
+    bound = base.t_min
+    assert bound == pytest.approx(1.59, abs=0.01)
+    assert bound == K.vdot(base.p_y, base.d.min(axis=0)) < base.t
+    for t in (1e-300, 0.0, -1.0, bound / 2):
+        p = base.with_threshold(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = (solve(p, SolverConfig(lambda_strategy=strategy)), newton_oracle(p))
+        for report in reports:
+            assert report.status is SolveStatus.NUMERICAL_FAILURE, t
+            assert (report.iterations, report.failed_iteration, report.newton_steps) == (0, 0, 0)
+            assert f"t = {t!r}" in report.failure_reason and repr(bound) in report.failure_reason
+            assert report.lambda_final == 0.0 and abs(report.lm_rate_nats) <= 1e-15
+        assert reports[0].gmi is None and reports[0].root_evals == 0
+    # a threshold within tol of the bound is left to the solvers
+    edge = base.with_threshold(bound - 1e-11)
+    for report in (solve(edge), newton_oracle(edge)):
+        assert report.iterations > 0, report.failure_reason
 
 
 def test_root_solve_nan_moments_raise():
@@ -610,23 +644,46 @@ def test_early_hand_off_follows_the_cost_cap(above_cap):
     assert early.iterations - early.newton_steps == 1
 
 
-def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch):
-    # qam16 at grid 50 and 0 dB: every Newton step of the finish builds its
-    # Schur factor from the axis tables, and the rate lands within 1e-11
-    # nats of the dense oracle's
-    p = make_problem("qam16", n_side=50)[3]
-    built = []
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("h_hat", [None, _rotation(np.pi / 18)], ids=["levels", "rotated"])
+def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch, h_hat):
+    # qam16 at grid 50 and 0 dB: every Newton step of the finish reads the
+    # axis tables, and the rate lands within 1e-11 nats of the dense
+    # oracle's.  Under the identity decoder the inputs take 4 levels on each
+    # axis, and no step builds an M x N array; under a rotated one they take
+    # 16 on each, U V > M, and every step builds factored_coupling's array
+    p = make_problem("qam16", n_side=50, h_hat=h_hat)[3]
+    levels = h_hat is None
+    assert (p.axes.levels is not None) is levels
+    built, peaks = [], []
 
     def spy(*args):
         built.append(args[2])
         return factored(*args)
 
-    factored = K.factored_coupling
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return step(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    factored, step = K.factored_coupling, _newton._newton_step
     monkeypatch.setattr(K, "factored_coupling", spy)
+    monkeypatch.setattr(_newton, "_newton_step", traced)
     report = solve(p, SolverConfig(lambda_init=1.0))
     assert report.converged and report.newton_steps > 0
-    assert len(built) == report.newton_steps
-    assert all(K._factored(p.axes, lam, p.d) for lam in built)
+    assert len(peaks) == report.newton_steps
+    if levels:
+        assert built == [] and max(peaks) < p.m * p.n * 8
+    else:
+        assert len(built) == report.newton_steps
+        assert all(K._factored(p.axes, lam, p.d) for lam in built)
     oracle = newton_oracle(p, tol=1e-12)
     assert oracle.converged
     assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-11
