@@ -18,36 +18,42 @@ them, so 0*log(0) = 0 holds through the marginals without a per-entry product.
 
 A channel-built metric splits by axis: column j is grid node (a, b) and
 d_ij = d1[i, a] + d2[i, b] (GridAxes), so exp(-lam d_ij) = F_i(a) G_i(b).
-Given the tables, every sum over the metric comes from one reduction,
-_table_sums: the row sums and node sums of the kernel times d^k, as small
-GEMMs over the n_side x n_side grid (the separable kernel of Solomon et
-al., Convolutional Wasserstein Distances, 2015), 2 M n_side + n_side^2
-exps a sweep in place of M N, about 28k against 640k for qam256 at grid
-50.  It takes the scalings shifted by their maximum, and each caller puts
+When the decoder points take U and V distinct values on the two axes with
+U V <= M, as every built-in square alphabet's do under a diagonal h_hat,
+input i's rows of d1 and d2 are those of its levels u_i and v_i, and the
+tables need only the U + V level rows (GridAxes.level_powers; without
+levels every input is its own level, U = V = M).  Given the tables, every
+sum over the metric comes from one reduction, _table_sums, over the exps
+of _level_tables: the row sums and node sums of the kernel times d^k, as
+small GEMMs over the U x V grid of levels and the n_side x n_side output
+grid (the separable kernel of Solomon et al., Convolutional Wasserstein
+Distances, 2015, carried one factor further).  A sweep takes
+(U + V) n_side exps for the tables and M + N for the scalings in place of
+M N: for qam256 at grid 50, 1.6k + 2.8k against 640k, and the GMI's
+three node sums 0.28M multiply-adds in place of 3.84M through M rows.
+It takes the scalings shifted by their maximum, and each caller puts
 the shift back in log space, so a coupling sum overflows or underflows
 where the plain sum would.  The factored path runs only while
 lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G product a
 normal double, and only on metrics of at least FACTORED_MIN_ENTRIES
 entries.  That crossover is where qpsk, whose M = 4 gains least from the
-factoring, starts to win.  Solve time to tol 1e-10 at 0 dB, factored over
-block loop, best of 7 to 11 runs on a 2-core Xeon with numpy 2.4 and
-OpenBLAS: 1.90 at 4 x 100 (qpsk grid 10), 1.09-1.10 at 4 x 2500 (qpsk grid
-50), 1.15 at 4 x 3600, 0.91 at 4 x 4096, 0.71-0.83 at 16 x 900 and
-64 x 225, and 0.34 at 16 x 2500 (qam16 grid 50).  The reduction's
-consumers are scale_rows, scale_cols, scale_cols_mass, row_sweep,
-metric_moments, coupling_stats, mismatch_dual_value's posteriors and the
-Newton finish's dual Hessian
-(_newton.dual_hessian); off the factored path each keeps its block loop.
+factoring, comes near to winning.  Solve time to tol 1e-10 at 0 dB,
+factored over block loop, best of 21 interleaved runs on a 2-core AMD
+EPYC with numpy 2.4 and OpenBLAS, three runs: 1.85-1.89 at 4 x 100 (qpsk
+grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12 at 4 x 3600,
+1.07-1.12 at 4 x 4096, 1.05-1.06 at 16 x 900, 1.01-1.02 at 64 x 225, and
+0.60-0.61 at 16 x 2500 (qam16 grid 50).  The reduction's consumers are
+scale_rows, scale_cols, scale_cols_mass, row_sweep, metric_moments,
+coupling_stats, mismatch_dual_value's posteriors and the Newton finish's
+dual Hessian (_newton.dual_hessian); off the factored path each keeps its
+block loop.
 The Newton step's products with the coupling (the Gram matrix of its Schur
-complement, Q y and Q^T x) go through the same tables.  When the decoder
-points take U and V distinct values on the two axes with U V <= M, as every
-built-in square alphabet's do under a diagonal h_hat, each input's table
-rows are those of its level on each axis, and LevelCoupling takes them from
-the U + V level rows with no M x N array: the axis-table idea carried one
-factor further.  factored_coupling builds Q diag(s) as one M x N array,
-with no exp over it, only for the metrics that are not level products (a
-rotated h_hat, a custom alphabet) and past LEVEL_RHO_CAP.  The dual
-objective and gradient keep the block loop, and the Newton oracle
+complement, Q y and Q^T x) go through the same tables: LevelCoupling
+takes them from the level rows, whose exps it shares with the Hessian's
+sums, with no M x N array.  factored_coupling builds Q diag(s) as one
+M x N array, with no exp over it, only for the metrics that are not level
+products (a rotated h_hat, a custom alphabet) and past LEVEL_RHO_CAP.  The
+dual objective and gradient keep the block loop, and the Newton oracle
 exponentiates the dense coupling, so it stays a cross-check of the
 factored path.
 """
@@ -138,14 +144,17 @@ class GridAxes:
         return float(self.d1.max() + self.d2.max())
 
     @cached_property
-    def d1_powers(self) -> np.ndarray:
-        """(3, M, n_side) stack of d1^0, d1^1, d1^2."""
-        return np.stack([np.ones_like(self.d1), self.d1, self.d1 * self.d1])
-
-    @cached_property
-    def d2_powers(self) -> np.ndarray:
-        """(3, M, n_side) stack of d2^0, d2^1, d2^2."""
-        return np.stack([np.ones_like(self.d2), self.d2, self.d2 * self.d2])
+    def level_powers(self):
+        """(nu, powers): powers the (3, U + V, n_side) stack of d^k
+        (k = 0, 1, 2) at the rows of d1 of the inputs' U levels on the first
+        axis (rows1 of ``levels``), then at the rows of d2 of their V levels
+        on the second, and nu = U.  Without levels every input is its own
+        level: U = V = M."""
+        t1, t2 = self.d1, self.d2
+        if self.levels is not None:
+            t1, t2 = t1[self.levels[2]], t2[self.levels[3]]
+        t = np.concatenate([t1, t2])
+        return t1.shape[0], np.stack([np.ones_like(t), t, t * t])
 
     def grid(self, values):
         """Node values laid out on the n_side x n_side grid, pruned nodes zero;
@@ -230,9 +239,20 @@ def vdot(x, y) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
+def _level_tables(axes, lam):
+    """(f, g): the kernel's axis tables exp(-lam d1) and exp(-lam d2) at the
+    rows of axes.level_powers, U x n_side and V x n_side, so that
+    K_ij = f[u_i, a] g[v_i, b] at node j = (a, b), u_i and v_i input i's
+    levels (i itself without levels): (U + V) n_side exps."""
+    nu, powers = axes.level_powers
+    t = powers[1] * -lam
+    np.exp(t, out=t)
+    return t[:nu], t[nu:]
+
+
 def _powers(table, powers, k):
-    """(k, M, n_side) stack of table * d^p for p < k, powers being GridAxes'
-    d1_powers or d2_powers; at k = 1 the table itself, as a view."""
+    """(k, rows, n_side) stack of table * d^p for p < k, powers being rows
+    of axes.level_powers; at k = 1 the table itself, as a view."""
     return table[None] if k == 1 else powers[:k] * table
 
 
@@ -246,35 +266,57 @@ def _expand(k, term):
     return term(2, 0) + 2.0 * term(1, 1) + term(0, 2)
 
 
-def _table_sums(phi, psi, lam, axes, rows, cols):
+def _table_sums(phi, psi, tables, axes, rows, cols):
     """Every axis-table sum of the package, for weights phi on the inputs
     and psi on the kept nodes: ([R_0, ...], [C_0, ...]) with R_k (k < rows)
     the row sums sum_j psi_j K_ij d_ij^k and C_k (k < cols) the node sums
-    sum_i phi_i K_ij d_ij^k at the kept nodes, K = exp(-lam d) = F G.  psi is
-    read only for rows and phi only for cols, and both counts are at most 3.
-    Callers pass scalings shifted by their maximum, so each weight lies in
-    [0, 1], and put the shift back in log space.
+    sum_i phi_i K_ij d_ij^k at the kept nodes, K = exp(-lam d) given by
+    tables = _level_tables(axes, lam).  psi is read only for rows and phi
+    only for cols, and both counts are at most 3.  Callers pass scalings
+    shifted by their maximum, so each weight lies in [0, 1], and put the
+    shift back in log space.
 
     With d = d1 + d2, the sum of K d^k splits over p + q = k into binomially
-    weighted sums of F d1^p and G d2^q.  The rows take one stacked GEMM
-    [F d1^p] @ Psi, Psi the grid of psi, then per row one small product with
-    [G d2^q]; the node sum of each (p, q) is one GEMM (phi F d1^p)^T @ (G d2^q).
-    Under the LSE_SWITCH guard, with weights of maximum 1, every R_0 lies
-    in [exp(-LSE_SWITCH), N] and every C_0 in [exp(-LSE_SWITCH), M]."""
-    f, g = np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
-    m, n = f.shape
+    weighted sums of the level tables F_p = f d1^p and G_q = g d2^q.  The
+    row sums are (F_p Psi) G_q^T, Psi the grid of psi, a U x V matrix read
+    at each input's (u_i, v_i); the node sums are (F_p^T Phi) G_q, Phi the
+    U x V grid of the inputs' weights phi_i summed by level.  Without
+    levels (U = V = M) the U x V products would cost up to 18 times the
+    per-input sums on a rotated qam256 at grid 50: the rows then read each
+    input's row of F_p Psi against its own G_q row, and the nodes weight
+    each input's own F_p row.  The products are associated as the Newton
+    step needs: its Schur complement diag(r + delta) - gram is near
+    singular along the gauge, so r must round like LevelCoupling's Gram
+    matrix.  On the six cells of test_factored_newton_step_matches_dense
+    this association leaves the step at most 0.42 of its bound from the
+    dense one; with F_p^T (Phi G_q) for the nodes it read 2.66, and 1.99
+    with F_p (Psi G_q^T) for the rows as well.  Under the LSE_SWITCH guard,
+    with weights of maximum 1, every R_0 lies in [exp(-LSE_SWITCH), N] and
+    every C_0 in [exp(-LSE_SWITCH), M]."""
+    f, g = tables
+    nu, powers = axes.level_powers
+    p1, p2 = powers[:, :nu], powers[:, nu:]
+    levels = axes.levels
+    nv, n = g.shape
     row_sums = node_sums = []
     if rows:
-        a = _matmul(_powers(f, axes.d1_powers, rows).reshape(-1, n), axes.grid(psi))
-        # einsum, not a batched np.matmul, whose rounding moves the factored
-        # Newton step on qam64 at grid 50 and 0 dB 5e-9 off the dense one,
-        # past the 1e-9 of test_factored_newton_step_matches_dense
-        t = np.einsum("pia,qia->pqi", a.reshape(rows, m, n), _powers(g, axes.d2_powers, rows))
+        a = _matmul(_powers(f, p1, rows).reshape(-1, n), axes.grid(psi))
+        b = _powers(g, p2, rows)
+        if levels is not None:
+            t = _matmul(a, b.reshape(-1, n).T).reshape(rows, nu, rows, nv)
+            t = t.transpose(0, 2, 1, 3)[:, :, levels[0], levels[1]]
+        else:
+            t = np.einsum("pia,qia->pqi", a.reshape(rows, nu, n), b)
         row_sums = [_expand(k, lambda p, q: t[p, q]) for k in range(rows)]
     if cols:
-        x = _powers(f * phi[:, None], axes.d1_powers, cols)
-        y = _powers(g, axes.d2_powers, cols)
-        node_sums = [axes.nodes(_expand(k, lambda p, q: _matmul(x[p].T, y[q])))
+        y = _powers(g, p2, cols)
+        if levels is not None:
+            grid = np.bincount(levels[0] * nv + levels[1], phi, nu * nv).reshape(nu, nv)
+            x = _powers(f, p1, cols).transpose(0, 2, 1).reshape(-1, nu)
+            x = _matmul(x, grid).reshape(cols, n, nv)
+        else:
+            x = _powers(f * phi[:, None], p1, cols).transpose(0, 2, 1)
+        node_sums = [axes.nodes(_expand(k, lambda p, q: _matmul(x[p], y[q])))
                      for k in range(cols)]
     return row_sums, node_sums
 
@@ -297,13 +339,13 @@ def _restored(log_scale, shift, sums):
         return np.exp(log_scale + shift + np.log(sums))
 
 
-def _coupling_sums(lphi, lpsi, lam, axes, rows, cols):
+def _coupling_sums(lphi, lpsi, tables, axes, rows, cols):
     """The coupling's own sums, sum_j q_ij d_ij^k (k < rows) and
     sum_i q_ij d_ij^k (k < cols), both counts positive: _table_sums of the
     shifted scalings, _restored."""
     phi, lphi_max = _shifted(lphi)
     psi, lpsi_max = _shifted(lpsi)
-    row_sums, node_sums = _table_sums(phi, psi, lam, axes, rows, cols)
+    row_sums, node_sums = _table_sums(phi, psi, tables, axes, rows, cols)
     return (_restored(lphi, lpsi_max, row_sums),
             [_restored(lpsi, lphi_max, s) for s in node_sums])
 
@@ -318,7 +360,7 @@ def scale_rows(lpsi, lam, d, log_px, axes=None):
     """
     if _factored(axes, lam, d):
         psi, shift = _shifted(lpsi)
-        (s,), _ = _table_sums(None, psi, lam, axes, 1, 0)
+        (s,), _ = _table_sums(None, psi, _level_tables(axes, lam), axes, 1, 0)
         return log_px - (shift + np.log(s))
     return scale_rows_lse(lpsi, lam, d, log_px)
 
@@ -339,7 +381,7 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
     """
     if _factored(axes, lam, d):
         phi, shift = _shifted(lphi)
-        _, (s,) = _table_sums(phi, None, lam, axes, 0, 1)
+        _, (s,) = _table_sums(phi, None, _level_tables(axes, lam), axes, 0, 1)
         return log_py - (shift + np.log(s))
     return scale_cols_lse(lphi, lam, d, log_py)
 
@@ -360,7 +402,7 @@ def scale_cols_mass(lphi, lam, d, log_py, p_y, axes=None):
     loop weights each block by d once its sums are taken."""
     if _factored(axes, lam, d):
         phi, shift = _shifted(lphi)
-        _, (s, sd) = _table_sums(phi, None, lam, axes, 0, 2)
+        _, (s, sd) = _table_sums(phi, None, _level_tables(axes, lam), axes, 0, 2)
         return log_py - (shift + np.log(s)), vdot(p_y, sd / s)
     lpsi, mass = np.empty(d.shape[1]), 0.0
     for lo, hi, mx, e in _column_blocks(lphi, lam, d):
@@ -433,8 +475,9 @@ class ScaledCoupling(NamedTuple):
 
 class LevelCoupling:
     """ScaledCoupling's products on an instance whose GridAxes have levels,
-    with no M x N array.  With F and G the levels' tables exp(-lam d1[rows1])
-    and exp(-lam d2[rows2]), input i's row of Q diag(s) is
+    with no M x N array.  With F and G the level tables of
+    _level_tables(axes, lam), the exps that the Hessian's sums at the same
+    point have read, input i's row of Q diag(s) is
     rho_i F[u_i, a] G[v_i, b] psi_j s_j at node j = (a, b), where
     psi = exp(lpsi - max lpsi) and rho = exp(lphi + max lpsi), the factors
     of _table_sums and factored_coupling.  So with W the grid of psi^2 s^2,
@@ -451,9 +494,9 @@ class LevelCoupling:
     the bound of test_factored_newton_step_matches_dense off the dense one).
     scaled_coupling takes it only while rho stays below LEVEL_RHO_CAP."""
 
-    def __init__(self, lphi, lpsi, lam, axes, s):
-        self.u, self.v, rows1, rows2 = axes.levels
-        f, g = np.exp(-lam * axes.d1[rows1]), np.exp(-lam * axes.d2[rows2])
+    def __init__(self, lphi, lpsi, tables, axes, s):
+        self.u, self.v = axes.levels[:2]
+        f, g = tables
         k1, k2 = np.frexp(f.max(axis=1))[1], np.frexp(g.max(axis=1))[1]
         self.f, self.g = np.ldexp(f, -k1[:, None]), np.ldexp(g, -k2[:, None])
         shift = lpsi.max()
@@ -484,12 +527,13 @@ class LevelCoupling:
         return self.axes.nodes(self.f.T @ t @ self.g) * (self.psi * self.s)
 
 
-def scaled_coupling(lphi, lpsi, lam, axes, s):
-    """Q diag(s) of the coupling at (lphi, lpsi, lam) from the axis tables:
-    a LevelCoupling when the axes have levels and its rho stays below
-    LEVEL_RHO_CAP, else factored_coupling's array as a ScaledCoupling."""
+def scaled_coupling(lphi, lpsi, lam, axes, tables, s):
+    """Q diag(s) of the coupling at (lphi, lpsi, lam) from the axis tables,
+    tables being _level_tables(axes, lam): a LevelCoupling when the axes
+    have levels and its rho stays below LEVEL_RHO_CAP, else
+    factored_coupling's array as a ScaledCoupling."""
     if axes.levels is not None:
-        q = LevelCoupling(lphi, lpsi, lam, axes, s)
+        q = LevelCoupling(lphi, lpsi, tables, axes, s)
         if q.rho.max() < LEVEL_RHO_CAP:
             return q
     return ScaledCoupling(factored_coupling(lphi, lpsi, lam, axes, s))
@@ -506,7 +550,7 @@ def coupling_stats(lphi, lpsi, lam, d, axes=None):
     d^1, d^2 and its zeroth node sums, rescaled by _coupling_sums.
     """
     if _factored(axes, lam, d):
-        (row, u, w), (col,) = _coupling_sums(lphi, lpsi, lam, axes, 3, 1)
+        (row, u, w), (col,) = _coupling_sums(lphi, lpsi, _level_tables(axes, lam), axes, 3, 1)
         return row, col, float(u.sum()), float(w.sum())
     row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
@@ -526,7 +570,7 @@ def row_sweep(lphi, lpsi, lam, d, axes=None):
     if _factored(axes, lam, d):
         phi, lphi_max = _shifted(lphi)
         psi, lpsi_max = _shifted(lpsi)
-        (s, sd), (c,) = _table_sums(phi, psi, lam, axes, 2, 1)
+        (s, sd), (c,) = _table_sums(phi, psi, _level_tables(axes, lam), axes, 2, 1)
         log_s = lpsi_max + np.log(s)
         u, col = _restored(lphi, lpsi_max, sd), _restored(lpsi, lphi_max, c)
         return log_s, (np.exp(lphi + log_s), col, float(u.sum()))
@@ -552,7 +596,7 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     """
     if _factored(axes, lam, d):
         psi, shift = _shifted(lpsi)
-        (_, u, w), _ = _table_sums(None, psi, lam, axes, 3, 0)
+        (_, u, w), _ = _table_sums(None, psi, _level_tables(axes, lam), axes, 3, 0)
         u, w = _restored(lphi, shift, [u, w])
         return float(u.sum()), float(w.sum())
     return _moment_sweep(lphi, lpsi, lam, d)
@@ -588,8 +632,8 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     inputs k of log_px_k + a_k - zeta*d_kj.  With ``axes`` (the GridAxes of
     d), under the scaling kernels' guard, the posteriors come from the node
     sums of d^0, d^1, d^2 that _table_sums takes over exp(base - max base),
-    base = log_px + a, with no psi: 2 M n_side exps in place of M N, and no
-    pass over the M x N arrays.  Otherwise one exp pass over column blocks
+    base = log_px + a, with no psi: (U + V) n_side exps in place of M N, and
+    no pass over the M x N arrays.  Otherwise one exp pass over column blocks
     (_column_blocks, as in _scaled_lse) gives all three, the variance
     taken about the posterior mean, so it stays accurate when the posterior
     concentrates at large zeta.
@@ -599,7 +643,7 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
     base = log_px + a
     if _factored(axes, zeta, d):
         weights, shift = _shifted(base)
-        _, (mass, dm, d2m) = _table_sums(weights, None, zeta, axes, 0, 3)
+        _, (mass, dm, d2m) = _table_sums(weights, None, _level_tables(axes, zeta), axes, 0, 3)
         mean = dm / mass
         return (value - vdot(sums.cols, shift + np.log(mass)),
                 first + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))

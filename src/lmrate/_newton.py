@@ -21,12 +21,14 @@ swept once, and the accepted one is not swept again.  Given the metric's
 axis tables (the solver's Newton finish, under the kernels' guard) that
 pass is _kernels' one table reduction (_table_sums, with three row sums
 and two node sums), and the step takes its products with the coupling
-from the tables too: through the inputs' levels on each axis when they
-form a product (_kernels.LevelCoupling, every built-in square alphabet
-under a diagonal h_hat), with no M x N array, and otherwise from the one
-M x N array factored_coupling builds, its Schur factor.  Without them
-(the Newton oracle) the pass exponentiates the dense coupling, so the
-oracle stays an independent cross-check of the factored path.
+from the tables too.  When the inputs' levels on each axis form a product
+(every built-in square alphabet under a diagonal h_hat) both read the
+U + V level rows of one exp of _kernels._level_tables, the step through
+_kernels.LevelCoupling with no M x N array; otherwise the sums read every
+input's own rows, and the step the one M x N array factored_coupling
+builds, its Schur factor.  Without them (the Newton oracle) the pass
+exponentiates the dense coupling, so the oracle stays an independent
+cross-check of the factored path.
 """
 
 import math
@@ -100,13 +102,15 @@ class DualHessian(NamedTuple):
     fills the off-diagonal block and its marginals r = q 1 and c = q^T 1 the
     diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.  On
     the factored path r, u and w come from _kernels._table_sums' row sums
-    of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1.
+    of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1, all through
+    the inputs' levels where they form a product.
     ``q_scaled(s)`` returns Q diag(s) as the three products the Newton step
     takes of it (gram, dot, tdot): a _kernels.ScaledCoupling over an M x N
     array (the dense coupling times s, or factored_coupling's product of
     the axis tables), or a _kernels.LevelCoupling, which takes them through
-    the inputs' levels and builds no M x N array.  dense() is the whole
-    Hessian as an array, for checks on small instances."""
+    the inputs' levels from the table exps of the sums and builds no M x N
+    array.  dense() is the whole Hessian as an array, for checks on small
+    instances."""
 
     r: np.ndarray
     c: np.ndarray
@@ -130,9 +134,10 @@ def dual_hessian(dp: DualPoint, p, axes=None) -> DualHessian:
     coupling, refusing couplings above problem.DENSE_CAP entries."""
     lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
     if _kernels._factored(axes, dp.lam, p.d):
-        (r, u, w), (c, v) = _kernels._coupling_sums(lphi, lpsi, dp.lam, axes, 3, 2)
+        tables = _kernels._level_tables(axes, dp.lam)
+        (r, u, w), (c, v) = _kernels._coupling_sums(lphi, lpsi, tables, axes, 3, 2)
         return DualHessian(r, c, u, v, float(w.sum()),
-                           partial(_kernels.scaled_coupling, lphi, lpsi, dp.lam, axes))
+                           partial(_kernels.scaled_coupling, lphi, lpsi, dp.lam, axes, tables))
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
     return DualHessian(q.sum(axis=1), q.sum(axis=0), dq.sum(axis=1), dq.sum(axis=0),

@@ -65,7 +65,8 @@ ROOT_RTOL = 1e-13
 # solves an (M+1)-square Schur complement: M^3 / 3 multiply-adds for the
 # solve, and for the build M^2 N from an M x N array or U^2 V^2 n_side
 # through the inputs' levels (U, V levels per axis), against M N or
-# 2 M n_side + n_side^2 exps for a scaling sweep.  So the gain turns on M.
+# (U + V) n_side + n_side^2 exps for a scaling sweep (U = V = M without
+# levels).  So the gain turns on M.
 # Square alphabets at grid 10 and 0 dB, where scaling alone is quickest,
 # solved to tol 1e-10 from the GMI tilt (median of 25, OMP_NUM_THREADS=1,
 # 2-core Xeon; three runs each), scaling alone -> hand-off through the

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -21,6 +22,13 @@ def make_problem(scheme="qpsk", eta=0.9, theta=np.pi / 18, snr_db=0.0, n_side=10
     chan = build_channel(1.0, eta, theta, snr_db, h_hat=h_hat)
     grid, prob = discretize(chan, cons, n_side)
     return cons, chan, grid, prob
+
+
+def rotation(angle):
+    """The 2 x 2 rotation by ``angle``: as h_hat, a decoder whose points take
+    no product of levels on the grid axes."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 def random_problem(rng, m, n):

@@ -7,7 +7,8 @@ import pytest
 
 import lmrate._kernels as K
 from lmrate import Coupling
-from conftest import make_problem
+from lmrate._newton import dual_hessian, from_coupling
+from conftest import make_problem, rotation
 
 
 def _random_inputs(rng, m=6, n=13):
@@ -191,13 +192,18 @@ def _scalings(rng, p):
             np.log(p.p_y) + rng.normal(0.0, 1.0, p.n))
 
 
+@pytest.mark.parametrize("h_hat", [None, rotation(np.pi / 18)], ids=["levels", "rotated"])
 @pytest.mark.parametrize("snr_db", [0.0, 10.0])
-def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
+def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db, h_hat):
     # channel-built qam16 at grid 50; at 10 dB pruning leaves 1020 of the
-    # 2500 nodes, so the grid sums see zero-filled nodes.  The crossover is
-    # lowered so that both instances take the factored path.
-    p = make_problem("qam16", snr_db=snr_db, n_side=50)[3]
+    # 2500 nodes, so the grid sums see zero-filled nodes.  Under the
+    # identity decoder the table sums go through the inputs' 4 levels on
+    # each axis; under a rotated one the decoder points form no product of
+    # levels and every input is its own.  The crossover is lowered so that
+    # every instance takes the factored path.
+    p = make_problem("qam16", snr_db=snr_db, n_side=50, h_hat=h_hat)[3]
     assert p.n == (2500 if snr_db == 0.0 else 1020)
+    assert (p.axes.levels is not None) == (h_hat is None)
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
     # the classical dual's first derivative is a difference of two sums of
@@ -213,6 +219,39 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                                err_msg=f"{name}[{k}] at lam={lam}")
+
+
+def test_level_tables_replace_the_input_tables(rng):
+    # qam64 at grid 50 takes 8 levels on each axis: every table sum
+    # exponentiates the 8 + 8 level rows, never a 64 x 50 table of the
+    # inputs, and a dual Hessian's one table exp also serves its
+    # LevelCoupling, which builds the Newton step's products with Q
+    p = make_problem("qam64", n_side=50)[3]
+    n_side = p.axes.d1.shape[1]
+    assert K._factored(p.axes, 1.0, p.d)
+    lphi, lpsi = _scalings(rng, p)
+    shapes = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    calls = list(_kernel_calls(p, lphi, lpsi, 1.0).values()) + [
+        lambda axes: K.scale_cols_mass(lphi, 1.0, p.d, np.log(p.p_y), p.p_y, axes),
+        lambda axes: K.row_sweep(lphi, lpsi, 1.0, p.d, axes)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "exp", spy)
+        for kernel in calls:
+            kernel(p.axes)
+        tables = [shape for shape in shapes if shape[-1:] == (n_side,)]
+        assert len(tables) == len(calls) and set(tables) == {(16, n_side)}
+        shapes.clear()
+        h = dual_hessian(from_coupling(Coupling(lphi, lpsi, 1.0, p.d)), p, p.axes)
+        q = h.q_scaled(np.ones(p.n))
+        q.gram()
+    assert isinstance(q, K.LevelCoupling)
+    assert [shape for shape in shapes if shape[-1:] == (n_side,)] == [(16, n_side)]
 
 
 def test_factored_path_guard_and_crossover(rng, monkeypatch):

@@ -31,7 +31,7 @@ from lmrate import (
 )
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import newton_oracle
-from conftest import make_problem, random_problem
+from conftest import make_problem, random_problem, rotation
 
 
 def _uniform_2x2(d_value=1.0, t=1.0):
@@ -644,12 +644,7 @@ def test_early_hand_off_follows_the_cost_cap(above_cap):
     assert early.iterations - early.newton_steps == 1
 
 
-def _rotation(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-@pytest.mark.parametrize("h_hat", [None, _rotation(np.pi / 18)], ids=["levels", "rotated"])
+@pytest.mark.parametrize("h_hat", [None, rotation(np.pi / 18)], ids=["levels", "rotated"])
 def test_hand_off_on_the_axis_tables_matches_oracle(monkeypatch, h_hat):
     # qam16 at grid 50 and 0 dB: every Newton step of the finish reads the
     # axis tables, and the rate lands within 1e-11 nats of the dense
