@@ -5,10 +5,10 @@ taking the M x N metric as stored and working on blocks of it, so the
 coupling is never materialized whole and memory stays bounded for large
 grids.  Both scaling updates run one shifted (max-subtracted) log-sum-exp
 loop, _scaled_lse, over column blocks (the row update over those of d.T),
-so each column's maximum and sum finish in one pass.  The classical dual
-and the projected iteration's two passes, scale_cols_mass and row_sweep,
-take the same column blocks; every other kernel takes row blocks, and its
-sums over the inputs accumulate across them.
+so each column's maximum and sum finish in one pass.  The classical dual,
+scale_cols_mass and the projected iteration's one pass, projected_sweep
+(over those of d.T), take the same column blocks; every other kernel
+takes row blocks, and its sums over the inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
 the double underflow threshold contribute exactly zero to every sum, as
@@ -43,7 +43,7 @@ EPYC with numpy 2.4 and OpenBLAS, three runs: 1.85-1.89 at 4 x 100 (qpsk
 grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12 at 4 x 3600,
 1.07-1.12 at 4 x 4096, 1.05-1.06 at 16 x 900, 1.01-1.02 at 64 x 225, and
 0.60-0.61 at 16 x 2500 (qam16 grid 50).  The reduction's consumers are
-scale_rows, scale_cols, scale_cols_mass, row_sweep, metric_moments,
+scale_rows, scale_cols, projected_sweep, metric_moments,
 coupling_stats, mismatch_dual_value's posteriors and the Newton finish's
 dual Hessian (_newton.dual_hessian); off the factored path each keeps its
 block loop.
@@ -190,13 +190,14 @@ def exponent_blocks(a, b, lam, d, entries=DENSE_BLOCK_ENTRIES):
         yield lo, e
 
 
-def _column_blocks(base, lam, d):
-    """(lo, hi, mx, e) for the column blocks of d: e = exp(base_i - lam d_ij
-    - mx_j) over columns lo:hi, mx_j the column's largest exponent, so each
-    column's largest term is 1."""
+def _column_blocks(base, lam, d, entries=None):
+    """(lo, hi, mx, e) for the column blocks of d, of at most ``entries``
+    entries as for _blocks: e = exp(base_i - lam d_ij - mx_j) over columns
+    lo:hi, mx_j the column's largest exponent, so each column's largest term
+    is 1."""
     m, n = d.shape
     base = base[:, None]
-    for lo, hi in _blocks(n, m):
+    for lo, hi in _blocks(n, m, entries):
         e = d[:, lo:hi] * -lam
         e += base
         mx = e.max(axis=0)
@@ -283,14 +284,16 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     U x V grid of the inputs' weights phi_i summed by level.  Without
     levels (U = V = M) the U x V products would cost up to 18 times the
     per-input sums on a rotated qam256 at grid 50: the rows then read each
-    input's row of F_p Psi against its own G_q row, and the nodes weight
-    each input's own F_p row.  The products are associated as the Newton
-    step needs: its Schur complement diag(r + delta) - gram is near
-    singular along the gauge, so r must round like LevelCoupling's Gram
-    matrix.  On the six cells of test_factored_newton_step_matches_dense
-    this association leaves the step at most 0.42 of its bound from the
-    dense one; with F_p^T (Phi G_q) for the nodes it read 2.66, and 1.99
-    with F_p (Psi G_q^T) for the rows as well.  Under the LSE_SWITCH guard,
+    input's row of F_p Psi against its own G_q row, one batched product
+    over the inputs, and the nodes weight each input's own F_p row.  The
+    products are associated as the Newton step needs: its Schur complement
+    diag(r + delta) - gram is near singular along the gauge, so r must
+    round like the Gram matrix.  On the six level cells of
+    test_factored_newton_step_matches_dense this association leaves the
+    step at most 0.42 of its bound from the dense one; with F_p^T (Phi G_q)
+    for the nodes it read 2.66, and 1.99 with F_p (Psi G_q^T) for the rows
+    as well.  Its two rotated cells read 0.33 and 0.44, and 1.008 and 0.23
+    with the per-input rows as one einsum.  Under the LSE_SWITCH guard,
     with weights of maximum 1, every R_0 lies in [exp(-LSE_SWITCH), N] and
     every C_0 in [exp(-LSE_SWITCH), M]."""
     f, g = tables
@@ -306,7 +309,8 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
             t = _matmul(a, b.reshape(-1, n).T).reshape(rows, nu, rows, nv)
             t = t.transpose(0, 2, 1, 3)[:, :, levels[0], levels[1]]
         else:
-            t = np.einsum("pia,qia->pqi", a.reshape(rows, nu, n), b)
+            t = np.matmul(a.reshape(rows, nu, n).transpose(1, 0, 2), b.transpose(1, 2, 0))
+            t = t.transpose(1, 2, 0)
         row_sums = [_expand(k, lambda p, q: t[p, q]) for k in range(rows)]
     if cols:
         y = _powers(g, p2, cols)
@@ -392,18 +396,13 @@ def scale_cols_lse(lphi, lam, d, log_py):
     return _scaled_lse(lphi, lam, d, log_py)
 
 
-def scale_cols_mass(lphi, lam, d, log_py, p_y, axes=None):
-    """scale_cols, and the metric mass of the coupling it leaves: (lpsi,
+def scale_cols_mass(lphi, lam, d, log_py, p_y):
+    """scale_cols_lse, and the metric mass of the coupling it leaves: (lpsi,
     sum_ij d_ij q_ij) with q at (lphi, lpsi, lam).  That coupling's columns
     sum to p_y, so its mass is sum_j p_y_j (sum_i d_ij e_ij) / (sum_i e_ij),
-    e being the column-scaled kernel that the update sums anyway: the
-    projected multiplier step's excess with no sweep of its own.  On the
-    tables the node sums of d^0 and d^1 give both; off them, scale_cols_lse's
-    loop weights each block by d once its sums are taken."""
-    if _factored(axes, lam, d):
-        phi, shift = _shifted(lphi)
-        _, (s, sd) = _table_sums(phi, None, _level_tables(axes, lam), axes, 0, 2)
-        return log_py - (shift + np.log(s)), vdot(p_y, sd / s)
+    e being the column-scaled kernel that the update sums anyway: each block
+    is weighted by d once its sums are taken.  projected_sweep's column
+    update where its row-shifted entries could underflow."""
     lpsi, mass = np.empty(d.shape[1]), 0.0
     for lo, hi, mx, e in _column_blocks(lphi, lam, d):
         s = e.sum(axis=0)
@@ -411,6 +410,66 @@ def scale_cols_mass(lphi, lam, d, log_py, p_y, axes=None):
         e *= d[:, lo:hi]
         mass += vdot(p_y[lo:hi], e.sum(axis=0) / s)
     return lpsi, mass
+
+
+def projected_sweep(lphi, lpsi, lam, d, d_range, log_px, log_py, p_y, axes=None):
+    """One pass over the coupling at (lphi, lpsi, lam), shifted by row, that
+    makes a projected iteration: (stats, (lphi', lpsi', mass')).  stats is
+    the coupling's (row_marg, col_marg, metric_mass), coupling_stats' first
+    three, for its evaluation; lphi' = log_px - log_s is the next row
+    update, log_s_i = log sum_j exp(lpsi_j - lam d_ij); and (lpsi', mass')
+    is scale_cols_mass(lphi', lam, d, log_py, p_y), the column update after
+    it with the metric mass that the multiplier step reads.
+
+    All three come from one exp, E_ij = exp(lpsi_j - lam d_ij - mx_i), mx_i
+    the row's largest exponent.  Its row sums s_i give log_s = mx + log s.
+    Its column sums and d-weighted column sums, weighted by the rows'
+    scalings exp(lphi_i + mx_i), give the stats; weighted by
+    exp(lphi'_i + mx_i) = p_x_i / s_i, they give the column update,
+    lpsi'_j = log_py_j + lpsi_j - log sum_i w'_i E_ij, and mass' =
+    sum_j p_y_j (sum_i w'_i d_ij E_ij) / (sum_i w'_i E_ij): one (2, rows)
+    product with each block.  Those column sums read row-shifted entries,
+    each at least exp(-(span(lpsi) + lam d_range)), d_range being
+    max d - min d, so the pass takes them only while that exponent stays
+    below LSE_SWITCH; past it the column update is scale_cols_mass's
+    column-shifted loop, a second pass.  Blocks hold GEMM_CHUNK / 2 entries,
+    so no product exceeds GEMM_CHUNK.  With ``axes`` one _level_tables exp
+    serves _table_sums' row sums of d^0, d^1, its node sums over
+    phi = exp(lphi - max lphi) and its node sums of d^0, d^1 over
+    exp(lphi' - max lphi'), each restored in log space, so that path needs
+    no guard of its own."""
+    if _factored(axes, lam, d):
+        tables = _level_tables(axes, lam)
+        phi, lphi_max = _shifted(lphi)
+        psi, lpsi_max = _shifted(lpsi)
+        (s, sd), (c,) = _table_sums(phi, psi, tables, axes, 2, 1)
+        log_s = lpsi_max + np.log(s)
+        u, col = _restored(lphi, lpsi_max, sd), _restored(lpsi, lphi_max, c)
+        stats = np.exp(lphi + log_s), col, float(u.sum())
+        lphi = log_px - log_s
+        phi, shift = _shifted(lphi)
+        _, (c, cd) = _table_sums(phi, None, tables, axes, 0, 2)
+        return stats, (lphi, log_py - (shift + np.log(c)), vdot(p_y, cd / c))
+    d_t = d.T
+    log_s, row, w = np.empty(d.shape[0]), np.empty(d.shape[0]), np.empty((2, d.shape[0]))
+    sums = dsums = 0.0
+    for lo, hi, mx, e in _column_blocks(lpsi, lam, d_t, GEMM_CHUNK // 2):
+        s = e.sum(axis=0)
+        ls = np.log(s)
+        wb = w[:, lo:hi]
+        np.add(lphi[lo:hi], mx, out=wb[0])
+        np.subtract(log_px[lo:hi], ls, out=wb[1])
+        np.exp(wb, out=wb)
+        np.add(mx, ls, out=log_s[lo:hi])
+        np.multiply(wb[0], s, out=row[lo:hi])
+        sums = sums + wb @ e.T
+        e *= d_t[:, lo:hi]
+        dsums = dsums + wb @ e.T
+    stats = row, sums[0], float(dsums[0].sum())
+    lphi = log_px - log_s
+    if lpsi.max() - lpsi.min() + lam * d_range < LSE_SWITCH:
+        return stats, (lphi, log_py + lpsi - np.log(sums[1]), vdot(p_y, dsums[1] / sums[1]))
+    return stats, (lphi, *scale_cols_mass(lphi, lam, d, log_py, p_y))
 
 
 def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
@@ -554,38 +613,6 @@ def coupling_stats(lphi, lpsi, lam, d, axes=None):
         return row, col, float(u.sum()), float(w.sum())
     row_marg, col_marg = np.empty(d.shape[0]), np.zeros(d.shape[1])
     return (row_marg, col_marg, *_moment_sweep(lphi, lpsi, lam, d, row_marg, col_marg))
-
-
-def row_sweep(lphi, lpsi, lam, d, axes=None):
-    """One sweep over the coupling, shifted by row: (log_s, stats) with
-    log_s_i = log sum_j exp(lpsi_j - lam d_ij), the sums of the row update
-    at this lam (so log_px - log_s is scale_rows' result), and stats the
-    coupling's (row_marg, col_marg, metric_mass), coupling_stats' first
-    three.  A projected run's evaluation at its new multiplier thus also
-    takes its next row update.  With ``axes`` the sums are _table_sums' row
-    sums of d^0, d^1 and its zeroth node sums; off the tables, the loop of
-    scale_rows_lse, each block weighted by its rows' scalings
-    exp(lphi_i + mx_i), mx_i the row's largest exponent, once its row sums
-    are taken."""
-    if _factored(axes, lam, d):
-        phi, lphi_max = _shifted(lphi)
-        psi, lpsi_max = _shifted(lpsi)
-        (s, sd), (c,) = _table_sums(phi, psi, _level_tables(axes, lam), axes, 2, 1)
-        log_s = lpsi_max + np.log(s)
-        u, col = _restored(lphi, lpsi_max, sd), _restored(lpsi, lphi_max, c)
-        return log_s, (np.exp(lphi + log_s), col, float(u.sum()))
-    d_t = d.T
-    log_s, row, col, mass = np.empty(d.shape[0]), np.empty(d.shape[0]), np.zeros(d.shape[1]), 0.0
-    for lo, hi, mx, e in _column_blocks(lpsi, lam, d_t):
-        s = e.sum(axis=0)
-        log_s[lo:hi] = mx + np.log(s)
-        weight = np.exp(lphi[lo:hi] + mx)
-        row[lo:hi] = weight * s
-        e *= weight
-        col += e.sum(axis=1)
-        e *= d_t[:, lo:hi]
-        mass += float(e.sum())
-    return log_s, (row, col, mass)
 
 
 def metric_moments(lphi, lpsi, lam, d, axes=None):

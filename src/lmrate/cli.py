@@ -15,7 +15,6 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import partial
 from itertools import product
@@ -348,6 +347,9 @@ def cmd_sweep(cfg) -> int:
     cell_cfg = _scalar_view(_echo(cfg), ("grid",))
     payloads = [{"cell": cell, "cfg": cell_cfg} for cell in cells]
     if cfg["workers"] > 1:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # socket and subprocess, most of the cost of importing this module
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:

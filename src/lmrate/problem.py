@@ -107,7 +107,7 @@ def evaluate(log_phi, log_psi, lam, p, it=0, stats=None) -> TraceRow:
     and the rate sum q log q + H(p_x) + H(p_y), with the mass and sum q log q
     derived from the sweep by ``_stats``.  Non-finite sums are passed
     through for the caller to judge.  ``stats`` is a coupling_stats result,
-    or its first three sums (_kernels.row_sweep's), already taken at
+    or its first three sums (_kernels.projected_sweep's), already taken at
     (log_phi, log_psi, lam); without it the sweep is made,
     through p.axes when the instance has them.  The numbers are plain floats,
     whatever scalar type ``lam`` comes as.

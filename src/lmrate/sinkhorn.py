@@ -16,13 +16,14 @@ The step API (sinkhorn_step, update_lambda_projection,
 update_lambda_rootfind, residuals) takes those steps one sweep each on a
 problem.Coupling, the log-domain iterate (log_phi, log_psi, lam) that
 ``solve`` holds too, and returns a new one built at p.d.  ``solve`` runs
-the projected iteration in two passes over the coupling, the reuse of
-log-domain sums of stabilized scaling (Schmitzer, SIAM J. Sci. Comput.
-2019): the column update's sums also give the excess
-(_kernels.scale_cols_mass, the coupling's columns then summing to p_y),
-and the evaluation at the new multiplier, shifted by row, also gives the
-next row update's sums (_kernels.row_sweep), so only the first iteration
-calls scale_rows.  Its trace matches the step API's to rounding.
+the projected iteration in one pass over the coupling
+(_kernels.projected_sweep), the reuse of log-domain sums of stabilized
+scaling (Schmitzer, SIAM J. Sci. Comput. 2019): the evaluation at the
+new multiplier, shifted by row, holds the next row update's sums, and
+its column sums, reweighted by that update, hold the column update after
+it and the excess of the coupling it leaves (its columns then summing to
+p_y).  The run's first pass is also its start's evaluation.  Its trace
+matches the step API's to rounding.
 
 Residuals after a full iteration are the L1 marginal gaps plus the
 multiplier residual |excess|, with the complementary-slackness convention
@@ -283,8 +284,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     the last residuals read.  A ``project`` run
     never hands off, since its certificate speaks about the scaling trace,
     and neither does an instance above problem.DENSE_CAP entries, whose
-    Newton step can build an M x N array.  A ``project`` iteration makes two
-    passes over the coupling (module docstring).  A threshold that no
+    Newton step can build an M x N array.  A ``root`` run that cannot hand
+    off (above DENSE_CAP or NEWTON_MAX_INPUTS) stops on the same test as
+    the Newton loop, so its rate too lands within about tol of the optimum;
+    a ``project`` run stops on the residual test, which its certificate
+    reads.  A ``project`` run makes iterations + 1 passes over the coupling
+    (module docstring).  A threshold that no
     coupling meets to within tol (``threshold_failure``) stops either
     strategy before any sweep of its loop, at the product coupling, with
     status NUMERICAL_FAILURE.
@@ -299,6 +304,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
     may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
                     and p.m <= NEWTON_MAX_INPUTS)
+    gap_stop = strategy is LambdaStrategy.ROOT and not may_hand_off
 
     failure = threshold_failure(p, cfg.tol)
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
@@ -315,13 +321,16 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             except NumericalFailureError:
                 pass
     lam = 1.0 if lam is None else float(lam)
-    start = evaluate(lphi, lpsi, lam, p)
+    stats = None
+    if strategy is LambdaStrategy.PROJECT and failure is None:
+        stats, step = _kernels.projected_sweep(lphi, lpsi, lam, p.d, p.d_max - p.d_min,
+                                               log_px, log_py, p.p_y, p.axes)
+    start = evaluate(lphi, lpsi, lam, p, 0, stats)
 
     trace: list = []
     converged = False
     root_evals = 0
     newton_steps = 0
-    log_s = None        # a projected run's row_sweep sums at the current lam
 
     for it in range(1, (cfg.max_iters if failure is None else 0) + 1):
         try:
@@ -331,11 +340,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
                 lam, stats = float(root), root.stats
                 root_evals += root.evals
             else:
-                lphi = (_kernels.scale_rows(lpsi, lam, p.d, log_px, p.axes) if log_s is None
-                        else log_px - log_s)
-                lpsi, mass = _kernels.scale_cols_mass(lphi, lam, p.d, log_py, p.p_y, p.axes)
+                lphi, lpsi, mass = step
                 lam = max(0.0, lam + tau * (mass - p.t))
-                log_s, stats = _kernels.row_sweep(lphi, lpsi, lam, p.d, p.axes)
+                stats, step = _kernels.projected_sweep(lphi, lpsi, lam, p.d, p.d_max - p.d_min,
+                                                       log_px, log_py, p.p_y, p.axes)
             row = evaluate(lphi, lpsi, lam, p, it, stats)
             if not (math.isfinite(row.dual_objective) and math.isfinite(row.lm_rate_nats)):
                 raise NumericalFailureError("coupling evaluation became non-finite")
@@ -343,7 +351,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             failure = NumericalFailureError(str(err), it)
             break
         trace.append(row)
-        converged = _peak(row) <= cfg.tol
+        converged = (_newton_done(row, cfg.tol, p) if gap_stop else _peak(row) <= cfg.tol)
         if converged:
             break
         if may_hand_off and lam > 0.0:

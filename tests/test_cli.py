@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -490,6 +493,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     s_echo.pop("workers")
     p_echo.pop("workers")
     assert s_echo == p_echo
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process and its multiprocessing, socket and
+    # subprocess imports are most of the cost of importing the cli module;
+    # cmd_sweep imports the pool only when it starts workers, so a solve
+    # never pays for it (test_sweep_parallel_matches_serial runs the pool)
+    code = "import sys, lmrate.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lmrate.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_failed_cell_reports_status(tmp_path):

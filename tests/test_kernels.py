@@ -184,7 +184,16 @@ def _kernel_calls(p, lphi, lpsi, lam):
         "metric_moments": lambda axes: K.metric_moments(lphi, lpsi, lam, p.d, axes),
         "mismatch_dual_value": lambda axes: K.mismatch_dual_value(
             sums, lphi - log_px, log_px, lam, p.d, axes),
+        "projected_sweep": lambda axes: _projected(p, lphi, lpsi, lam, axes),
     }
+
+
+def _projected(p, lphi, lpsi, lam, axes):
+    """projected_sweep's results as one flat tuple: the evaluation's three
+    sums, then the next row update, column update and metric mass."""
+    stats, step = K.projected_sweep(lphi, lpsi, lam, p.d, p.d_max - p.d_min,
+                                    np.log(p.p_x), np.log(p.p_y), p.p_y, axes)
+    return (*stats, *step)
 
 
 def _scalings(rng, p):
@@ -237,9 +246,7 @@ def test_level_tables_replace_the_input_tables(rng):
         shapes.append(np.shape(x))
         return exp(x, *args, **kwargs)
 
-    calls = list(_kernel_calls(p, lphi, lpsi, 1.0).values()) + [
-        lambda axes: K.scale_cols_mass(lphi, 1.0, p.d, np.log(p.p_y), p.p_y, axes),
-        lambda axes: K.row_sweep(lphi, lpsi, 1.0, p.d, axes)]
+    calls = list(_kernel_calls(p, lphi, lpsi, 1.0).values())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "exp", spy)
         for kernel in calls:

@@ -342,7 +342,8 @@ def _step_api_trace(p, cfg):
     """The paper's iteration through the public step API, one sweep each for
     the rows, the columns, the multiplier step and the trace row:
     (trace, converged)."""
-    state = Coupling(np.zeros(p.m), np.zeros(p.n), 1.0, p.d)
+    lam = cfg.lambda_init if cfg.lambda_init is not None else 1.0
+    state = Coupling(np.zeros(p.m), np.zeros(p.n), lam, p.d)
     tau = cfg.tau if cfg.tau is not None else 1.0 / p.d_max ** 2
     trace = []
     for it in range(1, cfg.max_iters + 1):
@@ -353,39 +354,81 @@ def _step_api_trace(p, cfg):
     return trace, False
 
 
+def _assert_trace_matches(report, trace, name):
+    for ours, theirs in zip(report.residual_trace, trace):
+        for field, value in vars(theirs).items():
+            assert abs(getattr(ours, field) - value) <= 1e-13 * max(1.0, abs(value)), (
+                name, ours.iter, field)
+
+
 def test_projected_solve_matches_step_api_loop(projected_cells):
-    # solve runs the iteration in two passes, reusing the column update's
-    # sums for the excess and the evaluation's for the next row update; the
-    # step API keeps one sweep per step, so the two agree to rounding
+    # solve runs the iteration in one pass, whose exp gives the evaluation,
+    # the next row update and the column update after it with its excess;
+    # the step API keeps one sweep per step, so the two agree to rounding
     for name, p, cfg in projected_cells:
         report = solve(p, cfg)
         trace, converged = _step_api_trace(p, cfg)
         assert report.converged == converged and report.converged, name
         assert report.iterations == len(trace), name
-        for ours, theirs in zip(report.residual_trace, trace):
-            for field, value in vars(theirs).items():
-                assert abs(getattr(ours, field) - value) <= 1e-13 * max(1.0, abs(value)), (
-                    name, ours.iter, field)
+        _assert_trace_matches(report, trace, name)
         assert K._factored(p.axes, report.lambda_final, p.d) == (name == "tables"), name
         assert (report.lambda_final == 0.0) == (name == "slack"), name
 
 
-def test_projected_iteration_makes_two_passes(projected_cells, monkeypatch):
-    # every pass over the coupling starts one of these three loops; a
-    # projected run makes its start's evaluation and its first row update,
-    # then two per iteration: the column update, which also gives the
-    # excess, and the evaluation, which also gives the next row update
+def _count_passes(monkeypatch):
+    """A Counter of the passes over the coupling, each of which starts one of
+    these three loops: the axis tables' exp, a column-block loop or a
+    row-block loop."""
     passes = Counter()
-    for name in ("_column_blocks", "_table_sums", "exponent_blocks"):
+    for name in ("_column_blocks", "_level_tables", "exponent_blocks"):
         def counted(*args, _name=name, _loop=getattr(K, name), **kwargs):
             passes[_name] += 1
             return _loop(*args, **kwargs)
         monkeypatch.setattr(K, name, counted)
+    return passes
+
+
+def test_projected_iteration_makes_one_pass(projected_cells, monkeypatch):
+    # a projected run makes one pass at its start, which is also the
+    # start's evaluation, then one per iteration: the evaluation, whose
+    # row sums give the next row update and whose column sums, reweighted
+    # by it, give the column update after it and its excess
+    passes = _count_passes(monkeypatch)
     for name, p, cfg in projected_cells[:2]:
         passes.clear()
         report = solve(p, cfg)
-        assert sum(passes.values()) == 2 * report.iterations + 2, (name, passes)
-        assert (passes["_table_sums"] > 0) == (name == "tables"), (name, passes)
+        assert sum(passes.values()) == report.iterations + 1, (name, passes)
+        assert (passes["_level_tables"] > 0) == (name == "tables"), (name, passes)
+
+
+def test_projected_run_past_the_row_shift_guard(qpsk_n10, monkeypatch):
+    # from lam = 20, lam (max d - min d) is about 3000: row-shifted entries
+    # could underflow, so the column update takes scale_cols_mass's
+    # column-shifted pass until the multiplier falls under the guard, and
+    # from there the one fused pass; both stay with the step API's trace
+    # to rounding, with no overflow or underflow warning
+    p = qpsk_n10
+    cfg = SolverConfig(lambda_strategy="project", tau=1.0, lambda_init=20.0, max_iters=50)
+    fallbacks = []
+    fallback = K.scale_cols_mass
+
+    def counted(*args):
+        fallbacks.append(args[1])
+        return fallback(*args)
+
+    passes = _count_passes(monkeypatch)
+    monkeypatch.setattr(K, "scale_cols_mass", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = solve(p, cfg)
+        assert sum(passes.values()) == report.iterations + 1 + len(fallbacks)
+        trace, converged = _step_api_trace(p, cfg)
+    assert report.converged == converged and report.iterations == len(trace)
+    _assert_trace_matches(report, trace, "past the guard")
+    # the passes at the run's first multipliers fall back, the later ones
+    # do not
+    lams = [report.lambda_init] + [row.lam for row in report.residual_trace]
+    assert 0 < len(fallbacks) < len(lams) and fallbacks == lams[:len(fallbacks)]
 
 
 def test_solve_qpsk_root_default(qpsk_n10):
@@ -834,6 +877,27 @@ def test_low_snr_cell_makes_no_newton_steps(above_cap):
     report = solve(above_cap)
     assert report.converged
     assert report.newton_steps == 0
+
+
+def test_runs_that_cannot_hand_off_stop_on_the_gap(above_cap):
+    # a root run above the cap stops as the Newton finish does, on the
+    # residuals and the primal-dual gap: the residual test alone passes at
+    # row 43, 5.3e-10 nats above the optimum, and the gap test stops it at
+    # row 47.  The reference is the oracle at tol 1e-13: at 1e-12 its stop,
+    # which reads the gradient alone, leaves its own rate 7.9e-12 below its
+    # dual bound on this cell, and one more step brings the two within
+    # 3.1e-13
+    p = above_cap
+    report = solve(p)
+    assert report.converged and report.newton_steps == 0
+    trace = report.residual_trace
+    first = next(row.iter for row in trace if sinkhorn._peak(row) <= 1e-10)
+    assert first < report.iterations
+    assert all(not sinkhorn._newton_done(row, 1e-10, p) for row in trace[:-1])
+    oracle = newton_oracle(p, tol=1e-13)
+    assert oracle.converged
+    assert abs(oracle.lm_rate_nats - (p.h_x + p.h_y - oracle.dual_objective)) <= 1e-12
+    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-10
 
 
 def test_projected_run_never_hands_off():
