@@ -4,11 +4,13 @@ Every hot loop of the solver lives here.  The kernels are vectorized numpy
 taking the M x N metric as stored and working on blocks of it, so the
 coupling is never materialized whole and memory stays bounded for large
 grids.  Both scaling updates run one shifted (max-subtracted) log-sum-exp
-loop, _scaled_lse, over column blocks (the row update over those of d.T),
-so each column's maximum and sum finish in one pass.  The classical dual,
-scale_cols_mass and the projected iteration's one pass, projected_sweep
-(over those of d.T), take the same column blocks; every other kernel
-takes row blocks, and its sums over the inputs accumulate across them.
+loop, the column update over column blocks (_column_blocks) and the row
+update over C-ordered row blocks (_row_blocks), so each column's or row's
+maximum and sum finish in one pass.  The classical dual and
+scale_cols_mass take the same column blocks, and the projected
+iteration's one pass, projected_sweep, the same row blocks; the coupling
+sweeps take row blocks too (exponent_blocks), and their sums over the
+inputs accumulate across them.
 
 All kernels take log-scale factors.  Entries whose exponent falls below
 the double underflow threshold contribute exactly zero to every sum, as
@@ -29,8 +31,7 @@ small GEMMs over the U x V grid of levels and the n_side x n_side output
 grid (the separable kernel of Solomon et al., Convolutional Wasserstein
 Distances, 2015, carried one factor further).  A sweep takes
 (U + V) n_side exps for the tables and M + N for the scalings in place of
-M N: for qam256 at grid 50, 1.6k + 2.8k against 640k, and the GMI's
-three node sums 0.28M multiply-adds in place of 3.84M through M rows.
+M N: for qam256 at grid 50, 1.6k + 2.8k against 640k.
 It takes the scalings shifted by their maximum, and each caller puts
 the shift back in log space, so a coupling sum overflows or underflows
 where the plain sum would.  The factored path runs only while
@@ -46,7 +47,11 @@ grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12 at 4 x 3600,
 scale_rows, scale_cols, projected_sweep, metric_moments,
 coupling_stats, mismatch_dual_value's posteriors and the Newton finish's
 dual Hessian (_newton.dual_hessian); off the factored path each keeps its
-block loop.
+block loop.  The GMI needs none of these sums: when the levels form a full
+product (GridAxes.product) and the classical dual's weights log p_x + a
+are equal across inputs, as in the GMI under a uniform prior, each node's
+posterior is a product of one posterior per axis, taken from the same
+U + V level rows at any tilt, with no guard (_axis_posteriors).
 The Newton step's products with the coupling (the Gram matrix of its Schur
 complement, Q y and Q^T x) go through the same tables: LevelCoupling
 takes them from the level rows, whose exps it shares with the Hessian's
@@ -131,6 +136,16 @@ class GridAxes:
         return u, v, rows1, rows2
 
     @cached_property
+    def product(self) -> bool:
+        """True when the levels form a full product: every (u, v) pair of
+        levels is exactly one input's, so M = U V."""
+        if self.levels is None:
+            return False
+        u, v, rows1, rows2 = self.levels
+        nv = rows2.size
+        return bool(u.size == rows1.size * nv and np.bincount(u * nv + v).max() == 1)
+
+    @cached_property
     def level_gram_index(self) -> np.ndarray:
         """(M, M) flat index into LevelCoupling's (U^2, V^2) matrix K of the
         entry K[u_i u_k, v_i v_k] that Gram entry (i, k) reads."""
@@ -206,16 +221,17 @@ def _column_blocks(base, lam, d, entries=None):
         yield lo, hi, mx, e
 
 
-def _scaled_lse(base, lam, d, log_p):
-    """log_p_j - log sum_i exp(base_i - lam d_ij) for every column j of d, the
-    shifted block loop of both scaling updates: each column's largest term is
-    1, so its sum lies between 1 and d's row count.  The row update passes
-    d.T, whose column blocks are row blocks of d, each summed along its
-    contiguous axis as a row loop would."""
-    out = np.empty(d.shape[1])
-    for lo, hi, mx, e in _column_blocks(base, lam, d):
-        out[lo:hi] = log_p[lo:hi] - (mx + np.log(e.sum(axis=0)))
-    return out
+def _row_blocks(base, lam, d, entries=None):
+    """_column_blocks over the rows of d: (lo, hi, mx, e) with
+    e = exp(base_j - lam d_ij - mx_i) over rows lo:hi, C-ordered, mx_i the
+    row's largest exponent."""
+    for lo, hi in _blocks(*d.shape, entries):
+        e = d[lo:hi] * -lam
+        e += base
+        mx = e.max(axis=1)
+        e -= mx[:, None]
+        np.exp(e, out=e)
+        yield lo, hi, mx, e
 
 
 def _factored(axes, lam, d):
@@ -370,10 +386,13 @@ def scale_rows(lpsi, lam, d, log_px, axes=None):
 
 
 def scale_rows_lse(lpsi, lam, d, log_px):
-    """scale_rows as the shifted (max-subtracted) block loop: _scaled_lse over
-    the columns of d.T, so a row's sum lies in [1, N].  perfbench traces this
-    name and scale_cols_lse's, so neither calls the other."""
-    return _scaled_lse(lpsi, lam, d.T, log_px)
+    """scale_rows as the shifted (max-subtracted) block loop over the row
+    blocks of d (_row_blocks), so a row's sum lies in [1, N].  perfbench
+    traces this name and scale_cols_lse's, so neither calls the other."""
+    out = np.empty(d.shape[0])
+    for lo, hi, mx, e in _row_blocks(lpsi, lam, d):
+        out[lo:hi] = log_px[lo:hi] - (mx + np.log(e.sum(axis=1)))
+    return out
 
 
 def scale_cols(lphi, lam, d, log_py, axes=None):
@@ -391,9 +410,12 @@ def scale_cols(lphi, lam, d, log_py, axes=None):
 
 
 def scale_cols_lse(lphi, lam, d, log_py):
-    """scale_cols as the shifted block loop: _scaled_lse over the columns of
-    d, so a column's sum lies in [1, M]."""
-    return _scaled_lse(lphi, lam, d, log_py)
+    """scale_cols as the shifted block loop over the column blocks of d
+    (_column_blocks), so a column's sum lies in [1, M]."""
+    out = np.empty(d.shape[1])
+    for lo, hi, mx, e in _column_blocks(lphi, lam, d):
+        out[lo:hi] = log_py[lo:hi] - (mx + np.log(e.sum(axis=0)))
+    return out
 
 
 def scale_cols_mass(lphi, lam, d, log_py, p_y):
@@ -450,11 +472,10 @@ def projected_sweep(lphi, lpsi, lam, d, d_range, log_px, log_py, p_y, axes=None)
         phi, shift = _shifted(lphi)
         _, (c, cd) = _table_sums(phi, None, tables, axes, 0, 2)
         return stats, (lphi, log_py - (shift + np.log(c)), vdot(p_y, cd / c))
-    d_t = d.T
     log_s, row, w = np.empty(d.shape[0]), np.empty(d.shape[0]), np.empty((2, d.shape[0]))
     sums = dsums = 0.0
-    for lo, hi, mx, e in _column_blocks(lpsi, lam, d_t, GEMM_CHUNK // 2):
-        s = e.sum(axis=0)
+    for lo, hi, mx, e in _row_blocks(lpsi, lam, d, GEMM_CHUNK // 2):
+        s = e.sum(axis=1)
         ls = np.log(s)
         wb = w[:, lo:hi]
         np.add(lphi[lo:hi], mx, out=wb[0])
@@ -462,9 +483,9 @@ def projected_sweep(lphi, lpsi, lam, d, d_range, log_px, log_py, p_y, axes=None)
         np.exp(wb, out=wb)
         np.add(mx, ls, out=log_s[lo:hi])
         np.multiply(wb[0], s, out=row[lo:hi])
-        sums = sums + wb @ e.T
-        e *= d_t[:, lo:hi]
-        dsums = dsums + wb @ e.T
+        sums = sums + wb @ e
+        e *= d[lo:hi]
+        dsums = dsums + wb @ e
     stats = row, sums[0], float(dsums[0].sum())
     lphi = log_px - log_s
     if lpsi.max() - lpsi.min() + lam * d_range < LSE_SWITCH:
@@ -631,18 +652,72 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
 
 class JointSums(NamedTuple):
     """The sums of the joint weights w_ij = p_x[i] w[i][j] that
-    mismatch_dual_value reads: over the outputs, over the inputs, and of w d."""
+    mismatch_dual_value reads: over the outputs, over the inputs, and of w d;
+    then, on a metric of at least FACTORED_MIN_ENTRIES entries whose levels
+    form a full product (GridAxes.product), the node sums ``cols`` summed
+    over the second grid axis and over the first, one weight per grid
+    coordinate on each axis, else None.  Below that size no kernel reads
+    the levels, and their first np.unique alone adds about 0.3 MB to a
+    small run's peak resident memory."""
 
     rows: np.ndarray
     cols: np.ndarray
     wd: float
+    axis_cols: tuple | None
 
 
-def joint_sums(p_x, w, d) -> JointSums:
-    """JointSums of p_x[:, None] * w over the metric d: three passes over the
-    joint, taken once for any number of mismatch_dual_value calls."""
+def joint_sums(p_x, w, d, axes=None) -> JointSums:
+    """JointSums of p_x[:, None] * w over the metric d, ``axes`` its GridAxes
+    or None: three passes over the joint, taken once for any number of
+    mismatch_dual_value calls."""
     joint = p_x[:, None] * w
-    return JointSums(joint.sum(axis=1), joint.sum(axis=0), vdot(joint, d))
+    cols = joint.sum(axis=0)
+    axis_cols = None
+    if axes is not None and d.size >= FACTORED_MIN_ENTRIES and axes.product:
+        grid = axes.grid(cols)
+        axis_cols = grid.sum(axis=1), grid.sum(axis=0)
+    return JointSums(joint.sum(axis=1), cols, vdot(joint, d), axis_cols)
+
+
+def _posterior_terms(value, first, second, base, zeta, d, cols):
+    """mismatch_dual_value's block loop over the columns j of d, weighted by
+    cols: (value, first, second) less sum_j cols_j log Z_j, plus
+    sum_j cols_j mean_j and less sum_j cols_j var_j, with Z_j, mean_j and
+    var_j the normalizer, mean and variance of d_kj under the posterior
+    softmax_k(base_k - zeta d_kj).  One exp pass over column blocks
+    (_column_blocks); the variance is taken about the posterior mean, so it
+    stays accurate when the posterior concentrates at large zeta."""
+    for lo, hi, mx, e in _column_blocks(base, zeta, d):
+        dc = d[:, lo:hi]
+        mass = e.sum(axis=0)
+        dev = dc * e
+        mean = dev.sum(axis=0) / mass
+        np.subtract(dc, mean, out=dev)
+        np.square(dev, out=dev)
+        dev *= e
+        var = dev.sum(axis=0) / mass
+        weight = cols[lo:hi]
+        value -= vdot(weight, mx + np.log(mass))
+        first += vdot(weight, mean)
+        second -= vdot(weight, var)
+    return value, first, second
+
+
+def _axis_posteriors(terms, base, zeta, axis_cols, axes):
+    """mismatch_dual_value's terms where the levels form a full product and
+    every base_k is equal.  The posterior at node (a, b) is then the product
+    of one posterior over the U first-axis levels, softmax of -zeta d1[u, a],
+    and one over the V second-axis levels: its log-normalizer, mean and
+    variance are sums of the two axes', each taken by _posterior_terms on the
+    axis's level rows of axes.level_powers and weighted by axis_cols.  The
+    first axis carries the base, so each log Z_j = base + log Z1_a + log Z2_b.
+    Each axis is shifted by its own column maximum, so the terms need no
+    LSE_SWITCH guard: (U + V) n_side exps in place of M N."""
+    nu, powers = axes.level_powers
+    d_levels = powers[1]
+    terms = _posterior_terms(*terms, base[:nu], zeta, d_levels[:nu], axis_cols[0])
+    return _posterior_terms(*terms, np.zeros(d_levels.shape[0] - nu), zeta, d_levels[nu:],
+                            axis_cols[1])
 
 
 def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
@@ -656,35 +731,25 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
         second = -sum_j W_j Var_post[d]
 
     with W_j = sum_i w_ij and the posterior at output j the softmax over
-    inputs k of log_px_k + a_k - zeta*d_kj.  With ``axes`` (the GridAxes of
-    d), under the scaling kernels' guard, the posteriors come from the node
-    sums of d^0, d^1, d^2 that _table_sums takes over exp(base - max base),
-    base = log_px + a, with no psi: (U + V) n_side exps in place of M N, and
-    no pass over the M x N arrays.  Otherwise one exp pass over column blocks
-    (_column_blocks, as in _scaled_lse) gives all three, the variance
-    taken about the posterior mean, so it stays accurate when the posterior
-    concentrates at large zeta.
+    inputs k of base_k - zeta*d_kj, base = log_px + a.  With ``axes`` (the
+    GridAxes of d) the posteriors come
+    - axis by axis (_axis_posteriors), at any zeta, when sums.axis_cols is
+      set (a metric past the size crossover whose levels form a full
+      product) and base is equal across inputs, as in the GMI under a
+      uniform prior;
+    - otherwise, on the factored path (_factored), from the node sums of
+      d^0, d^1, d^2 that _table_sums takes over exp(base - max base).
+    Every other call takes one exp pass over the column blocks of d
+    (_posterior_terms).
     """
     value = vdot(a, sums.rows) - zeta * sums.wd
-    first, second = -sums.wd, 0.0
     base = log_px + a
+    if axes is not None and sums.axis_cols is not None and base.min() == base.max():
+        return _axis_posteriors((value, -sums.wd, 0.0), base, zeta, sums.axis_cols, axes)
     if _factored(axes, zeta, d):
         weights, shift = _shifted(base)
         _, (mass, dm, d2m) = _table_sums(weights, None, _level_tables(axes, zeta), axes, 0, 3)
         mean = dm / mass
         return (value - vdot(sums.cols, shift + np.log(mass)),
-                first + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))
-    for lo, hi, mx, e in _column_blocks(base, zeta, d):
-        dc = d[:, lo:hi]
-        mass = e.sum(axis=0)
-        dev = dc * e
-        mean = dev.sum(axis=0) / mass
-        np.subtract(dc, mean, out=dev)
-        np.square(dev, out=dev)
-        dev *= e
-        var = dev.sum(axis=0) / mass
-        weight = sums.cols[lo:hi]
-        value -= vdot(weight, mx + np.log(mass))
-        first += vdot(weight, mean)
-        second -= vdot(weight, var)
-    return value, first, second
+                -sums.wd + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))
+    return _posterior_terms(value, -sums.wd, 0.0, base, zeta, d, sums.cols)

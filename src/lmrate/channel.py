@@ -170,7 +170,7 @@ class DiscreteProblem:
     @cached_property
     def joint(self) -> JointSums:
         """The JointSums of p_x[:, None] * w over d, for the classical dual."""
-        return joint_sums(self.p_x, self.w, self.d)
+        return joint_sums(self.p_x, self.w, self.d, self.axes)
 
     def with_threshold(self, t: float) -> "DiscreteProblem":
         """Copy with an overridden constraint threshold.

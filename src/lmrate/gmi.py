@@ -11,7 +11,9 @@ bound on the solver output.
 
 The classical-dual kernel returns gmi(s) with its first two derivatives,
 the posterior mean and variance of the metric, so one pass gives a
-Newton step.
+Newton step.  On a channel-built grid whose inputs' levels form a full
+product, under a uniform prior, that pass takes the posteriors axis by
+axis (_kernels._axis_posteriors), at any tilt.
 """
 
 import math
@@ -44,7 +46,9 @@ def gmi(p: DiscreteProblem) -> GmiResult:
     width in s: on a flat top (the value saturating at log M at high SNR)
     the maximizer is not identifiable, but the value is.  A metric constant
     along each column (gmi' = gmi'' = 0 up to rounding) resolves at its
-    first evaluation.  ``evaluations`` counts kernel calls.
+    first evaluation.  ``evaluations`` counts kernel calls.  The kernel
+    reads the instance's cached JointSums (``p.joint``), whose per-axis
+    node weights are summed once per instance, not once per evaluation.
     """
     sums, log_px = p.joint, np.log(p.p_x)
     shifts = np.zeros(p.m)

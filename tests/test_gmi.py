@@ -132,18 +132,19 @@ def test_maximizer_beyond_initial_cap_is_followed():
 
 def test_factored_tilt_matches_block_loop(monkeypatch):
     # qam16 at grid 50 and 0 dB keeps every node and lies above the
-    # crossover, so each evaluation goes through the axis tables; the block
-    # loop, without them, takes the same search
+    # crossover, and its levels form a full product under a uniform prior,
+    # so each evaluation takes the per-axis posteriors; the block loop,
+    # without the axes, takes the same search
     p = make_problem("qam16", n_side=50)[3]
     factored = 0
-    posterior = K._table_sums
+    posterior = K._axis_posteriors
 
     def counted(*args):
         nonlocal factored
         factored += 1
         return posterior(*args)
 
-    monkeypatch.setattr(K, "_table_sums", counted)
+    monkeypatch.setattr(K, "_axis_posteriors", counted)
     got = gmi(p)
     assert p.n == 2500 and factored == got.evaluations
     want = gmi(dataclasses.replace(p, axes=None))

@@ -1,12 +1,15 @@
 """Kernel reductions checked against dense evaluation, plus stability checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import lmrate._kernels as K
-from lmrate import Coupling
+from lmrate import (Coupling, ScarlettDualPoint, build_channel, discretize, gmi,
+                    scarlett_dual_value)
+from lmrate.constellation import Constellation, build_constellation
 from lmrate._newton import dual_hessian, from_coupling
 from conftest import make_problem, rotation
 
@@ -228,6 +231,92 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db, h_hat):
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                                err_msg=f"{name}[{k}] at lam={lam}")
+
+
+def _axis_posterior_calls(monkeypatch):
+    """A list that grows by one at each call of _kernels._axis_posteriors."""
+    calls = []
+    branch = K._axis_posteriors
+
+    def counted(*args):
+        calls.append(args)
+        return branch(*args)
+
+    monkeypatch.setattr(K, "_axis_posteriors", counted)
+    return calls
+
+
+_AXIS_CELLS = [(scheme, n_side, snr_db, None)
+               for scheme, n_side in (("qpsk", 200), ("qam16", 50), ("qam64", 50), ("qam256", 50))
+               for snr_db in (0.0, 10.0)] + [("qpsk", 50, 20.0, None),
+                                             ("qam16", 50, 0.0, np.diag([1.0, 0.8]))]
+
+
+@pytest.mark.parametrize("scheme, n_side, snr_db, h_hat", _AXIS_CELLS,
+                         ids=lambda v: "diag" if isinstance(v, np.ndarray) else None)
+def test_axis_posteriors_match_block_loop(monkeypatch, scheme, n_side, snr_db, h_hat):
+    # every built-in alphabet's levels form a full product under a
+    # diagonal decoder, so at a = 0 under its uniform prior the classical
+    # dual takes the per-axis posteriors, at any tilt: from 0 through the
+    # GMI's s* to past the tables' guard, and on qpsk at 20 dB, whose
+    # posteriors concentrate (its s* lies past the guard, and its variance
+    # there is about 1e-16).  Under diag(1, 0.8) the two axes' levels and
+    # node weights differ, so an axis weighted by the other's weights
+    # shows.  The crossover is lowered so that every cell, qam16 at 10 dB
+    # (16 x 1020) and qpsk at grid 50 included, takes the branch
+    p = make_problem(scheme, snr_db=snr_db, n_side=n_side, h_hat=h_hat)[3]
+    monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
+    sums, log_px, a = p.joint, np.log(p.p_x), np.zeros(p.m)
+    assert p.axes.product and sums.axis_cols is not None
+    guard = K.LSE_SWITCH / p.axes.span
+    calls = _axis_posterior_calls(monkeypatch)
+    for lam in (0.0, 1.0, gmi(p).s_star, 2.0 * guard):
+        calls.clear()
+        got = K.mismatch_dual_value(sums, a, log_px, lam, p.d, p.axes)
+        want = K.mismatch_dual_value(sums, a, log_px, lam, p.d, None)
+        assert len(calls) == 1
+        # at lam = 0 the value is 0 in exact arithmetic, a difference of
+        # sums of about log M; the slope vanishes at s* and rounds like sum w d
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12,
+                                   atol=1e-12 * math.log(p.m) if lam == 0.0 else 0.0,
+                                   err_msg=f"value at lam={lam}")
+        assert abs(got[1] - want[1]) <= 1e-12 * sums.wd, f"first at lam={lam}"
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0.0,
+                                   err_msg=f"second at lam={lam}")
+
+
+def test_axis_posteriors_only_on_equal_weights_over_a_product(rng, monkeypatch):
+    # the per-axis branch needs a full product of levels, equal weights
+    # log p_x + a and a metric past the crossover: qam16 at grid 50 and
+    # 0 dB takes it at a = 0, and not with non-zero shifts, under a
+    # non-uniform prior, under a rotated decoder (no levels), under a
+    # singular one (4 x 1 levels for 16 inputs, no product), or at qpsk's
+    # 4 x 2500
+    p = make_problem("qam16", n_side=50)[3]
+    calls = _axis_posterior_calls(monkeypatch)
+    scarlett_dual_value(ScarlettDualPoint(zeta=1.0, a=np.zeros(p.m)), p)
+    assert len(calls) == 1
+    calls.clear()
+    scarlett_dual_value(ScarlettDualPoint(zeta=1.0, a=rng.normal(0.0, 0.1, p.m)), p)
+    cons = build_constellation("qam16")
+    probs = np.exp(-0.3 * (cons.points ** 2).sum(axis=1))
+    probs /= probs.sum()
+    points = cons.points / math.sqrt(probs @ (cons.points ** 2).sum(axis=1))
+    chan = build_channel(1.0, 0.9, np.pi / 18, 0.0)
+    skewed = discretize(chan, Constellation(points, probs), 50)[1]
+    assert skewed.axes.product and skewed.n == 2500
+    gmi(skewed)
+    rotated = make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3]
+    assert not rotated.axes.product and rotated.joint.axis_cols is None
+    gmi(rotated)
+    singular = make_problem("qam16", n_side=50, h_hat=np.diag([1.0, 0.0]))[3]
+    assert singular.axes.levels is not None and not singular.axes.product
+    gmi(singular)
+    small = make_problem("qpsk", n_side=50)[3]
+    assert small.axes.product and small.d.size < K.FACTORED_MIN_ENTRIES
+    assert small.joint.axis_cols is None
+    gmi(small)
+    assert calls == []
 
 
 def test_level_tables_replace_the_input_tables(rng):

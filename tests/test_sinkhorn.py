@@ -377,10 +377,10 @@ def test_projected_solve_matches_step_api_loop(projected_cells):
 
 def _count_passes(monkeypatch):
     """A Counter of the passes over the coupling, each of which starts one of
-    these three loops: the axis tables' exp, a column-block loop or a
-    row-block loop."""
+    these four loops: the axis tables' exp, a column-block loop or one of
+    the two row-block loops."""
     passes = Counter()
-    for name in ("_column_blocks", "_level_tables", "exponent_blocks"):
+    for name in ("_column_blocks", "_level_tables", "exponent_blocks", "_row_blocks"):
         def counted(*args, _name=name, _loop=getattr(K, name), **kwargs):
             passes[_name] += 1
             return _loop(*args, **kwargs)
