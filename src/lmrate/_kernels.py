@@ -249,11 +249,20 @@ def _matmul(a, b):
 
 
 def vdot(x, y) -> float:
-    """sum(x * y) over two arrays of one shape, as a single-threaded einsum
-    reduction: OpenBLAS runs dot products of more than 10,000 entries threaded,
-    and a threaded reduction that small only waits when another process holds
-    a core."""
-    return float(np.einsum("i,i->", x.ravel(), y.ravel()))
+    """sum(x * y) over two arrays of one shape, as BLAS dot products over
+    chunks of at most 8192 entries, so a vector that short is one np.dot
+    call.  OpenBLAS runs a dot product of more than 10,000 entries threaded,
+    and a threaded reduction that small only waits when another process
+    holds a core; 8192 is the largest power of two below that.  np.dot costs
+    about 0.9 us a call at 4 to 100 entries against 2 us for np.einsum, and
+    chunked it is also quicker on long vectors (13 against 16 us at 40,000
+    entries, 2-core Xeon)."""
+    x, y = x.ravel(), y.ravel()
+    total = 0.0
+    while x.size > 8192:
+        total += np.dot(x[:8192], y[:8192])
+        x, y = x[8192:], y[8192:]
+    return float(total + np.dot(x, y))
 
 
 def _level_tables(axes, lam):

@@ -26,7 +26,8 @@ p_y).  The run's first pass is also its start's evaluation.  Its trace
 matches the step API's to rounding.
 
 Residuals after a full iteration are the L1 marginal gaps plus the
-multiplier residual |excess|, with the complementary-slackness convention
+multiplier residual, |excess| taken on the metric less its minimum
+(problem.evaluate), with the complementary-slackness convention
 that the multiplier residual is zero at lam = 0 with negative excess
 (the constraint is simply inactive there).
 
@@ -135,7 +136,9 @@ class SolveReport:
     residual_trace: list
     status: SolveStatus
     dual_objective: float
-    dual_objective_init: float        # at the start; H(p_x) + H(p_y) at the product start
+    # at the start: H(p_x) + H(p_y) at the product start, and from the first
+    # row update on a root run from the zero scalings (no sweep of its own)
+    dual_objective_init: float
     tau: float | None                 # the projected step size; None for other strategies
     strategy: str
     lambda_init: float = 1.0          # the start taken; 0.0 at the product start
@@ -272,7 +275,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     that coupling at lam = 0 (the product start).  Otherwise, with
     cfg.lambda_init None, it starts at the GMI's optimal tilt gmi(p).s_star
     and reports that GmiResult as ``gmi`` (it starts at 1.0, ``gmi`` None,
-    when gmi raises NumericalFailureError).  It hands the
+    when gmi raises NumericalFailureError).  That start, at zero scalings,
+    takes no sweep of its own: its dual value, dual_objective_init, is
+    sum_i exp(log p_x_i - lphi_i) - 1 + lam t, the mass read off the first
+    row update lphi.  It hands the
     gauge-balanced iterate at a positive multiplier to the damped Newton
     loop after the first iteration when M is at most NEWTON_MAX_INPUTS;
     its sweeps and steps read the metric's axis tables where the kernels'
@@ -309,23 +315,24 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     failure = threshold_failure(p, cfg.tol)
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
     lphi, lpsi, lam, tilt = np.zeros(p.m), np.zeros(p.n), cfg.lambda_init, None
-    if failure is not None:
+    product = failure is not None or (
+        strategy is LambdaStrategy.ROOT
+        and multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol)
+    if product:
         lphi, lpsi, lam = log_px, log_py, 0.0
-    elif strategy is LambdaStrategy.ROOT:
-        if multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol:
-            lphi, lpsi, lam = log_px, log_py, 0.0
-        elif lam is None:
-            try:
-                tilt = gmi(p)
-                lam = tilt.s_star
-            except NumericalFailureError:
-                pass
-    lam = 1.0 if lam is None else float(lam)
-    stats = None
+    elif strategy is LambdaStrategy.ROOT and lam is None:
+        try:
+            tilt = gmi(p)
+            lam = tilt.s_star
+        except NumericalFailureError:
+            pass
+    lam_init = lam = 1.0 if lam is None else float(lam)
+    stats = dual_init = None
     if strategy is LambdaStrategy.PROJECT and failure is None:
         stats, step = _kernels.projected_sweep(lphi, lpsi, lam, p.d, p.d_max - p.d_min,
                                                log_px, log_py, p.p_y, p.axes)
-    start = evaluate(lphi, lpsi, lam, p, 0, stats)
+    if product or strategy is LambdaStrategy.PROJECT:
+        dual_init = evaluate(lphi, lpsi, lam, p, 0, stats).dual_objective
 
     trace: list = []
     converged = False
@@ -336,6 +343,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         try:
             if strategy is LambdaStrategy.ROOT:
                 lphi, lpsi = _scale(lpsi, lam, p, log_px, log_py)
+                if dual_init is None:
+                    # the row update from the zero start: its row sums are
+                    # exp(log p_x - lphi), so they give that start's mass
+                    dual_init = float(np.exp(log_px - lphi).sum()) - 1.0 + lam * p.t
                 root = solve_multiplier_root(lphi, lpsi, p.d, p.t, lam_hint=lam, axes=p.axes)
                 lam, stats = float(root), root.stats
                 root_evals += root.evals
@@ -378,10 +389,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         residual_trace=trace,
         status=SolveStatus.of_run(failure, converged),
         dual_objective=final.dual_objective,
-        dual_objective_init=start.dual_objective,
+        dual_objective_init=dual_init,
         tau=tau if strategy is LambdaStrategy.PROJECT else None,
         strategy=strategy.value,
-        lambda_init=start.lam,
+        lambda_init=lam_init,
         failed_iteration=failure and failure.iteration,
         failure_reason=failure and str(failure),
         root_evals=root_evals,

@@ -520,8 +520,8 @@ def test_newton_line_search_never_overflows(monkeypatch, qpsk_n10):
 
 
 @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (50.0, 1.0), (700.0, 1.0),
-                                          (2000.0, 1.0), (0.0, 1e-3), (0.0, 100.0),
-                                          (0.0, 1e4)])
+                                          (2000.0, 1.0), (3000.0, 1.0), (0.0, 1e-3),
+                                          (0.0, 100.0), (0.0, 1e4)])
 def test_newton_loops_ignore_metric_offset_and_scale(qpsk_n10, shift, scale):
     # the rate is unchanged under d -> scale * (d + shift), t -> scale * (t + shift),
     # and so is the work of the oracle (on the column-centred metric, from a
@@ -539,6 +539,25 @@ def test_newton_loops_ignore_metric_offset_and_scale(qpsk_n10, shift, scale):
     assert oracle.converged and oracle.iterations <= 10, (oracle.status, oracle.iterations)
     assert report.converged and report.iterations <= 10, (report.status, report.iterations)
     assert abs(oracle.lm_rate_nats - ref) <= 1e-9
+    assert abs(report.lm_rate_nats - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("shift", [50.0, 700.0, 2000.0, 3000.0])
+def test_solve_rows_ignore_metric_offset(qpsk_n10, shift):
+    # r_lambda is the excess of d - d_min against t - d_min, which an offset
+    # leaves unchanged; the raw excess |sum d q - t| carries the coupling's
+    # mass error times the offset, near 1e-10 at a shift of 2000, and there
+    # the row on which solve stopped was down to rounding (from 5000 up the
+    # root solve on the raw metric stalls, which this does not cover)
+    p = qpsk_n10
+    ref = newton_oracle(p, tol=1e-12).lm_rate_nats
+    moved = DiscreteProblem(d=p.d + shift, p_x=p.p_x, p_y=p.p_y, w=p.w, t=p.t + shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        base = solve(p)
+        report = solve(moved)
+    assert base.converged and report.converged, (base.status, report.status)
+    assert report.iterations == base.iterations
     assert abs(report.lm_rate_nats - ref) <= 1e-9
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import lmrate._kernels as K
-from lmrate import (Coupling, ScarlettDualPoint, build_channel, discretize, gmi,
-                    scarlett_dual_value)
+from lmrate import (Coupling, ScarlettDualPoint, SolverConfig, build_channel, discretize,
+                    gmi, scarlett_dual_value, solve)
 from lmrate.constellation import Constellation, build_constellation
 from lmrate._newton import dual_hessian, from_coupling
 from conftest import make_problem, rotation
@@ -435,3 +435,49 @@ def test_grid_layout_copies_only_pruned_grids(rng, snr_db):
     np.testing.assert_array_equal(axes.nodes(grid), grid.ravel()[axes.kept])
     assert np.shares_memory(axes.grid(values), values) == full
     assert np.shares_memory(axes.nodes(grid), grid) == full
+
+
+@pytest.mark.parametrize("shape", [(1,), (100,), (8191,), (8192,), (8193,), (40000,),
+                                   (16, 2500), (3, 7)])
+def test_vdot_matches_exact_sum(rng, shape):
+    # within the worst-case bound of a recursive sum, against the correctly
+    # rounded sum of the products
+    x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+    products = (x * y).ravel()
+    n = products.size
+    bound = 2.0 * n * np.finfo(float).eps * float(np.abs(products).sum())
+    assert abs(K.vdot(x, y) - math.fsum(products)) <= bound
+
+
+def test_vdot_calls_blas_in_short_chunks(rng, monkeypatch):
+    # OpenBLAS runs a dot product of more than 10,000 entries threaded, so
+    # vdot hands it chunks of at most 8192, and a vector that short whole
+    sizes = []
+
+    def spy(x, y, *args):
+        sizes.append(x.size)
+        return dot(x, y, *args)
+
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", spy)
+    for n in (1, 100, 8192, 8193, 40000):
+        sizes.clear()
+        K.vdot(rng.standard_normal(n), rng.standard_normal(n))
+        assert max(sizes) <= 8192 and sum(sizes) == n and len(sizes) == -(-n // 8192), n
+
+
+def test_vdot_solves_make_no_einsum_call(qpsk_n10, monkeypatch):
+    # the block-loop solves reduce through vdot alone, which np.einsum no
+    # longer serves
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", spy)
+    for strategy in ("root", "project"):
+        report = solve(qpsk_n10, SolverConfig(lambda_strategy=strategy, max_iters=30))
+        assert report.iterations > 0, strategy
+    assert calls == []

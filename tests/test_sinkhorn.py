@@ -780,6 +780,47 @@ def test_zero_multiplier_runs_start_at_the_product_coupling():
     assert -multiplier_excess(np.log(p.p_x), np.log(p.p_y), 0.0, p.d, p.t) > 8e-3
 
 
+@pytest.mark.parametrize("cell", [("qpsk", 10, 0.0), ("qam16", 50, 0.0), ("qpsk", 50, 20.0),
+                                  ("qpsk", 10, 0.0, 5000.0)])
+def test_root_run_makes_no_start_sweep(monkeypatch, cell):
+    # a root run from the zero scalings takes its start's dual value from its
+    # first row update, whose row sums are the start's.  Each cell makes one
+    # scaling iteration, and its coupling_stats sweeps before the Newton
+    # finish are the root evaluations after the first (a metric_moments
+    # sweep), or the one evaluation sweep when the root solve accepts its
+    # hint as it stands (qpsk at 20 dB, which converges there).  Cells: the
+    # block loop, the axis tables, that run, and qpsk grid 10 shifted by
+    # 5000, whose raw-metric root solve may stall at iteration 1
+    scheme, n_side, snr_db, *shift = cell
+    p = make_problem(scheme, snr_db=snr_db, n_side=n_side)[3]
+    if shift:
+        p = DiscreteProblem(d=p.d + shift[0], p_x=p.p_x, p_y=p.p_y, w=p.w, t=p.t + shift[0])
+    sweeps, handed_off = [], []
+
+    def counted(lphi, lpsi, lam, d, axes=None):
+        if not handed_off:
+            sweeps.append((lphi.any() or lpsi.any(), lam))
+        return stats(lphi, lpsi, lam, d, axes)
+
+    def descend(*args):
+        handed_off.append(True)
+        return finish(*args)
+
+    stats, finish = K.coupling_stats, sinkhorn.descend
+    monkeypatch.setattr(K, "coupling_stats", counted)
+    monkeypatch.setattr(sinkhorn, "descend", descend)
+    report = solve(p)
+    assert (False, report.lambda_init) not in sweeps
+    if not shift:
+        assert report.converged, (cell, report.status)
+        assert report.iterations - report.newton_steps == 1
+        assert len(sweeps) == max(report.root_evals - 1, 1)
+    start = problem.evaluate(np.zeros(p.m), np.zeros(p.n), report.lambda_init, p)
+    assert math.isfinite(report.dual_objective_init)
+    assert (abs(report.dual_objective_init - start.dual_objective)
+            <= 1e-12 * abs(start.dual_objective))
+
+
 def test_default_start_is_the_gmi_tilt():
     # the 24 cells of the README scan plus 20 dB (qpsk and qam16, eta 0.8 and
     # 0.9, -5 to 20 dB, grid 50, theta pi/18): each root run starts at the
