@@ -311,14 +311,13 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     per-input sums on a rotated qam256 at grid 50: the rows then read each
     input's row of F_p Psi against its own G_q row, one batched product
     over the inputs, and the nodes weight each input's own F_p row.  The
-    products are associated as the Newton step needs: its Schur complement
-    diag(r + delta) - gram is near singular along the gauge, so r must
-    round like the Gram matrix.  On the six level cells of
-    test_factored_newton_step_matches_dense this association leaves the
-    step at most 0.42 of its bound from the dense one; with F_p^T (Phi G_q)
-    for the nodes it read 2.66, and 1.99 with F_p (Psi G_q^T) for the rows
-    as well.  Its two rotated cells read 0.33 and 0.44, and 1.008 and 0.23
-    with the per-input rows as one einsum.  Under the LSE_SWITCH guard,
+    Newton step takes the diagonal of its Schur complement from its own
+    products with the coupling, not from these row sums, so the
+    association of the products does not bind it: on the six level cells
+    of test_factored_newton_step_matches_dense the step reads at most 0.15
+    of its bound from the dense one (0.17 under OpenBLAS's Haswell kernel),
+    0.08 (0.10) with F_p^T (Phi G_q) for the nodes, and 0.26 (0.19) with
+    F_p (Psi G_q^T) for the rows as well.  Under the LSE_SWITCH guard,
     with weights of maximum 1, every R_0 lies in [exp(-LSE_SWITCH), N] and
     every C_0 in [exp(-LSE_SWITCH), M]."""
     f, g = tables
@@ -574,23 +573,26 @@ class LevelCoupling:
     K = (F (x) F)(W (G (x) G)^T): U^2 V^2 n_side + V^2 n_side^2 multiply-adds
     in place of M^2 N, 3.9M against 82M for qam256 at grid 50.  dot and tdot
     are two small products over the grid each, the inputs' weights summed
-    by level for tdot.  Each table row is scaled by a power of two near its
-    maximum and rho by the inverse, exactly, so every product rounds as it
-    would with the unscaled tables, those of the Hessian's sums: the Schur
-    complement diag(r + delta) - gram is near singular along the gauge,
-    and its rounding must match r's (with each row shifted by exp of its
-    largest exponent, the step on qam16 at grid 50 and 0 dB moved 8.5 times
-    the bound of test_factored_newton_step_matches_dense off the dense one).
+    by level for tdot, through one bincount for a vector.  Each table row
+    is scaled by a power of two near its maximum and rho by the inverse,
+    exactly, so every product rounds as it would with the unscaled tables.
+    The Newton step no longer needs that: its Schur diagonal comes from
+    these products, and with each row divided by its maximum the step of
+    test_factored_newton_step_matches_dense reads at most 0.006 of its
+    bound on the level cells (0.21 under the Haswell kernel), where it read
+    8.5 when the diagonal came from the Hessian's sums.
     scaled_coupling takes it only while rho stays below LEVEL_RHO_CAP."""
 
     def __init__(self, lphi, lpsi, tables, axes, s):
-        self.u, self.v = axes.levels[:2]
+        u, v = axes.levels[:2]
         f, g = tables
+        self.level = u * g.shape[0] + v
         k1, k2 = np.frexp(f.max(axis=1))[1], np.frexp(g.max(axis=1))[1]
         self.f, self.g = np.ldexp(f, -k1[:, None]), np.ldexp(g, -k2[:, None])
         shift = lpsi.max()
-        self.rho = np.ldexp(np.exp(lphi + shift), k1[self.u] + k2[self.v])
+        self.rho = np.ldexp(np.exp(lphi + shift), k1[u] + k2[v])
         self.psi, self.s = np.exp(lpsi - shift), s
+        self.weight = self.psi * s
         self.axes = axes
 
     def gram(self):
@@ -605,15 +607,18 @@ class LevelCoupling:
         return out
 
     def dot(self, y):
-        t = self.f @ self.axes.grid(self.psi * self.s * y) @ self.g.T
-        return self.rho * t[self.u, self.v]
+        t = self.f @ self.axes.grid(self.weight * y) @ self.g.T
+        return self.rho * t.take(self.level)
 
     def tdot(self, x):
         nu, nv = self.f.shape[0], self.g.shape[0]
-        onehot = np.zeros((self.u.size, nu * nv))
-        onehot[np.arange(self.u.size), self.u * nv + self.v] = self.rho
-        t = (x @ onehot).reshape(*x.shape[:-1], nu, nv)
-        return self.axes.nodes(self.f.T @ t @ self.g) * (self.psi * self.s)
+        if x.ndim == 1:
+            t = np.bincount(self.level, x * self.rho, nu * nv).reshape(nu, nv)
+        else:
+            onehot = np.zeros((self.level.size, nu * nv))
+            onehot[np.arange(self.level.size), self.level] = self.rho
+            t = (x @ onehot).reshape(*x.shape[:-1], nu, nv)
+        return self.axes.nodes(self.f.T @ t @ self.g) * self.weight
 
 
 def scaled_coupling(lphi, lpsi, lam, axes, tables, s):

@@ -63,10 +63,30 @@ FLAT_SLOPE_RTOL = 6.4e-14
 # with the square of the metric and stays out: with it (at 1e-12), a shift
 # of 2000 took the solver's Newton finish 497 steps on qpsk at grid 10, and
 # 3 without.  From 1e-12 to 1e-11 the benchmark cells' rows and rates hold;
-# 5e-12 keeps the factored step within 0.67 of its test bound against the
-# dense one (3e-12: 0.50, 1e-12: 3.4) and every shift up to 2000 at 3
-# steps (1e-11: 8).
+# 5e-12 keeps the factored step within 0.41 of its test bound against the
+# dense one under OpenBLAS's SkylakeX kernel and 0.21 under its Haswell
+# kernel (3e-12: 0.36 and 0.22, 1e-12: 1.04 and 0.97) and every shift up
+# to 2000 at 3 steps (1e-11: 8).
 NEWTON_DAMPING = 5e-12
+
+# The Newton step solves its Schur system by conjugate gradients
+# (_schur_pcg) on a LevelCoupling from PCG_MIN_INPUTS inputs, and on an
+# M x N array where the direct solve's multiply-adds, M^2 N / 2 for the
+# Gram matrix and M^3 / 3 for the LU, are at least PCG_ARRAY_ITERATIONS
+# times one CG iteration's 2 M N.  CG takes 6-7 iterations at 0 dB and
+# 10-14 at 5-10 dB.  One step at the hand-off point, direct -> CG (best of
+# 5, OMP_NUM_THREADS=1, 2-core Xeon): on the levels, qam64 at grid 50
+# 0.40 -> 0.75 ms, 121 points 0.40 -> 0.45, 144 points at 5 dB
+# 0.52 -> 0.73, 196 points 0.80 -> 0.48, qam256 1.8-2.1 -> 0.76-0.87 at
+# grids 50 and 100 (1.37 -> 1.30 at 5 dB), 1024 points at grid 20
+# 52 -> 0.87 ms; on arrays at 10 dB, 256 x 4440 12.8 -> 17.5 ms,
+# 256 x 2158 7.9 -> 9.4, 256 x 1092 4.4 -> 3.8, 576 x 696 10.9 -> 5.1 and
+# 1024 x 700 62 -> 11.  At 0 dB, with half the iterations, CG wins on
+# arrays from M = 121 (0.36 -> 0.22 ms at 121 x 100), but the rule is set
+# where it wins at 10 dB.
+PCG_MIN_INPUTS = 200
+PCG_ARRAY_ITERATIONS = 70
+PCG_RTOL = 1e-10
 
 # One bracketed_newton search looks on [0, SCALAR_CAP]: the multiplier root
 # and the GMI tilt are one dual variable, the GMI's shifts being pinned at 0.
@@ -184,31 +204,103 @@ def _newton_step(h: DualHessian, grad):
     the marginal diagonal (r, c), by eliminating
     s_beta = (-g_beta - Q^T s_alpha - v s_lam) / (c + delta).
     The (M+1)-square Schur complement and every product with Q go through
-    G = Q diag((c + delta)^-1/2), built once by the Hessian's q_scaled: its
-    Gram matrix G G^T, two products G y and one x^T G.  As an M x N array
-    that is O(M^2 N); through the level tables, O(U^2 V^2 n_side) with no
-    M x N array.  The gradient is orthogonal to the gauge vector, an
-    eigenvector of H + delta I, so no gauge pin is needed."""
+    G = Q diag((c + delta)^-1/2), built once by the Hessian's q_scaled.  The
+    complement is diag(r + delta) - G G^T bordered by the metric sums, with
+    r = G (G^T 1 + delta (c + delta)^-1/2), which is Q 1 in exact
+    arithmetic: so each row rounds like the products it is set against, and
+    the near null direction 1_M (the gauge) cancels as it does in exact
+    arithmetic.  _pcg_wins picks how the system is solved: directly
+    (_schur_direct, from the Gram matrix G G^T) or by conjugate gradients
+    (_schur_pcg, two products with G an iteration and no M x M array).
+    The gradient is orthogonal to the gauge vector, an eigenvector of
+    H + delta I, so no gauge pin is needed."""
     r, c, u, v, w, q_scaled = h
     m = r.size
     delta = NEWTON_DAMPING * (r.sum() + c.sum()) / (m + c.size)
     scale = np.sqrt(1.0 / (c + delta))
     g = q_scaled(scale)
     vs, gs = v * scale, grad[m:-1] * scale
-    schur = np.empty((m + 1, m + 1))
-    schur[:m, :m] = np.diag(r + delta) - g.gram()
-    schur[:m, m] = schur[m, :m] = u - g.dot(vs)
-    schur[m, m] = w + delta - _kernels.vdot(vs, vs)
+    border = u - g.dot(vs)
+    corner = w + delta - _kernels.vdot(vs, vs)
     rhs = np.append(g.dot(gs) - grad[:m], _kernels.vdot(vs, gs) - grad[-1])
-    try:
-        x = np.linalg.solve(schur, rhs)
-    except np.linalg.LinAlgError as err:
-        raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
+    solve = _schur_pcg if _pcg_wins(g, m, c.size) else _schur_direct
+    x = solve(g, delta, delta * scale, border, corner, rhs)
     s_beta = -(gs + g.tdot(x[:m]) + vs * x[m]) * scale
     step = np.concatenate([x[:m], s_beta, x[m:]])
     if not np.isfinite(step).all():
         raise NumericalFailureError("Newton step is not finite")
     return step
+
+
+def _pcg_wins(g, m, n):
+    """True when conjugate gradients solve the Schur system faster than the
+    direct solve (measured crossover in PCG_MIN_INPUTS' comment)."""
+    if isinstance(g, _kernels.LevelCoupling):
+        return m >= PCG_MIN_INPUTS
+    return m * (n / 2 + m / 3) >= PCG_ARRAY_ITERATIONS * 2 * n
+
+
+def _schur_direct(g, delta, ds, border, corner, rhs):
+    """The Schur system solved by LU: its M x M block
+    diag(r + delta) - G G^T, r the Gram matrix's row sums plus G ds."""
+    m = border.size
+    gram = g.gram()
+    r = gram.sum(axis=1) + g.dot(ds)
+    schur = np.empty((m + 1, m + 1))
+    np.negative(gram, out=schur[:m, :m])
+    schur.flat[:m * (m + 2):m + 2] += r + delta
+    schur[:m, m] = schur[m, :m] = border
+    schur[m, m] = corner
+    try:
+        return np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailureError(f"Newton system could not be solved: {err}") from None
+
+
+def _schur_pcg(g, delta, ds, border, corner, rhs):
+    """The Schur system S x = rhs by Jacobi-preconditioned conjugate
+    gradients, deflated along e = (1_M, 0) / sqrt(M), S's near null
+    direction: CG runs on P S with P y = y - (S e)(e.y) / (e.S e), which
+    leaves no component along e for its iterates to resolve, and
+    x = e (e.rhs) / (e.S e) + P^T x_cg puts that component back (Nicolaides,
+    SIAM J. Numer. Anal. 1987).  Projecting e out instead, as if it were
+    an exact null vector, leaves the step far off the direct one at nodes
+    of tiny mass.  Each product with S is one G^T x and one G y; CG stops
+    at relative residual PCG_RTOL or after m + 1 iterations."""
+    m = border.size
+    diag = g.dot(g.tdot(np.ones(m)) + ds) + delta
+
+    def apply(x):
+        out = diag * x[:m] - g.dot(g.tdot(x[:m])) + border * x[m]
+        return np.append(out, _kernels.vdot(border, x[:m]) + corner * x[m])
+
+    e = np.append(np.full(m, 1.0 / math.sqrt(m)), 0.0)
+    se = apply(e)
+    ese = _kernels.vdot(e, se)
+
+    def deflate(y):
+        return y - se * (_kernels.vdot(e, y) / ese)
+
+    jacobi = 1.0 / np.append(diag, corner)
+    res = deflate(rhs)
+    stop = PCG_RTOL * math.sqrt(_kernels.vdot(rhs, rhs))
+    x = np.zeros(m + 1)
+    z = jacobi * res
+    d, rz = z, _kernels.vdot(res, z)
+    for _ in range(m + 1):
+        if math.sqrt(_kernels.vdot(res, res)) <= stop:
+            break
+        sd = deflate(apply(d))
+        dsd = _kernels.vdot(d, sd)
+        if not dsd > 0.0:
+            break
+        step = rz / dsd
+        x += step * d
+        res -= step * sd
+        z = jacobi * res
+        rz, rz_old = _kernels.vdot(res, z), rz
+        d = z + (rz / rz_old) * d
+    return x - e * ((_kernels.vdot(se, x) - _kernels.vdot(e, rhs)) / ese)
 
 
 def _first_trial(dp, step, p, axes=None):

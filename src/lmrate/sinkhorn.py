@@ -35,10 +35,11 @@ The scaling iteration converges only sub-linearly, and at high SNR a root
 run can stall far from tol.  A root run therefore hands its iterate to the
 damped Newton loop of the dual (``_newton.descend``, the Newton oracle's
 loop), which finishes it in a few steps.  It does so after one scaling
-iteration when a Newton step costs less than the scaling it saves (M at
-most NEWTON_MAX_INPUTS): scaling first, then Newton, as in the
-Sinkhorn-Newton methods of Brauer, Clason, Lorenz & Wirth
-(arXiv:1710.06635) and Tang et al. (ICLR 2024).  When excess(0) <= tol
+iteration, whatever the alphabet's size: scaling first, then Newton, as in
+the Sinkhorn-Newton methods of Brauer, Clason, Lorenz & Wirth
+(arXiv:1710.06635) and Tang et al. (ICLR 2024).  On large alphabets the
+Newton step solves its system by conjugate gradients with no M x M
+matrix (_newton._schur_pcg), so it wins there too.  When excess(0) <= tol
 at the product coupling p_x (x) p_y, the optimal multiplier is 0 and a
 root run starts there instead; otherwise at the optimal tilt of the GMI,
 the rate's dual with no per-input shifts (Ganti, Lapidoth & Telatar,
@@ -61,30 +62,6 @@ from .problem import Coupling, TraceRow, balance_gauge, evaluate
 
 # relative tolerance of the multiplier root solve: |excess| <= ROOT_RTOL * t
 ROOT_RTOL = 1e-13
-
-# A root run hands off to the Newton loop after its first scaling iteration
-# when it has at most NEWTON_MAX_INPUTS inputs.  A Newton step builds and
-# solves an (M+1)-square Schur complement: M^3 / 3 multiply-adds for the
-# solve, and for the build M^2 N from an M x N array or U^2 V^2 n_side
-# through the inputs' levels (U, V levels per axis), against M N or
-# (U + V) n_side + n_side^2 exps for a scaling sweep (U = V = M without
-# levels).  So the gain turns on M.
-# Square alphabets at grid 10 and 0 dB, where scaling alone is quickest,
-# solved to tol 1e-10 from the GMI tilt (median of 25, OMP_NUM_THREADS=1,
-# 2-core Xeon; three runs each), scaling alone -> hand-off through the
-# levels: 400 points 8.8-9.1 -> 7.7-8.7 ms, 441 points tie at 8.8-9.3 ->
-# 8.4-9.4 ms, and 484 points lose, 10.1-10.4 -> 12.4-12.8 ms (576: 10.6-11.4
-# -> 18.4-19.1 ms).  The array build read the same (400: 7.9-8.8 ms), since
-# at grid 10 the M^3 solve is most of the step.  Larger grids and higher SNR
-# favour the hand-off, so the cap sits at the crossover measured on small
-# grids at low SNR; with the hand-off after iteration 3, from lam = 1, 576
-# points at grid 60 took 236 -> 146 ms, 1024 points at grid 40 and 10 dB
-# 1.83 -> 0.88 s, qam256 at grid 190 (N = 36100, near problem.DENSE_CAP)
-# 822 -> 420 ms and at grid 200 and 10 dB 18.9 s -> 1.8 s.  On the tables
-# the Newton phase builds no M x N array on level-product inputs, and one,
-# its step's Schur factor, on others; off them (lam past the kernels'
-# guard) it holds the dense coupling and one more.
-NEWTON_MAX_INPUTS = 400
 
 
 class LambdaStrategy(str, Enum):
@@ -280,10 +257,10 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     sum_i exp(log p_x_i - lphi_i) - 1 + lam t, the mass read off the first
     row update lphi.  It hands the
     gauge-balanced iterate at a positive multiplier to the damped Newton
-    loop after the first iteration when M is at most NEWTON_MAX_INPUTS;
-    its sweeps and steps read the metric's axis tables where the kernels'
-    guard admits them.  The Newton loop stops on the residual test and on
-    the primal-dual gap (``_newton_done``): at high SNR lam reaches tens,
+    loop after the first iteration; its sweeps and steps read the metric's
+    axis tables where the kernels' guard admits them.  The Newton loop
+    stops on the residual test and on the primal-dual gap
+    (``_newton_done``): at high SNR lam reaches tens,
     and a point that meets the residual test alone can still be 2e-9 nats
     short of the optimal rate.  Such a run's status is that test's: it is
     MAX_ITERS when the loop spends max_iters without meeting it, whatever
@@ -291,7 +268,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     never hands off, since its certificate speaks about the scaling trace,
     and neither does an instance above problem.DENSE_CAP entries, whose
     Newton step can build an M x N array.  A ``root`` run that cannot hand
-    off (above DENSE_CAP or NEWTON_MAX_INPUTS) stops on the same test as
+    off (above DENSE_CAP, read at call time) stops on the same test as
     the Newton loop, so its rate too lands within about tol of the optimum;
     a ``project`` run stops on the residual test, which its certificate
     reads.  A ``project`` run makes iterations + 1 passes over the coupling
@@ -308,8 +285,7 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     strategy = cfg.lambda_strategy
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
-    may_hand_off = (strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
-                    and p.m <= NEWTON_MAX_INPUTS)
+    may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
     gap_stop = strategy is LambdaStrategy.ROOT and not may_hand_off
 
     failure = threshold_failure(p, cfg.tol)

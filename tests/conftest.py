@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lmrate import build_channel, build_constellation, discretize
+from lmrate import Constellation, build_channel, build_constellation, discretize
 from lmrate.channel import DiscreteProblem
 
 # Single seed for every randomized harness; override with LMRATE_SEED.
@@ -22,6 +22,16 @@ def make_problem(scheme="qpsk", eta=0.9, theta=np.pi / 18, snr_db=0.0, n_side=10
     chan = build_channel(1.0, eta, theta, snr_db, h_hat=h_hat)
     grid, prob = discretize(chan, cons, n_side)
     return cons, chan, grid, prob
+
+
+def square_problem(k, n_side, snr_db=0.0, h_hat=None):
+    """A k x k square alphabet of unit power, uniform prior, eta 0.9 and
+    theta pi/18: the alphabets past qam256."""
+    axis = np.arange(1.0 - k, k, 2.0)
+    points = np.array([(a, b) for a in axis for b in axis])
+    points /= math.sqrt((points * points).sum(axis=1).mean())
+    cons = Constellation(points=points, probs=np.full(k * k, 1.0 / (k * k)))
+    return discretize(build_channel(1.0, 0.9, np.pi / 18, snr_db, h_hat=h_hat), cons, n_side)[1]
 
 
 def rotation(angle):

@@ -31,7 +31,7 @@ from lmrate import _kernels, _newton, dual
 from lmrate.channel import DiscreteProblem
 from lmrate._newton import coupling_from_dual, from_coupling, gauge_vector
 from lmrate.problem import balance_gauge, product_coupling
-from conftest import make_problem, random_problem, rotation
+from conftest import make_problem, random_problem, rotation, square_problem
 
 
 def _random_point(rng, p, lam=None):
@@ -253,6 +253,71 @@ def test_factored_newton_step_stays_below_one_coupling_array(factored_points):
     finally:
         tracemalloc.stop()
     assert peak < p.m * p.n * 8, (cell, peak / (p.m * p.n * 8))
+
+
+def _damped_product(h, x):
+    """(H + delta I) x from the Hessian's blocks and its products with Q,
+    delta being the Newton step's damping."""
+    m = h.r.size
+    delta = _newton.NEWTON_DAMPING * (h.r.sum() + h.c.sum()) / (m + h.c.size)
+    q = h.q_scaled(np.ones(h.c.size))
+    xa, xb, xl = x[:m], x[m:-1], x[-1]
+    return delta * x + np.concatenate([
+        h.r * xa + q.dot(xb) + h.u * xl,
+        q.tdot(xa) + h.c * xb + h.v * xl,
+        [_kernels.vdot(h.u, xa) + _kernels.vdot(h.v, xb) + h.w * xl]])
+
+
+@pytest.fixture(scope="module")
+def large_points():
+    """(cell, problem, dual point) at the third scaling iterate's multiplier:
+    qam256 at grid 50 and 0 dB (the level tables) and 10 dB (past the
+    kernels' guard, the dense coupling), and 576 points at grid 40 and 10 dB
+    under a pi/18 rotated h_hat, whose step reads an M x N array."""
+    points = []
+    for cell, p in ((("qam256", 0.0), make_problem("qam256", n_side=50)[3]),
+                    (("qam256", 10.0), make_problem("qam256", snr_db=10.0, n_side=50)[3]),
+                    (("576", "rotated"), square_problem(24, 40, 10.0, rotation(np.pi / 18)))):
+        start = _third_iterate(p)
+        points.append((cell, p, _scaled_point(p, start, start.lam)))
+    return points
+
+
+def test_pcg_newton_step_matches_direct(monkeypatch, large_points):
+    # the Schur system by deflated conjugate gradients against the direct
+    # solve of the same Hessian: within 1e-7 in the energy norm of the damped
+    # system (CG stops at relative residual 1e-10), and the multiplier
+    # component and predicted decrease, which the line search reads, to 1e-10
+    for cell, p, dp in large_points:
+        grad, _, h = _newton._sweep(dp, p, axes=p.axes)
+        steps = []
+        for pcg in (True, False):
+            monkeypatch.setattr(_newton, "_pcg_wins", lambda *args, pcg=pcg: pcg)
+            steps.append(_newton._newton_step(h, grad))
+        step, ref = steps
+        err = step - ref
+        assert math.sqrt(err @ _damped_product(h, err)) <= 1e-7 * math.sqrt(
+            ref @ _damped_product(h, ref)), cell
+        assert abs(step[-1] - ref[-1]) <= 1e-10 * abs(ref[-1]), cell
+        slope, ref_slope = _kernels.vdot(grad, step), _kernels.vdot(grad, ref)
+        assert abs(slope - ref_slope) <= 1e-10 * abs(ref_slope), cell
+
+
+def test_pcg_newton_step_holds_no_square_array(large_points):
+    # qam256 at grid 50 and 0 dB: the rule sends the step's Schur system to
+    # conjugate gradients on the level tables, which hold grids, tables and
+    # vectors, and no M x M array (nor any M x N one)
+    cell, p, dp = large_points[0]
+    grad, _, h = _newton._sweep(dp, p, axes=p.axes)
+    g = h.q_scaled(np.ones(p.n))
+    assert isinstance(g, _kernels.LevelCoupling) and _newton._pcg_wins(g, p.m, p.n), cell
+    tracemalloc.start()
+    try:
+        _newton._newton_step(h, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.m * p.m * 8, (cell, peak / (p.m * p.m * 8))
 
 
 def _full_pass_trial(dp, step, d):

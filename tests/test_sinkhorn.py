@@ -31,7 +31,7 @@ from lmrate import (
 )
 from lmrate.channel import DiscreteProblem
 from lmrate.dual import newton_oracle
-from conftest import make_problem, random_problem, rotation
+from conftest import make_problem, random_problem, rotation, square_problem
 
 
 def _uniform_2x2(d_value=1.0, t=1.0):
@@ -662,29 +662,32 @@ def test_hand_off_status_reads_the_newton_stop_rule(monkeypatch, qpsk_n10):
     assert report.failure_reason is None
 
 
-def _square_problem(k, n_side):
-    """A k x k square alphabet of unit power, uniform prior, at 0 dB."""
-    axis = np.arange(1.0 - k, k, 2.0)
-    points = np.array([(a, b) for a in axis for b in axis])
-    points /= math.sqrt((points * points).sum(axis=1).mean())
-    cons = Constellation(points=points, probs=np.full(k * k, 1.0 / (k * k)))
-    return discretize(build_channel(1.0, 0.9, np.pi / 18, 0.0), cons, n_side)[1]
+@pytest.fixture(scope="module")
+def square_484():
+    # 484 inputs at grid 10 and 0 dB, where scaling alone is quickest
+    return square_problem(22, 10)
 
 
-@pytest.fixture
-def above_cap():
-    # 484 inputs, the smallest square alphabet above the cap, at grid 10
-    return _square_problem(22, 10)
+def test_large_alphabet_hands_off_after_one_iteration(monkeypatch, square_484):
+    # every root run within the dense cap hands off after its first
+    # iteration, whatever its alphabet's size; each step solves its Schur
+    # system by conjugate gradients here, and the rate lands on the oracle's
+    p = square_484
+    solved = []
 
+    def spy(*args):
+        solved.append(args)
+        return pcg(*args)
 
-def test_early_hand_off_follows_the_cost_cap(above_cap):
-    # 400 inputs, at the cap itself, hand off after iteration 1;
-    # test_low_snr_cell_makes_no_newton_steps solves the cell above it
-    below = _square_problem(20, 10)
-    assert below.m == sinkhorn.NEWTON_MAX_INPUTS < above_cap.m
-    early = solve(below)
-    assert early.converged and early.newton_steps > 0
-    assert early.iterations - early.newton_steps == 1
+    pcg = _newton._schur_pcg
+    monkeypatch.setattr(_newton, "_schur_pcg", spy)
+    report = solve(p)
+    assert report.converged and report.newton_steps > 0
+    assert report.iterations - report.newton_steps == 1
+    assert len(solved) == report.newton_steps
+    oracle = newton_oracle(p, tol=1e-13)
+    assert oracle.converged
+    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-10
 
 
 @pytest.mark.parametrize("h_hat", [None, rotation(np.pi / 18)], ids=["levels", "rotated"])
@@ -912,24 +915,18 @@ def test_default_converges_without_symmetry_certificate():
         assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9, cell
 
 
-def test_low_snr_cell_makes_no_newton_steps(above_cap):
-    # above the cap a run never hands off, and at 0 dB this cell converges
-    # by scaling alone
-    report = solve(above_cap)
-    assert report.converged
-    assert report.newton_steps == 0
-
-
-def test_runs_that_cannot_hand_off_stop_on_the_gap(above_cap):
-    # a root run above the cap stops as the Newton finish does, on the
+def test_runs_that_cannot_hand_off_stop_on_the_gap(monkeypatch, square_484):
+    # a root run above the dense cap stops as the Newton finish does, on the
     # residuals and the primal-dual gap: the residual test alone passes at
     # row 43, 5.3e-10 nats above the optimum, and the gap test stops it at
     # row 47.  The reference is the oracle at tol 1e-13: at 1e-12 its stop,
     # which reads the gradient alone, leaves its own rate 7.9e-12 below its
     # dual bound on this cell, and one more step brings the two within
     # 3.1e-13
-    p = above_cap
-    report = solve(p)
+    p = square_484
+    with monkeypatch.context() as patch:
+        patch.setattr(problem, "DENSE_CAP", p.d.size - 1)
+        report = solve(p)
     assert report.converged and report.newton_steps == 0
     trace = report.residual_trace
     first = next(row.iter for row in trace if sinkhorn._peak(row) <= 1e-10)
