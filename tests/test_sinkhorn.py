@@ -668,10 +668,21 @@ def square_484():
     return square_problem(22, 10)
 
 
-def test_large_alphabet_hands_off_after_one_iteration(monkeypatch, square_484):
+@pytest.fixture(scope="module")
+def capped_484(square_484):
+    # the same cell solved with problem.DENSE_CAP one entry below its size,
+    # so that the run may not hand off; the oracle needs the cap lifted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problem, "DENSE_CAP", square_484.d.size - 1)
+        return solve(square_484)
+
+
+def test_early_hand_off_follows_the_cost_cap(monkeypatch, square_484):
     # every root run within the dense cap hands off after its first
-    # iteration, whatever its alphabet's size; each step solves its Schur
-    # system by conjugate gradients here, and the rate lands on the oracle's
+    # iteration, whatever its alphabet's size, here at the cap itself
+    # (test_low_snr_cell_makes_no_newton_steps solves the cell above it);
+    # each step solves its Schur system by conjugate gradients, and the rate
+    # lands on the oracle's
     p = square_484
     solved = []
 
@@ -681,6 +692,7 @@ def test_large_alphabet_hands_off_after_one_iteration(monkeypatch, square_484):
 
     pcg = _newton._schur_pcg
     monkeypatch.setattr(_newton, "_schur_pcg", spy)
+    monkeypatch.setattr(problem, "DENSE_CAP", p.d.size)
     report = solve(p)
     assert report.converged and report.newton_steps > 0
     assert report.iterations - report.newton_steps == 1
@@ -915,7 +927,14 @@ def test_default_converges_without_symmetry_certificate():
         assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-9, cell
 
 
-def test_runs_that_cannot_hand_off_stop_on_the_gap(monkeypatch, square_484):
+def test_low_snr_cell_makes_no_newton_steps(capped_484):
+    # above the dense cap a run never hands off, and at 0 dB this cell
+    # converges by scaling alone
+    assert capped_484.converged
+    assert capped_484.newton_steps == 0
+
+
+def test_runs_that_cannot_hand_off_stop_on_the_gap(square_484, capped_484):
     # a root run above the dense cap stops as the Newton finish does, on the
     # residuals and the primal-dual gap: the residual test alone passes at
     # row 43, 5.3e-10 nats above the optimum, and the gap test stops it at
@@ -923,10 +942,7 @@ def test_runs_that_cannot_hand_off_stop_on_the_gap(monkeypatch, square_484):
     # which reads the gradient alone, leaves its own rate 7.9e-12 below its
     # dual bound on this cell, and one more step brings the two within
     # 3.1e-13
-    p = square_484
-    with monkeypatch.context() as patch:
-        patch.setattr(problem, "DENSE_CAP", p.d.size - 1)
-        report = solve(p)
+    p, report = square_484, capped_484
     assert report.converged and report.newton_steps == 0
     trace = report.residual_trace
     first = next(row.iter for row in trace if sinkhorn._peak(row) <= 1e-10)
