@@ -312,12 +312,8 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     input's row of F_p Psi against its own G_q row, one batched product
     over the inputs, and the nodes weight each input's own F_p row.  The
     Newton step takes the diagonal of its Schur complement from its own
-    products with the coupling, not from these row sums, so the
-    association of the products does not bind it: on the six level cells
-    of test_factored_newton_step_matches_dense the step reads at most 0.15
-    of its bound from the dense one (0.17 under OpenBLAS's Haswell kernel),
-    0.08 (0.10) with F_p^T (Phi G_q) for the nodes, and 0.26 (0.19) with
-    F_p (Psi G_q^T) for the rows as well.  Under the LSE_SWITCH guard,
+    products with the coupling, not from these row sums, so any association
+    of the products serves it.  Under the LSE_SWITCH guard,
     with weights of maximum 1, every R_0 lies in [exp(-LSE_SWITCH), N] and
     every C_0 in [exp(-LSE_SWITCH), M]."""
     f, g = tables
@@ -573,14 +569,12 @@ class LevelCoupling:
     K = (F (x) F)(W (G (x) G)^T): U^2 V^2 n_side + V^2 n_side^2 multiply-adds
     in place of M^2 N, 3.9M against 82M for qam256 at grid 50.  dot and tdot
     are two small products over the grid each, the inputs' weights summed
-    by level for tdot, through one bincount for a vector.  Each table row
-    is scaled by a power of two near its maximum and rho by the inverse,
-    exactly, so every product rounds as it would with the unscaled tables.
-    The Newton step no longer needs that: its Schur diagonal comes from
-    these products, and with each row divided by its maximum the step of
-    test_factored_newton_step_matches_dense reads at most 0.006 of its
-    bound on the level cells (0.21 under the Haswell kernel), where it read
-    8.5 when the diagonal came from the Hessian's sums.
+    by level for tdot through one bincount.  Each table row is scaled by a
+    power of two near its maximum and rho by the inverse: exact, so the
+    scaling adds no rounding to the products (dividing each row by its
+    maximum instead let the Newton step drift further from the dense one,
+    up to 0.66 of test_factored_newton_step_matches_dense's bound on qam16
+    over small changes of theta, against 0.47).
     scaled_coupling takes it only while rho stays below LEVEL_RHO_CAP."""
 
     def __init__(self, lphi, lpsi, tables, axes, s):
@@ -612,12 +606,10 @@ class LevelCoupling:
 
     def tdot(self, x):
         nu, nv = self.f.shape[0], self.g.shape[0]
-        if x.ndim == 1:
-            t = np.bincount(self.level, x * self.rho, nu * nv).reshape(nu, nv)
-        else:
-            onehot = np.zeros((self.level.size, nu * nv))
-            onehot[np.arange(self.level.size), self.level] = self.rho
-            t = (x @ onehot).reshape(*x.shape[:-1], nu, nv)
+        k = x.size // self.level.size
+        idx = self.level if k == 1 else (np.arange(k)[:, None] * (nu * nv) + self.level).ravel()
+        t = np.bincount(idx, (x * self.rho).ravel(), k * nu * nv)
+        t = t.reshape(*x.shape[:-1], nu, nv)
         return self.axes.nodes(self.f.T @ t @ self.g) * self.weight
 
 

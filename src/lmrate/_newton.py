@@ -81,9 +81,13 @@ NEWTON_DAMPING = 5e-12
 # grids 50 and 100 (1.37 -> 1.30 at 5 dB), 1024 points at grid 20
 # 52 -> 0.87 ms; on arrays at 10 dB, 256 x 4440 12.8 -> 17.5 ms,
 # 256 x 2158 7.9 -> 9.4, 256 x 1092 4.4 -> 3.8, 576 x 696 10.9 -> 5.1 and
-# 1024 x 700 62 -> 11.  At 0 dB, with half the iterations, CG wins on
-# arrays from M = 121 (0.36 -> 0.22 ms at 121 x 100), but the rule is set
-# where it wins at 10 dB.
+# 1024 x 700 62 -> 11.  The array rule is set where CG wins at 10 dB; at
+# 0 dB, with half the iterations, CG wins on arrays from M = 121
+# (0.36 -> 0.22 ms at 121 x 100), so there the rule errs towards the
+# direct solve.  No benchmark workload holds an array step past the rule:
+# it serves large inputs that are not a level product (a rotated h_hat, a
+# custom alphabet) and steps past the kernels' guard, such as qam256 at
+# grid 50 and 10 dB.
 PCG_MIN_INPUTS = 200
 PCG_ARRAY_ITERATIONS = 70
 PCG_RTOL = 1e-10
@@ -265,8 +269,10 @@ def _schur_pcg(g, delta, ds, border, corner, rhs):
     x = e (e.rhs) / (e.S e) + P^T x_cg puts that component back (Nicolaides,
     SIAM J. Numer. Anal. 1987).  Projecting e out instead, as if it were
     an exact null vector, leaves the step far off the direct one at nodes
-    of tiny mass.  Each product with S is one G^T x and one G y; CG stops
-    at relative residual PCG_RTOL or after m + 1 iterations."""
+    of tiny mass.  Each product with S is one G^T x and one G y.  CG stops
+    at relative residual PCG_RTOL; when it has not got there after m + 1
+    iterations, or P S stops being positive along a search direction, the
+    system is solved directly instead (_schur_direct)."""
     m = border.size
     diag = g.dot(g.tdot(np.ones(m)) + ds) + delta
 
@@ -288,8 +294,6 @@ def _schur_pcg(g, delta, ds, border, corner, rhs):
     z = jacobi * res
     d, rz = z, _kernels.vdot(res, z)
     for _ in range(m + 1):
-        if math.sqrt(_kernels.vdot(res, res)) <= stop:
-            break
         sd = deflate(apply(d))
         dsd = _kernels.vdot(d, sd)
         if not dsd > 0.0:
@@ -297,10 +301,12 @@ def _schur_pcg(g, delta, ds, border, corner, rhs):
         step = rz / dsd
         x += step * d
         res -= step * sd
+        if math.sqrt(_kernels.vdot(res, res)) <= stop:
+            return x - e * ((_kernels.vdot(se, x) - _kernels.vdot(e, rhs)) / ese)
         z = jacobi * res
         rz, rz_old = _kernels.vdot(res, z), rz
         d = z + (rz / rz_old) * d
-    return x - e * ((_kernels.vdot(se, x) - _kernels.vdot(e, rhs)) / ese)
+    return _schur_direct(g, delta, ds, border, corner, rhs)
 
 
 def _first_trial(dp, step, p, axes=None):

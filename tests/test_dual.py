@@ -320,6 +320,64 @@ def test_pcg_newton_step_holds_no_square_array(large_points):
     assert peak < p.m * p.m * 8, (cell, peak / (p.m * p.m * 8))
 
 
+def test_array_rule_follows_the_measured_crossover(large_points):
+    # an M x N array goes to conjugate gradients where they won at 10 dB:
+    # 256 x 1092, 576 x 696 and 1024 x 700 won, 256 x 2158 and 256 x 4440
+    # lost.  Unforced, the rotated 576-point cell's step, on an array, takes
+    # CG and lands within the bounds of test_pcg_newton_step_matches_direct
+    array = _kernels.ScaledCoupling(np.zeros((1, 1)))
+    for m, n, wins in ((256, 1092, True), (576, 696, True), (1024, 700, True),
+                       (256, 2158, False), (256, 4440, False)):
+        assert _newton._pcg_wins(array, m, n) is wins, (m, n)
+    cell, p, dp = large_points[2]
+    grad, _, h = _newton._sweep(dp, p, axes=p.axes)
+    g = h.q_scaled(np.ones(p.n))
+    assert isinstance(g, _kernels.ScaledCoupling) and _newton._pcg_wins(g, p.m, p.n), cell
+    pcg = _newton._schur_pcg
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3].size)
+        return pcg(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_newton, "_schur_pcg", spy)
+        step = _newton._newton_step(h, grad)
+    assert calls == [p.m], cell
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_newton, "_pcg_wins", lambda *args: False)
+        ref = _newton._newton_step(h, grad)
+    err = step - ref
+    assert math.sqrt(err @ _damped_product(h, err)) <= 1e-7 * math.sqrt(
+        ref @ _damped_product(h, ref)), cell
+    assert abs(step[-1] - ref[-1]) <= 1e-10 * abs(ref[-1]), cell
+
+
+def test_pcg_that_does_not_converge_falls_back_to_direct(monkeypatch, large_points):
+    # at relative residual 0 CG cannot stop on its test: after m + 1
+    # iterations (or a search direction along which P S is not positive)
+    # the step is the direct solve's, bit for bit, and no CG iterate
+    cell, p, dp = large_points[0]
+    grad, _, h = _newton._sweep(dp, p, axes=p.axes)
+    ref = _newton._newton_step(h, grad)
+    direct = _newton._schur_direct
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3].size)
+        return direct(*args)
+
+    monkeypatch.setattr(_newton, "_schur_direct", spy)
+    monkeypatch.setattr(_newton, "_pcg_wins", lambda *args: False)
+    want = _newton._newton_step(h, grad)
+    monkeypatch.setattr(_newton, "_pcg_wins", lambda *args: True)
+    monkeypatch.setattr(_newton, "PCG_RTOL", 0.0)
+    got = _newton._newton_step(h, grad)
+    assert calls == [p.m, p.m], cell
+    np.testing.assert_array_equal(got, want, err_msg=str(cell))
+    assert not np.array_equal(got, ref), cell
+
+
 def _full_pass_trial(dp, step, d):
     """_first_trial's length from the largest rise over every entry of d."""
     t_step = min(1.0, 0.95 * dp.lam / -step[-1]) if step[-1] < 0.0 else 1.0

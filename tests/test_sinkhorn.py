@@ -616,7 +616,7 @@ def high_snr_runs():
 
 
 def test_stalled_cells_hand_off_and_converge(high_snr_runs):
-    # every cell is below the cap on inputs, so each hands off early,
+    # every cell is within problem.DENSE_CAP, so each hands off early,
     # stalling or not
     for cell, (p, report) in high_snr_runs.items():
         assert report.converged, (cell, report.status, report.failure_reason)
@@ -636,7 +636,7 @@ def test_stalled_cells_hand_off_and_converge(high_snr_runs):
 
 
 def test_hand_off_trace_rows_and_dual_descent(high_snr_runs):
-    # below the cap on inputs a root run hands off after its first iteration
+    # within problem.DENSE_CAP a root run hands off after its first iteration
     for cell, (_, report) in high_snr_runs.items():
         assert report.converged and report.newton_steps > 0, cell
         trace = report.residual_trace
@@ -697,6 +697,29 @@ def test_early_hand_off_follows_the_cost_cap(monkeypatch, square_484):
     assert report.converged and report.newton_steps > 0
     assert report.iterations - report.newton_steps == 1
     assert len(solved) == report.newton_steps
+    oracle = newton_oracle(p, tol=1e-13)
+    assert oracle.converged
+    assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-10
+
+
+def test_rotated_large_alphabet_hands_off_through_array_pcg(monkeypatch):
+    # 576 inputs at grid 20 and 10 dB under a rotated h_hat take no product
+    # of levels, so each Newton step reads an M x N array; unforced, the
+    # array rule sends every step to conjugate gradients, and the rate
+    # lands on the oracle's
+    p = square_problem(24, 20, 10.0, rotation(np.pi / 18))
+    assert p.axes.levels is None
+    solved = []
+
+    def spy(*args):
+        solved.append(type(args[0]))
+        return pcg(*args)
+
+    pcg = _newton._schur_pcg
+    monkeypatch.setattr(_newton, "_schur_pcg", spy)
+    report = solve(p)
+    assert report.converged and report.iterations - report.newton_steps == 1
+    assert solved == [K.ScaledCoupling] * report.newton_steps
     oracle = newton_oracle(p, tol=1e-13)
     assert oracle.converged
     assert abs(report.lm_rate_nats - oracle.lm_rate_nats) <= 1e-10
