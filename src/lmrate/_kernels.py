@@ -23,22 +23,23 @@ d_ij = d1[i, a] + d2[i, b] (GridAxes), so exp(-lam d_ij) = F_i(a) G_i(b).
 When the decoder points take U and V distinct values on the two axes with
 U V <= M, as every built-in square alphabet's do under a diagonal h_hat,
 input i's rows of d1 and d2 are those of its levels u_i and v_i, and the
-tables need only the U + V level rows (GridAxes.level_powers; without
-levels every input is its own level, U = V = M).  Given the tables, every
-sum over the metric comes from one reduction, _table_sums, over the exps
-of _level_tables: the row sums and node sums of the kernel times d^k, as
-small GEMMs over the U x V grid of levels and the n_side x n_side output
-grid (the separable kernel of Solomon et al., Convolutional Wasserstein
-Distances, 2015, carried one factor further).  A sweep takes
-(U + V) n_side exps for the tables and M + N for the scalings in place of
-M N: for qam256 at grid 50, 1.6k + 2.8k against 640k.
+tables need only the U + V level rows (GridAxes.level_powers).  Given the
+tables, every sum over the metric comes from one reduction, _table_sums,
+over the exps of _level_tables: the row sums and node sums of the kernel
+times d^k, as small GEMMs over the U x V grid of levels and the
+n_side x n_side output grid (the separable kernel of Solomon et al.,
+Convolutional Wasserstein Distances, 2015, carried one factor further).
+A sweep takes (U + V) n_side exps for the tables and M + N for the
+scalings in place of M N: for qam256 at grid 50, 1.6k + 2.8k against 640k.
 It takes the scalings shifted by their maximum, and each caller puts
 the shift back in log space, so a coupling sum overflows or underflows
-where the plain sum would.  The factored path runs only while
-lam * (max d1 + max d2) < LSE_SWITCH, which keeps every F G product a
-normal double, and only on metrics of at least FACTORED_MIN_ENTRIES
-entries.  That crossover is where qpsk, whose M = 4 gains least from the
-factoring, comes near to winning.  Solve time to tol 1e-10 at 0 dB,
+where the plain sum would.  The factored path (_factored) runs only on
+metrics of at least FACTORED_MIN_ENTRIES entries whose inputs have levels,
+and only while lam * (max d1 + max d2) < LSE_SWITCH, which keeps every
+F G product a normal double.  Inputs that form no product of levels (a
+rotated h_hat, a custom alphabet) keep the block loop.  The size
+crossover is where qpsk, whose M = 4 gains least from the factoring,
+comes near to winning.  Solve time to tol 1e-10 at 0 dB,
 factored over block loop, best of 21 interleaved runs on a 2-core AMD
 EPYC with numpy 2.4 and OpenBLAS, three runs: 1.85-1.89 at 4 x 100 (qpsk
 grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12 at 4 x 3600,
@@ -55,12 +56,9 @@ U + V level rows at any tilt, with no guard (_axis_posteriors).
 The Newton step's products with the coupling (the Gram matrix of its Schur
 complement, Q y and Q^T x) go through the same tables: LevelCoupling
 takes them from the level rows, whose exps it shares with the Hessian's
-sums, with no M x N array.  factored_coupling builds Q diag(s) as one
-M x N array, with no exp over it, only for the metrics that are not level
-products (a rotated h_hat, a custom alphabet) and past LEVEL_RHO_CAP.  The
-dual objective and gradient keep the block loop, and the Newton oracle
-exponentiates the dense coupling, so it stays a cross-check of the
-factored path.
+sums, with no M x N array.  The dual objective and gradient keep the
+block loop, and the Newton oracle exponentiates the dense coupling, so it
+stays a cross-check of the factored path.
 """
 
 from dataclasses import dataclass
@@ -99,7 +97,8 @@ LSE_SWITCH = 700.0
 # below 2^256 their product cannot overflow, and an entry of K that
 # underflows stands for a Gram entry below 2^-510.  The benchmark cells'
 # Newton steps keep rho below 1; at lam near the LSE_SWITCH guard at 0 dB
-# it reaches 2^473, and the step builds factored_coupling's array instead.
+# it reaches 2^473, and the step takes Q from the dense coupling instead
+# (_newton.dual_hessian).
 LEVEL_RHO_CAP = 2.0 ** 256
 
 
@@ -163,13 +162,10 @@ class GridAxes:
         """(nu, powers): powers the (3, U + V, n_side) stack of d^k
         (k = 0, 1, 2) at the rows of d1 of the inputs' U levels on the first
         axis (rows1 of ``levels``), then at the rows of d2 of their V levels
-        on the second, and nu = U.  Without levels every input is its own
-        level: U = V = M."""
-        t1, t2 = self.d1, self.d2
-        if self.levels is not None:
-            t1, t2 = t1[self.levels[2]], t2[self.levels[3]]
-        t = np.concatenate([t1, t2])
-        return t1.shape[0], np.stack([np.ones_like(t), t, t * t])
+        on the second, and nu = U.  Only for axes with levels."""
+        rows1, rows2 = self.levels[2:]
+        t = np.concatenate([self.d1[rows1], self.d2[rows2]])
+        return rows1.size, np.stack([np.ones_like(t), t, t * t])
 
     def grid(self, values):
         """Node values laid out on the n_side x n_side grid, pruned nodes zero;
@@ -235,9 +231,12 @@ def _row_blocks(base, lam, d, entries=None):
 
 
 def _factored(axes, lam, d):
-    """True when the sweep over d at multiplier lam goes through its axis tables."""
+    """True when the sweep over d at multiplier lam goes through its axis
+    tables: past the size crossover, on inputs with levels, under the
+    guard.  The size test comes first, so a small metric never computes its
+    levels."""
     return (axes is not None and d.size >= FACTORED_MIN_ENTRIES
-            and lam * axes.span < LSE_SWITCH)
+            and axes.levels is not None and lam * axes.span < LSE_SWITCH)
 
 
 def _matmul(a, b):
@@ -269,7 +268,7 @@ def _level_tables(axes, lam):
     """(f, g): the kernel's axis tables exp(-lam d1) and exp(-lam d2) at the
     rows of axes.level_powers, U x n_side and V x n_side, so that
     K_ij = f[u_i, a] g[v_i, b] at node j = (a, b), u_i and v_i input i's
-    levels (i itself without levels): (U + V) n_side exps."""
+    levels: (U + V) n_side exps."""
     nu, powers = axes.level_powers
     t = powers[1] * -lam
     np.exp(t, out=t)
@@ -306,40 +305,26 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     weighted sums of the level tables F_p = f d1^p and G_q = g d2^q.  The
     row sums are (F_p Psi) G_q^T, Psi the grid of psi, a U x V matrix read
     at each input's (u_i, v_i); the node sums are (F_p^T Phi) G_q, Phi the
-    U x V grid of the inputs' weights phi_i summed by level.  Without
-    levels (U = V = M) the U x V products would cost up to 18 times the
-    per-input sums on a rotated qam256 at grid 50: the rows then read each
-    input's row of F_p Psi against its own G_q row, one batched product
-    over the inputs, and the nodes weight each input's own F_p row.  The
-    Newton step takes the diagonal of its Schur complement from its own
-    products with the coupling, not from these row sums, so any association
-    of the products serves it.  Under the LSE_SWITCH guard,
+    U x V grid of the inputs' weights phi_i summed by level.  Under the
+    LSE_SWITCH guard,
     with weights of maximum 1, every R_0 lies in [exp(-LSE_SWITCH), N] and
     every C_0 in [exp(-LSE_SWITCH), M]."""
     f, g = tables
     nu, powers = axes.level_powers
     p1, p2 = powers[:, :nu], powers[:, nu:]
-    levels = axes.levels
+    u, v = axes.levels[:2]
     nv, n = g.shape
     row_sums = node_sums = []
     if rows:
         a = _matmul(_powers(f, p1, rows).reshape(-1, n), axes.grid(psi))
-        b = _powers(g, p2, rows)
-        if levels is not None:
-            t = _matmul(a, b.reshape(-1, n).T).reshape(rows, nu, rows, nv)
-            t = t.transpose(0, 2, 1, 3)[:, :, levels[0], levels[1]]
-        else:
-            t = np.matmul(a.reshape(rows, nu, n).transpose(1, 0, 2), b.transpose(1, 2, 0))
-            t = t.transpose(1, 2, 0)
+        t = _matmul(a, _powers(g, p2, rows).reshape(-1, n).T).reshape(rows, nu, rows, nv)
+        t = t.transpose(0, 2, 1, 3)[:, :, u, v]
         row_sums = [_expand(k, lambda p, q: t[p, q]) for k in range(rows)]
     if cols:
         y = _powers(g, p2, cols)
-        if levels is not None:
-            grid = np.bincount(levels[0] * nv + levels[1], phi, nu * nv).reshape(nu, nv)
-            x = _powers(f, p1, cols).transpose(0, 2, 1).reshape(-1, nu)
-            x = _matmul(x, grid).reshape(cols, n, nv)
-        else:
-            x = _powers(f * phi[:, None], p1, cols).transpose(0, 2, 1)
+        grid = np.bincount(u * nv + v, phi, nu * nv).reshape(nu, nv)
+        x = _powers(f, p1, cols).transpose(0, 2, 1).reshape(-1, nu)
+        x = _matmul(x, grid).reshape(cols, n, nv)
         node_sums = [axes.nodes(_expand(k, lambda p, q: _matmul(x[p], y[q])))
                      for k in range(cols)]
     return row_sums, node_sums
@@ -514,32 +499,6 @@ def _moment_sweep(lphi, lpsi, lam, d, row_marg=None, col_marg=None):
     return s1, s2
 
 
-def factored_coupling(lphi, lpsi, lam, axes, s):
-    """The coupling with its columns scaled by s, q_ij s_j, as a new M x N
-    array built from the axis tables with no exp over it: (R_i F_ia) G_ib
-    at the kept nodes, R_i = exp(lphi_i + max lpsi), times
-    exp(lpsi_j - max lpsi) s_j.  Each partial product lies between q_ij and
-    R_i, and R_i <= exp(lam d_ij) q_ij for the column j of max lpsi, so
-    under the kernels' guard nothing overflows where the coupling's sums are
-    finite.  The result is the only M x N array made: on a full grid it is
-    the broadcast product itself, and on a pruned one the kept nodes'
-    columns of R F gathered, times G's in row blocks of
-    DENSE_BLOCK_ENTRIES."""
-    f, g = np.exp(-lam * axes.d1), np.exp(-lam * axes.d2)
-    shift = lpsi.max()
-    f *= np.exp(lphi + shift)[:, None]
-    m, n = f.shape
-    if axes.kept.size == n * n:
-        q = np.einsum("ia,ib->iab", f, g).reshape(m, -1)
-    else:
-        a, b = np.divmod(axes.kept, n)
-        q = np.take(f, a, axis=1)
-        for lo, hi in _blocks(m, b.size, DENSE_BLOCK_ENTRIES):
-            q[lo:hi] *= np.take(g[lo:hi], b, axis=1)
-    q *= np.exp(lpsi - shift) * s
-    return q
-
-
 class ScaledCoupling(NamedTuple):
     """Q diag(s) held as an M x N array, with the products the Newton step
     takes of it: gram() = Q diag(s)^2 Q^T, dot(y) = Q diag(s) y and
@@ -564,7 +523,7 @@ class LevelCoupling:
     point have read, input i's row of Q diag(s) is
     rho_i F[u_i, a] G[v_i, b] psi_j s_j at node j = (a, b), where
     psi = exp(lpsi - max lpsi) and rho = exp(lphi + max lpsi), the factors
-    of _table_sums and factored_coupling.  So with W the grid of psi^2 s^2,
+    of _table_sums.  So with W the grid of psi^2 s^2,
     pruned nodes zero, the Gram matrix is rho_i rho_k K[u_i, u_k, v_i, v_k],
     K = (F (x) F)(W (G (x) G)^T): U^2 V^2 n_side + V^2 n_side^2 multiply-adds
     in place of M^2 N, 3.9M against 82M for qam256 at grid 50.  dot and tdot
@@ -575,7 +534,8 @@ class LevelCoupling:
     maximum instead let the Newton step drift further from the dense one,
     up to 0.66 of test_factored_newton_step_matches_dense's bound on qam16
     over small changes of theta, against 0.47).
-    scaled_coupling takes it only while rho stays below LEVEL_RHO_CAP."""
+    _newton.dual_hessian takes it only while rho stays below
+    LEVEL_RHO_CAP."""
 
     def __init__(self, lphi, lpsi, tables, axes, s):
         u, v = axes.levels[:2]
@@ -611,18 +571,6 @@ class LevelCoupling:
         t = np.bincount(idx, (x * self.rho).ravel(), k * nu * nv)
         t = t.reshape(*x.shape[:-1], nu, nv)
         return self.axes.nodes(self.f.T @ t @ self.g) * self.weight
-
-
-def scaled_coupling(lphi, lpsi, lam, axes, tables, s):
-    """Q diag(s) of the coupling at (lphi, lpsi, lam) from the axis tables,
-    tables being _level_tables(axes, lam): a LevelCoupling when the axes
-    have levels and its rho stays below LEVEL_RHO_CAP, else
-    factored_coupling's array as a ScaledCoupling."""
-    if axes.levels is not None:
-        q = LevelCoupling(lphi, lpsi, tables, axes, s)
-        if q.rho.max() < LEVEL_RHO_CAP:
-            return q
-    return ScaledCoupling(factored_coupling(lphi, lpsi, lam, axes, s))
 
 
 def coupling_stats(lphi, lpsi, lam, d, axes=None):

@@ -17,24 +17,21 @@ that are not additively separable.  The Hessian is an arrowhead
 whose blocks are q and its metric-weighted sums, so one pass over the
 coupling at a point gives its gradient, its dual value and rate, and the
 Hessian the next Newton step needs: every trial point of a line search is
-swept once, and the accepted one is not swept again.  Given the metric's
-axis tables (the solver's Newton finish, under the kernels' guard) that
-pass is _kernels' one table reduction (_table_sums, with three row sums
-and two node sums), and the step takes its products with the coupling
-from the tables too.  When the inputs' levels on each axis form a product
-(every built-in square alphabet under a diagonal h_hat) both read the
-U + V level rows of one exp of _kernels._level_tables, the step through
-_kernels.LevelCoupling with no M x N array; otherwise the sums read every
-input's own rows, and the step the one M x N array factored_coupling
-builds, its Schur factor.  Without them (the Newton oracle) the pass
-exponentiates the dense coupling, so the oracle stays an independent
-cross-check of the factored path.
+swept once, and the accepted one is not swept again.  Where the kernels
+take the metric's axis tables (the solver's Newton finish on inputs whose
+levels form a product, every built-in square alphabet under a diagonal
+h_hat, under the kernels' guard) that pass is _kernels' one table
+reduction (_table_sums, with three row sums and two node sums), and the
+step takes its products with the coupling through _kernels.LevelCoupling:
+both read the U + V level rows of one exp of _kernels._level_tables, with
+no M x N array.  Otherwise (the Newton oracle, and every instance off the
+tables) the pass exponentiates the dense coupling, so the oracle stays an
+independent cross-check of the factored path.
 """
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +82,9 @@ NEWTON_DAMPING = 5e-12
 # 0 dB, with half the iterations, CG wins on arrays from M = 121
 # (0.36 -> 0.22 ms at 121 x 100), so there the rule errs towards the
 # direct solve.  No benchmark workload holds an array step past the rule:
-# it serves large inputs that are not a level product (a rotated h_hat, a
-# custom alphabet) and steps past the kernels' guard, such as qam256 at
-# grid 50 and 10 dB.
+# it serves large inputs off the level tables (a rotated h_hat, a custom
+# alphabet, steps past the kernels' guard such as qam256 at grid 50 and
+# 10 dB), whose step reads the dense coupling.
 PCG_MIN_INPUTS = 200
 PCG_ARRAY_ITERATIONS = 70
 PCG_RTOL = 1e-10
@@ -126,15 +123,14 @@ class DualHessian(NamedTuple):
     fills the off-diagonal block and its marginals r = q 1 and c = q^T 1 the
     diagonal; u = (d q) 1, v = (d q)^T 1 and w = sum d^2 q border it.  On
     the factored path r, u and w come from _kernels._table_sums' row sums
-    of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1, all through
-    the inputs' levels where they form a product.
+    of d^0, d^1, d^2, and c, v from its node sums of d^0, d^1, through the
+    inputs' levels.
     ``q_scaled(s)`` returns Q diag(s) as the three products the Newton step
-    takes of it (gram, dot, tdot): a _kernels.ScaledCoupling over an M x N
-    array (the dense coupling times s, or factored_coupling's product of
-    the axis tables), or a _kernels.LevelCoupling, which takes them through
-    the inputs' levels from the table exps of the sums and builds no M x N
-    array.  dense() is the whole Hessian as an array, for checks on small
-    instances."""
+    takes of it (gram, dot, tdot): a _kernels.LevelCoupling, which takes
+    them through the inputs' levels from the table exps of the sums and
+    builds no M x N array, or a _kernels.ScaledCoupling over the dense
+    coupling times s.  dense() is the whole Hessian as an array, for checks
+    on small instances."""
 
     r: np.ndarray
     c: np.ndarray
@@ -153,15 +149,23 @@ class DualHessian(NamedTuple):
 
 def dual_hessian(dp: DualPoint, p, axes=None) -> DualHessian:
     """The Hessian at a dual point, as its arrowhead blocks.  With ``axes``
-    (p's GridAxes), under the kernels' guard at dp.lam, its sums come from
-    the axis tables and Q only from q_scaled; otherwise from the dense
-    coupling, refusing couplings above problem.DENSE_CAP entries."""
+    (p's GridAxes), where the kernels take them at dp.lam, its sums come
+    from the level tables and Q only from q_scaled: a LevelCoupling while
+    its rho stays below LEVEL_RHO_CAP, else the dense coupling's.
+    Otherwise both come from the dense coupling, which is refused above
+    problem.DENSE_CAP entries."""
     lphi, lpsi = -dp.alpha - 0.5, -dp.beta - 0.5
     if _kernels._factored(axes, dp.lam, p.d):
         tables = _kernels._level_tables(axes, dp.lam)
         (r, u, w), (c, v) = _kernels._coupling_sums(lphi, lpsi, tables, axes, 3, 2)
-        return DualHessian(r, c, u, v, float(w.sum()),
-                           partial(_kernels.scaled_coupling, lphi, lpsi, dp.lam, axes, tables))
+
+        def q_scaled(s):
+            q = _kernels.LevelCoupling(lphi, lpsi, tables, axes, s)
+            if q.rho.max() < _kernels.LEVEL_RHO_CAP:
+                return q
+            return _kernels.ScaledCoupling(coupling_from_dual(dp, p.d).dense() * s)
+
+        return DualHessian(r, c, u, v, float(w.sum()), q_scaled)
     q = coupling_from_dual(dp, p.d).dense()
     dq = p.d * q
     return DualHessian(q.sum(axis=1), q.sum(axis=0), dq.sum(axis=1), dq.sum(axis=0),

@@ -168,21 +168,6 @@ def factored_points():
     return list(_factored_points())
 
 
-@pytest.fixture(scope="module")
-def rotated_points():
-    """(cell, problem, dual point) for qam16 and qam64 at grid 50 and 0 dB
-    under a pi/18 rotated h_hat, whose decoder points form no product of
-    levels, so that the step reads the per-input row sums of _table_sums and
-    factored_coupling's array: at the third scaling iterate's multiplier."""
-    points = []
-    for scheme in ("qam16", "qam64"):
-        p = make_problem(scheme, n_side=50, h_hat=rotation(np.pi / 18))[3]
-        assert p.axes.levels is None
-        start = _third_iterate(p)
-        points.append(((scheme, "rotated", start.lam), p, _scaled_point(p, start, start.lam)))
-    return points
-
-
 def test_factored_hessian_matches_dense(rng, monkeypatch, factored_points):
     # qam16 at 10 dB keeps 1020 of 2500 nodes, below the size crossover:
     # lowered so that it takes the tables too, zero-filled nodes and all
@@ -197,7 +182,7 @@ def test_factored_hessian_matches_dense(rng, monkeypatch, factored_points):
         # every product the step takes of Q diag(s), the explicit Q diag(s)
         # being the products with the unit vectors.  These square alphabets
         # take the level tables but at the guard at 0 dB, where rho reaches
-        # 2^473 and 2^436, past LEVEL_RHO_CAP, and the array is built
+        # 2^473 and 2^436, past LEVEL_RHO_CAP, and Q is the dense coupling's
         s, y = rng.uniform(0.5, 2.0, p.n), rng.uniform(0.5, 2.0, p.n)
         built, ref = factored.q_scaled(s), dense.q_scaled(s)
         level = cell[1] == 10.0 or dp.lam < 0.5 * _kernels.LSE_SWITCH / p.axes.span
@@ -209,14 +194,12 @@ def test_factored_hessian_matches_dense(rng, monkeypatch, factored_points):
                                        err_msg=f"{name} at {cell}")
 
 
-def test_factored_newton_step_matches_dense(monkeypatch, factored_points, rotated_points):
+def test_factored_newton_step_matches_dense(monkeypatch, factored_points):
     # the whole step, in the energy norm ||x||_A = sqrt(x^T A x) of the damped
     # system A = H + delta I.  A is ill-conditioned along nodes of tiny output
     # mass, where two steps whose Hessians differ by rounding differ by 1e-5
     # to 4e-3 relative in the 2-norm; in the A-norm the factored step is
-    # within 4.4e-10 of the dense one at the third iterate's multipliers,
-    # the rotated cells' included (their per-input row sums, taken as one
-    # einsum, left qam16 at 1.008e-9).  At
+    # within 4.4e-10 of the dense one at the third iterate's multipliers.  At
     # (1 - 1e-12) times the guard, lam d reaches 700 and the coupling's
     # entries carry 1e-13 relative rounding: there the two differ by up to
     # 1.3e-7 (at 0 dB), and a perturbation of that size of the dense coupling
@@ -224,7 +207,7 @@ def test_factored_newton_step_matches_dense(monkeypatch, factored_points, rotate
     # component and the predicted decrease, which the line search reads,
     # agree to 1e-10.
     monkeypatch.setattr(_kernels, "FACTORED_MIN_ENTRIES", 0)
-    for cell, p, dp in factored_points + rotated_points:
+    for cell, p, dp in factored_points:
         grad, _, dense = _newton._sweep(dp, p)
         factored = dual_hessian(dp, p, p.axes)
         step, ref = _newton._newton_step(factored, grad), _newton._newton_step(dense, grad)

@@ -204,18 +204,15 @@ def _scalings(rng, p):
             np.log(p.p_y) + rng.normal(0.0, 1.0, p.n))
 
 
-@pytest.mark.parametrize("h_hat", [None, rotation(np.pi / 18)], ids=["levels", "rotated"])
 @pytest.mark.parametrize("snr_db", [0.0, 10.0])
-def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db, h_hat):
+def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
     # channel-built qam16 at grid 50; at 10 dB pruning leaves 1020 of the
-    # 2500 nodes, so the grid sums see zero-filled nodes.  Under the
-    # identity decoder the table sums go through the inputs' 4 levels on
-    # each axis; under a rotated one the decoder points form no product of
-    # levels and every input is its own.  The crossover is lowered so that
-    # every instance takes the factored path.
-    p = make_problem("qam16", snr_db=snr_db, n_side=50, h_hat=h_hat)[3]
+    # 2500 nodes, so the grid sums see zero-filled nodes.  The table sums go
+    # through the inputs' 4 levels on each axis.  The crossover is lowered
+    # so that every instance takes the factored path.
+    p = make_problem("qam16", snr_db=snr_db, n_side=50)[3]
     assert p.n == (2500 if snr_db == 0.0 else 1020)
-    assert (p.axes.levels is not None) == (h_hat is None)
+    assert p.axes.levels is not None
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
     # the classical dual's first derivative is a difference of two sums of
@@ -351,19 +348,24 @@ def test_level_tables_replace_the_input_tables(rng):
 
 
 def test_factored_path_guard_and_crossover(rng, monkeypatch):
-    # at or past lam * (max d1 + max d2) = LSE_SWITCH, and below the size
-    # crossover, the tables are ignored: the results are the block loop's
+    # at or past lam * (max d1 + max d2) = LSE_SWITCH, below the size
+    # crossover, and on inputs whose decoder points form no product of
+    # levels (qam16 at grid 50 and 0 dB under a rotated h_hat, at lam 0, 1
+    # and just inside its guard), the tables are ignored: the results are
+    # the block loop's
     p = make_problem("qam16", snr_db=10.0, n_side=50)[3]
-    lphi, lpsi = _scalings(rng, p)
+    rotated = make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3]
+    assert rotated.axes.levels is None
     guard = K.LSE_SWITCH / p.axes.span
     if guard * p.axes.span < K.LSE_SWITCH:
         guard = np.nextafter(guard, np.inf)
-    cases = [(0, guard), (0, 2.0 * guard), (p.d.size + 1, 1.0)]
-    for min_entries, lam in cases:
+    cases = [(p, 0, guard), (p, 0, 2.0 * guard), (p, p.d.size + 1, 1.0)] + [
+        (rotated, 0, lam) for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / rotated.axes.span)]
+    for q, min_entries, lam in cases:
         monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", min_entries)
-        assert not K._factored(p.axes, lam, p.d)
-        for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
-            for got, want in zip(kernel(p.axes), kernel(None)):
+        assert not K._factored(q.axes, lam, q.d)
+        for name, kernel in _kernel_calls(q, *_scalings(rng, q), lam).items():
+            for got, want in zip(kernel(q.axes), kernel(None)):
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} at lam={lam}")
 
 
