@@ -18,12 +18,14 @@ exp() underflows to 0.0.  A coupling sweep returns only what no identity
 gives, the marginals and two metric moments; sum q log q is derived from
 them, so 0*log(0) = 0 holds through the marginals without a per-entry product.
 
-A channel-built metric splits by axis: column j is grid node (a, b) and
-d_ij = d1[i, a] + d2[i, b] (GridAxes), so exp(-lam d_ij) = F_i(a) G_i(b).
-When the decoder points take U and V distinct values on the two axes with
-U V <= M, as every built-in square alphabet's do under a diagonal h_hat,
-input i's rows of d1 and d2 are those of its levels u_i and v_i, and the
-tables need only the U + V level rows (GridAxes.level_powers).  Given the
+A channel-built metric whose decoder points take U distinct values on the
+first axis and V on the second, with U V <= M (every built-in square
+alphabet under a diagonal h_hat), splits over its levels: column j is grid
+node (a, b), input i has levels u_i and v_i, and
+d_ij = t1[u_i, a] + t2[v_i, b] (GridAxes), so exp(-lam d_ij) =
+F(u_i, a) G(v_i, b) reads only the U + V level rows.  discretize attaches
+these level tables to no other instance (a rotated h_hat, a custom
+alphabet), which keeps the block loop throughout.  Given the
 tables, every sum over the metric comes from one reduction, _table_sums,
 over the exps of _level_tables: the row sums and node sums of the kernel
 times d^k, as small GEMMs over the U x V grid of levels and the
@@ -34,17 +36,15 @@ scalings in place of M N: for qam256 at grid 50, 1.6k + 2.8k against 640k.
 It takes the scalings shifted by their maximum, and each caller puts
 the shift back in log space, so a coupling sum overflows or underflows
 where the plain sum would.  The factored path (_factored) runs only on
-metrics of at least FACTORED_MIN_ENTRIES entries whose inputs have levels,
-and only while lam * (max d1 + max d2) < LSE_SWITCH, which keeps every
-F G product a normal double.  Inputs that form no product of levels (a
-rotated h_hat, a custom alphabet) keep the block loop.  The size
-crossover is where qpsk, whose M = 4 gains least from the factoring,
-comes near to winning.  Solve time to tol 1e-10 at 0 dB,
-factored over block loop, best of 21 interleaved runs on a 2-core AMD
-EPYC with numpy 2.4 and OpenBLAS, three runs: 1.85-1.89 at 4 x 100 (qpsk
-grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12 at 4 x 3600,
-1.07-1.12 at 4 x 4096, 1.05-1.06 at 16 x 900, 1.01-1.02 at 64 x 225, and
-0.60-0.61 at 16 x 2500 (qam16 grid 50).  The reduction's consumers are
+metrics with level tables of at least FACTORED_MIN_ENTRIES entries, and
+only while lam * (max t1 + max t2) < LSE_SWITCH, which keeps every F G
+product a normal double.  The size crossover is where qpsk, whose M = 4
+gains least from the factoring, comes near to winning.  Solve time to tol
+1e-10 at 0 dB, factored over block loop, best of 21 interleaved runs on a
+2-core AMD EPYC with numpy 2.4 and OpenBLAS, three runs: 1.85-1.89 at
+4 x 100 (qpsk grid 10), 1.21-1.23 at 4 x 2500 (qpsk grid 50), 1.09-1.12
+at 4 x 3600, 1.07-1.12 at 4 x 4096, 1.05-1.06 at 16 x 900, 1.01-1.02 at
+64 x 225, and 0.60-0.61 at 16 x 2500 (qam16 grid 50).  The reduction's consumers are
 scale_rows, scale_cols, projected_sweep, metric_moments,
 coupling_stats, mismatch_dual_value's posteriors and the Newton finish's
 dual Hessian (_newton.dual_hessian); off the factored path each keeps its
@@ -75,7 +75,7 @@ USING_NUMBA = False
 BLOCK_ENTRIES = 1 << 22
 
 # Metrics with fewer entries than this keep the block loop even when they
-# have axis tables: below it the factored sweep's fixed per-call cost loses
+# have level tables: below it the factored sweep's fixed per-call cost loses
 # (measured crossover in the module docstring).
 FACTORED_MIN_ENTRIES = 1 << 14
 
@@ -104,73 +104,60 @@ LEVEL_RHO_CAP = 2.0 ** 256
 
 @dataclass(frozen=True)
 class GridAxes:
-    """Axis tables of a metric that splits over a square output grid.
+    """Level tables of a metric that splits over a square output grid.
 
     Column j of the M x N metric is grid node kept[j] = a * n_side + b, kept
-    increasing, and d[i, j] = d1[i, a] + d2[i, b] with d1, d2 of shape
-    (M, n_side).  So the Gibbs kernel factors, exp(-lam d[i, j]) =
-    F[i, a] G[i, b] with F = exp(-lam d1) and G = exp(-lam d2).  For a
-    channel-built metric, ``centers`` holds the (M, 2) decoder points
-    h_hat x_i: d1[i, a] is the squared offset of grid coordinate a from
-    centers[i, 0], and d2 the same from centers[i, 1].
+    increasing.  Input i has level u[i] on the first axis and v[i] on the
+    second, and d[i, j] = t1[u[i], a] + t2[v[i], b] with t1 of shape
+    (U, n_side) and t2 of shape (V, n_side), U V <= M.  So the Gibbs kernel
+    factors, exp(-lam d[i, j]) = F[u[i], a] G[v[i], b] with F = exp(-lam t1)
+    and G = exp(-lam t2).  For a channel-built metric the levels are the
+    distinct coordinates of the decoder points h_hat x_i, and t1[u, a] is
+    the squared offset of grid coordinate a from the u-th first one.
     """
 
-    d1: np.ndarray
-    d2: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     kept: np.ndarray
-    centers: np.ndarray | None = None
 
     @cached_property
-    def levels(self):
-        """(u, v, rows1, rows2) when the centers take U distinct first and V
-        distinct second coordinates with U V <= M: each input's level on
-        each axis, and one input of each level, so that d1 = d1[rows1][u]
-        and d2 = d2[rows2][v].  None otherwise, or without centers."""
-        if self.centers is None:
-            return None
-        _, rows1, u = np.unique(self.centers[:, 0], return_index=True, return_inverse=True)
-        _, rows2, v = np.unique(self.centers[:, 1], return_index=True, return_inverse=True)
-        if rows1.size * rows2.size > u.size:
-            return None
-        return u, v, rows1, rows2
+    def level(self) -> np.ndarray:
+        """Each input's flat level index u V + v into the U x V grid of levels."""
+        return self.u * self.t2.shape[0] + self.v
 
     @cached_property
     def product(self) -> bool:
         """True when the levels form a full product: every (u, v) pair of
         levels is exactly one input's, so M = U V."""
-        if self.levels is None:
-            return False
-        u, v, rows1, rows2 = self.levels
-        nv = rows2.size
-        return bool(u.size == rows1.size * nv and np.bincount(u * nv + v).max() == 1)
+        return bool(self.u.size == self.t1.shape[0] * self.t2.shape[0]
+                    and np.bincount(self.level).max() == 1)
 
     @cached_property
     def level_gram_index(self) -> np.ndarray:
         """(M, M) flat index into LevelCoupling's (U^2, V^2) matrix K of the
         entry K[u_i u_k, v_i v_k] that Gram entry (i, k) reads."""
-        u, v, rows1, rows2 = self.levels
-        nu, nv = rows1.size, rows2.size
+        u, v = self.u, self.v
+        nu, nv = self.t1.shape[0], self.t2.shape[0]
         return (u[:, None] * nu + u) * (nv * nv) + (v[:, None] * nv + v)
 
     @cached_property
     def span(self) -> float:
-        """max d1 + max d2, a bound on the metric's largest entry."""
-        return float(self.d1.max() + self.d2.max())
+        """max t1 + max t2, a bound on the metric's largest entry."""
+        return float(self.t1.max() + self.t2.max())
 
     @cached_property
     def level_powers(self):
         """(nu, powers): powers the (3, U + V, n_side) stack of d^k
-        (k = 0, 1, 2) at the rows of d1 of the inputs' U levels on the first
-        axis (rows1 of ``levels``), then at the rows of d2 of their V levels
-        on the second, and nu = U.  Only for axes with levels."""
-        rows1, rows2 = self.levels[2:]
-        t = np.concatenate([self.d1[rows1], self.d2[rows2]])
-        return rows1.size, np.stack([np.ones_like(t), t, t * t])
+        (k = 0, 1, 2) at the rows of t1, then at the rows of t2, and nu = U."""
+        t = np.concatenate([self.t1, self.t2])
+        return self.t1.shape[0], np.stack([np.ones_like(t), t, t * t])
 
     def grid(self, values):
         """Node values laid out on the n_side x n_side grid, pruned nodes zero;
         a view of ``values`` when no node is pruned."""
-        n = self.d1.shape[1]
+        n = self.t1.shape[1]
         if self.kept.size == n * n:
             return values.reshape(n, n)
         out = np.zeros(n * n)
@@ -231,12 +218,9 @@ def _row_blocks(base, lam, d, entries=None):
 
 
 def _factored(axes, lam, d):
-    """True when the sweep over d at multiplier lam goes through its axis
-    tables: past the size crossover, on inputs with levels, under the
-    guard.  The size test comes first, so a small metric never computes its
-    levels."""
-    return (axes is not None and d.size >= FACTORED_MIN_ENTRIES
-            and axes.levels is not None and lam * axes.span < LSE_SWITCH)
+    """True when the sweep over d at multiplier lam goes through its level
+    tables: past the size crossover and under the guard."""
+    return axes is not None and d.size >= FACTORED_MIN_ENTRIES and lam * axes.span < LSE_SWITCH
 
 
 def _matmul(a, b):
@@ -265,10 +249,9 @@ def vdot(x, y) -> float:
 
 
 def _level_tables(axes, lam):
-    """(f, g): the kernel's axis tables exp(-lam d1) and exp(-lam d2) at the
-    rows of axes.level_powers, U x n_side and V x n_side, so that
-    K_ij = f[u_i, a] g[v_i, b] at node j = (a, b), u_i and v_i input i's
-    levels: (U + V) n_side exps."""
+    """(f, g): the kernel's level tables exp(-lam t1) and exp(-lam t2),
+    U x n_side and V x n_side, so that K_ij = f[u_i, a] g[v_i, b] at node
+    j = (a, b), u_i and v_i input i's levels: (U + V) n_side exps."""
     nu, powers = axes.level_powers
     t = powers[1] * -lam
     np.exp(t, out=t)
@@ -282,7 +265,7 @@ def _powers(table, powers, k):
 
 
 def _expand(k, term):
-    """The sum of term(p, q) over the binomial expansion of (d1 + d2)^k,
+    """The sum of term(p, q) over the binomial expansion of (t1 + t2)^k,
     k <= 2: sum over p + q = k of C(k, p) term(p, q), p descending."""
     if k == 0:
         return term(0, 0)
@@ -301,8 +284,8 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     shifted by their maximum, so each weight lies in [0, 1], and put the
     shift back in log space.
 
-    With d = d1 + d2, the sum of K d^k splits over p + q = k into binomially
-    weighted sums of the level tables F_p = f d1^p and G_q = g d2^q.  The
+    With d = t1 + t2, the sum of K d^k splits over p + q = k into binomially
+    weighted sums of the level tables F_p = f t1^p and G_q = g t2^q.  The
     row sums are (F_p Psi) G_q^T, Psi the grid of psi, a U x V matrix read
     at each input's (u_i, v_i); the node sums are (F_p^T Phi) G_q, Phi the
     U x V grid of the inputs' weights phi_i summed by level.  Under the
@@ -312,17 +295,16 @@ def _table_sums(phi, psi, tables, axes, rows, cols):
     f, g = tables
     nu, powers = axes.level_powers
     p1, p2 = powers[:, :nu], powers[:, nu:]
-    u, v = axes.levels[:2]
     nv, n = g.shape
     row_sums = node_sums = []
     if rows:
         a = _matmul(_powers(f, p1, rows).reshape(-1, n), axes.grid(psi))
         t = _matmul(a, _powers(g, p2, rows).reshape(-1, n).T).reshape(rows, nu, rows, nv)
-        t = t.transpose(0, 2, 1, 3)[:, :, u, v]
+        t = t.transpose(0, 2, 1, 3)[:, :, axes.u, axes.v]
         row_sums = [_expand(k, lambda p, q: t[p, q]) for k in range(rows)]
     if cols:
         y = _powers(g, p2, cols)
-        grid = np.bincount(u * nv + v, phi, nu * nv).reshape(nu, nv)
+        grid = np.bincount(axes.level, phi, nu * nv).reshape(nu, nv)
         x = _powers(f, p1, cols).transpose(0, 2, 1).reshape(-1, nu)
         x = _matmul(x, grid).reshape(cols, n, nv)
         node_sums = [axes.nodes(_expand(k, lambda p, q: _matmul(x[p], y[q])))
@@ -517,14 +499,13 @@ class ScaledCoupling(NamedTuple):
 
 
 class LevelCoupling:
-    """ScaledCoupling's products on an instance whose GridAxes have levels,
-    with no M x N array.  With F and G the level tables of
-    _level_tables(axes, lam), the exps that the Hessian's sums at the same
-    point have read, input i's row of Q diag(s) is
-    rho_i F[u_i, a] G[v_i, b] psi_j s_j at node j = (a, b), where
-    psi = exp(lpsi - max lpsi) and rho = exp(lphi + max lpsi), the factors
-    of _table_sums.  So with W the grid of psi^2 s^2,
-    pruned nodes zero, the Gram matrix is rho_i rho_k K[u_i, u_k, v_i, v_k],
+    """ScaledCoupling's products on an instance with GridAxes, with no
+    M x N array.  With F and G the level tables of _level_tables(axes, lam),
+    the exps that the Hessian's sums at the same point have read, input i's
+    row of Q diag(s) is rho_i F[u_i, a] G[v_i, b] psi_j s_j at node
+    j = (a, b), where psi = exp(lpsi - max lpsi) and rho = exp(lphi +
+    max lpsi), the factors of _table_sums.  So with W the grid of
+    psi^2 s^2, pruned nodes zero, the Gram matrix is rho_i rho_k K[u_i, u_k, v_i, v_k],
     K = (F (x) F)(W (G (x) G)^T): U^2 V^2 n_side + V^2 n_side^2 multiply-adds
     in place of M^2 N, 3.9M against 82M for qam256 at grid 50.  dot and tdot
     are two small products over the grid each, the inputs' weights summed
@@ -538,13 +519,11 @@ class LevelCoupling:
     LEVEL_RHO_CAP."""
 
     def __init__(self, lphi, lpsi, tables, axes, s):
-        u, v = axes.levels[:2]
         f, g = tables
-        self.level = u * g.shape[0] + v
         k1, k2 = np.frexp(f.max(axis=1))[1], np.frexp(g.max(axis=1))[1]
         self.f, self.g = np.ldexp(f, -k1[:, None]), np.ldexp(g, -k2[:, None])
         shift = lpsi.max()
-        self.rho = np.ldexp(np.exp(lphi + shift), k1[u] + k2[v])
+        self.rho = np.ldexp(np.exp(lphi + shift), k1[axes.u] + k2[axes.v])
         self.psi, self.s = np.exp(lpsi - shift), s
         self.weight = self.psi * s
         self.axes = axes
@@ -562,12 +541,13 @@ class LevelCoupling:
 
     def dot(self, y):
         t = self.f @ self.axes.grid(self.weight * y) @ self.g.T
-        return self.rho * t.take(self.level)
+        return self.rho * t.take(self.axes.level)
 
     def tdot(self, x):
         nu, nv = self.f.shape[0], self.g.shape[0]
-        k = x.size // self.level.size
-        idx = self.level if k == 1 else (np.arange(k)[:, None] * (nu * nv) + self.level).ravel()
+        level = self.axes.level
+        k = x.size // level.size
+        idx = level if k == 1 else (np.arange(k)[:, None] * (nu * nv) + level).ravel()
         t = np.bincount(idx, (x * self.rho).ravel(), k * nu * nv)
         t = t.reshape(*x.shape[:-1], nu, nv)
         return self.axes.nodes(self.f.T @ t @ self.g) * self.weight
@@ -610,9 +590,8 @@ class JointSums(NamedTuple):
     then, on a metric of at least FACTORED_MIN_ENTRIES entries whose levels
     form a full product (GridAxes.product), the node sums ``cols`` summed
     over the second grid axis and over the first, one weight per grid
-    coordinate on each axis, else None.  Below that size no kernel reads
-    the levels, and their first np.unique alone adds about 0.3 MB to a
-    small run's peak resident memory."""
+    coordinate on each axis, else None.  Below that size the GMI keeps the
+    block loop, as every other kernel does."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -660,7 +639,7 @@ def _posterior_terms(value, first, second, base, zeta, d, cols):
 def _axis_posteriors(terms, base, zeta, axis_cols, axes):
     """mismatch_dual_value's terms where the levels form a full product and
     every base_k is equal.  The posterior at node (a, b) is then the product
-    of one posterior over the U first-axis levels, softmax of -zeta d1[u, a],
+    of one posterior over the U first-axis levels, softmax of -zeta t1[u, a],
     and one over the V second-axis levels: its log-normalizer, mean and
     variance are sums of the two axes', each taken by _posterior_terms on the
     axis's level rows of axes.level_powers and weighted by axis_cols.  The

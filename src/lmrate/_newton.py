@@ -18,7 +18,7 @@ whose blocks are q and its metric-weighted sums, so one pass over the
 coupling at a point gives its gradient, its dual value and rate, and the
 Hessian the next Newton step needs: every trial point of a line search is
 swept once, and the accepted one is not swept again.  Where the kernels
-take the metric's axis tables (the solver's Newton finish on inputs whose
+take the metric's level tables (the solver's Newton finish on inputs whose
 levels form a product, every built-in square alphabet under a diagonal
 h_hat, under the kernels' guard) that pass is _kernels' one table
 reduction (_table_sums, with three row sums and two node sums), and the
@@ -317,10 +317,10 @@ def _first_trial(dp, step, p, axes=None):
     """Length of a line search's first trial: 1, or 0.95 of the way to lam = 0
     when the step lowers lam, and no longer than moves some log q_ij up by
     STEP_EXP_CAP.  The rise -s_alpha_i - s_beta_j - s_lam d_ij is first
-    bounded, through each row's table maxima (d_ij = d1_ia + d2_ib) where
-    the kernels take ``axes`` at dp.lam, else through the metric's range
-    [p.d_min, p.d_max], and the pass over d that finds its maximum is made
-    only when that bound could bind.  Rounding is monotone, so no entry's
+    bounded, through each level's table maxima (d_ij = t1[u_i, a] +
+    t2[v_i, b]) where the kernels take ``axes`` at dp.lam, else through the
+    metric's range [p.d_min, p.d_max], and the pass over d that finds its
+    maximum is made only when that bound could bind.  Rounding is monotone, so no entry's
     rounded rise passes the range bound, and the length is the pass's."""
     t_step = 1.0
     s_lam = step[-1]
@@ -328,7 +328,8 @@ def _first_trial(dp, step, p, axes=None):
         t_step = min(t_step, 0.95 * dp.lam / -s_lam)
     m = dp.alpha.size
     if _kernels._factored(axes, dp.lam, p.d):
-        row_top = np.max(-s_lam * axes.d1, axis=1) + np.max(-s_lam * axes.d2, axis=1) - step[:m]
+        top1, top2 = np.max(-s_lam * axes.t1, axis=1), np.max(-s_lam * axes.t2, axis=1)
+        row_top = top1[axes.u] + top2[axes.v] - step[:m]
         bound = row_top.max() - step[m:-1].min()
     else:
         bound = -step[:m].min() - step[m:-1].min() + max(-s_lam * p.d_min, -s_lam * p.d_max)
@@ -378,7 +379,7 @@ def descend(dp: DualPoint, p, steps: int, done, trace: list, it0: int = 0, axes=
     the NumericalFailureError (with its step's iteration) that ended the
     loop, or None.  The start point's sweep raises EvaluationError when it
     overflows.  With ``axes``, p's GridAxes, every sweep and step that the
-    kernels' guard admits goes through the axis tables (dual_hessian).
+    kernels' guard admits goes through the level tables (dual_hessian).
     """
     k_hat = gauge_vector(p.m, p.n)
     grad, row, h = _sweep(dp, p, it0, axes=axes)

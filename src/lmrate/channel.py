@@ -9,16 +9,12 @@ that ignores the distortion).
 Discretization evaluates the transition density on a uniform square grid
 over [-half_width, half_width]^2 and renormalizes each row, giving a
 finite-alphabet problem whose couplings are directly comparable with the
-analytic threshold.  Grid nodes and all derived tables are kept exactly
-centrally symmetric (bit-for-bit) whenever the constellation is.  No
-solver relies on that, but the comparison of the factored Newton step with
-the dense one sits at its rounding floor and moves with it: in the damped
-system's energy norm at the third scaling iterate's multiplier, at grid 50
-and 0 dB, the step through the level tables is 6.1e-10 from the dense one
-on qam16 without the mirrored sums and 6.7e-10 with them, and 2.0e-9
-against 3.1e-10 on qam64.  Channel and grid values whose squares or
-density exponents would overflow a double are refused before any
-arithmetic on them.
+analytic threshold.  The grid's coordinates are exactly centrally
+symmetric, so the metric and the density of a centrally symmetric
+constellation are too, bit for bit; the row and column sums taken from them
+are equal across negation pairs only to rounding, and no solver relies on
+more.  Channel and grid values whose squares or density exponents would
+overflow a double are refused before any arithmetic on them.
 """
 
 import json
@@ -113,8 +109,9 @@ class DiscreteProblem:
     w: row-stochastic transition matrix (M, N).
     t: capacity-constraint threshold, finite; sum_ij p_x[i] w[i][j] d[i][j]
        for channel-built instances.
-    axes: the metric's GridAxes for channel-built instances, which the
-       scaling sweeps factor through; None otherwise.  Not serialized.
+    axes: the metric's level tables (GridAxes) for channel-built instances
+       whose decoder points form a product of levels, which the kernels
+       factor through; None otherwise.  Not serialized.
     """
 
     d: np.ndarray
@@ -201,16 +198,12 @@ class DiscreteProblem:
         t_ref = float(np.sum(self.p_x[:, None] * self.w * self.d))
         if t_ref != self.t:
             issues.append(f"t = {self.t!r} differs from the recomputed value {t_ref!r}")
-        if self.axes is not None:
-            d1, d2 = self.axes.d1, self.axes.d2
-            a, b = np.divmod(self.axes.kept, d1.shape[1])
-            if not np.array_equal(d1[:, a] + d2[:, b], self.d):
-                issues.append("axis tables do not reproduce the metric")
-            levels = self.axes.levels
-            if levels is not None:
-                u, v, rows1, rows2 = levels
-                if not (np.array_equal(d1[rows1][u], d1) and np.array_equal(d2[rows2][v], d2)):
-                    issues.append("input levels do not reproduce the axis tables")
+        axes = self.axes
+        if axes is not None:
+            a, b = np.divmod(axes.kept, axes.t1.shape[1])
+            if not np.array_equal(axes.t1[axes.u[:, None], a] + axes.t2[axes.v[:, None], b],
+                                  self.d):
+                issues.append("level tables do not reproduce the metric")
         return issues
 
     def to_json(self) -> str:
@@ -266,8 +259,10 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
 
     Rows of the transition matrix are the Gaussian density evaluated at the
     nodes and renormalized to sum to one.  Nodes whose output marginal
-    falls below prob_floor are pruned (always in negation-closed pairs for
-    symmetric constellations) and the remaining tables renormalized.
+    falls below prob_floor are pruned and the remaining tables
+    renormalized.  The problem carries the metric's level tables (GridAxes)
+    when the decoder points take U distinct first and V distinct second
+    coordinates with U V <= M, and axes None otherwise.
 
     Args:
         channel: ChannelSpec.
@@ -304,8 +299,6 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
         raise UnsupportedConfigurationError(
             f"the grid and the channel's images reach {reach!r}: their squares over the "
             f"noise variance {channel.sigma2!r} overflow a double")
-    symmetric = c.is_centrally_symmetric()
-    neg_x = c.negation_index()
 
     coords = _symmetric_axis(n_side, float(half_width))
     delta = 2.0 * float(half_width) / (n_side - 1)
@@ -313,45 +306,37 @@ def discretize(channel: ChannelSpec, c, n_side: int, prob_floor: float = 1e-100,
     points = np.column_stack([np.repeat(coords, n_side), np.tile(coords, n_side)])
 
     x = c.points
-    images = x @ channel.h.T          # H x_i, exact negation pairs when x has them
+    images = x @ channel.h.T          # H x_i for the transition density
     scores = x @ channel.h_hat.T      # h_hat x_i for the decoding metric
 
     dens = np.exp(-_grid_sum(*_axis_squares(coords, images)) / (2.0 * channel.sigma2))
     d1, d2 = _axis_squares(coords, scores)
     d = _grid_sum(d1, d2)
 
-    def _mirror_rows(vec):
-        # copy the representative value onto its negation partner so that
-        # row scalings are bitwise symmetric, not merely equal to rounding
-        return vec[np.minimum(np.arange(vec.shape[0]), neg_x)] if symmetric else vec
-
-    def _mirror_cols(vec):
-        k = vec.shape[0]
-        return np.where(np.arange(k) >= k - k // 2, vec[::-1], vec) if symmetric else vec
-
-    row_mass = _mirror_rows(dens.sum(axis=1))
+    row_mass = dens.sum(axis=1)
     if np.any(row_mass <= 0.0):
         raise DegenerateGridError(
             "transition density underflows on an entire grid row; "
             "refine the grid or lower the SNR")
     w = dens / row_mass[:, None]
-    p_y = _mirror_cols(c.probs @ w)
+    p_y = c.probs @ w
 
     keep = p_y >= prob_floor
     if not keep.any():
         raise DegenerateGridError(
             f"all {n_full} grid nodes fall below prob_floor={prob_floor!r}")
     pruned = np.nonzero(~keep)[0]
-    if symmetric and not np.array_equal(keep, keep[::-1]):
-        raise RuntimeError("internal error: pruning set is not negation-closed")
-    axes = GridAxes(d1, d2, np.nonzero(keep)[0], scores)
+    _, rows1, u = np.unique(scores[:, 0], return_index=True, return_inverse=True)
+    _, rows2, v = np.unique(scores[:, 1], return_index=True, return_inverse=True)
+    axes = None
+    if rows1.size * rows2.size <= c.size:
+        axes = GridAxes(d1[rows1], d2[rows2], u, v, np.nonzero(keep)[0])
     if pruned.size:
         w = np.ascontiguousarray(w[:, keep])
         d = np.ascontiguousarray(d[:, keep])
         points = points[keep]
-        row_mass = _mirror_rows(w.sum(axis=1))
-        w = w / row_mass[:, None]
-        p_y = _mirror_cols(c.probs @ w)
+        w = w / w.sum(axis=1)[:, None]
+        p_y = c.probs @ w
 
     t = float(np.sum(c.probs[:, None] * w * d))
     grid = OutputGrid(points=points, delta=delta, half_width=float(half_width),

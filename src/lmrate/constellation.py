@@ -67,8 +67,8 @@ class Constellation:
     def negation_index(self):
         """Index map i -> j with points[j] == -points[i] exactly, or None.
 
-        Exact (bitwise) matching: discretize mirrors sums across these pairs,
-        which keeps the factored Newton step near the dense one (see lmrate.channel).
+        Exact (bitwise) matching, which is_centrally_symmetric reads; no
+        solver needs the pairs.
         """
         lookup = {}
         for i, pt in enumerate(self.points):

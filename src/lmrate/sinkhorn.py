@@ -234,8 +234,9 @@ def _peak(row: TraceRow) -> float:
 
 
 def _newton_done(row: TraceRow, tol: float, p: DiscreteProblem) -> bool:
-    """The Newton phase's stopping test: the residuals, and the gap from the
-    rate to its weak-duality lower bound H(p_x) + H(p_y) - g, at most tol."""
+    """A root run's stopping test, in its scaling and its Newton phase: the
+    residuals, and the gap from the rate to its weak-duality lower bound
+    H(p_x) + H(p_y) - g, at most tol."""
     return (_peak(row) <= tol
             and abs(row.lm_rate_nats - (p.h_x + p.h_y - row.dual_objective)) <= tol)
 
@@ -255,23 +256,22 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     when gmi raises NumericalFailureError).  That start, at zero scalings,
     takes no sweep of its own: its dual value, dual_objective_init, is
     sum_i exp(log p_x_i - lphi_i) - 1 + lam t, the mass read off the first
-    row update lphi.  It hands the
-    gauge-balanced iterate at a positive multiplier to the damped Newton
-    loop after the first iteration; its sweeps and steps read the metric's
-    axis tables where the kernels' guard admits them.  The Newton loop
-    stops on the residual test and on the primal-dual gap
-    (``_newton_done``): at high SNR lam reaches tens,
-    and a point that meets the residual test alone can still be 2e-9 nats
-    short of the optimal rate.  Such a run's status is that test's: it is
-    MAX_ITERS when the loop spends max_iters without meeting it, whatever
-    the last residuals read.  A ``project`` run
-    never hands off, since its certificate speaks about the scaling trace,
-    and neither does an instance above problem.DENSE_CAP entries, whose
-    Newton step can build an M x N array.  A ``root`` run that cannot hand
-    off (above DENSE_CAP, read at call time) stops on the same test as
-    the Newton loop, so its rate too lands within about tol of the optimum;
-    a ``project`` run stops on the residual test, which its certificate
-    reads.  A ``project`` run makes iterations + 1 passes over the coupling
+    row update lphi.  It hands the gauge-balanced iterate at a positive
+    multiplier to the damped Newton loop after the first iteration; its
+    sweeps and steps read the metric's level tables where the kernels'
+    guard admits them.  Every ``root`` run, handed off or not, stops on the
+    residual test and on the primal-dual gap (``_newton_done``): at high
+    SNR lam reaches tens, and a point that meets the residual test alone
+    can still be 2e-9 nats short of the optimal rate.  Such a run's status
+    is that test's: it is MAX_ITERS when the run spends max_iters without
+    meeting it, whatever the last residuals read.  A ``project`` run stops
+    on the residual test alone, which its certificate reads, and never
+    hands off, since its certificate speaks about the scaling trace.  Nor
+    does an instance above problem.DENSE_CAP metric entries: the cap is a
+    gate on the instance's size, read at call time, whichever path its
+    Newton steps would take (through the level tables they build no
+    M x N array, off them they read the dense coupling).  A ``project`` run
+    makes iterations + 1 passes over the coupling
     (module docstring).  A threshold that no
     coupling meets to within tol (``threshold_failure``) stops either
     strategy before any sweep of its loop, at the product coupling, with
@@ -286,7 +286,6 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     m_d = p.d_max
     tau = cfg.tau if cfg.tau is not None else (1.0 / (m_d * m_d) if m_d > 0 else 1.0)
     may_hand_off = strategy is LambdaStrategy.ROOT and p.d.size <= problem.DENSE_CAP
-    gap_stop = strategy is LambdaStrategy.ROOT and not may_hand_off
 
     failure = threshold_failure(p, cfg.tol)
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
@@ -338,7 +337,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
             failure = NumericalFailureError(str(err), it)
             break
         trace.append(row)
-        converged = (_newton_done(row, cfg.tol, p) if gap_stop else _peak(row) <= cfg.tol)
+        converged = (_newton_done(row, cfg.tol, p) if strategy is LambdaStrategy.ROOT
+                     else _peak(row) <= cfg.tol)
         if converged:
             break
         if may_hand_off and lam > 0.0:

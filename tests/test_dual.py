@@ -227,7 +227,7 @@ def test_factored_newton_step_stays_below_one_coupling_array(factored_points):
     # products with the coupling through the level tables, so it holds grids,
     # tables and M x M arrays, and no M x N array
     cell, p, dp = next(point for point in factored_points if point[0][:2] == ("qam64", 10.0))
-    assert p.n < p.axes.d1.shape[1] ** 2 and _kernels._factored(p.axes, dp.lam, p.d)
+    assert p.n < p.axes.t1.shape[1] ** 2 and _kernels._factored(p.axes, dp.lam, p.d)
     grad, _, h = _newton._sweep(dp, p, axes=p.axes)
     tracemalloc.start()
     try:
@@ -676,6 +676,18 @@ def test_newton_oracle_beyond_old_cap():
     scaled = solve(p, SolverConfig(max_iters=2000, tol=1e-10))
     assert scaled.converged
     assert abs(report.lm_rate_nats - scaled.lm_rate_nats) <= 1e-9
+
+
+@pytest.mark.parametrize("n_side", [15, 20])
+def test_newton_oracle_stops_on_the_gap(n_side):
+    # qam16 at 0 dB: the projected gradient reaches 1e-12 a step before the
+    # rate does, 2.0e-11 (grid 15) and 5.0e-12 nats (grid 20) below its
+    # weak-duality bound; the oracle takes that step too
+    p = make_problem("qam16", n_side=n_side)[3]
+    report = newton_oracle(p, tol=1e-12)
+    assert report.converged and report.iterations == 7
+    row = report.residual_trace[-1]
+    assert abs(row.lm_rate_nats - (p.h_x + p.h_y - row.dual_objective)) <= 1e-12
 
 
 def test_newton_trace_descends(qpsk_n6):

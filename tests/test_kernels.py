@@ -212,7 +212,7 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
     # so that every instance takes the factored path.
     p = make_problem("qam16", snr_db=snr_db, n_side=50)[3]
     assert p.n == (2500 if snr_db == 0.0 else 1020)
-    assert p.axes.levels is not None
+    assert p.axes is not None
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
     # the classical dual's first derivative is a difference of two sums of
@@ -304,10 +304,10 @@ def test_axis_posteriors_only_on_equal_weights_over_a_product(rng, monkeypatch):
     assert skewed.axes.product and skewed.n == 2500
     gmi(skewed)
     rotated = make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3]
-    assert not rotated.axes.product and rotated.joint.axis_cols is None
+    assert rotated.axes is None and rotated.joint.axis_cols is None
     gmi(rotated)
     singular = make_problem("qam16", n_side=50, h_hat=np.diag([1.0, 0.0]))[3]
-    assert singular.axes.levels is not None and not singular.axes.product
+    assert singular.axes is not None and not singular.axes.product
     gmi(singular)
     small = make_problem("qpsk", n_side=50)[3]
     assert small.axes.product and small.d.size < K.FACTORED_MIN_ENTRIES
@@ -322,7 +322,7 @@ def test_level_tables_replace_the_input_tables(rng):
     # inputs, and a dual Hessian's one table exp also serves its
     # LevelCoupling, which builds the Newton step's products with Q
     p = make_problem("qam64", n_side=50)[3]
-    n_side = p.axes.d1.shape[1]
+    n_side = p.axes.t1.shape[1]
     assert K._factored(p.axes, 1.0, p.d)
     lphi, lpsi = _scalings(rng, p)
     shapes = []
@@ -348,24 +348,20 @@ def test_level_tables_replace_the_input_tables(rng):
 
 
 def test_factored_path_guard_and_crossover(rng, monkeypatch):
-    # at or past lam * (max d1 + max d2) = LSE_SWITCH, below the size
-    # crossover, and on inputs whose decoder points form no product of
-    # levels (qam16 at grid 50 and 0 dB under a rotated h_hat, at lam 0, 1
-    # and just inside its guard), the tables are ignored: the results are
-    # the block loop's
+    # at or past lam * (max t1 + max t2) = LSE_SWITCH and below the size
+    # crossover the tables are ignored: the results are the block loop's.
+    # Inputs whose decoder points form no product of levels (qam16 at grid
+    # 50 and 0 dB under a rotated h_hat) get no tables at all
     p = make_problem("qam16", snr_db=10.0, n_side=50)[3]
-    rotated = make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3]
-    assert rotated.axes.levels is None
+    assert make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3].axes is None
     guard = K.LSE_SWITCH / p.axes.span
     if guard * p.axes.span < K.LSE_SWITCH:
         guard = np.nextafter(guard, np.inf)
-    cases = [(p, 0, guard), (p, 0, 2.0 * guard), (p, p.d.size + 1, 1.0)] + [
-        (rotated, 0, lam) for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / rotated.axes.span)]
-    for q, min_entries, lam in cases:
+    for min_entries, lam in [(0, guard), (0, 2.0 * guard), (p.d.size + 1, 1.0)]:
         monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", min_entries)
-        assert not K._factored(q.axes, lam, q.d)
-        for name, kernel in _kernel_calls(q, *_scalings(rng, q), lam).items():
-            for got, want in zip(kernel(q.axes), kernel(None)):
+        assert not K._factored(p.axes, lam, p.d)
+        for name, kernel in _kernel_calls(p, *_scalings(rng, p), lam).items():
+            for got, want in zip(kernel(p.axes), kernel(None)):
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} at lam={lam}")
 
 
