@@ -46,13 +46,14 @@ gains least from the factoring, comes near to winning.  Solve time to tol
 at 4 x 3600, 1.07-1.12 at 4 x 4096, 1.05-1.06 at 16 x 900, 1.01-1.02 at
 64 x 225, and 0.60-0.61 at 16 x 2500 (qam16 grid 50).  The reduction's consumers are
 scale_rows, scale_cols, projected_sweep, metric_moments,
-coupling_stats, mismatch_dual_value's posteriors and the Newton finish's
-dual Hessian (_newton.dual_hessian); off the factored path each keeps its
-block loop.  The GMI needs none of these sums: when the levels form a full
-product (GridAxes.product) and the classical dual's weights log p_x + a
-are equal across inputs, as in the GMI under a uniform prior, each node's
-posterior is a product of one posterior per axis, taken from the same
-U + V level rows at any tilt, with no guard (_axis_posteriors).
+coupling_stats and the Newton finish's dual Hessian
+(_newton.dual_hessian); off the factored path each keeps its block loop.
+The classical dual (mismatch_dual_value) takes none of these sums and has
+two paths.  When the levels form a full product (GridAxes.product) and
+its weights log p_x + a are equal across inputs, as in the GMI under a
+uniform prior, each node's posterior is a product of one posterior per
+axis, taken from the same U + V level rows at any tilt, with no guard
+(_axis_posteriors); every other call takes the block loop.
 The Newton step's products with the coupling (the Gram matrix of its Schur
 complement, Q y and Q^T x) go through the same tables: LevelCoupling
 takes them from the level rows, whose exps it shares with the Hessian's
@@ -332,8 +333,8 @@ def _restored(log_scale, shift, sums):
 
 def _coupling_sums(lphi, lpsi, tables, axes, rows, cols):
     """The coupling's own sums, sum_j q_ij d_ij^k (k < rows) and
-    sum_i q_ij d_ij^k (k < cols), both counts positive: _table_sums of the
-    shifted scalings, _restored."""
+    sum_i q_ij d_ij^k (k < cols), rows positive and cols possibly 0 (no
+    node sums): _table_sums of the shifted scalings, _restored."""
     phi, lphi_max = _shifted(lphi)
     psi, lpsi_max = _shifted(lpsi)
     row_sums, node_sums = _table_sums(phi, psi, tables, axes, rows, cols)
@@ -574,12 +575,12 @@ def metric_moments(lphi, lpsi, lam, d, axes=None):
     """First two metric moments of the coupling taken at multiplier ``lam``.
 
     Returns (sum_ij d q, sum_ij d^2 q); the multiplier root solve's first
-    evaluation, at its warm-start hint.  ``axes`` as for coupling_stats.
+    evaluation, at its warm-start hint.  ``axes`` as for coupling_stats:
+    with them the sums are _coupling_sums' row sums of d^1 and d^2, with
+    no node sums.
     """
     if _factored(axes, lam, d):
-        psi, shift = _shifted(lpsi)
-        (_, u, w), _ = _table_sums(None, psi, _level_tables(axes, lam), axes, 3, 0)
-        u, w = _restored(lphi, shift, [u, w])
+        (_, u, w), _ = _coupling_sums(lphi, lpsi, _level_tables(axes, lam), axes, 3, 0)
         return float(u.sum()), float(w.sum())
     return _moment_sweep(lphi, lpsi, lam, d)
 
@@ -664,25 +665,17 @@ def mismatch_dual_value(sums, a, log_px, zeta, d, axes=None):
         second = -sum_j W_j Var_post[d]
 
     with W_j = sum_i w_ij and the posterior at output j the softmax over
-    inputs k of base_k - zeta*d_kj, base = log_px + a.  With ``axes`` (the
-    GridAxes of d) the posteriors come
-    - axis by axis (_axis_posteriors), at any zeta, when sums.axis_cols is
-      set (a metric past the size crossover whose levels form a full
-      product) and base is equal across inputs, as in the GMI under a
-      uniform prior;
-    - otherwise, on the factored path (_factored), from the node sums of
-      d^0, d^1, d^2 that _table_sums takes over exp(base - max base).
-    Every other call takes one exp pass over the column blocks of d
-    (_posterior_terms).
+    inputs k of base_k - zeta*d_kj, base = log_px + a.  Two paths:
+    - with ``axes`` (the GridAxes of d), when sums.axis_cols is set (a
+      metric past the size crossover whose levels form a full product) and
+      base is equal across inputs, as in the GMI under a uniform prior, the
+      posteriors come axis by axis (_axis_posteriors), at any zeta;
+    - every other call takes one exp pass over the column blocks of d
+      (_posterior_terms), on the factored path too: non-zero shifts, such
+      as a solution's, and a non-uniform prior take it.
     """
     value = vdot(a, sums.rows) - zeta * sums.wd
     base = log_px + a
     if axes is not None and sums.axis_cols is not None and base.min() == base.max():
         return _axis_posteriors((value, -sums.wd, 0.0), base, zeta, sums.axis_cols, axes)
-    if _factored(axes, zeta, d):
-        weights, shift = _shifted(base)
-        _, (mass, dm, d2m) = _table_sums(weights, None, _level_tables(axes, zeta), axes, 0, 3)
-        mean = dm / mass
-        return (value - vdot(sums.cols, shift + np.log(mass)),
-                -sums.wd + vdot(sums.cols, mean), -vdot(sums.cols, d2m / mass - mean * mean))
     return _posterior_terms(value, -sums.wd, 0.0, base, zeta, d, sums.cols)

@@ -28,12 +28,6 @@ _SIDE_LEVELS = {
     Scheme.QAM64: 4,
     Scheme.QAM256: 8,
 }
-_NORMALIZER = {
-    Scheme.QPSK: math.sqrt(2.0),
-    Scheme.QAM16: math.sqrt(10.0),
-    Scheme.QAM64: math.sqrt(42.0),
-    Scheme.QAM256: math.sqrt(170.0),
-}
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def build_constellation(scheme) -> Constellation:
     if isinstance(scheme, str):
         scheme = Scheme(scheme.strip().lower())
     k = _SIDE_LEVELS[scheme]
-    norm = _NORMALIZER[scheme]
+    norm = math.sqrt(2 * (4 * k * k - 1) / 3)
     axis = np.arange(-(2 * k - 1), 2 * k, 2, dtype=np.float64)
     pts = [(a / norm, b / norm) for a in axis for b in axis]
     pts.sort()

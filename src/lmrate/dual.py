@@ -96,8 +96,10 @@ def scaling_null_space(d: np.ndarray) -> dict:
 def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
     """Second-order dual solve, independent of the alternating-scaling path.
 
-    A threshold below p.t_min by more than tol stops it before any sweep,
-    with status NUMERICAL_FAILURE (sinkhorn.threshold_failure).  Active-set
+    A tol that is not positive and finite raises ValueError, as
+    SolverConfig does.  A threshold below p.t_min by more than tol stops
+    it before any sweep, with status NUMERICAL_FAILURE
+    (sinkhorn.threshold_failure).  Active-set
     treatment of lam >= 0: if the multiplier gradient t - sum d q
     is at least -tol at the product coupling (the lam = 0 optimum, rate 0 and
     dual value H(p_x) + H(p_y)), that coupling is the answer after 0 steps.
@@ -114,6 +116,8 @@ def newton_oracle(p: DiscreteProblem, tol: float = 1e-10) -> SolveReport:
     scales with the metric and is not the GMI tilt ``solve`` starts from.
     Its trace rows are the centred instance's; the solution is mapped back.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     k_hat = gauge_vector(p.m, p.n)
 
     def done(grad, row):

@@ -250,7 +250,9 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     the multiplier gradient t - sum d q at the product coupling p_x (x) p_y
     is at least -tol, as in the Newton oracle, the optimal multiplier is 0,
     which the Newton line search never reaches, and the run starts from
-    that coupling at lam = 0 (the product start).  Otherwise, with
+    that coupling at lam = 0 (the product start), whose dual value
+    dual_objective_init is H(p_x) + H(p_y), as the Newton oracle reports
+    it, taken with no sweep.  Otherwise, with
     cfg.lambda_init None, it starts at the GMI's optimal tilt gmi(p).s_star
     and reports that GmiResult as ``gmi`` (it starts at 1.0, ``gmi`` None,
     when gmi raises NumericalFailureError).  That start, at zero scalings,
@@ -274,8 +276,8 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     makes iterations + 1 passes over the coupling
     (module docstring).  A threshold that no
     coupling meets to within tol (``threshold_failure``) stops either
-    strategy before any sweep of its loop, at the product coupling, with
-    status NUMERICAL_FAILURE.
+    strategy before any sweep of its loop, at the product coupling and its
+    dual value H(p_x) + H(p_y), with status NUMERICAL_FAILURE.
     Returns a SolveReport whose residual_trace has exactly one row per
     completed iteration or Newton step (both count against max_iters); the
     trace carries the dual objective and the multiplier so convergence
@@ -290,11 +292,12 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
     failure = threshold_failure(p, cfg.tol)
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
     lphi, lpsi, lam, tilt = np.zeros(p.m), np.zeros(p.n), cfg.lambda_init, None
+    dual_init = None
     product = failure is not None or (
         strategy is LambdaStrategy.ROOT
         and multiplier_excess(log_px, log_py, 0.0, p.d, p.t, p.axes) <= cfg.tol)
     if product:
-        lphi, lpsi, lam = log_px, log_py, 0.0
+        lphi, lpsi, lam, dual_init = log_px, log_py, 0.0, p.h_x + p.h_y
     elif strategy is LambdaStrategy.ROOT and lam is None:
         try:
             tilt = gmi(p)
@@ -302,11 +305,9 @@ def solve(p: DiscreteProblem, cfg: SolverConfig | None = None) -> SolveReport:
         except NumericalFailureError:
             pass
     lam_init = lam = 1.0 if lam is None else float(lam)
-    stats = dual_init = None
     if strategy is LambdaStrategy.PROJECT and failure is None:
         stats, step = _kernels.projected_sweep(lphi, lpsi, lam, p.d, p.d_max - p.d_min,
                                                log_px, log_py, p.p_y, p.axes)
-    if product or strategy is LambdaStrategy.PROJECT:
         dual_init = evaluate(lphi, lpsi, lam, p, 0, stats).dual_objective
 
     trace: list = []

@@ -731,6 +731,15 @@ def test_newton_oracle_reports_numerical_failure(monkeypatch, qpsk_n10):
     assert report.lambda_final == start
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_newton_oracle_rejects_a_tolerance_that_is_not_positive_and_finite(qpsk_n10, tol):
+    # as SolverConfig does: a negative tol read as a threshold failure, an
+    # infinite one passed the product coupling as converged, and 0 or NaN
+    # spent every Newton step
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        newton_oracle(qpsk_n10, tol=tol)
+
+
 # --------------------------------------------------------------------------
 # classical mismatched-decoding dual
 # --------------------------------------------------------------------------

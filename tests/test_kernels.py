@@ -176,17 +176,13 @@ def test_mismatch_dual_value_against_dense(rng):
 
 def _kernel_calls(p, lphi, lpsi, lam):
     """Each axis-table kernel as a function of the tables (None: block loop),
-    its results as a tuple.  The classical dual takes lam as its tilt and the
-    shifts a = lphi - log p_x of a scaled coupling."""
+    its results as a tuple."""
     log_px, log_py = np.log(p.p_x), np.log(p.p_y)
-    sums = K.joint_sums(p.p_x, p.w, p.d)
     return {
         "scale_rows": lambda axes: (K.scale_rows(lpsi, lam, p.d, log_px, axes),),
         "scale_cols": lambda axes: (K.scale_cols(lphi, lam, p.d, log_py, axes),),
         "coupling_stats": lambda axes: K.coupling_stats(lphi, lpsi, lam, p.d, axes),
         "metric_moments": lambda axes: K.metric_moments(lphi, lpsi, lam, p.d, axes),
-        "mismatch_dual_value": lambda axes: K.mismatch_dual_value(
-            sums, lphi - log_px, log_px, lam, p.d, axes),
         "projected_sweep": lambda axes: _projected(p, lphi, lpsi, lam, axes),
     }
 
@@ -215,19 +211,12 @@ def test_factored_kernels_match_block_loop(rng, monkeypatch, snr_db):
     assert p.axes is not None
     monkeypatch.setattr(K, "FACTORED_MIN_ENTRIES", 0)
     lphi, lpsi = _scalings(rng, p)
-    # the classical dual's first derivative is a difference of two sums of
-    # about sum w d and vanishes at the maximizer: its rounding scales with
-    # that sum, not with itself
-    atol = {("mismatch_dual_value", 1): 1e-12 * K.joint_sums(p.p_x, p.w, p.d).wd}
     for lam in (0.0, 1.0, (1.0 - 1e-12) * K.LSE_SWITCH / p.axes.span):
         assert K._factored(p.axes, lam, p.d)
         for name, kernel in _kernel_calls(p, lphi, lpsi, lam).items():
             for k, (got, want) in enumerate(zip(kernel(p.axes), kernel(None))):
-                if (name, k) in atol:
-                    assert abs(got - want) <= atol[name, k], f"{name}[{k}] at lam={lam}"
-                else:
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
-                                               err_msg=f"{name}[{k}] at lam={lam}")
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{name}[{k}] at lam={lam}")
 
 
 def _axis_posterior_calls(monkeypatch):
@@ -288,12 +277,17 @@ def test_axis_posteriors_only_on_equal_weights_over_a_product(rng, monkeypatch):
     # 0 dB takes it at a = 0, and not with non-zero shifts, under a
     # non-uniform prior, under a rotated decoder (no levels), under a
     # singular one (4 x 1 levels for 16 inputs, no product), or at qpsk's
-    # 4 x 2500
+    # 4 x 2500.  Off that branch the classical dual keeps its block loop,
+    # with no table sum, even on the factored path (the first two calls)
     p = make_problem("qam16", n_side=50)[3]
     calls = _axis_posterior_calls(monkeypatch)
     scarlett_dual_value(ScarlettDualPoint(zeta=1.0, a=np.zeros(p.m)), p)
     assert len(calls) == 1
     calls.clear()
+    table_sums = []
+    sums = K._table_sums
+    monkeypatch.setattr(K, "_table_sums", lambda *args: table_sums.append(args) or sums(*args))
+    assert K._factored(p.axes, 1.0, p.d)
     scarlett_dual_value(ScarlettDualPoint(zeta=1.0, a=rng.normal(0.0, 0.1, p.m)), p)
     cons = build_constellation("qam16")
     probs = np.exp(-0.3 * (cons.points ** 2).sum(axis=1))
@@ -303,6 +297,7 @@ def test_axis_posteriors_only_on_equal_weights_over_a_product(rng, monkeypatch):
     skewed = discretize(chan, Constellation(points, probs), 50)[1]
     assert skewed.axes.product and skewed.n == 2500
     gmi(skewed)
+    assert table_sums == []
     rotated = make_problem("qam16", n_side=50, h_hat=rotation(np.pi / 18))[3]
     assert rotated.axes is None and rotated.joint.axis_cols is None
     gmi(rotated)
