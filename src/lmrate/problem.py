@@ -61,13 +61,16 @@ class Coupling:
     def dense(self) -> np.ndarray:
         """Materialize q as an (M, N) array, exponentiated block by block into
         it, so it is the only M x N array made; refuses above DENSE_CAP
-        entries."""
+        entries.  Entries below exp(-700) are exact zeros where they lie 60
+        e-folds below the largest entry of their row and of their column
+        within the block (_kernels.floored_exp), far below the rounding of
+        any row or column sum."""
         if self.d.size > DENSE_CAP:
             raise UnsupportedConfigurationError(
                 f"coupling has {self.d.size} entries, above the dense cap {DENSE_CAP}")
         q = np.empty(self.d.shape)
         for lo, e in _kernels.exponent_blocks(self.log_phi, self.log_psi, self.lam, self.d):
-            np.exp(e, out=q[lo:lo + e.shape[0]])
+            _kernels.floored_exp(e, out=q[lo:lo + e.shape[0]], cols=True)
         return q
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,9 +18,9 @@ from lmrate import (
     discretize,
     quadratic_form_positive,
 )
-from lmrate._kernels import GridAxes
-from lmrate.channel import _symmetric_axis
-from conftest import make_problem
+from lmrate._kernels import EXP_FLOOR, GridAxes
+from lmrate.channel import _axis_squares, _grid_sum, _symmetric_axis
+from conftest import make_problem, rotation
 
 
 def test_build_channel_identity_and_snr():
@@ -162,6 +163,15 @@ def test_symmetric_axis_matches_its_loop():
                 v = -half_width + k * (2.0 * half_width / (n_side - 1))
                 ref[k], ref[n_side - 1 - k] = v, -v
             assert _symmetric_axis(n_side, half_width).tobytes() == ref.tobytes()
+
+
+def test_grid_sum_is_the_broadcast_sum(rng):
+    # the batched product [t1, 1] @ [1, t2] rounds each sum once, as the
+    # broadcast sum does, whatever BLAS kernel runs it
+    for m, n in [(1, 2), (4, 50), (16, 50), (3, 7), (64, 200)]:
+        t1 = rng.uniform(0.0, 1.0, (m, n)) * 10.0 ** rng.uniform(-3, 5, (m, 1))
+        t2 = rng.uniform(0.0, 1.0, (m, n)) * 10.0 ** rng.uniform(-3, 5, (m, 1))
+        assert np.array_equal(_grid_sum(t1, t2), (t1[:, :, None] + t2[:, None, :]).reshape(m, -1))
 
 
 def test_odd_grid_has_exact_center():
@@ -360,3 +370,83 @@ def test_bad_problem_data_reported(read, message):
     except ValueError as err:
         issues = [str(err)]
     assert issues == [message]
+
+
+def _plain_grid_sum(coords, centers):
+    """||y_j - centers_i||^2 over the grid nodes as a broadcast sum."""
+    t1, t2 = _axis_squares(coords, centers)
+    return (t1[:, :, None] + t2[:, None, :]).reshape(len(centers), -1)
+
+
+def _plain_discretize(chan, cons, n_side, prob_floor=1e-100, half_width=8.0):
+    """(d, p_y, w, t) of discretize's instance by the plain pipeline: np.exp
+    of every exponent, out-of-place normalization, the kept columns copied
+    C-ordered, and t as np.sum of the triple product."""
+    coords = _symmetric_axis(n_side, half_width)
+    dens = np.exp(-_plain_grid_sum(coords, cons.points @ chan.h.T) / (2.0 * chan.sigma2))
+    d = _plain_grid_sum(coords, cons.points @ chan.h_hat.T)
+    w = dens / dens.sum(axis=1)[:, None]
+    p_y = cons.probs @ w
+    keep = p_y >= prob_floor
+    if not keep.all():
+        w = np.ascontiguousarray(w[:, keep])
+        d = np.ascontiguousarray(d[:, keep])
+        w = w / w.sum(axis=1)[:, None]
+        p_y = cons.probs @ w
+    return d, p_y, w, float(np.sum(cons.probs[:, None] * w * d))
+
+
+# (scheme, n_side, snr_db, eta) at theta pi/18 whose density has a row that
+# peaks between exp(-745) and exp(-700): zeroing every entry below exp(-700)
+# would leave that row empty and raise DegenerateGridError
+_NEAR_FLOOR = [("qpsk", 20, 36.0, 1.0), ("qpsk", 50, 50.0, 1.0), ("qam64", 10, 28.0, 0.8),
+               ("qam64", 20, 34.0, 1.0), ("qam64", 50, 42.0, 0.8)]
+_BITWISE_CELLS = ([(scheme, 50, snr_db, 0.9, None) for scheme in ("qpsk", "qam16")
+                   for snr_db in (0.0, 10.0, 20.0)]
+                  + [("qam16", 50, 10.0, 0.9, rotation(math.pi / 18))]
+                  + [cell + (None,) for cell in _NEAR_FLOOR])
+
+
+@pytest.mark.parametrize("scheme, n_side, snr_db, eta, h_hat", _BITWISE_CELLS)
+def test_discretize_keeps_the_plain_pipelines_bits(scheme, n_side, snr_db, eta, h_hat):
+    # d, p_y and t bit for bit; w too, except that entries below 1e-300 may
+    # be exact zeros, and none is subnormal.  Both arrays are C-ordered: an
+    # F-ordered w makes p_x @ w round differently
+    cons = build_constellation(scheme)
+    chan = build_channel(1.0, eta, math.pi / 18, snr_db, h_hat=h_hat)
+    d, p_y, w, t = _plain_discretize(chan, cons, n_side)
+    prob = discretize(chan, cons, n_side)[1]
+    assert np.array_equal(prob.d, d) and np.array_equal(prob.p_y, p_y) and prob.t == t
+    assert prob.validate() == []
+    small = w < 1e-300
+    assert np.array_equal(prob.w[~small], w[~small])
+    assert np.all((prob.w[small] == 0.0) | (prob.w[small] == w[small]))
+    assert not np.any((prob.w > 0.0) & (prob.w < np.finfo(float).tiny))
+    assert prob.w.flags.c_contiguous and prob.d.flags.c_contiguous
+
+
+@pytest.mark.parametrize("scheme, n_side, snr_db, eta", _NEAR_FLOOR)
+def test_instances_near_the_exp_floor_still_build(scheme, n_side, snr_db, eta):
+    cons = build_constellation(scheme)
+    chan = build_channel(1.0, eta, math.pi / 18, snr_db)
+    e = -_plain_grid_sum(_symmetric_axis(n_side, 8.0), cons.points @ chan.h.T)
+    e /= 2.0 * chan.sigma2
+    assert np.any(np.where(e < EXP_FLOOR, 0.0, np.exp(e)).sum(axis=1) == 0.0)
+    assert discretize(chan, cons, n_side)[1].t == _plain_discretize(chan, cons, n_side)[3]
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0])
+def test_discretize_peak_memory(snr_db):
+    # qam256 at grid 100: at most three M x n_side^2 arrays alive at once,
+    # in place of four; at 10 dB the grid is pruned
+    cons = build_constellation("qam256")
+    chan = build_channel(1.0, 0.9, math.pi / 18, snr_db)
+    tracemalloc.start()
+    try:
+        grid, prob = discretize(chan, cons, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (grid.pruned.size > 0) == (snr_db > 0.0)
+    full = 8 * cons.size * 100 * 100
+    assert peak <= 3.1 * full, peak / full

@@ -141,6 +141,101 @@ def test_underflowed_entries_contribute_zero():
     assert neg_entropy == 0.0
 
 
+def test_floored_exp_is_exp_from_the_floor_up(rng):
+    # exponents in [EXP_FLOOR, 0], the floor included, give np.exp's bits,
+    # whatever lies below the floor in the same row, in place or into out
+    e = np.concatenate([[K.EXP_FLOOR, 0.0, -707.5, -745.5, -800.0, -np.inf],
+                        rng.uniform(K.EXP_FLOOR, 0.0, 4000)]).reshape(2, -1)
+    e[1, :6] = e[0, :6]
+    ref = np.exp(e)
+    low = e < K.EXP_FLOOR
+    out = np.full_like(e, 7.0)
+    copy = e.copy()
+    assert K.floored_exp(e, out=out) is out
+    assert np.array_equal(e, copy)
+    assert K.floored_exp(copy, out=copy) is copy
+    for got in (out, copy):
+        assert np.array_equal(got[~low], ref[~low])
+        # both rows reach 0, so every exponent below the floor is far below
+        # its row's largest: exact zeros, where np.exp gives subnormals too
+        assert np.all(got[low] == 0.0) and np.any(ref[low] > 0.0)
+    # np.exp never sees an exponent below the floor, so nothing underflows
+    with np.errstate(under="raise"):
+        K.floored_exp(e)
+    # with nothing below the floor it is np.exp, also out of a fresh array
+    assert np.array_equal(K.floored_exp(e[:, 6:]), ref[:, 6:])
+
+
+def test_floored_exp_keeps_entries_near_their_rows_and_columns_largest():
+    # an exponent below the floor keeps np.exp's value while it lies within
+    # ``margin`` of its row's largest (with cols, or of its column's)
+    e = np.array([[-650.0, -705.0, -709.0, -709.5],
+                  [0.0, -705.0, -720.0, -760.0],
+                  [0.0, -10.0, -720.0, -730.0]])
+    ref = np.exp(e)
+    rows = K.floored_exp(e, margin=60.0)
+    assert np.array_equal(rows[0], ref[0])
+    np.testing.assert_array_equal(rows[1:], np.where(e[1:] < K.EXP_FLOOR, 0.0, ref[1:]))
+    both = K.floored_exp(e, margin=60.0, cols=True)
+    # columns 2 and 3 peak at -709 and -709.5: all their entries stay
+    np.testing.assert_array_equal(both[:, 2:], ref[:, 2:])
+    np.testing.assert_array_equal(both[:, :2], rows[:, :2])
+    # the density's margin, -EXP_FLOOR: zeros only below exp(-700) times
+    # the row's largest
+    dens = K.floored_exp(e, margin=-K.EXP_FLOOR)
+    np.testing.assert_array_equal(dens[0], ref[0])
+    np.testing.assert_array_equal(dens[1:], np.where(e[1:] < K.EXP_FLOOR, 0.0, ref[1:]))
+
+
+def test_floored_exp_passes_nan_inf_and_overflow_through_like_exp():
+    # each special value shares a row with exponents below the floor: a NaN
+    # sends the array to plain np.exp, the others take the floored path
+    for special in (np.nan, np.inf, -np.inf, 800.0):
+        e = np.array([[special, -750.0, -1.0], [0.0, -800.0, -2.0]])
+        with np.errstate(over="ignore"):
+            ref = np.exp(e)
+            np.testing.assert_array_equal(K.floored_exp(e.copy(), cols=True)[0, ::2],
+                                          ref[0, ::2])
+        with np.errstate(over="raise"):
+            if special == 800.0:
+                with pytest.raises(FloatingPointError):
+                    K.floored_exp(e)
+            else:
+                np.testing.assert_array_equal(K.floored_exp(e)[:, 0], ref[:, 0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        K.floored_exp(np.array([[800.0, -750.0]]))
+
+
+def test_dense_coupling_overflow_still_raises_in_the_newton_sweep(qpsk_n6):
+    # the Newton pass's overflow guard (np.errstate(over="raise")) sees an
+    # overflow of the dense coupling while other entries lie below the floor
+    from lmrate._newton import DualPoint, _sweep
+    from lmrate.errors import EvaluationError
+
+    alpha = np.full(qpsk_n6.m, -720.0)
+    beta = np.full(qpsk_n6.n, 1.0)
+    beta[: qpsk_n6.n // 2] = 1500.0
+    with pytest.raises(EvaluationError, match="overflow"):
+        _sweep(DualPoint(alpha, beta, 0.5), qpsk_n6, axes=qpsk_n6.axes)
+
+
+def test_dense_coupling_zeros_only_what_no_sum_reads(qpsk_n10):
+    # far from the optimum, at lam = 8, 60 of qpsk's 400 coupling exponents
+    # lie in np.exp's slow range, and eight give subnormals; dense() gives
+    # np.exp's bits from exp(-700) up and exact zeros below it, and its row
+    # and column sums are those of the plain exps
+    q = Coupling(np.zeros(qpsk_n10.m), np.zeros(qpsk_n10.n), 8.0, qpsk_n10.d)
+    e = -8.0 * qpsk_n10.d
+    assert np.count_nonzero(e < -707.5) == 60
+    ref = np.exp(e)
+    got = q.dense()
+    low = e < K.EXP_FLOOR
+    assert np.array_equal(got[~low], ref[~low])
+    assert np.all(got[low] == 0.0) and np.count_nonzero(ref[low]) == 8
+    assert np.array_equal(got.sum(axis=1), ref.sum(axis=1))
+    assert np.array_equal(got.sum(axis=0), ref.sum(axis=0))
+
+
 def test_mismatch_dual_value_against_dense(rng):
     d, _, _, log_px, _ = _random_inputs(rng, 5, 8)
     m, n = d.shape
